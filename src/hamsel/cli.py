@@ -185,8 +185,18 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
+def _power_s(d: int, beta: float) -> int:
+    """ceil(d^(1-beta)), except that a power within a relative 1e-9 of an
+    integer is that integer: 32^0.8 evaluates to 16.000000000000004."""
+    value = d ** (1.0 - beta)
+    nearest = round(value)
+    if abs(value - nearest) <= 1e-9 * nearest:
+        return nearest
+    return math.ceil(value)
+
+
 def _parse_s_rule(text: str):
-    """'fixed:k' -> k, 'power:beta' -> d |-> ceil(d^(1-beta))."""
+    """'fixed:k' -> k, 'power:beta' -> d |-> ceil(d^(1-beta)) (see _power_s)."""
     kind, _, value = text.partition(":")
     if kind == "fixed":
         try:
@@ -200,7 +210,7 @@ def _parse_s_rule(text: str):
             raise ValueError(f"s-rule 'power:' needs a number, got {value!r}") from None
         if not 0.0 <= beta < 1.0:
             raise ValueError(f"s-rule power exponent must lie in [0,1), got {beta}")
-        return lambda d: math.ceil(d ** (1.0 - beta))
+        return lambda d: _power_s(d, beta)
     raise ValueError(f"s-rule must be 'fixed:k' or 'power:beta', got {text!r}")
 
 
@@ -629,7 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--s-rule",
         dest="s_rule",
         required=True,
-        help="'fixed:k' or 'power:beta' (s = ceil(d^(1-beta)))",
+        help="'fixed:k' or 'power:beta' (s = ceil(d^(1-beta)), exact powers kept)",
     )
     p.add_argument("--a-mult", dest="a_mult", required=True, help="e.g. 0.8,1,1.2")
     p.add_argument("--selectors", required=True, help=f"comma list from {','.join(SELECTOR_KINDS)}")

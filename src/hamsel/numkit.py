@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 import operator
 
-from scipy import special as _special
-
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -47,6 +45,10 @@ _LOG_TAIL_CUTOFF = 35.0
 # At lambda = 32 the leading term exp(-lambda) ~ 1.3e-14 is still a normal
 # float and the summation needs only ~90 terms; the seam is tested.
 _POISSON_SUM_MAX_LAMBDA = 32.0
+
+# scipy.special, imported on first use above that seam: importing it would
+# otherwise take most of the time of `import hamsel`.
+_special = None
 
 
 def _exp_neg_half_square(y: float) -> float:
@@ -198,4 +200,7 @@ def poisson_cdf(k: int, lam: float) -> float:
             if i > lam and term <= total * 1e-17:
                 break
         return min(total, 1.0)
+    global _special
+    if _special is None:
+        from scipy import special as _special
     return float(_special.gammaincc(k + 1, lam))

@@ -60,12 +60,22 @@ def _check_positive(**named: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def one_sided_bits(x: np.ndarray, t: float) -> np.ndarray:
+    """Core of the one-sided rule on validated observations: x_j >= t."""
+    return x >= t
+
+
+def two_sided_bits(x: np.ndarray, t: float) -> np.ndarray:
+    """Core of the two-sided rule on validated observations: |x_j| >= t."""
+    return np.abs(x) >= t
+
+
 def threshold_one_sided(x, t: float) -> SupportVector:
     """Select j iff x_j >= t."""
     arr = _as_observations(x)
     if math.isnan(t):
         raise ValueError("threshold must not be NaN")
-    return SupportVector(arr >= t)
+    return SupportVector(one_sided_bits(arr, t))
 
 
 def threshold_two_sided(x, t: float) -> SupportVector:
@@ -73,7 +83,7 @@ def threshold_two_sided(x, t: float) -> SupportVector:
     arr = _as_observations(x)
     if not t >= 0.0:
         raise ValueError(f"two-sided threshold must be >= 0, got {t}")
-    return SupportVector(np.abs(arr) >= t)
+    return SupportVector(two_sided_bits(arr, t))
 
 
 def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
@@ -129,10 +139,8 @@ def cosh_selector(
     :func:`cosh_threshold`; tests assert agreement with the literal
     log-cosh comparison.
     """
-    arr = _as_observations(x)
-    if arr.size != d:
-        raise ValueError(f"expected {d} observations, got {arr.size}")
-    return SupportVector(np.abs(arr) >= cosh_threshold(d, s, a, sigma))
+    arr = check_observations(x, d)
+    return SupportVector(two_sided_bits(arr, cosh_threshold(d, s, a, sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +189,9 @@ def llr_threshold(
     return (log_ratio + a1 - a0) / math.log(a1 / a0)
 
 
-def llr_selector(
-    x, family: Family, d: int, s: int, a0: float, a1: float, sigma: float = 1.0
-) -> SupportVector:
-    """Likelihood-ratio selector for a two-distribution family."""
+def check_observations(x, d: int, family: Family = Family.GAUSSIAN) -> np.ndarray:
+    """d finite observations as a float array; 0/1 or counts for the
+    Bernoulli and Poisson families."""
     arr = _as_observations(x)
     if arr.size != d:
         raise ValueError(f"expected {d} observations, got {arr.size}")
@@ -194,8 +201,15 @@ def llr_selector(
     elif family is Family.POISSON:
         if (arr < 0.0).any() or not (arr == np.floor(arr)).all():
             raise ValueError("Poisson observations must be nonnegative integers")
-    t = llr_threshold(family, d, s, a0, a1, sigma)
-    return SupportVector(arr >= t)
+    return arr
+
+
+def llr_selector(
+    x, family: Family, d: int, s: int, a0: float, a1: float, sigma: float = 1.0
+) -> SupportVector:
+    """Likelihood-ratio selector for a two-distribution family."""
+    arr = check_observations(x, d, family)
+    return SupportVector(one_sided_bits(arr, llr_threshold(family, d, s, a0, a1, sigma)))
 
 
 def crowd_weights(rates) -> tuple[np.ndarray, float]:
@@ -226,20 +240,33 @@ def crowd_selector(c: CrowdInstance, s: int) -> SupportVector:
 # ---------------------------------------------------------------------------
 
 
+def top_s_bits(x: np.ndarray, s: int, one_sided: bool = True) -> np.ndarray:
+    """Core of the top-s rule on validated observations, 1 <= s <= d.
+
+    Selects the s largest keys (x, or |x| when two-sided) with ties at the
+    s-th value going to the lowest indices: exactly the first s entries of
+    a stable argsort of -key, found in O(d) by partitioning.
+    """
+    key = x if one_sided else np.abs(x)
+    d = key.size
+    if s == d:
+        return np.ones(d, dtype=bool)
+    kth = np.partition(key, d - s)[d - s]
+    bits = key > kth
+    ties = np.flatnonzero(key == kth)
+    bits[ties[: s - np.count_nonzero(bits)]] = True
+    return bits
+
+
 def top_s_selector(x, s: int, one_sided: bool = True) -> SupportVector:
     """Select the s largest coordinates; ties go to the lowest index.
 
     The one-sided variant ranks by value, the two-sided one by |value|.
-    Stable sorting of the negated key makes the tie rule deterministic.
     """
     arr = _as_observations(x)
     if not 1 <= s <= arr.size:
         raise ValueError(f"need 1 <= s <= d, got s={s}, d={arr.size}")
-    key = arr if one_sided else np.abs(arr)
-    order = np.argsort(-key, kind="stable")
-    bits = np.zeros(arr.size, dtype=bool)
-    bits[order[:s]] = True
-    return SupportVector(bits)
+    return SupportVector(top_s_bits(arr, s, one_sided))
 
 
 def universal_threshold(d: int, sigma: float = 1.0) -> float:
@@ -251,10 +278,8 @@ def universal_threshold(d: int, sigma: float = 1.0) -> float:
 
 def universal_selector(x, d: int, sigma: float = 1.0) -> SupportVector:
     """Two-sided threshold at sigma sqrt(2 log d); needs no sparsity input."""
-    arr = _as_observations(x)
-    if arr.size != d:
-        raise ValueError(f"expected {d} observations, got {arr.size}")
-    return threshold_two_sided(arr, universal_threshold(d, sigma))
+    arr = check_observations(x, d)
+    return SupportVector(two_sided_bits(arr, universal_threshold(d, sigma)))
 
 
 class AdaptiveResult(NamedTuple):
@@ -268,6 +293,47 @@ def adaptive_grid(s_star: int) -> list[int]:
     if s_star < 2:
         raise ValueError(f"need s_star >= 2, got {s_star}")
     return [2 ** (j - 1) for j in range(1, s_star.bit_length() + 1)]
+
+
+class AdaptivePlan(NamedTuple):
+    """The data-independent part of the adaptive selector for one (d, s_star, sigma)."""
+
+    grid: list
+    thresholds: list
+    tau: float
+
+
+def adaptive_plan(d: int, s_star: int, sigma: float = 1.0) -> AdaptivePlan:
+    """Grid g_k, band thresholds w(g_k) and tolerance tau (see adaptive_selector)."""
+    _check_positive(sigma=sigma)
+    if not 2 <= s_star:
+        raise ValueError(f"need s_star >= 2, got {s_star}")
+    if 4 * s_star > d:
+        raise ValueError(f"need s_star <= d/4, got s_star={s_star}, d={d}")
+    grid = adaptive_grid(s_star)
+    w = [sigma * math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]
+    tau = math.log((d - s_star) / s_star) ** (-1.0 / 7.0)
+    return AdaptivePlan(grid, w, tau)
+
+
+def adaptive_bits(x: np.ndarray, plan: AdaptivePlan) -> tuple[np.ndarray, int, dict]:
+    """Core of the adaptive rule on validated observations.
+
+    Returns (selection, chosen m, band counts).  The thresholds decrease
+    along the grid, so band k's count #{w(g_k) <= |x| < w(g_{k-1})} is the
+    difference of the counts of |x| >= w(g_k) and |x| >= w(g_{k-1}).
+    """
+    grid, w, tau = plan
+    m_cap = len(grid)
+    absx = np.abs(x)
+    at_least = [int(np.count_nonzero(absx >= t)) for t in w]
+    counts = {k: at_least[k - 1] - at_least[k - 2] for k in range(2, m_cap + 1)}
+    chosen = m_cap
+    for m in range(2, m_cap + 1):
+        if all(counts[k] <= tau * grid[k - 1] for k in range(m, m_cap + 1)):
+            chosen = m
+            break
+    return absx >= w[chosen - 1], chosen, counts
 
 
 def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
@@ -284,36 +350,16 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
     threshold is real and positive.
     """
     arr = _as_observations(x)
-    d = arr.size
-    _check_positive(sigma=sigma)
-    if not 2 <= s_star:
-        raise ValueError(f"need s_star >= 2, got {s_star}")
-    if 4 * s_star > d:
-        raise ValueError(f"need s_star <= d/4, got s_star={s_star}, d={d}")
-    grid = adaptive_grid(s_star)
-    m_cap = len(grid)
-    w = [sigma * math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]
-    tau = math.log((d - s_star) / s_star) ** (-1.0 / 7.0)
-
-    absx = np.abs(arr)
-    counts = {
-        k: int(np.count_nonzero((absx >= w[k - 1]) & (absx < w[k - 2])))
-        for k in range(2, m_cap + 1)
-    }
-    chosen = m_cap
-    for m in range(2, m_cap + 1):
-        if all(counts[k] <= tau * grid[k - 1] for k in range(m, m_cap + 1)):
-            chosen = m
-            break
-    threshold = w[chosen - 1]
+    plan = adaptive_plan(arr.size, s_star, sigma)
+    bits, chosen, counts = adaptive_bits(arr, plan)
     diagnostics = {
-        "grid": grid,
-        "thresholds": w,
-        "tau": tau,
+        "grid": plan.grid,
+        "thresholds": plan.thresholds,
+        "tau": plan.tau,
         "block_counts": counts,
-        "threshold_used": threshold,
+        "threshold_used": plan.thresholds[chosen - 1],
     }
-    return AdaptiveResult(threshold_two_sided(arr, threshold), chosen, diagnostics)
+    return AdaptiveResult(SupportVector(bits), chosen, diagnostics)
 
 
 # ---------------------------------------------------------------------------

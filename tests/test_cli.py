@@ -410,6 +410,19 @@ class TestPhaseCommand:
         rows = _parse_csv(out)
         assert [r["s"] for r in rows] == ["10", "20"]
 
+    def test_power_rule_keeps_exact_powers(self, capsys):
+        """32^0.8 and 27^(2/3) evaluate just above 16 and 9; ceil must not
+        round them up to 17 and 10."""
+        assert cli._parse_s_rule("power:0.2")(32) == 16
+        assert cli._parse_s_rule("power:0.3333333333333333")(27) == 9
+        assert cli._parse_s_rule("power:0.5")(101) == 11
+        code, out, _ = run_cli(
+            capsys, "phase", "--d-list", "243", "--s-rule", "power:0.2",
+            "--a-mult", "1.0", "--selectors", "plus", "--reps", "20", "--seed", "5",
+        )
+        assert code == 0
+        assert [r["s"] for r in _parse_csv(out)] == ["81"]
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "table.csv"
         code, out, _ = run_cli(

@@ -30,6 +30,8 @@ from hamsel.model import (
 )
 from hamsel.selectors import (
     SELECTOR_KINDS,
+    adaptive_bits,
+    adaptive_plan,
     adaptive_grid,
     adaptive_selector,
     cosh_abs_threshold,
@@ -43,6 +45,7 @@ from hamsel.selectors import (
     spec_for_kind,
     threshold_one_sided,
     threshold_two_sided,
+    top_s_bits,
     top_s_selector,
     universal_selector,
     universal_threshold,
@@ -522,3 +525,64 @@ class TestSpecForKind:
             spec_for_kind("plus", p)
         with pytest.raises(ValueError):
             spec_for_kind("cosh", p)
+
+
+class TestSelectionCores:
+    """The O(d) cores against the literal rules they replace."""
+
+    @staticmethod
+    def _tie_cases():
+        rng = rng_stream(55, 0)
+        cases = [
+            np.array([1.0, 1.0, 1.0, 1.0]),
+            np.array([2.0, 1.0, 1.0, 1.0, 0.0, 1.0]),
+            np.array([0.0, -0.0, 0.0, 1.0, -0.0]),
+            np.array([-3.0, 3.0, -3.0, 1.0, 3.0]),
+            np.round(rng.normal(0.0, 1.0, size=60), 1),
+            (rng.random(50) < 0.3).astype(float),
+            rng.poisson(1.5, size=80).astype(float),
+            rng.poisson(np.where(rng.random(200) < 0.05, 6.0, 1.0)).astype(float),
+            rng.normal(0.0, 1.0, size=33),
+        ]
+        return cases
+
+    def test_top_s_matches_stable_argsort(self):
+        for x in self._tie_cases():
+            for one_sided in (True, False):
+                key = x if one_sided else np.abs(x)
+                order = np.argsort(-key, kind="stable")
+                for s in range(1, x.size + 1):
+                    want = np.zeros(x.size, dtype=bool)
+                    want[order[:s]] = True
+                    got = top_s_bits(x, s, one_sided)
+                    assert_array_equal(got, want)
+                    assert top_s_selector(x, s, one_sided) == SupportVector(want)
+
+    def test_adaptive_counts_match_per_band_scan(self):
+        rng = rng_stream(56, 0)
+        d, s_star = 256, 16
+        plan = adaptive_plan(d, s_star)
+        w = plan.thresholds
+        samples = [rng.normal(0.0, 1.5, size=d) for _ in range(20)]
+        # values exactly on the band edges test the half-open convention
+        edges = np.zeros(d)
+        edges[: 3 * len(w)] = np.repeat(w, 3) * np.tile([1.0, -1.0, 1.0], len(w))
+        samples.append(edges)
+        for x in samples:
+            absx = np.abs(x)
+            counts = {
+                k: int(np.count_nonzero((absx >= w[k - 1]) & (absx < w[k - 2])))
+                for k in range(2, len(w) + 1)
+            }
+            chosen = len(w)
+            for m in range(2, len(w) + 1):
+                if all(counts[k] <= plan.tau * plan.grid[k - 1] for k in range(m, len(w) + 1)):
+                    chosen = m
+                    break
+            bits, got_m, got_counts = adaptive_bits(x, plan)
+            assert got_counts == counts
+            assert got_m == chosen
+            assert_array_equal(bits, absx >= w[chosen - 1])
+            res = adaptive_selector(x, s_star)
+            assert res.diagnostics["block_counts"] == counts
+            assert res.diagnostics["threshold_used"] == w[chosen - 1]

@@ -26,12 +26,17 @@ from hamsel.model import (
     TwoSided,
     TwoSidedThreshold,
     Universal,
+    hamming_distance,
+    least_favorable_draw,
     rng_stream,
+    uniform_support,
 )
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus
 from hamsel.selectors import minimax_threshold, spec_for_kind
 from hamsel.simulate import (
     MCConfig,
+    _stream_rekeyer,
+    apply_selector,
     bayes_floor_check,
     estimate_risk,
     generate_family,
@@ -473,3 +478,119 @@ class TestPsiBarPrintedMc:
             psi_bar_printed_mc(10, 1, -2.0)
         with pytest.raises(ValueError):
             psi_bar_printed_mc(10, 10, 2.0)
+
+
+def _contract_cases():
+    """(id, instance, spec, rho values, stress values) over every spec kind
+    and family."""
+    d, s = 40, 4
+    lower = ProblemInstance(d, s, LowerBound(2.5))
+    two = ProblemInstance(d, s, TwoSided(2.5))
+    interval = ProblemInstance(d, s, Interval(-0.5, 2.0))
+    t = minimax_threshold(d, s, 2.5)
+    gaussian_specs = {
+        "plus": OneSidedThreshold(t),
+        "two-sided": TwoSidedThreshold(t),
+        "cosh": CoshLLR(2.5, 2.5**2 / 2.0 + lower.log_ratio),
+        "tops": TopS(s),
+        "tops-abs": TopS(s, one_sided=False),
+        "tops-all": TopS(d),
+        "universal": Universal(d),
+        "adaptive": Adaptive(8),
+    }
+    cases = []
+    for name, p, stress in (("lower", lower, (False, True)), ("two", two, (False, True)),
+                            ("interval", interval, (False,))):
+        specs = dict(gaussian_specs)
+        if not isinstance(p.signal, TwoSided):
+            specs["llr"] = GeneralLLR()
+        for kind, spec in specs.items():
+            cases.append((f"gaussian-{name}-{kind}", p, spec, (0.0, 0.5), stress))
+    for family, a0, a1 in ((Family.BERNOULLI, 0.2, 0.7), (Family.POISSON, 1.0, 3.0)):
+        p = ProblemInstance(d, s, Interval(a0, a1), family=family)
+        for kind, spec in (("llr", GeneralLLR()), ("tops", TopS(s)), ("plus", OneSidedThreshold(1.0))):
+            cases.append((f"{family.value}-{kind}", p, spec, (0.0,), (False,)))
+    return cases
+
+
+_CONTRACT_CASES = _contract_cases()
+
+
+def _replayed_errors(p, spec, seed, offset, reps, rho, stress):
+    """Per-replication Hamming errors rebuilt from the public calls, one
+    fresh rng_stream per replication."""
+    errors = []
+    for r in range(reps):
+        rng = rng_stream(seed, offset + r)
+        sig = p.signal
+        if p.family is Family.GAUSSIAN:
+            if isinstance(sig, Interval):
+                eta = uniform_support(p.d, p.s, rng)
+                theta = np.where(eta.bits, sig.a1, sig.a0)
+            else:
+                theta, eta = least_favorable_draw(p, rng)
+            if stress:
+                noise = generate_gaussian(np.zeros(p.d), p.sigma, rho, rng)
+                mult = np.array([1.0, 2.0, 10.0])[rng.integers(0, 3, size=p.d)]
+                x = theta * mult + noise
+            else:
+                x = generate_gaussian(theta, p.sigma, rho, rng)
+        else:
+            eta = uniform_support(p.d, p.s, rng)
+            x = generate_family(eta, p.family, sig.a0, sig.a1, rng)
+        errors.append(hamming_distance(apply_selector(spec, x, p), eta))
+    return errors
+
+
+class TestStreamContract:
+    """estimate_risk is the loop of public calls, one stream per replication."""
+
+    @pytest.mark.parametrize(
+        "p, spec, rhos, stresses",
+        [case[1:] for case in _CONTRACT_CASES],
+        ids=[case[0] for case in _CONTRACT_CASES],
+    )
+    def test_engine_equals_public_replay(self, p, spec, rhos, stresses):
+        seed, offset, reps = 20261018, 5 << 40, 25
+        for rho in rhos:
+            for stress in stresses:
+                errors = _replayed_errors(p, spec, seed, offset, reps, rho, stress)
+                for kind in LossKind:
+                    if kind is LossKind.HAMMING:
+                        losses = np.array([float(e) for e in errors])
+                    elif kind is LossKind.NORMALIZED_HAMMING:
+                        losses = np.array([e / p.s for e in errors])
+                    else:
+                        losses = np.array([1.0 if e else 0.0 for e in errors])
+                    cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=kind)
+                    for threads in (1, 2):
+                        report = estimate_risk(
+                            p, spec, cfg, threads=threads, stream_offset=offset, stress=stress
+                        )
+                        assert report.mc_estimate == float(losses.mean())
+                        assert report.mc_stderr == float(losses.std(ddof=1) / math.sqrt(reps))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_rekeyed_generator_state(self, seed):
+        stream = _stream_rekeyer(seed)
+        for index in (0, 1, 5 << 40, 2**64 - 1):
+            rng = stream(index)
+            fresh = rng_stream(seed, index)
+            state, want = rng.bit_generator.state, fresh.bit_generator.state
+            assert state["state"]["key"].tolist() == want["state"]["key"].tolist()
+            assert state["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+            assert state["buffer"].tolist() == want["buffer"].tolist()
+            for field in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+                assert state[field] == want[field]
+            assert_array_equal(rng.standard_normal(7), fresh.standard_normal(7))
+            # leave a partly used buffer and a cached 32-bit half behind
+            rng.integers(0, 10, size=3, dtype=np.uint32)
+            rng.random()
+
+    def test_stream_indices_checked_up_front(self):
+        p = _plus_instance(d=40, s=4)
+        cfg = MCConfig(replications=2, seed=1)
+        estimate_risk(p, _plus_spec(p), cfg, stream_offset=2**64 - 2)
+        for offset in (-1, 2**64 - 1):
+            with pytest.raises(ValueError, match="stream indices"):
+                estimate_risk(p, _plus_spec(p), cfg, stream_offset=offset)
