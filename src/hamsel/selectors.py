@@ -240,21 +240,40 @@ def crowd_selector(c: CrowdInstance, s: int) -> SupportVector:
 # ---------------------------------------------------------------------------
 
 
-def top_s_bits(x: np.ndarray, s: int, one_sided: bool = True) -> np.ndarray:
-    """Core of the top-s rule on validated observations, 1 <= s <= d.
+def row_counts(bits: np.ndarray) -> np.ndarray:
+    """Number of True entries in each row of a 2-d bool array.
 
-    Selects the s largest keys (x, or |x| when two-sided) with ties at the
-    s-th value going to the lowest indices: exactly the first s entries of
-    a stable argsort of -key, found in O(d) by partitioning.
+    One reduction along the rows when there are many short ones; otherwise
+    one count_nonzero per row, which is several times faster on long rows
+    than numpy's axis reduction.
+    """
+    rows, d = bits.shape
+    if rows >= 8 and d < 1024:
+        return np.count_nonzero(bits, axis=1)
+    return np.array([np.count_nonzero(row) for row in bits], dtype=np.intp)
+
+
+def top_s_bits(x: np.ndarray, s: int, one_sided: bool = True) -> np.ndarray:
+    """Core of the top-s rule along the last axis of validated observations.
+
+    Each row (1 <= s <= d entries) selects its s largest keys (x, or |x|
+    when two-sided) with ties at the s-th value going to the lowest
+    indices: exactly the first s entries of a stable argsort of -key, found
+    in O(d) by partitioning.  Only rows with ties at the s-th value pay
+    for the tie fill.
     """
     key = x if one_sided else np.abs(x)
-    d = key.size
+    d = key.shape[-1]
     if s == d:
-        return np.ones(d, dtype=bool)
-    kth = np.partition(key, d - s)[d - s]
-    bits = key > kth
-    ties = np.flatnonzero(key == kth)
-    bits[ties[: s - np.count_nonzero(bits)]] = True
+        return np.ones(key.shape, dtype=bool)
+    kth = np.partition(key, d - s, axis=-1)[..., d - s, None]
+    bits = key >= kth  # at least s per row, more where the s-th value is tied
+    if np.count_nonzero(bits) > s * (bits.size // d):
+        keys, cuts, sel = key.reshape(-1, d), kth.reshape(-1), bits.reshape(-1, d)
+        counts = row_counts(sel)
+        for r in np.flatnonzero(counts > s):
+            ties = np.flatnonzero(keys[r] == cuts[r])
+            sel[r, ties[s - counts[r] + ties.size :]] = False
     return bits
 
 

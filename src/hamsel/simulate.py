@@ -4,10 +4,11 @@ Reproducibility contract
 ------------------------
 Replication r of a run with seed S consumes exactly the counter-based
 stream (S, stream_offset + r), so results are bit-identical no matter how
-replications are scheduled across threads.  Each worker keeps one Philox
-generator and re-keys it to (S, stream_offset + r) before replication r,
-which leaves it in the same state as a fresh ``rng_stream(S,
-stream_offset + r)``; the draws, and so the results, are unchanged.
+replications are grouped into blocks or scheduled across threads.  Each
+worker keeps one Philox generator and re-keys it to (S, stream_offset + r)
+before replication r, which leaves it in the same state as a fresh
+``rng_stream(S, stream_offset + r)``; the draws, and so the results, are
+unchanged.
 
 Within one replication the draw order is fixed: support permutation,
 global sign (TwoSided only), common Gaussian factor Z0 (always consumed,
@@ -15,11 +16,15 @@ even at rho = 0, so runs at different rho share all other draws), the
 i.i.d. noise vector, and stress magnitudes last, which lets a stress run
 share its support, sign, and noise with the plain run at the same seed.
 
-The selector spec is resolved once per run into a function from
-observations to a bool selection, and a replication's loss is computed
-from the support indices, without building ``SupportVector`` objects.
-Losses land in a positional array and are reduced with numpy's pairwise
-summation, so the aggregate is independent of completion order.
+Replications run in blocks of B rows (see BLOCK_BYTES).  A block's draws
+are made row by row, each row from its own stream, into (B, d) buffers;
+the noise scaling, the signal placement, the selector and the loss then
+run once on the whole block.  The selector spec is resolved once per run
+into a function from a block of observations to a bool selection, and a
+replication's loss is the count of the selection XOR its support, without
+building ``SupportVector`` objects.  Losses land in a positional array and
+are reduced with numpy's pairwise summation, so the aggregate is
+independent of B and of completion order.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .selectors import (
     cosh_abs_threshold,
     llr_threshold,
     one_sided_bits,
+    row_counts,
     top_s_bits,
     two_sided_bits,
     universal_threshold,
@@ -125,18 +131,26 @@ def generate_gaussian(
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"need rho in [0,1), got {rho}")
     common, own = math.sqrt(rho), math.sqrt(1.0 - rho)
-    return theta + _correlated_noise(theta.size, sigma, common, own, rng)
+    z = rng.standard_normal(theta.size + 1)
+    return theta + _scale_noise(z, sigma, common, own)
 
 
-def _correlated_noise(
-    d: int, sigma: float, common: float, own: float, rng: np.random.Generator
-) -> np.ndarray:
-    """sigma (common Z0 + own Z), with common = sqrt(rho), own = sqrt(1-rho)."""
-    z0 = rng.standard_normal()
-    noise = rng.standard_normal(d)
-    noise *= own
-    noise += common * z0
-    noise *= sigma
+def _scale_noise(z: np.ndarray, sigma: float, common: float, own: float) -> np.ndarray:
+    """In place along the last axis: rows [Z0, Z_1..Z_d] -> sigma (common Z0 + own Z).
+
+    common = sqrt(rho), own = sqrt(1-rho); returns the noise view z[..., 1:].
+    One standard_normal call of d+1 values draws Z0 and then Z, exactly as
+    a scalar draw followed by a d-vector draw would.  Passes that multiply
+    by 1 or add 0 * Z0 are skipped: they change at most the sign of a zero,
+    which no selection rule can see.
+    """
+    noise = z[..., 1:]
+    if own != 1.0:
+        noise *= own
+    if common != 0.0:
+        noise += common * z[..., :1]
+    if sigma != 1.0:
+        noise *= sigma
     return noise
 
 
@@ -205,7 +219,8 @@ def _check_spec(p: ProblemInstance, spec: SelectorSpec) -> None:
 def _resolve_selector(
     spec: SelectorSpec, p: ProblemInstance
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The spec as a function from p's observations to a bool selection.
+    """The spec as a function from a (rows, d) block of p's observations to
+    a bool selection of the same shape, one row per replication.
 
     Every cut that depends only on (spec, p) is computed here, once.
     """
@@ -225,7 +240,7 @@ def _resolve_selector(
         return partial(two_sided_bits, t=universal_threshold(spec.d, p.sigma))
     if isinstance(spec, Adaptive):
         plan = adaptive_plan(p.d, spec.s_star, p.sigma)
-        return lambda x: adaptive_bits(x, plan)[0]
+        return lambda x: np.array([adaptive_bits(row, plan)[0] for row in x])
     raise TypeError(f"unknown selector spec {type(spec).__name__}")
 
 
@@ -233,12 +248,23 @@ def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
     """Run a selector spec on observations from instance p."""
     arr = check_observations(x, p.d, p.family)
     _check_spec(p, spec)
-    return SupportVector(_resolve_selector(spec, p)(arr))
+    return SupportVector(_resolve_selector(spec, p)(arr[None])[0])
 
 
 # ---------------------------------------------------------------------------
-# Replication loop
+# Replication blocks
 # ---------------------------------------------------------------------------
+
+# Bytes of one (B, d) float64 block of observations, so B = 76 at d = 200
+# and 1 at d = 10^4.  The selectors' (B, d) temporaries stay below glibc's
+# default 128 KiB mmap threshold: at 256 KiB (B = 3 at d = 10^4) each one was
+# a fresh mapping whose pages faulted in on every block, about 28 faults per
+# replication for top-s, which made d = 10^4 slower than one row at a time.
+BLOCK_BYTES = 120 * 1024
+
+# Bytes of one replication's buffers (its permutation and its Z0-and-noise
+# row) that estimate_risk accepts: d up to about 4.2 million.
+ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
 
 def _check_compatible(
@@ -258,56 +284,87 @@ def _stream_rekeyer(seed: int) -> Callable[[int], np.random.Generator]:
     One Philox generator is re-keyed in place (counter 0, empty buffer), so
     every call returns the same object; indices are not range-checked.
     """
-    key = np.array([seed, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     state = bitgen.state
+    # Lists, not arrays: the state setter reads them one entry at a time,
+    # which costs a numpy scalar per entry on an array.
+    key = [seed, 0]
+    state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key}
+    state["buffer"] = state["buffer"].tolist()
 
     def at(index: int) -> np.random.Generator:
         key[1] = index
-        state["state"]["key"] = key
         bitgen.state = state
         return rng
 
     return at
 
 
-def _sampler(
-    p: ProblemInstance, rho: float, stress: bool
-) -> Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]:
-    """One replication's draws: rng -> (observations, support indices).
+def _block_sampler(
+    p: ProblemInstance, rho: float, stress: bool, rows: int
+) -> Callable[[Callable[[int], np.random.Generator], int, int], tuple[np.ndarray, np.ndarray]]:
+    """One worker's draw buffers for blocks of up to ``rows`` replications.
 
-    The draws and the arithmetic are those of least_favorable_draw /
-    uniform_support followed by generate_gaussian / generate_family, in the
-    order the module docstring fixes; the support is the first s entries
-    of one permutation of range(d).
+    Returns draw(stream, first, m) -> (observations, supports): an (m, d)
+    and an (m, s) view for replications first .. first + m - 1, valid
+    until the next call.  Row i re-keys the stream to first + i and makes
+    the draws of least_favorable_draw / uniform_support followed by
+    generate_gaussian / generate_family, in the order the module docstring
+    fixes: the support is the first s entries of a shuffled range(d), which
+    is what rng.permutation(d) draws, and Z0 and the noise come from one
+    standard_normal call.  The noise scaling and the signal placement draw
+    nothing and run once per block.
     """
     d, s, sig = p.d, p.s, p.signal
-    if p.family is not Family.GAUSSIAN:
+    perm = np.empty((rows, d), dtype=np.intp)
+    identity = np.arange(d)
 
-        def draw_family(rng):
-            idx = rng.permutation(d)[:s]
-            means = np.full(d, sig.a0)
-            means[idx] = sig.a1
-            return _family_draw(p.family, means, rng), idx
+    if p.family is not Family.GAUSSIAN:
+        means = np.empty((rows, d))
+        x = np.empty((rows, d))
+
+        def draw_family(stream, first, m):
+            perm[:m] = identity
+            means[:m] = sig.a0
+            for i in range(m):
+                rng = stream(first + i)
+                rng.shuffle(perm[i])
+                means[i, perm[i, :s]] = sig.a1
+                x[i] = _family_draw(p.family, means[i], rng)
+            return x[:m], perm[:m, :s]
 
         return draw_family
 
     sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
     signs = isinstance(sig, TwoSided)
     base, level = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
+    z = np.empty((rows, d + 1))
+    z_flat = z.reshape(-1)
+    x_starts = np.arange(1, rows * (d + 1), d + 1)[:, None]  # flat index of x[i, 0] in z
+    value = np.full((rows, 1), level)
+    mult = np.empty((rows, s))
 
-    def draw_gaussian(rng):
-        idx = rng.permutation(d)[:s]
-        value = -level if signs and rng.random() < 0.5 else level
-        theta = np.full(d, base)
-        theta[idx] = value
-        noise = _correlated_noise(d, sigma, common, own, rng)
-        if stress:
-            mult = _STRESS_MULTIPLIERS[rng.integers(0, 3, size=d)]
-            theta *= mult
-        theta += noise
-        return theta, idx
+    def draw_gaussian(stream, first, m):
+        perm[:m] = identity
+        for i in range(m):
+            rng = stream(first + i)
+            rng.shuffle(perm[i])
+            if signs:
+                value[i] = -level if rng.random() < 0.5 else level
+            rng.standard_normal(out=z[i])
+            if stress:
+                mult[i] = _STRESS_MULTIPLIERS[rng.integers(0, 3, size=d)[perm[i, :s]]]
+        x = _scale_noise(z[:m], sigma, common, own)
+        idx = perm[:m, :s]
+        at = idx + x_starts[:m]
+        # x = theta + noise with theta = base off the support and
+        # value (times the stress multiplier) on it
+        on_support = z_flat[at] + (value[:m] * mult[:m] if stress else value[:m])
+        if base:
+            x += base
+        z_flat[at] = on_support
+        return x, idx
 
     return draw_gaussian
 
@@ -328,12 +385,16 @@ def estimate_risk(
     support with the two-point signal.  The report carries the mean loss and
     stderr = sample sd / sqrt(R) for cfg.loss_kind.
 
-    threads defaults to the HAMSEL_THREADS environment variable (1 if
-    unset); the result does not depend on it.  Each worker re-keys one
-    generator to stream (seed, stream_offset + r) before replication r,
-    which reproduces rng_stream's draws exactly.  stress replaces the
-    boundary magnitudes by per-coordinate draws from {a, 2a, 10a} while
-    keeping all other draws identical.
+    Replications run in blocks of B = BLOCK_BYTES // (8 d) rows (at least
+    1, at most R): each row's draws still come from its own stream (seed,
+    stream_offset + r), and the selector and the loss run once per block,
+    so B never changes the results.  threads defaults to the HAMSEL_THREADS
+    environment variable (1 if unset) and is capped at the number of blocks
+    and of CPUs; each worker takes whole blocks, and the result does not
+    depend on it.  stress replaces the boundary magnitudes by
+    per-coordinate draws from {a, 2a, 10a} while keeping all other draws
+    identical.  A d whose per-replication buffers exceed ROW_BYTES_LIMIT is
+    rejected before anything is allocated.
     """
     _check_compatible(p, spec, cfg, stress)
     n = cfg.replications
@@ -341,25 +402,37 @@ def estimate_risk(
         raise ValueError(
             f"stream indices {stream_offset}..{stream_offset + n - 1} out of range"
         )
+    row_bytes = 8 * (2 * p.d + 1)  # a permutation row and a Z0-and-noise row
+    if row_bytes > ROW_BYTES_LIMIT:
+        raise ValueError(
+            f"d={p.d} needs {row_bytes} bytes of buffers per replication, "
+            f"over the limit of {ROW_BYTES_LIMIT}"
+        )
     threads = _resolve_threads(threads)
-    draw = _sampler(p, cfg.rho, stress)
     select = _resolve_selector(spec, p)
-    s = p.s
+    rows = max(1, min(n, BLOCK_BYTES // (8 * p.d)))
+    blocks = -(-n // rows)
     errors = np.empty(n, dtype=np.int64)
+    row_index = np.arange(rows)[:, None]
 
-    def fill(lo: int, hi: int) -> None:
+    def fill(first_block: int, end_block: int) -> None:
         stream = _stream_rekeyer(cfg.seed)
-        for r in range(lo, hi):
-            x, idx = draw(stream(stream_offset + r))
+        draw = _block_sampler(p, cfg.rho, stress, rows)
+        for b in range(first_block, end_block):
+            lo, hi = b * rows, min(n, (b + 1) * rows)
+            x, idx = draw(stream, stream_offset + lo, hi - lo)
             sel = select(x)
-            errors[r] = np.count_nonzero(sel) + s - 2 * np.count_nonzero(sel[idx])
+            # flipping the support turns each row into selection XOR truth,
+            # whose count is the Hamming loss
+            sel[row_index[: hi - lo], idx] ^= True
+            errors[lo:hi] = row_counts(sel)
 
-    if threads == 1 or n < 2:
-        fill(0, n)
+    workers = min(threads, blocks, os.cpu_count() or 1)
+    if workers == 1:
+        fill(0, blocks)
     else:
-        k = min(threads, n)
-        cuts = np.linspace(0, n, k + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=k) as pool:
+        cuts = np.linspace(0, blocks, workers + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(fill, int(lo), int(hi))
                 for lo, hi in zip(cuts[:-1], cuts[1:])
@@ -370,7 +443,7 @@ def estimate_risk(
     if cfg.loss_kind is LossKind.HAMMING:
         losses = errors.astype(float)
     elif cfg.loss_kind is LossKind.NORMALIZED_HAMMING:
-        losses = errors / s
+        losses = errors / p.s
     else:
         losses = (errors != 0).astype(float)
     estimate = float(losses.mean())

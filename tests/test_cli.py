@@ -12,6 +12,7 @@ import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,21 @@ class TestMcCommand:
         assert payload["loss"] == "hamming"
         assert payload["a"] == 2.0
         assert payload["a0"] is None
+
+    def test_oversized_d_exits_2_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "mc", "--class", "plus", "--d", "1000000000", "--s", "10", "--a", "3",
+                "--selector", "plus", "--reps", "10", "--seed", "1",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "d=1000000000" in err
+        assert peak < 4 << 20
 
     def test_auto_seed_echoed(self, capsys):
         code, out, _ = run_cli(

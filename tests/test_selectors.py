@@ -42,6 +42,7 @@ from hamsel.selectors import (
     llr_selector,
     llr_threshold,
     minimax_threshold,
+    row_counts,
     spec_for_kind,
     threshold_one_sided,
     threshold_two_sided,
@@ -557,6 +558,42 @@ class TestSelectionCores:
                     got = top_s_bits(x, s, one_sided)
                     assert_array_equal(got, want)
                     assert top_s_selector(x, s, one_sided) == SupportVector(want)
+
+    def test_top_s_block_rows_match_stable_argsort(self):
+        """On a (rows, d) block the core applies the rule to each row."""
+        rng = rng_stream(57, 0)
+        d = 12
+        special = [
+            np.ones(d),
+            np.array([3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.0, 1.0, 2.0, 1.0, -1.0, 1.0]),
+            np.array([0.0, -0.0] * 6),
+            np.array([-2.0, 2.0, 0.0, -0.0, 2.0, -2.0, 1.0, -1.0, 0.0, 2.0, -0.0, 1.0]),
+            (rng.random(d) < 0.4).astype(float),
+            rng.poisson(1.0, size=d).astype(float),
+            rng.poisson(np.where(rng.random(d) < 0.2, 6.0, 1.0)).astype(float),
+            rng.normal(0.0, 1.0, size=d),
+        ]
+        rounded = [np.round(rng.normal(0.0, 1.0, size=d)) for _ in range(8)]
+        # few rows and many rows take the two counting routes of row_counts;
+        # the engine's blocks are views with a leading column dropped
+        full = np.array(special + rounded)
+        blocks = [full[:3], full, np.hstack([np.zeros((len(full), 1)), full])[:, 1:]]
+        for block in blocks:
+            for one_sided in (True, False):
+                keys = block if one_sided else np.abs(block)
+                for s in range(1, d + 1):
+                    got = top_s_bits(block, s, one_sided)
+                    assert got.shape == block.shape
+                    for bits, key in zip(got, keys):
+                        want = np.zeros(d, dtype=bool)
+                        want[np.argsort(-key, kind="stable")[:s]] = True
+                        assert_array_equal(bits, want)
+
+    def test_row_counts(self):
+        rng = rng_stream(58, 0)
+        for rows, d in ((1, 5), (3, 2000), (7, 10), (8, 10), (40, 1023), (9, 1024)):
+            bits = rng.random((rows, d)) < 0.3
+            assert_array_equal(row_counts(bits), [np.count_nonzero(b) for b in bits])
 
     def test_adaptive_counts_match_per_band_scan(self):
         rng = rng_stream(56, 0)

@@ -6,11 +6,17 @@ and each replication can be reproduced in isolation from its stream index.
 """
 
 import math
+import threading
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from hamsel import simulate
 from hamsel.model import (
     Adaptive,
     CoshLLR,
@@ -34,6 +40,7 @@ from hamsel.model import (
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus
 from hamsel.selectors import minimax_threshold, spec_for_kind
 from hamsel.simulate import (
+    BLOCK_BYTES,
     MCConfig,
     _stream_rekeyer,
     apply_selector,
@@ -594,3 +601,161 @@ class TestStreamContract:
         for offset in (-1, 2**64 - 1):
             with pytest.raises(ValueError, match="stream indices"):
                 estimate_risk(p, _plus_spec(p), cfg, stream_offset=offset)
+
+    @pytest.mark.parametrize("d", [1000, 10_000])
+    def test_engine_equals_public_replay_across_blocks(self, d):
+        """Three or more blocks, the last one partial wherever a block holds
+        more than one replication."""
+        rows = max(1, BLOCK_BYTES // (8 * d))
+        reps = 2 * rows + max(1, rows // 2)
+        assert -(-reps // rows) >= 3
+        s, a = 10, 2.5
+        lower = ProblemInstance(d, s, LowerBound(a))
+        two = ProblemInstance(d, s, TwoSided(a))
+        poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
+        cases = [
+            (lower, _plus_spec(lower), 0.0, False),
+            (lower, _plus_spec(lower), 0.5, True),
+            (lower, TopS(s), 0.0, False),
+            (two, spec_for_kind("cosh", two), 0.0, True),
+            (two, TopS(s, one_sided=False), 0.5, False),
+            (two, Universal(d), 0.0, False),
+            (two, Adaptive(16), 0.0, False),
+            (poisson, GeneralLLR(), 0.0, False),
+        ]
+        seed, offset = 20261018, 3 << 40
+        for p, spec, rho, stress in cases:
+            errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho, stress), dtype=float)
+            cfg = MCConfig(replications=reps, seed=seed, rho=rho)
+            for threads in (1, 2):
+                report = estimate_risk(
+                    p, spec, cfg, threads=threads, stream_offset=offset, stress=stress
+                )
+                assert report.mc_estimate == float(errors.mean())
+                assert report.mc_stderr == float(errors.std(ddof=1) / math.sqrt(reps))
+
+
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: runs each task at submit, records
+    the worker count asked for, starts no thread."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+class TestEngineLimits:
+    def test_workers_capped_at_blocks_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "requested", [])
+        p = _plus_instance(d=2000, s=10)
+        rows = BLOCK_BYTES // (8 * p.d)
+        cfg = MCConfig(replications=5 * rows - 2, seed=3)  # 5 blocks, the last partial
+        want = estimate_risk(p, _plus_spec(p), cfg, threads=1)
+        assert _InlinePool.requested == []
+        before = threading.active_count()
+        for cpus, workers in ((64, 5), (3, 3), (None, None)):
+            monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+            _InlinePool.requested.clear()
+            got = estimate_risk(p, _plus_spec(p), cfg, threads=10**6)
+            assert _InlinePool.requested == ([] if workers is None else [workers])
+            assert (got.mc_estimate, got.mc_stderr) == (want.mc_estimate, want.mc_stderr)
+        assert threading.active_count() == before
+
+    def test_oversized_d_rejected_before_allocating(self):
+        p = ProblemInstance(10**9, 10, LowerBound(3.0))
+        cfg = MCConfig(replications=10, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"d=1000000000 .*limit"):
+                estimate_risk(p, _plus_spec(p), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@st.composite
+def _engine_cases(draw):
+    """(instance, spec, rho, stress, loss kind, seed, offset, reps) over every
+    spec kind and family; reps up to 40 span several blocks for d >= 400."""
+    d = draw(st.integers(2, 3000))
+    s = draw(st.integers(1, min(d - 1, 40)))
+    a = draw(st.floats(0.25, 6.0))
+    cls = draw(st.sampled_from(["lower", "two", "interval", "bernoulli", "poisson"]))
+    rho, stress = 0.0, False
+    if cls in ("bernoulli", "poisson"):
+        family = Family(cls)
+        a0, a1 = (0.2, 0.7) if cls == "bernoulli" else (1.0, 1.0 + a)
+        p = ProblemInstance(d, s, Interval(a0, a1), family=family)
+        kinds = ["llr", "tops", "plus"]
+    else:
+        signal = {"lower": LowerBound(a), "two": TwoSided(a), "interval": Interval(-0.5, a)}[cls]
+        p = ProblemInstance(d, s, signal)
+        kinds = ["plus", "two-sided", "cosh", "tops", "tops-abs", "universal"]
+        kinds += ["adaptive"] if d >= 8 else []
+        kinds += ["llr"] if cls != "two" else []
+        rho = draw(st.sampled_from([0.0, 0.5, 0.9]))
+        stress = cls != "interval" and draw(st.booleans())
+    kind = draw(st.sampled_from(kinds))
+    t = draw(st.floats(0.0, 4.0))
+    spec = {
+        "plus": lambda: OneSidedThreshold(t),
+        "two-sided": lambda: TwoSidedThreshold(t),
+        "cosh": lambda: CoshLLR(a, t),
+        "tops": lambda: TopS(draw(st.integers(1, d))),
+        "tops-abs": lambda: TopS(draw(st.integers(1, d)), one_sided=False),
+        "universal": lambda: Universal(d),
+        "adaptive": lambda: Adaptive(draw(st.integers(2, d // 4))),
+        "llr": lambda: GeneralLLR(),
+    }[kind]()
+    loss_kind = draw(st.sampled_from(list(LossKind)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    reps = draw(st.integers(1, 40))
+    offset = draw(st.integers(0, 2**64 - reps))
+    return p, spec, rho, stress, loss_kind, seed, offset, reps
+
+
+class TestBlockEngineProperty:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(case=_engine_cases())
+    @example(
+        case=(
+            ProblemInstance(2000, 20, TwoSided(3.0)), TopS(20, one_sided=False),
+            0.5, True, LossKind.HAMMING, 7, 11, 17,
+        )
+    )
+    @example(
+        case=(
+            ProblemInstance(1500, 5, Interval(1.0, 2.5), family=Family.POISSON), GeneralLLR(),
+            0.0, False, LossKind.WRONG_RECOVERY, 2**64 - 1, 2**64 - 21, 21,
+        )
+    )
+    def test_engine_equals_public_replay(self, case):
+        p, spec, rho, stress, loss_kind, seed, offset, reps = case
+        rows = max(1, min(reps, BLOCK_BYTES // (8 * p.d)))
+        event("one block" if reps == rows else f"several blocks, last {'partial' if reps % rows else 'full'}")
+        errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho, stress), dtype=float)
+        if loss_kind is LossKind.NORMALIZED_HAMMING:
+            losses = errors / p.s
+        elif loss_kind is LossKind.WRONG_RECOVERY:
+            losses = (errors != 0).astype(float)
+        else:
+            losses = errors
+        cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=loss_kind)
+        report = estimate_risk(p, spec, cfg, stream_offset=offset, stress=stress)
+        assert report.mc_estimate == float(losses.mean())
+        stderr = float(losses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        assert report.mc_stderr == stderr
