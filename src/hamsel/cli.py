@@ -383,7 +383,7 @@ def cmd_mc(args) -> int:
         rho=args.rho,
         loss_kind=_LOSS_FLAGS[args.loss],
     )
-    report = simulate.estimate_risk(p, spec, cfg, threads=args.threads)
+    report = simulate.estimate_risk(p, spec, cfg)
     sig = p.signal
     out = {
         "d": p.d,
@@ -424,7 +424,6 @@ def _run_sweep(
     a_ref,
     s_star,
     out_path,
-    threads,
 ) -> int:
     cfg = simulate.MCConfig(
         replications=reps,
@@ -441,7 +440,6 @@ def _run_sweep(
         sigma=sigma,
         a_ref=a_ref,
         s_star=s_star,
-        threads=threads,
     )
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -465,7 +463,6 @@ def cmd_phase(args) -> int:
         args.a_ref,
         args.s_star,
         args.out,
-        args.threads,
     )
 
 
@@ -551,7 +548,6 @@ def cmd_sweep(args) -> int:
         merged["a_ref"],
         s_star,
         out_path,
-        args.threads,
     )
 
 
@@ -630,7 +626,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="64-bit seed (auto-chosen and echoed if omitted)")
     p.add_argument("--rho", type=float, default=0.0, help="equicorrelation in [0,1)")
     p.add_argument("--loss", choices=list(_LOSS_FLAGS), default="hamming")
-    p.add_argument("--threads", type=int, help=f"worker threads (default ${simulate.THREADS_ENV} or 1)")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("phase", help="risk table over a (d, a-multiplier, selector) grid")
@@ -651,12 +646,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-ref", dest="a_ref", choices=["almost-full", "exact"], default="almost-full")
     p.add_argument("--s-star", dest="s_star", type=int, help="adaptive sparsity budget")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config file")
     p.add_argument("config", help="JSON config path (key set documented in README)")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_sweep)
 
     return parser

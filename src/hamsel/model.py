@@ -31,6 +31,11 @@ class LossKind(str, Enum):
     WRONG_RECOVERY = "wrong-recovery"
 
 
+def _check_d_s(d: int, s: int) -> None:
+    if not 1 <= s < d:
+        raise ValueError(f"need 1 <= s < d, got s={s}, d={d}")
+
+
 # ---------------------------------------------------------------------------
 # Signal classes
 # ---------------------------------------------------------------------------
@@ -92,8 +97,7 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError(f"need d >= 2, got d={self.d}")
-        if not 1 <= self.s < self.d:
-            raise ValueError(f"need 1 <= s < d, got s={self.s}, d={self.d}")
+        _check_d_s(self.d, self.s)
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"need sigma > 0, got {self.sigma}")
         sig = self.signal

@@ -23,17 +23,13 @@ from .model import (
     Family,
     LossKind,
     RiskReport,
+    _check_d_s,
     fresh_seed,
     rng_stream,
 )
 from .selectors import crowd_weights, llr_threshold
 
 _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
-
-
-def _check_d_s(d: int, s: int) -> None:
-    if not 1 <= s < d:
-        raise ValueError(f"need 1 <= s < d, got s={s}, d={d}")
 
 
 def _check_a_sigma(a: float, sigma: float) -> None:

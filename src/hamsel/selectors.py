@@ -32,6 +32,7 @@ from .model import (
     TwoSided,
     TwoSidedThreshold,
     Universal,
+    _check_d_s,
 )
 
 
@@ -42,11 +43,6 @@ def _as_observations(x) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("observations must be finite")
     return arr
-
-
-def _check_d_s(d: int, s: int) -> None:
-    if not 1 <= s < d:
-        raise ValueError(f"need 1 <= s < d, got s={s}, d={d}")
 
 
 def _check_positive(**named: float) -> None:

@@ -4,7 +4,7 @@ Reproducibility contract
 ------------------------
 Replication r of a run with seed S consumes exactly the counter-based
 stream (S, stream_offset + r), so results are bit-identical no matter how
-replications are grouped into blocks or scheduled across threads.  Each
+replications are grouped into blocks or spread over threads.  Each
 worker keeps one Philox generator and re-keys it to (S, stream_offset + r)
 before replication r, which leaves it in the same state as a fresh
 ``rng_stream(S, stream_offset + r)``; the draws, and so the results, are
@@ -25,13 +25,18 @@ replication's loss is the count of the selection XOR its support, without
 building ``SupportVector`` objects.  Losses land in a positional array and
 are reduced with numpy's pairwise summation, so the aggregate is
 independent of B and of completion order.
+
+The engine picks its own worker count from d (see PARALLEL_MIN_D): one
+thread below it, where the per-row Python loop holds the interpreter lock
+and a second thread only adds contention, and min(blocks, usable CPUs) at
+or above it, where the d-length Philox fills release the lock.  Results
+never depend on the count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Sequence, Union
@@ -73,8 +78,6 @@ from .selectors import (
 
 _STRESS_MULTIPLIERS = np.array([1.0, 2.0, 10.0])
 
-THREADS_ENV = "HAMSEL_THREADS"
-
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -93,18 +96,6 @@ class MCConfig:
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"need rho in [0,1), got {self.rho}")
         object.__setattr__(self, "loss_kind", LossKind(self.loss_kind))
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
-    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +257,30 @@ BLOCK_BYTES = 120 * 1024
 # row) that estimate_risk accepts: d up to about 4.2 million.
 ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
+# Smallest d at which replications are spread over threads.  A row's
+# shuffle and Z0-and-noise fill release the interpreter lock and grow with
+# d, while the per-row Python work holding it does not.  In a sweep of 1
+# against 2 workers on 2 CPUs, 2 were slower for every selector up to
+# d = 400 and for the adaptive rule (a per-row loop) up to d = 1,000, and
+# faster for every selector from d = 1,400 on; 2,048 clears every crossover.
+PARALLEL_MIN_D = 2048
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one), not the CPUs installed."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_count(d: int, blocks: int) -> int:
+    """Threads for a run of the given number of blocks at dimension d."""
+    if d < PARALLEL_MIN_D:
+        return 1
+    return min(blocks, _usable_cpus())
+
 
 def _check_compatible(
     p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig, stress: bool
@@ -374,7 +389,6 @@ def estimate_risk(
     spec: SelectorSpec,
     cfg: MCConfig,
     *,
-    threads: int | None = None,
     stream_offset: int = 0,
     stress: bool = False,
 ) -> RiskReport:
@@ -388,13 +402,13 @@ def estimate_risk(
     Replications run in blocks of B = BLOCK_BYTES // (8 d) rows (at least
     1, at most R): each row's draws still come from its own stream (seed,
     stream_offset + r), and the selector and the loss run once per block,
-    so B never changes the results.  threads defaults to the HAMSEL_THREADS
-    environment variable (1 if unset) and is capped at the number of blocks
-    and of CPUs; each worker takes whole blocks, and the result does not
-    depend on it.  stress replaces the boundary magnitudes by
-    per-coordinate draws from {a, 2a, 10a} while keeping all other draws
-    identical.  A d whose per-replication buffers exceed ROW_BYTES_LIMIT is
-    rejected before anything is allocated.
+    so B never changes the results.  Runs with d >= PARALLEL_MIN_D spread
+    whole blocks over min(blocks, usable CPUs) threads, the calling thread
+    taking the first share; smaller d run on the calling thread alone.  The
+    worker count never changes the results either.  stress replaces the
+    boundary magnitudes by per-coordinate draws from {a, 2a, 10a} while
+    keeping all other draws identical.  A d whose per-replication buffers
+    exceed ROW_BYTES_LIMIT is rejected before anything is allocated.
     """
     _check_compatible(p, spec, cfg, stress)
     n = cfg.replications
@@ -408,7 +422,6 @@ def estimate_risk(
             f"d={p.d} needs {row_bytes} bytes of buffers per replication, "
             f"over the limit of {ROW_BYTES_LIMIT}"
         )
-    threads = _resolve_threads(threads)
     select = _resolve_selector(spec, p)
     rows = max(1, min(n, BLOCK_BYTES // (8 * p.d)))
     blocks = -(-n // rows)
@@ -427,16 +440,18 @@ def estimate_risk(
             sel[row_index[: hi - lo], idx] ^= True
             errors[lo:hi] = row_counts(sel)
 
-    workers = min(threads, blocks, os.cpu_count() or 1)
+    workers = _worker_count(p.d, blocks)
     if workers == 1:
         fill(0, blocks)
     else:
-        cuts = np.linspace(0, blocks, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fill, int(lo), int(hi))
-                for lo, hi in zip(cuts[:-1], cuts[1:])
-            ]
+        from concurrent.futures import ThreadPoolExecutor
+
+        cuts = [k * blocks // workers for k in range(workers + 1)]
+        # The calling thread runs the first share itself, so the pool holds
+        # one thread, and one set of block buffers, fewer than there are shares.
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(fill, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+            fill(cuts[0], cuts[1])
             for fut in futures:
                 fut.result()
 
@@ -473,8 +488,6 @@ def bayes_floor_check(
     p: ProblemInstance,
     spec: SelectorSpec,
     cfg: MCConfig,
-    *,
-    threads: int | None = None,
 ) -> BayesFloorResult:
     """Estimate a selector's uniform-prior risk and test it against the floor.
 
@@ -498,7 +511,7 @@ def bayes_floor_check(
     if cfg.loss_kind is LossKind.WRONG_RECOVERY:
         raise ValueError("the Bayes floor is a Hamming-loss statement")
     floor = base if cfg.loss_kind is LossKind.HAMMING else base / p.s
-    report = estimate_risk(p, spec, cfg, threads=threads)
+    report = estimate_risk(p, spec, cfg)
     passed = report.mc_estimate >= floor - 3.0 * report.mc_stderr
     return BayesFloorResult(report.mc_estimate, floor, passed, report.mc_stderr)
 
@@ -522,7 +535,6 @@ def phase_sweep(
     sigma: float = 1.0,
     a_ref: str = "almost-full",
     s_star: int | None = None,
-    threads: int | None = None,
 ) -> list[dict]:
     """Run estimate_risk over the (d, multiplier, kind) grid.
 
@@ -554,9 +566,7 @@ def phase_sweep(
                 signal = LowerBound(a) if kind in _ONE_SIDED_KINDS else TwoSided(a)
                 p = ProblemInstance(d, s, signal, sigma=sigma)
                 spec = spec_for_kind(kind, p, s_star=s_star)
-                report = estimate_risk(
-                    p, spec, cfg, threads=threads, stream_offset=cell << 40
-                )
+                report = estimate_risk(p, spec, cfg, stream_offset=cell << 40)
                 rows.append(
                     {
                         "d": d,

@@ -59,7 +59,7 @@ def test_criterion_01_one_sided_minimax_identity():
     want = 10.0 * psi_plus(200, 10, 3.0)
     start = time.perf_counter()
     rep = estimate_risk(
-        p, spec_for_kind("plus", p), MCConfig(replications=_R, seed=101), threads=1
+        p, spec_for_kind("plus", p), MCConfig(replications=_R, seed=101)
     )
     elapsed = time.perf_counter() - start
     z = (rep.mc_estimate - want) / rep.mc_stderr
@@ -242,15 +242,15 @@ def test_criterion_10_adaptive_almost_full_recovery():
         p_big = ProblemInstance(d=10_000, s=s, signal=TwoSided(a_big))
         mc = MCConfig(replications=10_000, seed=1001, loss_kind=LossKind.NORMALIZED_HAMMING)
         adaptive = estimate_risk(
-            p_big, spec_for_kind("adaptive", p_big, s_star=64), mc, threads=4
+            p_big, spec_for_kind("adaptive", p_big, s_star=64), mc
         )
         oracle = estimate_risk(
-            p_big, TwoSidedThreshold(a0_adaptive(10_000, s, 0.0)), mc, threads=4
+            p_big, TwoSidedThreshold(a0_adaptive(10_000, s, 0.0)), mc
         )
         a_small = a0_adaptive(1_000, s, adaptive_A_min(1_000, 64))
         p_small = ProblemInstance(d=1_000, s=s, signal=TwoSided(a_small))
         smaller = estimate_risk(
-            p_small, spec_for_kind("adaptive", p_small, s_star=64), mc, threads=4
+            p_small, spec_for_kind("adaptive", p_small, s_star=64), mc
         )
         results.append((s, adaptive.mc_estimate, oracle.mc_estimate, smaller.mc_estimate))
 

@@ -10,6 +10,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hamsel import numkit
@@ -223,3 +225,46 @@ class TestPoissonCdf:
             numkit.poisson_cdf(3, -2.0)
         with pytest.raises(ValueError):
             numkit.poisson_cdf(3, float("inf"))
+
+
+_PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+
+
+class TestSeamProperties:
+    """Around each point where a kernel switches evaluation route, values on
+    both sides follow mpmath at the tolerance of that kernel's tests above."""
+
+    @_PROPERTY
+    @given(y=st.floats(-8.5, -7.5))
+    @example(y=-8.0)
+    @example(y=math.nextafter(-8.0, 0.0))
+    @example(y=math.nextafter(-8.0, -9.0))
+    def test_gaussian_cdf_at_minus_8(self, y):
+        assert _rel_err(numkit.gaussian_cdf(y), y) <= 1e-14
+
+    @_PROPERTY
+    @given(y=st.floats(34.5, 35.5))
+    @example(y=35.0)
+    @example(y=math.nextafter(35.0, 36.0))
+    @example(y=math.nextafter(35.0, 34.0))
+    def test_log_gaussian_tail_at_35(self, y):
+        exact = float(mp.log(mp.ncdf(-mp.mpf(y))))
+        assert_allclose(numkit.log_gaussian_tail(y), exact, rtol=1e-13, atol=1e-12)
+
+    @_PROPERTY
+    @given(t=st.floats(29.5, 30.5))
+    @example(t=30.0)
+    @example(t=math.nextafter(30.0, 31.0))
+    @example(t=math.nextafter(30.0, 29.0))
+    def test_arccosh_exp_at_30(self, t):
+        exact = float(mp.acosh(mp.e ** mp.mpf(t)))
+        assert_allclose(numkit.arccosh_exp(t), exact, rtol=1e-15)
+
+    @_PROPERTY
+    @given(lam=st.floats(31.5, 32.5), k=st.integers(0, 100))
+    @example(lam=32.0, k=32)
+    @example(lam=math.nextafter(32.0, 33.0), k=32)
+    @example(lam=math.nextafter(32.0, 31.0), k=32)
+    def test_poisson_cdf_at_32(self, lam, k):
+        exact = mp.gammainc(k + 1, a=mp.mpf(lam), regularized=True)
+        assert abs(numkit.poisson_cdf(k, lam) - float(exact)) <= 1e-13

@@ -11,6 +11,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hamsel.model import Family, LossKind
@@ -182,6 +184,53 @@ class TestSandwich:
             assert lo <= mid + 1e-12
             assert mid <= two + 1e-12
             assert two <= hi + 1e-12
+
+
+# Orderings between closed forms hold up to the relative error every closed
+# form is held to against its mpmath oracle in this file: two values that
+# are each accurate to 1e-13 cannot be ordered more finely than that (Psi+
+# and PsiBar both sit on (d-s)/s when s > d/2, and meet it from either side
+# by one ulp).
+_ORDER_RTOL = 1e-13
+_PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+_LEVELS = st.floats(1e-3, 60.0)
+_SIGMAS = st.floats(0.1, 10.0)
+
+
+@st.composite
+def _dims(draw):
+    d = draw(st.integers(2, 10**7))
+    return d, draw(st.integers(1, d - 1))
+
+
+class TestRiskProperties:
+    @_PROPERTY
+    @given(ds=_dims(), a=_LEVELS, sigma=_SIGMAS)
+    @example(ds=(9348, 8408), a=0.03174975351945268, sigma=0.11795816053132187)
+    def test_sandwich(self, ds, a, sigma):
+        """psi+ <= psi_bar <= 2 psi <= 2 psi+."""
+        d, s = ds
+        plus = psi_plus(d, s, a, sigma)
+        bar = psi_bar(d, s, a, sigma)
+        two = psi_two_sided(d, s, a, sigma)
+        assert plus <= bar * (1.0 + _ORDER_RTOL)
+        assert bar <= 2.0 * two * (1.0 + _ORDER_RTOL)
+        assert two <= plus
+
+    @_PROPERTY
+    @given(ds=_dims(), a0=st.floats(-50.0, 50.0), a=_LEVELS, sigma=_SIGMAS)
+    def test_gaussian_general_is_psi_plus_of_the_separation(self, ds, a0, a, sigma):
+        d, s = ds
+        a1 = a0 + a
+        assert psi_general(Family.GAUSSIAN, d, s, a0, a1, sigma) == psi_plus(d, s, a1 - a0, sigma)
+
+    @_PROPERTY
+    @given(ds=_dims(), levels=st.tuples(_LEVELS, _LEVELS), sigma=_SIGMAS)
+    def test_non_increasing_in_a(self, ds, levels, sigma):
+        d, s = ds
+        lo, hi = sorted(levels)
+        for psi in (psi_plus, psi_bar):
+            assert psi(d, s, hi, sigma) <= psi(d, s, lo, sigma) * (1.0 + _ORDER_RTOL)
 
 
 class TestPsiGeneralGaussian:

@@ -1,14 +1,17 @@
 """Monte Carlo engine tests.
 
 Determinism is the backbone: every estimate is a pure function of
-(instance, selector, config, stream offset), independent of thread count,
+(instance, selector, config, stream offset), independent of worker count,
 and each replication can be reproduced in isolation from its stream index.
 """
 
+import concurrent.futures
 import math
+import os
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus
 from hamsel.selectors import minimax_threshold, spec_for_kind
 from hamsel.simulate import (
     BLOCK_BYTES,
+    PARALLEL_MIN_D,
     MCConfig,
     _stream_rekeyer,
     apply_selector,
@@ -51,6 +55,15 @@ from hamsel.simulate import (
     phase_sweep,
     psi_bar_printed_mc,
 )
+
+
+@contextmanager
+def _workers(n):
+    """estimate_risk spreads its blocks over up to n threads at every d."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "PARALLEL_MIN_D", 2)
+        mp.setattr(simulate, "_usable_cpus", lambda: n)
+        yield
 
 
 def _plus_instance(d=200, s=10, a=3.0):
@@ -152,8 +165,10 @@ class TestEstimateRisk:
     def test_thread_count_invariance(self):
         p = _plus_instance(d=40, s=4)
         cfg = MCConfig(replications=200, seed=777)
-        r1 = estimate_risk(p, _plus_spec(p), cfg, threads=1)
-        r4 = estimate_risk(p, _plus_spec(p), cfg, threads=4)
+        with _workers(1):
+            r1 = estimate_risk(p, _plus_spec(p), cfg)
+        with _workers(4):
+            r4 = estimate_risk(p, _plus_spec(p), cfg)
         assert r1.mc_estimate == r4.mc_estimate
         assert r1.mc_stderr == r4.mc_stderr
 
@@ -315,20 +330,6 @@ class TestEstimateRiskCompat:
         )
         with pytest.raises(ValueError):
             estimate_risk(p, GeneralLLR(), MCConfig(replications=5, seed=1), stress=True)
-
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("HAMSEL_THREADS", "many")
-        p = _plus_instance(d=30, s=5)
-        with pytest.raises(ValueError, match="HAMSEL_THREADS"):
-            estimate_risk(p, _plus_spec(p), MCConfig(replications=5, seed=1))
-
-    def test_thread_env_respected(self, monkeypatch):
-        monkeypatch.setenv("HAMSEL_THREADS", "3")
-        p = _plus_instance(d=30, s=5)
-        cfg = MCConfig(replications=60, seed=8)
-        via_env = estimate_risk(p, _plus_spec(p), cfg)
-        explicit = estimate_risk(p, _plus_spec(p), cfg, threads=1)
-        assert via_env.mc_estimate == explicit.mc_estimate
 
 
 class TestStress:
@@ -570,10 +571,11 @@ class TestStreamContract:
                     else:
                         losses = np.array([1.0 if e else 0.0 for e in errors])
                     cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=kind)
-                    for threads in (1, 2):
-                        report = estimate_risk(
-                            p, spec, cfg, threads=threads, stream_offset=offset, stress=stress
-                        )
+                    for workers in (1, 2):
+                        with _workers(workers):
+                            report = estimate_risk(
+                                p, spec, cfg, stream_offset=offset, stress=stress
+                            )
                         assert report.mc_estimate == float(losses.mean())
                         assert report.mc_stderr == float(losses.std(ddof=1) / math.sqrt(reps))
 
@@ -627,10 +629,9 @@ class TestStreamContract:
         for p, spec, rho, stress in cases:
             errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho, stress), dtype=float)
             cfg = MCConfig(replications=reps, seed=seed, rho=rho)
-            for threads in (1, 2):
-                report = estimate_risk(
-                    p, spec, cfg, threads=threads, stream_offset=offset, stress=stress
-                )
+            for workers in (1, 2):
+                with _workers(workers):
+                    report = estimate_risk(p, spec, cfg, stream_offset=offset, stress=stress)
                 assert report.mc_estimate == float(errors.mean())
                 assert report.mc_stderr == float(errors.std(ddof=1) / math.sqrt(reps))
 
@@ -658,21 +659,45 @@ class _InlinePool:
 
 class TestEngineLimits:
     def test_workers_capped_at_blocks_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _InlinePool)
+        """One worker below PARALLEL_MIN_D; at or above it min(blocks, CPUs),
+        the calling thread running one share and the pool the others."""
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
         monkeypatch.setattr(_InlinePool, "requested", [])
-        p = _plus_instance(d=2000, s=10)
+        before = threading.active_count()
+        small = _plus_instance(d=PARALLEL_MIN_D - 1, s=10)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
+        estimate_risk(small, _plus_spec(small), MCConfig(replications=200, seed=3))
+        assert _InlinePool.requested == []
+        p = _plus_instance(d=PARALLEL_MIN_D, s=10)
         rows = BLOCK_BYTES // (8 * p.d)
         cfg = MCConfig(replications=5 * rows - 2, seed=3)  # 5 blocks, the last partial
-        want = estimate_risk(p, _plus_spec(p), cfg, threads=1)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        want = estimate_risk(p, _plus_spec(p), cfg)
         assert _InlinePool.requested == []
-        before = threading.active_count()
-        for cpus, workers in ((64, 5), (3, 3), (None, None)):
-            monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        for cpus, pool in ((10**6, 4), (64, 4), (3, 2), (2, 1)):
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
             _InlinePool.requested.clear()
-            got = estimate_risk(p, _plus_spec(p), cfg, threads=10**6)
-            assert _InlinePool.requested == ([] if workers is None else [workers])
+            got = estimate_risk(p, _plus_spec(p), cfg)
+            assert _InlinePool.requested == [pool]
             assert (got.mc_estimate, got.mc_stderr) == (want.mc_estimate, want.mc_stderr)
         assert threading.active_count() == before
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        """A process pinned to 2 of 64 CPUs runs on at most 2 threads."""
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "requested", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 9}, raising=False)
+        assert simulate._usable_cpus() == 2
+        p = _plus_instance(d=PARALLEL_MIN_D, s=10)
+        rows = BLOCK_BYTES // (8 * p.d)
+        estimate_risk(p, _plus_spec(p), MCConfig(replications=5 * rows, seed=3))
+        assert _InlinePool.requested == [1]
+        # without an affinity call the installed count is the cap
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert simulate._usable_cpus() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1
 
     def test_oversized_d_rejected_before_allocating(self):
         p = ProblemInstance(10**9, 10, LowerBound(3.0))
@@ -755,7 +780,9 @@ class TestBlockEngineProperty:
         else:
             losses = errors
         cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=loss_kind)
-        report = estimate_risk(p, spec, cfg, stream_offset=offset, stress=stress)
-        assert report.mc_estimate == float(losses.mean())
         stderr = float(losses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        assert report.mc_stderr == stderr
+        for workers in (1, 2):
+            with _workers(workers):
+                report = estimate_risk(p, spec, cfg, stream_offset=offset, stress=stress)
+            assert report.mc_estimate == float(losses.mean())
+            assert report.mc_stderr == stderr
