@@ -24,6 +24,9 @@ from .model import (
     LossKind,
     LowerBound,
     ProblemInstance,
+    SupportVector,
+    Threshold,
+    TopS,
     TwoSided,
     fresh_seed,
     read_observations_csv,
@@ -34,17 +37,11 @@ from .model import (
 from .selectors import (
     SELECTOR_KINDS,
     adaptive_selector,
-    cosh_selector,
-    cosh_threshold,
+    check_observations,
     crowd_selector,
     crowd_weights,
-    llr_selector,
     llr_threshold,
     spec_for_kind,
-    threshold_one_sided,
-    threshold_two_sided,
-    top_s_selector,
-    universal_selector,
     universal_threshold,
 )
 
@@ -290,42 +287,33 @@ def _select_crowd(args) -> dict:
     return out
 
 
+def _select_spec(args, d: int, family: Family):
+    """The spec of a non-adaptive --method for d observations from family."""
+    method = args.method
+    if method in ("threshold", "threshold-abs"):
+        t = _require(args.t, "--t", f"--method {method}")
+        return Threshold(t, two_sided=method == "threshold-abs")
+    if method == "universal":
+        return Threshold(universal_threshold(d, args.sigma), two_sided=True)
+    s = _require(args.s, "--s", f"--method {method}")
+    if method == "tops":
+        return TopS(s, one_sided=not args.by_abs)
+    if method == "cosh":
+        signal = TwoSided(_require(args.a, "--a", "--method cosh"))
+    else:
+        a0 = _require(args.a0, "--a0", "--method llr")
+        signal = Interval(a0, _require(args.a1, "--a1", "--method llr"))
+    return spec_for_kind(method, ProblemInstance(d, s, signal, family, args.sigma))
+
+
 def _select_file(args) -> dict:
     x = read_observations_csv(_require(args.input, "--input", "selection"))
-    d = int(x.size)
-    method = args.method
-    diagnostics: dict = {}
-    if method == "threshold":
-        used = _require(args.t, "--t", "--method threshold")
-        sv = threshold_one_sided(x, used)
-    elif method == "threshold-abs":
-        used = _require(args.t, "--t", "--method threshold-abs")
-        sv = threshold_two_sided(x, used)
-    elif method == "cosh":
-        s = _require(args.s, "--s", "--method cosh")
-        a = _require(args.a, "--a", "--method cosh")
-        sv = cosh_selector(x, d, s, a, args.sigma)
-        used = cosh_threshold(d, s, a, args.sigma)
-    elif method == "llr":
-        s = _require(args.s, "--s", "--method llr")
-        a0 = _require(args.a0, "--a0", "--method llr")
-        a1 = _require(args.a1, "--a1", "--method llr")
-        family = Family(args.family)
-        sv = llr_selector(x, family, d, s, a0, a1, args.sigma)
-        used = llr_threshold(family, d, s, a0, a1, args.sigma)
-    elif method == "tops":
-        s = _require(args.s, "--s", "--method tops")
-        sv = top_s_selector(x, s, one_sided=not args.by_abs)
-        used = None
-    elif method == "universal":
-        sv = universal_selector(x, d, args.sigma)
-        used = universal_threshold(d, args.sigma)
-    else:
+    if args.method == "adaptive":
         s_star = _require(args.s_star, "--s-star", "--method adaptive")
         result = adaptive_selector(x, s_star, args.sigma)
-        sv = result.support
-        used = result.diagnostics["threshold_used"]
-        diagnostics = {
+        out = support_summary(result.support)
+        out["threshold_used"] = result.diagnostics["threshold_used"]
+        out["diagnostics"] = {
             "chosen_m": result.chosen_m,
             "grid": result.diagnostics["grid"],
             "thresholds": result.diagnostics["thresholds"],
@@ -334,9 +322,15 @@ def _select_file(args) -> dict:
                 str(k): v for k, v in result.diagnostics["block_counts"].items()
             },
         }
-    out = support_summary(sv)
-    out["threshold_used"] = used
-    out["diagnostics"] = diagnostics
+        return out
+    d = int(x.size)
+    family = Family(args.family) if args.method == "llr" else Family.GAUSSIAN
+    spec = _select_spec(args, d, family)
+    arr = check_observations(x, d, family)
+    bits = simulate.resolve_selector(spec, d, family, args.sigma)(arr[None])[0]
+    out = support_summary(SupportVector(bits))
+    out["threshold_used"] = spec.t if isinstance(spec, Threshold) else None
+    out["diagnostics"] = {}
     return out
 
 
@@ -356,20 +350,15 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Selector kinds that are minimax for each signal class.
+_MINIMAX_KINDS = {LowerBound: ("plus", "llr"), TwoSided: ("cosh",), Interval: ("llr",)}
+
+
 def _mc_closed_form(p: ProblemInstance, kind: str, loss: LossKind) -> float | None:
     """Exact reference risk when the selector is minimax for p's class."""
-    if loss is LossKind.WRONG_RECOVERY:
+    if loss is LossKind.WRONG_RECOVERY or kind not in _MINIMAX_KINDS[type(p.signal)]:
         return None
-    sig = p.signal
-    if kind == "plus" and isinstance(sig, LowerBound):
-        base = p.s * risk.psi_plus(p.d, p.s, sig.a, p.sigma)
-    elif kind == "cosh" and isinstance(sig, TwoSided):
-        base = p.s * risk.psi_bar(p.d, p.s, sig.a, p.sigma)
-    elif kind == "llr" and isinstance(sig, (LowerBound, Interval)):
-        a0, a1 = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
-        base = p.s * risk.psi_general(p.family, p.d, p.s, a0, a1, p.sigma)
-    else:
-        return None
+    base = risk.minimax_risk(p)
     return base if loss is LossKind.HAMMING else base / p.s
 
 

@@ -31,9 +31,50 @@ class LossKind(str, Enum):
     WRONG_RECOVERY = "wrong-recovery"
 
 
-def _check_d_s(d: int, s: int) -> None:
+def _check_d_s(d: int, s: int, sparse: bool = False) -> None:
+    """1 <= s < d, and 2s < d as well when sparse."""
     if not 1 <= s < d:
         raise ValueError(f"need 1 <= s < d, got s={s}, d={d}")
+    if sparse and 2 * s >= d:
+        raise ValueError(f"need 2s < d, got s={s}, d={d}")
+
+
+def _check_positive(a: float = 1.0, sigma: float = 1.0, name: str = "a") -> None:
+    """A level and a noise scale, each positive and finite; name labels a."""
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"need {name} > 0, got {a}")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValueError(f"need sigma > 0, got {sigma}")
+
+
+def _check_interval(family: Family, a0: float, a1: float) -> None:
+    """Finite a0 < a1, and rates a family can have: (0,1) for Bernoulli,
+    a0 > 0 for Poisson."""
+    if not (math.isfinite(a0) and math.isfinite(a1) and a0 < a1):
+        raise ValueError(f"need finite a0 < a1, got ({a0}, {a1})")
+    if family is Family.GAUSSIAN:
+        return
+    if family is Family.BERNOULLI:
+        if not (0.0 < a0 and a1 < 1.0):
+            raise ValueError(f"Bernoulli rates must lie in (0,1), got ({a0}, {a1})")
+    elif family is Family.POISSON:
+        if not a0 > 0.0:
+            raise ValueError(f"Poisson rates must be positive, got a0={a0}")
+    else:
+        raise ValueError(f"unknown family {family!r}")
+
+
+def _check_rates(rates) -> tuple[tuple[float, float], ...]:
+    """Crowd workers' (a_i0, a_i1) pairs as floats, each in (0,1) and unequal."""
+    out = tuple((float(a0), float(a1)) for a0, a1 in rates)
+    if not out:
+        raise ValueError("need at least one worker")
+    for i, (a0, a1) in enumerate(out):
+        if not (0.0 < a0 < 1.0 and 0.0 < a1 < 1.0):
+            raise ValueError(f"worker {i + 1}: rates must lie in (0,1), got ({a0}, {a1})")
+        if a0 == a1:
+            raise ValueError(f"worker {i + 1}: rates must differ, got a0 = a1 = {a0}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -95,32 +136,17 @@ class ProblemInstance:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"need d >= 2, got d={self.d}")
         _check_d_s(self.d, self.s)
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"need sigma > 0, got {self.sigma}")
+        _check_positive(sigma=self.sigma)
         sig = self.signal
         if isinstance(sig, (LowerBound, TwoSided)):
             if self.family is not Family.GAUSSIAN:
                 raise ValueError(
                     f"{type(sig).__name__} signal requires the Gaussian family"
                 )
-            if not (sig.a > 0.0 and math.isfinite(sig.a)):
-                raise ValueError(f"need signal level a > 0, got {sig.a}")
+            _check_positive(sig.a, name="signal level a")
         elif isinstance(sig, Interval):
-            if not (math.isfinite(sig.a0) and math.isfinite(sig.a1)):
-                raise ValueError("interval endpoints must be finite")
-            if not sig.a0 < sig.a1:
-                raise ValueError(f"need a0 < a1, got a0={sig.a0}, a1={sig.a1}")
-            if self.family is Family.BERNOULLI:
-                if not (0.0 < sig.a0 and sig.a1 < 1.0):
-                    raise ValueError(
-                        f"Bernoulli rates must lie in (0,1), got ({sig.a0}, {sig.a1})"
-                    )
-            elif self.family is Family.POISSON:
-                if not sig.a0 > 0.0:
-                    raise ValueError(f"Poisson rates must be positive, got a0={sig.a0}")
+            _check_interval(self.family, sig.a0, sig.a1)
         else:
             raise TypeError(f"unknown signal type {type(sig).__name__}")
 
@@ -211,48 +237,22 @@ def support_summary(sv: SupportVector) -> dict:
 
 
 @dataclass(frozen=True)
-class OneSidedThreshold:
-    """Select j iff x_j >= t."""
+class Threshold:
+    """Select j iff x_j >= t, or iff |x_j| >= t when two_sided (then t >= 0).
 
-    t: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t):
-            raise ValueError(f"threshold must be finite, got {self.t}")
-
-
-@dataclass(frozen=True)
-class TwoSidedThreshold:
-    """Select j iff |x_j| >= t, t >= 0."""
-
-    t: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise ValueError(f"two-sided threshold must be finite and >= 0, got {self.t}")
-
-
-@dataclass(frozen=True)
-class CoshLLR:
-    """Select j iff log cosh(a x_j / sigma^2) >= t."""
-
-    a: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"need a > 0, got {self.a}")
-        if not math.isfinite(self.t):
-            raise ValueError(f"threshold must be finite, got {self.t}")
-
-
-@dataclass(frozen=True)
-class GeneralLLR:
-    """Family likelihood-ratio selector at the canonical cut log((d-s)/s).
-
-    Parameters come from the ProblemInstance it is run against (the cut is
-    definitional, so this selector description carries no fields).
+    Every minimax threshold rule is one of these at a computed cut: the
+    one-sided rule, the log-cosh rule, the likelihood-ratio rule of each
+    family (monotone in x) and the universal threshold; see spec_for_kind.
     """
+
+    t: float
+    two_sided: bool = False
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.t):
+            raise ValueError(f"threshold must be finite, got {self.t}")
+        if self.two_sided and not self.t >= 0.0:
+            raise ValueError(f"two-sided threshold must be finite and >= 0, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -268,43 +268,17 @@ class TopS:
 
 
 @dataclass(frozen=True)
-class Universal:
-    """Two-sided threshold at sigma * sqrt(2 log d)."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"need d >= 2, got {self.d}")
-
-
-@dataclass(frozen=True)
 class Adaptive:
-    """Dyadic-grid data-driven threshold up to sparsity budget s_star.
-
-    c0 is the planner constant of the signal-strength condition; the
-    selector itself never uses it, it is carried for experiment configs.
-    """
+    """Dyadic-grid data-driven threshold up to sparsity budget s_star."""
 
     s_star: int
-    c0: float = 16.0
 
     def __post_init__(self) -> None:
         if self.s_star < 2:
             raise ValueError(f"need s_star >= 2, got {self.s_star}")
-        if not (self.c0 > 0.0):
-            raise ValueError(f"need c0 > 0, got {self.c0}")
 
 
-SelectorSpec = Union[
-    OneSidedThreshold,
-    TwoSidedThreshold,
-    CoshLLR,
-    GeneralLLR,
-    TopS,
-    Universal,
-    Adaptive,
-]
+SelectorSpec = Union[Threshold, TopS, Adaptive]
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +306,11 @@ class CrowdInstance:
             raise ValueError("votes must be 0/1 valued")
         v = v.astype(np.int8)
         v.setflags(write=False)
-        rates = tuple((float(a0), float(a1)) for a0, a1 in self.rates)
+        rates = _check_rates(self.rates)
         if len(rates) != v.shape[0]:
             raise ValueError(
                 f"got {len(rates)} rate pairs for {v.shape[0]} workers"
             )
-        for i, (a0, a1) in enumerate(rates):
-            if not (0.0 < a0 < 1.0 and 0.0 < a1 < 1.0):
-                raise ValueError(f"worker {i + 1}: rates must lie in (0,1), got ({a0}, {a1})")
-            if a0 == a1:
-                raise ValueError(f"worker {i + 1}: rates must differ, got a0 = a1 = {a0}")
         object.__setattr__(self, "votes", v)
         object.__setattr__(self, "rates", rates)
 

@@ -22,8 +22,14 @@ from . import numkit
 from .model import (
     Family,
     LossKind,
+    LowerBound,
+    ProblemInstance,
     RiskReport,
+    TwoSided,
     _check_d_s,
+    _check_interval,
+    _check_positive,
+    _check_rates,
     fresh_seed,
     rng_stream,
 )
@@ -32,18 +38,26 @@ from .selectors import crowd_weights, llr_threshold
 _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
 
 
-def _check_a_sigma(a: float, sigma: float) -> None:
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"need a > 0, got {a}")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"need sigma > 0, got {sigma}")
-
-
 def _scaled_tail(scale: float, log_scale: float, y: float) -> float:
     """scale * Phi(y), via logs once Phi(y) nears the subnormal range."""
     if y > -36.0:
         return scale * numkit.gaussian_cdf(y)
     return math.exp(log_scale + numkit.log_gaussian_tail(-y))
+
+
+def _psi_cut(d: int, s: int, a: float, sigma: float, clip_miss: bool) -> float:
+    """Psi+ of the docstring below, or with clip_miss its miss argument
+    -a/(2 sigma) + sigma log((d-s)/s)/a clipped at 0."""
+    _check_d_s(d, s)
+    _check_positive(a, sigma)
+    ratio = (d - s) / s
+    log_ratio = math.log((d - s) / s)
+    half = a / (2.0 * sigma)
+    shift = sigma * log_ratio / a
+    miss = -half + shift
+    if clip_miss and miss > 0.0:
+        miss = 0.0
+    return _scaled_tail(ratio, log_ratio, -half - shift) + numkit.gaussian_cdf(miss)
 
 
 def psi_plus(d: int, s: int, a: float, sigma: float = 1.0) -> float:
@@ -55,28 +69,12 @@ def psi_plus(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     the false-positive and miss probabilities of the threshold
     a/2 + sigma^2 log((d-s)/s)/a, the first weighted by (d-s)/s.
     """
-    _check_d_s(d, s)
-    _check_a_sigma(a, sigma)
-    ratio = (d - s) / s
-    log_ratio = math.log((d - s) / s)
-    half = a / (2.0 * sigma)
-    shift = sigma * log_ratio / a
-    return _scaled_tail(ratio, log_ratio, -half - shift) + numkit.gaussian_cdf(
-        -half + shift
-    )
+    return _psi_cut(d, s, a, sigma, False)
 
 
 def psi_two_sided(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     """Two-sided lower-bound rate: Psi+ with the miss argument clipped at 0."""
-    _check_d_s(d, s)
-    _check_a_sigma(a, sigma)
-    ratio = (d - s) / s
-    log_ratio = math.log((d - s) / s)
-    half = a / (2.0 * sigma)
-    shift = sigma * log_ratio / a
-    return _scaled_tail(ratio, log_ratio, -half - shift) + numkit.gaussian_cdf(
-        min(-half + shift, 0.0)
-    )
+    return _psi_cut(d, s, a, sigma, True)
 
 
 def psi_bar(d: int, s: int, a: float, sigma: float = 1.0) -> float:
@@ -91,7 +89,7 @@ def psi_bar(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     (d-s)/s: no misses, all d-s off-support coordinates wrong.
     """
     _check_d_s(d, s)
-    _check_a_sigma(a, sigma)
+    _check_positive(a, sigma)
     ratio = (d - s) / s
     log_ratio = math.log((d - s) / s)
     log_u = a * a / (2.0 * sigma * sigma) + log_ratio
@@ -117,10 +115,8 @@ def psi_general(
     cut's position against the atoms {0, 1}; Poisson reduces to CDFs at
     k = ceil(t), the smallest integer the selector keeps.
     """
-    _check_d_s(d, s)
     if family is Family.GAUSSIAN:
-        if not (math.isfinite(a0) and math.isfinite(a1) and a0 < a1):
-            raise ValueError(f"need finite a0 < a1, got ({a0}, {a1})")
+        _check_interval(family, a0, a1)
         return psi_plus(d, s, a1 - a0, sigma)
     ratio = (d - s) / s
     t = llr_threshold(family, d, s, a0, a1, sigma)
@@ -138,16 +134,17 @@ def psi_general(
     )
 
 
-def _check_rates(rates) -> tuple[tuple[float, float], ...]:
-    out = tuple((float(a0), float(a1)) for a0, a1 in rates)
-    if not out:
-        raise ValueError("need at least one worker")
-    for i, (a0, a1) in enumerate(out):
-        if not (0.0 < a0 < 1.0 and 0.0 < a1 < 1.0):
-            raise ValueError(f"worker {i + 1}: rates must lie in (0,1), got ({a0}, {a1})")
-        if a0 == a1:
-            raise ValueError(f"worker {i + 1}: rates must differ, got a0 = a1 = {a0}")
-    return out
+def minimax_risk(p: ProblemInstance) -> float:
+    """s Psi of the minimax selector of p's class: the expected Hamming loss
+    of the one-sided rule (Psi+) for a LowerBound class, of the log-cosh rule
+    (PsiBar) for a TwoSided class, and of the likelihood-ratio rule
+    (psi_general) for an Interval class, under the least-favorable prior."""
+    sig = p.signal
+    if isinstance(sig, LowerBound):
+        return p.s * psi_plus(p.d, p.s, sig.a, p.sigma)
+    if isinstance(sig, TwoSided):
+        return p.s * psi_bar(p.d, p.s, sig.a, p.sigma)
+    return p.s * psi_general(p.family, p.d, p.s, sig.a0, sig.a1, p.sigma)
 
 
 def psi_crowd(
@@ -267,10 +264,8 @@ def delta_bounds(d: int, s: int, a: float, sigma: float = 1.0) -> RecoveryBounds
     0 and the upper keeps its W = 0 value; Delta is reported as 0 in both
     degenerate regimes.  Requires 2s < d.
     """
-    _check_d_s(d, s)
-    _check_a_sigma(a, sigma)
-    if 2 * s >= d:
-        raise ValueError(f"need 2s < d, got s={s}, d={d}")
+    _check_d_s(d, s, sparse=True)
+    _check_positive(a, sigma)
     w = a * a / (sigma * sigma) - 2.0 * math.log((d - s) / s)
     if w >= 0.0:
         delta = sigma * w / (2.0 * a)
@@ -303,11 +298,8 @@ def phase_point(d: int, s: int, sigma: float = 1.0) -> PhasePoint:
     """
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
-    _check_d_s(d, s)
-    if 2 * s >= d:
-        raise ValueError(f"need 2s < d, got s={s}, d={d}")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"need sigma > 0, got {sigma}")
+    _check_d_s(d, s, sparse=True)
+    _check_positive(sigma=sigma)
     log_ratio = math.log((d - s) / s)
     a_almost_full = sigma * math.sqrt(2.0 * log_ratio)
     t_star = sigma * math.sqrt(2.0 * math.log(d - s))
@@ -320,13 +312,10 @@ def phase_point(d: int, s: int, sigma: float = 1.0) -> PhasePoint:
 
 def a0_adaptive(d: int, s: int, A: float, sigma: float = 1.0) -> float:
     """Signal level sigma sqrt(2 L + A sqrt(L)), L = log((d-s)/s); needs 2s < d."""
-    _check_d_s(d, s)
-    if 2 * s >= d:
-        raise ValueError(f"need 2s < d, got s={s}, d={d}")
+    _check_d_s(d, s, sparse=True)
     if not (A >= 0.0 and math.isfinite(A)):
         raise ValueError(f"need A >= 0, got {A}")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"need sigma > 0, got {sigma}")
+    _check_positive(sigma=sigma)
     log_ratio = math.log((d - s) / s)
     return sigma * math.sqrt(2.0 * log_ratio + A * math.sqrt(log_ratio))
 
@@ -335,8 +324,7 @@ def adaptive_A_min(d: int, s_star: int, c0: float = 16.0) -> float:
     """Smallest planner constant c0 sqrt(log log((d-s*)/s*)) the adaptive
     selector's guarantee asks for; requires (d-s*)/s* > e."""
     _check_d_s(d, s_star)
-    if not (c0 > 0.0 and math.isfinite(c0)):
-        raise ValueError(f"need c0 > 0, got {c0}")
+    _check_positive(c0, name="c0")
     log_ratio = math.log((d - s_star) / s_star)
     if log_ratio <= 1.0:
         raise ValueError(

@@ -18,21 +18,19 @@ import numpy as np
 from . import numkit
 from .model import (
     Adaptive,
-    CoshLLR,
     CrowdInstance,
     Family,
-    GeneralLLR,
     Interval,
     LowerBound,
-    OneSidedThreshold,
     ProblemInstance,
     SelectorSpec,
     SupportVector,
+    Threshold,
     TopS,
     TwoSided,
-    TwoSidedThreshold,
-    Universal,
     _check_d_s,
+    _check_interval,
+    _check_positive,
 )
 
 
@@ -43,12 +41,6 @@ def _as_observations(x) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("observations must be finite")
     return arr
-
-
-def _check_positive(**named: float) -> None:
-    for name, value in named.items():
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValueError(f"need {name} > 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +82,7 @@ def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     at zero themselves).
     """
     _check_d_s(d, s)
-    _check_positive(a=a, sigma=sigma)
+    _check_positive(a, sigma)
     return a / 2.0 + (sigma * sigma / a) * math.log((d - s) / s)
 
 
@@ -105,7 +97,7 @@ def cosh_abs_threshold(a: float, t: float, sigma: float = 1.0) -> float:
     cosh >= 1 makes the event certain for t <= 0; that case is reported as
     a zero threshold.
     """
-    _check_positive(a=a, sigma=sigma)
+    _check_positive(a, sigma)
     if math.isnan(t):
         raise ValueError("threshold must not be NaN")
     if t <= 0.0:
@@ -121,7 +113,7 @@ def cosh_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     |x| >= (sigma^2/a) arccosh(u) when u > 1 and always true otherwise.
     """
     _check_d_s(d, s)
-    _check_positive(a=a, sigma=sigma)
+    _check_positive(a, sigma)
     log_u = a * a / (2.0 * sigma * sigma) + math.log((d - s) / s)
     return cosh_abs_threshold(a, log_u, sigma)
 
@@ -144,21 +136,6 @@ def cosh_selector(
 # ---------------------------------------------------------------------------
 
 
-def _check_interval_params(family: Family, a0: float, a1: float, sigma: float) -> None:
-    if not (math.isfinite(a0) and math.isfinite(a1) and a0 < a1):
-        raise ValueError(f"need finite a0 < a1, got ({a0}, {a1})")
-    if family is Family.GAUSSIAN:
-        _check_positive(sigma=sigma)
-    elif family is Family.BERNOULLI:
-        if not (0.0 < a0 and a1 < 1.0):
-            raise ValueError(f"Bernoulli rates must lie in (0,1), got ({a0}, {a1})")
-    elif family is Family.POISSON:
-        if not a0 > 0.0:
-            raise ValueError(f"Poisson rates must be positive, got a0={a0}")
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-
 def llr_threshold(
     family: Family, d: int, s: int, a0: float, a1: float, sigma: float = 1.0
 ) -> float:
@@ -173,9 +150,10 @@ def llr_threshold(
         Poisson:  t = (log((d-s)/s) + a1 - a0) / log(a1/a0)
     """
     _check_d_s(d, s)
-    _check_interval_params(family, a0, a1, sigma)
+    _check_interval(family, a0, a1)
     log_ratio = math.log((d - s) / s)
     if family is Family.GAUSSIAN:
+        _check_positive(sigma=sigma)
         # grouped exactly like minimax_threshold so a0 = 0 reproduces it bitwise
         return (a1 + a0) / 2.0 + (sigma * sigma / (a1 - a0)) * log_ratio
     if family is Family.BERNOULLI:
@@ -321,11 +299,9 @@ class AdaptivePlan(NamedTuple):
 def adaptive_plan(d: int, s_star: int, sigma: float = 1.0) -> AdaptivePlan:
     """Grid g_k, band thresholds w(g_k) and tolerance tau (see adaptive_selector)."""
     _check_positive(sigma=sigma)
-    if not 2 <= s_star:
-        raise ValueError(f"need s_star >= 2, got {s_star}")
+    grid = adaptive_grid(s_star)
     if 4 * s_star > d:
         raise ValueError(f"need s_star <= d/4, got s_star={s_star}, d={d}")
-    grid = adaptive_grid(s_star)
     w = [sigma * math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]
     tau = math.log((d - s_star) / s_star) ** (-1.0 / 7.0)
     return AdaptivePlan(grid, w, tau)
@@ -392,35 +368,35 @@ SELECTOR_KINDS = (
 )
 
 
-def spec_for_kind(
-    kind: str,
-    p: ProblemInstance,
-    s_star: int | None = None,
-    c0: float = 16.0,
-) -> SelectorSpec:
+def spec_for_kind(kind: str, p: ProblemInstance, s_star: int | None = None) -> SelectorSpec:
     """Instantiate a named selector at its canonical parameters for p.
 
-    Thresholded kinds are placed at the instance's minimax threshold, which
-    is what sweeps need when (d, s, a) vary per cell.
+    The one place a kind becomes a cut, each through its public threshold
+    function: plus and two-sided at the minimax threshold (two-sided clamped
+    at zero), cosh at cosh_threshold, llr at llr_threshold (a0 = 0 for a
+    LowerBound signal) and universal at universal_threshold.
     """
     if kind not in SELECTOR_KINDS:
         raise ValueError(f"unknown selector kind {kind!r}")
-    sig = p.signal
-    if kind == "llr":
-        return GeneralLLR()
+    d, s, sig, sigma = p.d, p.s, p.signal, p.sigma
     if kind == "tops":
-        return TopS(p.s, one_sided=isinstance(sig, (LowerBound, Interval)))
-    if kind == "universal":
-        return Universal(p.d)
+        return TopS(s, one_sided=isinstance(sig, (LowerBound, Interval)))
     if kind == "adaptive":
         if s_star is None:
             raise ValueError("adaptive selector needs s_star")
-        return Adaptive(s_star, c0)
+        return Adaptive(s_star)
+    if kind == "universal":
+        return Threshold(universal_threshold(d, sigma), two_sided=True)
+    if kind == "llr":
+        if isinstance(sig, TwoSided):
+            raise ValueError("likelihood-ratio selection needs a LowerBound or Interval signal")
+        a0, a1 = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
+        return Threshold(llr_threshold(p.family, d, s, a0, a1, sigma))
     if not isinstance(sig, (LowerBound, TwoSided)):
         raise ValueError(f"selector kind {kind!r} needs a LowerBound or TwoSided signal")
-    t = minimax_threshold(p.d, p.s, sig.a, p.sigma)
+    if kind == "cosh":
+        return Threshold(cosh_threshold(d, s, sig.a, sigma), two_sided=True)
+    t = minimax_threshold(d, s, sig.a, sigma)
     if kind == "plus":
-        return OneSidedThreshold(t)
-    if kind == "two-sided":
-        return TwoSidedThreshold(max(t, 0.0))
-    return CoshLLR(sig.a, sig.a**2 / (2.0 * p.sigma**2) + p.log_ratio)
+        return Threshold(t)
+    return Threshold(max(t, 0.0), two_sided=True)

@@ -46,34 +46,30 @@ import numpy as np
 from . import risk
 from .model import (
     Adaptive,
-    CoshLLR,
     Family,
-    GeneralLLR,
     Interval,
     LossKind,
     LowerBound,
-    OneSidedThreshold,
     ProblemInstance,
     RiskReport,
     SelectorSpec,
     SupportVector,
+    Threshold,
     TopS,
     TwoSided,
-    TwoSidedThreshold,
-    Universal,
+    _check_interval,
+    _check_positive,
     rng_stream,
 )
 from .selectors import (
     adaptive_bits,
     adaptive_plan,
     check_observations,
-    cosh_abs_threshold,
-    llr_threshold,
     one_sided_bits,
     row_counts,
+    spec_for_kind,
     top_s_bits,
     two_sided_bits,
-    universal_threshold,
 )
 
 _STRESS_MULTIPLIERS = np.array([1.0, 2.0, 10.0])
@@ -117,8 +113,7 @@ def generate_gaussian(
         raise ValueError("theta must be a nonempty 1-d vector")
     if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"need sigma > 0, got {sigma}")
+    _check_positive(sigma=sigma)
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"need rho in [0,1), got {rho}")
     common, own = math.sqrt(rho), math.sqrt(1.0 - rho)
@@ -153,15 +148,8 @@ def generate_family(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Coordinate j drawn from P1 if eta_j = 1 else P0 (Bernoulli/Poisson)."""
-    if not a0 < a1:
-        raise ValueError(f"need a0 < a1, got ({a0}, {a1})")
-    if family is Family.BERNOULLI:
-        if not (0.0 < a0 and a1 < 1.0):
-            raise ValueError(f"Bernoulli rates must lie in (0,1), got ({a0}, {a1})")
-    elif family is Family.POISSON:
-        if not a0 > 0.0:
-            raise ValueError(f"Poisson rates must be positive, got a0={a0}")
-    else:
+    _check_interval(family, a0, a1)
+    if family is Family.GAUSSIAN:
         raise ValueError("generate_family covers the Bernoulli and Poisson families")
     return _family_draw(family, np.where(eta.bits, a1, a0), rng)
 
@@ -177,69 +165,39 @@ def _family_draw(family: Family, means: np.ndarray, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 
 
-def _llr_params(p: ProblemInstance) -> tuple[float, float]:
-    sig = p.signal
-    if isinstance(sig, Interval):
-        return sig.a0, sig.a1
-    if isinstance(sig, LowerBound):
-        return 0.0, sig.a
-    raise ValueError(
-        "likelihood-ratio selection needs a LowerBound or Interval signal"
-    )
-
-
-def _check_spec(p: ProblemInstance, spec: SelectorSpec) -> None:
-    if p.family is not Family.GAUSSIAN and isinstance(
-        spec, (TwoSidedThreshold, CoshLLR, Universal, Adaptive)
-    ):
-        raise ValueError(
-            f"{type(spec).__name__} selector requires the Gaussian family"
-        )
-    if isinstance(spec, GeneralLLR):
-        _llr_params(p)
-    if isinstance(spec, Universal) and spec.d != p.d:
-        raise ValueError(f"universal selector built for d={spec.d}, instance has d={p.d}")
-    if isinstance(spec, TopS) and spec.s > p.d:
-        raise ValueError(f"top-s selector needs s <= d, got s={spec.s}, d={p.d}")
-    if isinstance(spec, Adaptive) and 4 * spec.s_star > p.d:
-        raise ValueError(
-            f"adaptive selector needs s_star <= d/4, got s_star={spec.s_star}, d={p.d}"
-        )
-
-
-def _resolve_selector(
-    spec: SelectorSpec, p: ProblemInstance
+def resolve_selector(
+    spec: SelectorSpec, d: int, family: Family = Family.GAUSSIAN, sigma: float = 1.0
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The spec as a function from a (rows, d) block of p's observations to
-    a bool selection of the same shape, one row per replication.
+    """Check spec against observations of length d from family, and return
+    it as a function from a (rows, d) block of them to a bool selection of
+    the same shape, one row per replication.
 
-    Every cut that depends only on (spec, p) is computed here, once.
+    Rejects a top-s spec with s > d, and a two-sided threshold or the
+    adaptive rule outside the Gaussian family.  Everything that depends
+    only on (spec, d, sigma), such as the adaptive grid, is computed here,
+    once.
     """
-    if isinstance(spec, OneSidedThreshold):
-        return partial(one_sided_bits, t=spec.t)
-    if isinstance(spec, TwoSidedThreshold):
-        return partial(two_sided_bits, t=spec.t)
-    if isinstance(spec, CoshLLR):
-        return partial(two_sided_bits, t=cosh_abs_threshold(spec.a, spec.t, p.sigma))
-    if isinstance(spec, GeneralLLR):
-        a0, a1 = _llr_params(p)
-        t = llr_threshold(p.family, p.d, p.s, a0, a1, p.sigma)
-        return partial(one_sided_bits, t=t)
     if isinstance(spec, TopS):
+        if spec.s > d:
+            raise ValueError(f"top-s selector needs s <= d, got s={spec.s}, d={d}")
         return partial(top_s_bits, s=spec.s, one_sided=spec.one_sided)
-    if isinstance(spec, Universal):
-        return partial(two_sided_bits, t=universal_threshold(spec.d, p.sigma))
-    if isinstance(spec, Adaptive):
-        plan = adaptive_plan(p.d, spec.s_star, p.sigma)
-        return lambda x: np.array([adaptive_bits(row, plan)[0] for row in x])
-    raise TypeError(f"unknown selector spec {type(spec).__name__}")
+    if not isinstance(spec, (Threshold, Adaptive)):
+        raise TypeError(f"unknown selector spec {type(spec).__name__}")
+    if isinstance(spec, Threshold) and not spec.two_sided:
+        return partial(one_sided_bits, t=spec.t)
+    if family is not Family.GAUSSIAN:
+        name = "two-sided threshold" if isinstance(spec, Threshold) else "adaptive"
+        raise ValueError(f"{name} selector requires the Gaussian family")
+    if isinstance(spec, Threshold):
+        return partial(two_sided_bits, t=spec.t)
+    plan = adaptive_plan(d, spec.s_star, sigma)
+    return lambda x: np.array([adaptive_bits(row, plan)[0] for row in x])
 
 
 def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
     """Run a selector spec on observations from instance p."""
     arr = check_observations(x, p.d, p.family)
-    _check_spec(p, spec)
-    return SupportVector(_resolve_selector(spec, p)(arr[None])[0])
+    return SupportVector(resolve_selector(spec, p.d, p.family, p.sigma)(arr[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +238,6 @@ def _worker_count(d: int, blocks: int) -> int:
     if d < PARALLEL_MIN_D:
         return 1
     return min(blocks, _usable_cpus())
-
-
-def _check_compatible(
-    p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig, stress: bool
-) -> None:
-    gaussian = p.family is Family.GAUSSIAN
-    if cfg.rho != 0.0 and not gaussian:
-        raise ValueError("correlated noise is defined for the Gaussian family only")
-    if stress and not (gaussian and isinstance(p.signal, (LowerBound, TwoSided))):
-        raise ValueError("stress magnitudes apply to LowerBound/TwoSided signals")
-    _check_spec(p, spec)
 
 
 def _stream_rekeyer(seed: int) -> Callable[[int], np.random.Generator]:
@@ -410,7 +357,12 @@ def estimate_risk(
     keeping all other draws identical.  A d whose per-replication buffers
     exceed ROW_BYTES_LIMIT is rejected before anything is allocated.
     """
-    _check_compatible(p, spec, cfg, stress)
+    gaussian = p.family is Family.GAUSSIAN
+    if cfg.rho != 0.0 and not gaussian:
+        raise ValueError("correlated noise is defined for the Gaussian family only")
+    if stress and not (gaussian and isinstance(p.signal, (LowerBound, TwoSided))):
+        raise ValueError("stress magnitudes apply to LowerBound/TwoSided signals")
+    select = resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
     if not (0 <= stream_offset and stream_offset + n <= 2**64):
         raise ValueError(
@@ -422,7 +374,6 @@ def estimate_risk(
             f"d={p.d} needs {row_bytes} bytes of buffers per replication, "
             f"over the limit of {ROW_BYTES_LIMIT}"
         )
-    select = _resolve_selector(spec, p)
     rows = max(1, min(n, BLOCK_BYTES // (8 * p.d)))
     blocks = -(-n // rows)
     errors = np.empty(n, dtype=np.int64)
@@ -501,15 +452,11 @@ def bayes_floor_check(
     """
     if p.family is not Family.GAUSSIAN:
         raise ValueError("the Bayes floor is defined for the Gaussian family")
-    sig = p.signal
-    if isinstance(sig, LowerBound):
-        base = p.s * risk.psi_plus(p.d, p.s, sig.a, p.sigma)
-    elif isinstance(sig, TwoSided):
-        base = p.s * risk.psi_bar(p.d, p.s, sig.a, p.sigma)
-    else:
+    if isinstance(p.signal, Interval):
         raise ValueError("the Bayes floor needs a LowerBound or TwoSided class")
     if cfg.loss_kind is LossKind.WRONG_RECOVERY:
         raise ValueError("the Bayes floor is a Hamming-loss statement")
+    base = risk.minimax_risk(p)
     floor = base if cfg.loss_kind is LossKind.HAMMING else base / p.s
     report = estimate_risk(p, spec, cfg)
     passed = report.mc_estimate >= floor - 3.0 * report.mc_stderr
@@ -550,8 +497,6 @@ def phase_sweep(
         raise ValueError(f"a_ref must be 'almost-full' or 'exact', got {a_ref!r}")
     if not d_list or not a_multipliers or not kinds:
         raise ValueError("d_list, a_multipliers, and kinds must be nonempty")
-    from .selectors import spec_for_kind
-
     rows: list[dict] = []
     cell = 0
     for d in d_list:
@@ -559,8 +504,7 @@ def phase_sweep(
         point = risk.phase_point(d, s, sigma)
         a_base = point.a_almost_full if a_ref == "almost-full" else point.a_exact
         for mult in a_multipliers:
-            if not (mult > 0.0 and math.isfinite(mult)):
-                raise ValueError(f"need multiplier > 0, got {mult}")
+            _check_positive(mult, name="multiplier")
             a = mult * a_base
             for kind in kinds:
                 signal = LowerBound(a) if kind in _ONE_SIDED_KINDS else TwoSided(a)

@@ -20,6 +20,7 @@ from hamsel.model import (
     LossKind,
     LowerBound,
     ProblemInstance,
+    Threshold,
     TwoSided,
 )
 from hamsel.numkit import gaussian_cdf, gaussian_tail_bounds
@@ -34,7 +35,7 @@ from hamsel.risk import (
     psi_two_sided,
     wrong_recovery_bounds,
 )
-from hamsel.selectors import TwoSidedThreshold, llr_threshold, spec_for_kind
+from hamsel.selectors import llr_threshold, spec_for_kind
 from hamsel.simulate import (
     MCConfig,
     bayes_floor_check,
@@ -245,7 +246,7 @@ def test_criterion_10_adaptive_almost_full_recovery():
             p_big, spec_for_kind("adaptive", p_big, s_star=64), mc
         )
         oracle = estimate_risk(
-            p_big, TwoSidedThreshold(a0_adaptive(10_000, s, 0.0)), mc
+            p_big, Threshold(a0_adaptive(10_000, s, 0.0), two_sided=True), mc
         )
         a_small = a0_adaptive(1_000, s, adaptive_A_min(1_000, 64))
         p_small = ProblemInstance(d=1_000, s=s, signal=TwoSided(a_small))

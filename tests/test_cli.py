@@ -9,6 +9,8 @@ import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 import shutil
 import subprocess
 import sys
@@ -31,6 +33,8 @@ from hamsel.selectors import (
     crowd_selector,
     minimax_threshold,
     spec_for_kind,
+    universal_selector,
+    universal_threshold,
 )
 from hamsel.simulate import MCConfig, estimate_risk
 
@@ -170,6 +174,30 @@ class TestSelectCommand:
         )
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("method", ["threshold", "threshold-abs"])
+    @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+    def test_non_finite_cut_rejected(self, capsys, tmp_path, method, t):
+        """A cut of inf would print "threshold_used": inf, which is not JSON."""
+        f = tmp_path / "x.csv"
+        f.write_text("0.1\n2.3\n-1.5\n")
+        code, out, err = run_cli(capsys, "select", "--input", str(f), "--method", method, f"--t={t}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    def test_universal_reports_its_cut(self, capsys, tmp_path):
+        values = np.random.default_rng(7).normal(0.0, 1.0, size=50)
+        values[[3, 9]] = [4.5, -5.0]
+        f = tmp_path / "x.csv"
+        f.write_text("".join(f"{float(v)!r}\n" for v in values))
+        code, out, _ = run_cli(
+            capsys, "select", "--input", str(f), "--method", "universal", "--sigma", "1.5",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["selected"] == universal_selector(values, 50, 1.5).indices()
+        assert payload["threshold_used"] == universal_threshold(50, 1.5)
 
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(
@@ -536,6 +564,52 @@ class TestSweepCommand:
         assert code == 0
         assert out == ""
         assert len(_parse_csv(dest.read_text())) == 1
+
+
+_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """The files README.md shows with `$ cat`, and (argv, stdout) for each of
+    its `$ hamsel risk` and `$ hamsel select` examples.  An example's output
+    is the lines after it up to a blank line, a fence or the next `$`."""
+    lines = _README.read_text(encoding="utf-8").splitlines()
+    files, examples = {}, []
+    for i, line in enumerate(lines):
+        words = line.split()[1:3]
+        if line[:2] != "$ " or not (words[:1] == ["cat"] or words in (["hamsel", "risk"], ["hamsel", "select"])):
+            continue
+        shown = []
+        for nxt in lines[i + 1 :]:
+            if not nxt or nxt.startswith(("$ ", "```")):
+                break
+            shown.append(nxt + "\n")
+        argv = shlex.split(line[2:])
+        if argv[0] == "cat":
+            files[argv[1]] = "".join(shown)
+        else:
+            examples.append((argv[1:], "".join(shown)))
+    return files, examples
+
+
+_README_FILES, _README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        commands = [argv[0] for argv, _ in _README_EXAMPLES]
+        assert commands.count("risk") >= 4
+        assert "select" in commands
+        assert "obs.csv" in _README_FILES
+
+    @pytest.mark.parametrize(
+        "argv, shown", _README_EXAMPLES, ids=[" ".join(a) for a, _ in _README_EXAMPLES]
+    )
+    def test_output_is_what_the_readme_shows(self, capsys, tmp_path, monkeypatch, argv, shown):
+        for name, text in _README_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (0, shown, "")
 
 
 class TestFormatting:

@@ -139,7 +139,8 @@ class TestPsiTwoSided:
             assert psi_two_sided(d, s, a) <= psi_plus(d, s, a)
 
     def test_against_mpmath_oracle(self):
-        for d, s, a in ((101, 1, 1.0), (200, 10, 3.0), (30, 10, 0.7)):
+        # (200, 10, 2.4): the miss argument -a/2 + log(19)/a = 0.027 is clipped
+        for d, s, a in ((101, 1, 1.0), (200, 10, 3.0), (30, 10, 0.7), (200, 10, 2.4)):
             want = float(_psi_two_sided_oracle(d, s, a))
             assert_allclose(psi_two_sided(d, s, a), want, rtol=1e-13)
 

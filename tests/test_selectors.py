@@ -9,23 +9,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hamsel.model import (
     CrowdInstance,
     Adaptive,
-    CoshLLR,
     Family,
-    GeneralLLR,
     Interval,
     LowerBound,
-    OneSidedThreshold,
     ProblemInstance,
     SupportVector,
+    Threshold,
     TopS,
     TwoSided,
-    TwoSidedThreshold,
-    Universal,
     rng_stream,
 )
 from hamsel.selectors import (
@@ -51,6 +49,7 @@ from hamsel.selectors import (
     universal_selector,
     universal_threshold,
 )
+from hamsel.simulate import apply_selector
 
 
 def _log_cosh(z: float) -> float:
@@ -477,26 +476,49 @@ class TestSpecForKind:
 
     def test_plus(self):
         p = ProblemInstance(d=20, s=4, signal=LowerBound(2.0))
-        spec = spec_for_kind("plus", p)
-        assert isinstance(spec, OneSidedThreshold)
-        assert spec.t == minimax_threshold(20, 4, 2.0)
+        assert spec_for_kind("plus", p) == Threshold(minimax_threshold(20, 4, 2.0))
 
     def test_two_sided_clamps_at_zero(self):
         p = ProblemInstance(d=5, s=4, signal=TwoSided(1.0))
-        spec = spec_for_kind("two-sided", p)
-        assert isinstance(spec, TwoSidedThreshold)
-        assert spec.t == 0.0
+        assert spec_for_kind("two-sided", p) == Threshold(0.0, two_sided=True)
 
     def test_cosh(self):
         p = ProblemInstance(d=20, s=4, signal=TwoSided(2.0))
         spec = spec_for_kind("cosh", p)
-        assert isinstance(spec, CoshLLR)
-        assert spec.a == 2.0
-        assert_allclose(spec.t, 2.0 + math.log(4.0), rtol=1e-15)
+        assert spec.two_sided
+        assert spec.t == cosh_abs_threshold(2.0, 2.0 + math.log(4.0))
 
     def test_llr(self):
         p = ProblemInstance(d=20, s=4, signal=Interval(1.0, 2.0))
-        assert isinstance(spec_for_kind("llr", p), GeneralLLR)
+        assert spec_for_kind("llr", p) == Threshold(llr_threshold(Family.GAUSSIAN, 20, 4, 1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "d, s, a, sigma",
+        [(200, 10, 5.837869, 1.0), (20, 4, 2.0, 1.0), (1000, 3, 0.7, 2.5), (9, 8, 0.3, 0.4)]
+        + [(200, 10, float(a), 1.0) for a in np.random.default_rng(6).uniform(0.5, 8.0, 40)],
+    )
+    def test_cut_is_the_public_threshold_bit_for_bit(self, d, s, a, sigma):
+        """spec_for_kind computes every thresholded kind's cut through the
+        public threshold function, so the engine and the selectors cut at
+        the same float (at d=200, s=10, a=5.837869 a second formula for the
+        cosh cut lands one ulp away)."""
+        lower = ProblemInstance(d, s, LowerBound(a), sigma=sigma)
+        two = ProblemInstance(d, s, TwoSided(a), sigma=sigma)
+        interval = ProblemInstance(d, s, Interval(-0.5, a), sigma=sigma)
+        poisson = ProblemInstance(d, s, Interval(a, 2.0 * a), family=Family.POISSON)
+        t = minimax_threshold(d, s, a, sigma)
+        want = [
+            (spec_for_kind("plus", lower), Threshold(t)),
+            (spec_for_kind("two-sided", two), Threshold(max(t, 0.0), two_sided=True)),
+            (spec_for_kind("cosh", two), Threshold(cosh_threshold(d, s, a, sigma), two_sided=True)),
+            (spec_for_kind("cosh", lower), Threshold(cosh_threshold(d, s, a, sigma), two_sided=True)),
+            (spec_for_kind("llr", lower), Threshold(llr_threshold(Family.GAUSSIAN, d, s, 0.0, a, sigma))),
+            (spec_for_kind("llr", interval), Threshold(llr_threshold(Family.GAUSSIAN, d, s, -0.5, a, sigma))),
+            (spec_for_kind("llr", poisson), Threshold(llr_threshold(Family.POISSON, d, s, a, 2.0 * a))),
+            (spec_for_kind("universal", two), Threshold(universal_threshold(d, sigma), two_sided=True)),
+        ]
+        for got, expected in want:
+            assert got == expected
 
     def test_tops_sidedness_follows_signal(self):
         plus = ProblemInstance(d=20, s=4, signal=LowerBound(2.0))
@@ -506,12 +528,12 @@ class TestSpecForKind:
 
     def test_universal(self):
         p = ProblemInstance(d=20, s=4, signal=TwoSided(2.0))
-        assert spec_for_kind("universal", p) == Universal(20)
+        assert spec_for_kind("universal", p) == Threshold(universal_threshold(20), two_sided=True)
 
     def test_adaptive_needs_s_star(self):
         p = ProblemInstance(d=64, s=4, signal=TwoSided(2.0))
         spec = spec_for_kind("adaptive", p, s_star=8)
-        assert spec == Adaptive(8, 16.0)
+        assert spec == Adaptive(8)
         with pytest.raises(ValueError):
             spec_for_kind("adaptive", p)
 
@@ -526,6 +548,54 @@ class TestSpecForKind:
             spec_for_kind("plus", p)
         with pytest.raises(ValueError):
             spec_for_kind("cosh", p)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _threshold_cases(draw):
+    """(spec, x): random x salted with values on the cut, one ulp either side
+    of it, its negation and both zeros."""
+    two_sided = draw(st.booleans())
+    t = draw(_FINITE | st.sampled_from([0.0, -0.0, 5e-324, 1.0]))
+    if two_sided:
+        t = abs(t)
+    near = [t, -t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf), 0.0, -0.0]
+    near = [v for v in near if math.isfinite(v)]
+    x = draw(st.lists(_FINITE | st.sampled_from(near), min_size=2, max_size=40))
+    return Threshold(t, two_sided=two_sided), x
+
+
+class TestThresholdProperty:
+    """Threshold against its literal selection event, coordinate by coordinate."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(case=_threshold_cases())
+    @example(case=(Threshold(0.0, two_sided=True), [-0.0, 0.0, -5e-324]))
+    @example(case=(Threshold(-0.0), [-0.0, 0.0, -5e-324]))
+    @example(case=(Threshold(1.5), [1.5, math.nextafter(1.5, 0.0), -1.5]))
+    @example(case=(Threshold(1.5, two_sided=True), [-1.5, math.nextafter(-1.5, 0.0), 1.5]))
+    def test_selects_exactly_the_literal_event(self, case):
+        spec, x = case
+        p = ProblemInstance(len(x), 1, LowerBound(1.0))
+        got = apply_selector(spec, x, p).bits.tolist()
+        if spec.two_sided:
+            want = [math.fabs(v) >= spec.t for v in x]
+        else:
+            want = [v >= spec.t for v in x]
+        assert got == want
+
+    def test_cut_must_be_finite_and_two_sided_nonnegative(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                Threshold(bad)
+            with pytest.raises(ValueError, match="finite"):
+                Threshold(bad, two_sided=True)
+        with pytest.raises(ValueError, match=">= 0"):
+            Threshold(-1e-300, two_sided=True)
+        assert Threshold(-1e300).t == -1e300
+        assert Threshold(-0.0, two_sided=True).t == 0.0
 
 
 class TestSelectionCores:

@@ -22,26 +22,22 @@ from numpy.testing import assert_allclose, assert_array_equal
 from hamsel import simulate
 from hamsel.model import (
     Adaptive,
-    CoshLLR,
     Family,
-    GeneralLLR,
     Interval,
     LossKind,
     LowerBound,
-    OneSidedThreshold,
     ProblemInstance,
     SupportVector,
+    Threshold,
     TopS,
     TwoSided,
-    TwoSidedThreshold,
-    Universal,
     hamming_distance,
     least_favorable_draw,
     rng_stream,
     uniform_support,
 )
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus
-from hamsel.selectors import minimax_threshold, spec_for_kind
+from hamsel.selectors import cosh_abs_threshold, cosh_threshold, minimax_threshold, spec_for_kind
 from hamsel.simulate import (
     BLOCK_BYTES,
     PARALLEL_MIN_D,
@@ -71,7 +67,7 @@ def _plus_instance(d=200, s=10, a=3.0):
 
 
 def _plus_spec(p):
-    return OneSidedThreshold(minimax_threshold(p.d, p.s, p.signal.a, p.sigma))
+    return Threshold(minimax_threshold(p.d, p.s, p.signal.a, p.sigma))
 
 
 class TestMCConfig:
@@ -242,7 +238,7 @@ class TestEstimateRiskFamilies:
     def test_gaussian_interval_path(self):
         p = ProblemInstance(d=50, s=5, signal=Interval(1.0, 3.0))
         cfg = MCConfig(replications=8000, seed=17)
-        r = estimate_risk(p, GeneralLLR(), cfg)
+        r = estimate_risk(p, spec_for_kind("llr", p), cfg)
         want = 5.0 * psi_general(Family.GAUSSIAN, 50, 5, 1.0, 3.0)
         assert abs(r.mc_estimate - want) <= 3.0 * r.mc_stderr
 
@@ -251,7 +247,7 @@ class TestEstimateRiskFamilies:
             d=10, s=1, signal=Interval(0.1, 0.9), family=Family.BERNOULLI
         )
         cfg = MCConfig(replications=8000, seed=18)
-        r = estimate_risk(p, GeneralLLR(), cfg)
+        r = estimate_risk(p, spec_for_kind("llr", p), cfg)
         want = 1.0 * psi_general(Family.BERNOULLI, 10, 1, 0.1, 0.9)
         assert abs(r.mc_estimate - want) <= 3.0 * r.mc_stderr
 
@@ -260,7 +256,7 @@ class TestEstimateRiskFamilies:
             d=4, s=2, signal=Interval(1.0, math.e), family=Family.POISSON
         )
         cfg = MCConfig(replications=8000, seed=19)
-        r = estimate_risk(p, GeneralLLR(), cfg)
+        r = estimate_risk(p, spec_for_kind("llr", p), cfg)
         want = 2.0 * psi_general(Family.POISSON, 4, 2, 1.0, math.e)
         assert abs(r.mc_estimate - want) <= 3.0 * r.mc_stderr
 
@@ -276,9 +272,9 @@ class TestEstimateRiskFamilies:
         p = ProblemInstance(d=64, s=4, signal=TwoSided(3.0))
         cfg = MCConfig(replications=50, seed=21)
         for spec in (
-            TwoSidedThreshold(2.0),
+            Threshold(2.0, two_sided=True),
             TopS(4, one_sided=False),
-            Universal(64),
+            spec_for_kind("universal", p),
             Adaptive(16),
         ):
             r = estimate_risk(p, spec, cfg)
@@ -299,25 +295,29 @@ class TestEstimateRiskCompat:
             d=10, s=1, signal=Interval(0.1, 0.9), family=Family.BERNOULLI
         )
         with pytest.raises(ValueError):
-            estimate_risk(p, GeneralLLR(), MCConfig(replications=5, seed=1, rho=0.3))
+            estimate_risk(p, spec_for_kind("llr", p), MCConfig(replications=5, seed=1, rho=0.3))
 
     def test_symmetric_selectors_need_gaussian(self):
         p = ProblemInstance(
             d=10, s=1, signal=Interval(0.1, 0.9), family=Family.BERNOULLI
         )
-        for spec in (TwoSidedThreshold(1.0), CoshLLR(1.0, 1.0), Universal(10), Adaptive(2)):
-            with pytest.raises(ValueError):
+        for spec in (Threshold(1.0, two_sided=True), Adaptive(2)):
+            with pytest.raises(ValueError, match="requires the Gaussian family"):
                 estimate_risk(p, spec, MCConfig(replications=5, seed=1))
+            with pytest.raises(ValueError, match="requires the Gaussian family"):
+                apply_selector(spec, [0.0] * 10, p)
 
     def test_llr_needs_interval_or_lower_bound(self):
         p = ProblemInstance(d=10, s=1, signal=TwoSided(1.0))
-        with pytest.raises(ValueError):
-            estimate_risk(p, GeneralLLR(), MCConfig(replications=5, seed=1))
+        with pytest.raises(ValueError, match="LowerBound or Interval"):
+            spec_for_kind("llr", p)
 
-    def test_universal_dimension_must_match(self):
+    def test_top_s_needs_s_at_most_d(self):
         p = ProblemInstance(d=10, s=1, signal=TwoSided(1.0))
-        with pytest.raises(ValueError):
-            estimate_risk(p, Universal(12), MCConfig(replications=5, seed=1))
+        with pytest.raises(ValueError, match="s <= d"):
+            estimate_risk(p, TopS(11), MCConfig(replications=5, seed=1))
+        with pytest.raises(ValueError, match="s <= d"):
+            apply_selector(TopS(11), [0.0] * 10, p)
 
     def test_adaptive_budget(self):
         p = ProblemInstance(d=10, s=1, signal=TwoSided(1.0))
@@ -329,7 +329,7 @@ class TestEstimateRiskCompat:
             d=10, s=1, signal=Interval(0.1, 0.9), family=Family.BERNOULLI
         )
         with pytest.raises(ValueError):
-            estimate_risk(p, GeneralLLR(), MCConfig(replications=5, seed=1), stress=True)
+            estimate_risk(p, spec_for_kind("llr", p), MCConfig(replications=5, seed=1), stress=True)
 
 
 class TestStress:
@@ -389,14 +389,14 @@ class TestBayesFloor:
     def test_interval_rejected(self):
         p = ProblemInstance(d=100, s=5, signal=Interval(0.0, 2.0))
         with pytest.raises(ValueError):
-            bayes_floor_check(p, GeneralLLR(), MCConfig(replications=50, seed=30))
+            bayes_floor_check(p, spec_for_kind("llr", p), MCConfig(replications=50, seed=30))
 
     def test_non_gaussian_rejected(self):
         p = ProblemInstance(
             d=10, s=1, signal=Interval(0.1, 0.9), family=Family.BERNOULLI
         )
         with pytest.raises(ValueError):
-            bayes_floor_check(p, GeneralLLR(), MCConfig(replications=50, seed=30))
+            bayes_floor_check(p, spec_for_kind("llr", p), MCConfig(replications=50, seed=30))
 
 
 class TestPhaseSweep:
@@ -497,13 +497,13 @@ def _contract_cases():
     interval = ProblemInstance(d, s, Interval(-0.5, 2.0))
     t = minimax_threshold(d, s, 2.5)
     gaussian_specs = {
-        "plus": OneSidedThreshold(t),
-        "two-sided": TwoSidedThreshold(t),
-        "cosh": CoshLLR(2.5, 2.5**2 / 2.0 + lower.log_ratio),
+        "plus": Threshold(t),
+        "two-sided": Threshold(t, two_sided=True),
+        "cosh": Threshold(cosh_threshold(d, s, 2.5), two_sided=True),
         "tops": TopS(s),
         "tops-abs": TopS(s, one_sided=False),
         "tops-all": TopS(d),
-        "universal": Universal(d),
+        "universal": spec_for_kind("universal", two),
         "adaptive": Adaptive(8),
     }
     cases = []
@@ -511,12 +511,12 @@ def _contract_cases():
                             ("interval", interval, (False,))):
         specs = dict(gaussian_specs)
         if not isinstance(p.signal, TwoSided):
-            specs["llr"] = GeneralLLR()
+            specs["llr"] = spec_for_kind("llr", p)
         for kind, spec in specs.items():
             cases.append((f"gaussian-{name}-{kind}", p, spec, (0.0, 0.5), stress))
     for family, a0, a1 in ((Family.BERNOULLI, 0.2, 0.7), (Family.POISSON, 1.0, 3.0)):
         p = ProblemInstance(d, s, Interval(a0, a1), family=family)
-        for kind, spec in (("llr", GeneralLLR()), ("tops", TopS(s)), ("plus", OneSidedThreshold(1.0))):
+        for kind, spec in (("llr", spec_for_kind("llr", p)), ("tops", TopS(s)), ("plus", Threshold(1.0))):
             cases.append((f"{family.value}-{kind}", p, spec, (0.0,), (False,)))
     return cases
 
@@ -621,9 +621,9 @@ class TestStreamContract:
             (lower, TopS(s), 0.0, False),
             (two, spec_for_kind("cosh", two), 0.0, True),
             (two, TopS(s, one_sided=False), 0.5, False),
-            (two, Universal(d), 0.0, False),
+            (two, spec_for_kind("universal", two), 0.0, False),
             (two, Adaptive(16), 0.0, False),
-            (poisson, GeneralLLR(), 0.0, False),
+            (poisson, spec_for_kind("llr", poisson), 0.0, False),
         ]
         seed, offset = 20261018, 3 << 40
         for p, spec, rho, stress in cases:
@@ -737,20 +737,23 @@ def _engine_cases(draw):
     kind = draw(st.sampled_from(kinds))
     t = draw(st.floats(0.0, 4.0))
     spec = {
-        "plus": lambda: OneSidedThreshold(t),
-        "two-sided": lambda: TwoSidedThreshold(t),
-        "cosh": lambda: CoshLLR(a, t),
+        "plus": lambda: Threshold(t),
+        "two-sided": lambda: Threshold(t, two_sided=True),
+        "cosh": lambda: Threshold(cosh_abs_threshold(a, t), two_sided=True),
         "tops": lambda: TopS(draw(st.integers(1, d))),
         "tops-abs": lambda: TopS(draw(st.integers(1, d)), one_sided=False),
-        "universal": lambda: Universal(d),
+        "universal": lambda: spec_for_kind("universal", p),
         "adaptive": lambda: Adaptive(draw(st.integers(2, d // 4))),
-        "llr": lambda: GeneralLLR(),
+        "llr": lambda: spec_for_kind("llr", p),
     }[kind]()
     loss_kind = draw(st.sampled_from(list(LossKind)))
     seed = draw(st.integers(0, 2**64 - 1))
     reps = draw(st.integers(1, 40))
     offset = draw(st.integers(0, 2**64 - reps))
     return p, spec, rho, stress, loss_kind, seed, offset, reps
+
+
+_POISSON_1500 = ProblemInstance(1500, 5, Interval(1.0, 2.5), family=Family.POISSON)
 
 
 class TestBlockEngineProperty:
@@ -764,7 +767,7 @@ class TestBlockEngineProperty:
     )
     @example(
         case=(
-            ProblemInstance(1500, 5, Interval(1.0, 2.5), family=Family.POISSON), GeneralLLR(),
+            _POISSON_1500, spec_for_kind("llr", _POISSON_1500),
             0.0, False, LossKind.WRONG_RECOVERY, 2**64 - 1, 2**64 - 21, 21,
         )
     )
