@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import traceback
 
@@ -545,6 +546,21 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every negative number as a value.
+
+    argparse reads "-6.1e-05" as an unknown option, because its own
+    negative-number pattern has no exponent form; this one accepts any
+    float literal.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
+
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--class",
@@ -562,7 +578,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamsel",
         description="Support selection under Hamming loss: closed-form risks, "
         "selectors, and seeded Monte Carlo experiments.",

@@ -64,6 +64,18 @@ def _check_interval(family: Family, a0: float, a1: float) -> None:
         raise ValueError(f"unknown family {family!r}")
 
 
+def _check_seed(seed: int) -> None:
+    """A master seed is a 64-bit unsigned integer."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def _check_rho(rho: float) -> None:
+    """An equicorrelation lies in [0, 1)."""
+    if not (0.0 <= rho < 1.0):
+        raise ValueError(f"need rho in [0,1), got {rho}")
+
+
 def _check_rates(rates) -> tuple[tuple[float, float], ...]:
     """Crowd workers' (a_i0, a_i1) pairs as floats, each in (0,1) and unequal."""
     out = tuple((float(a0), float(a1)) for a0, a1 in rates)
@@ -377,8 +389,7 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
     Philox keyed by the pair makes replication #index reproducible on its
     own, so parallel schedules and sequential runs give identical draws.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    _check_seed(seed)
     if not 0 <= index < 2**64:
         raise ValueError(f"stream index out of range: {index}")
     key = np.array([seed, index], dtype=np.uint64)
@@ -394,16 +405,69 @@ def fresh_seed() -> int:
     return int(np.random.SeedSequence().entropy) & (2**64 - 1)
 
 
+def floyd_resolve(t: np.ndarray, d: int) -> np.ndarray:
+    """Rows of Floyd's step draws -> the s-subsets of {0..d-1} they pick.
+
+    Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM
+    1987) runs s steps; step k draws t_k from {0 .. j_k}, j_k = d - s + k,
+    and adds t_k to the set, or j_k when t_k is already taken.  Every
+    s-subset comes out with the same probability.  Row r of the result
+    (same shape as t, one row per set) holds what step k of row r adds.
+
+    The steps are resolved together, with no loop over k.  A t_k below
+    d - s is taken iff it repeats an earlier t of its row, since every j
+    is at least d - s.  A t_k = j_m with m < k is taken iff it repeats an
+    earlier t or step m added j_m, that is, iff t_m was taken; t_k = j_k
+    never is.  That dependence only runs back to earlier steps, so
+    iterating it from the repeats to a fixpoint gives the sequential
+    answer.
+    """
+    rows, s = t.shape
+    j0 = d - s
+    # t_k s + k sorts a row by t, equal t in step order: every repeat
+    # follows its first occurrence
+    key = np.sort(t * s + np.arange(s), axis=1)
+    t_sorted = key // s
+    taken = np.zeros(rows * s, dtype=bool)
+    taken[(key % s + np.arange(0, rows * s, s)[:, None])[:, 1:]] = (
+        t_sorted[:, 1:] == t_sorted[:, :-1]
+    )
+    flat = t.reshape(-1)
+    high = np.flatnonzero(flat >= j0)
+    if high.size:
+        repeats = taken[high]
+        step = flat[high] - j0 + high // s * s  # flat position of step m
+        while True:
+            now = repeats | taken[step]
+            if np.array_equal(now, taken[high]):
+                break
+            taken[high] = now
+    return np.where(taken.reshape(rows, s), np.arange(j0, d), t)
+
+
+def uniform_supports(u: np.ndarray, d: int) -> np.ndarray:
+    """Rows of s uniforms in [0, 1) -> rows of s distinct indices in {0..d-1}.
+
+    Each row is one uniform s-subset, by Floyd's algorithm on the steps
+    t_k = floor(u_k (d - s + k + 1)) (see floyd_resolve), in the order the
+    steps add them.  A 53-bit uniform makes each t_k uniform on its range
+    to within a relative (d - s + k + 1) 2^-53.
+    """
+    s = u.shape[-1]
+    return floyd_resolve((u * np.arange(d - s + 1, d + 1)).astype(np.intp), d)
+
+
 def uniform_support(d: int, s: int, rng: np.random.Generator) -> SupportVector:
     """Uniformly random s-subset of {1..d} as a support vector.
 
-    Fisher-Yates via ``rng.permutation``: exact uniformity, O(d).  s = d is
-    allowed (the full support is forced).
+    Draws s uniforms, one Philox word each, and places them with
+    uniform_supports in O(s log s) steps, whatever d.  s = d is allowed
+    (the full support is forced).
     """
     if not 1 <= s <= d:
         raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
     bits = np.zeros(d, dtype=bool)
-    bits[rng.permutation(d)[:s]] = True
+    bits[uniform_supports(rng.random((1, s)), d)] = True
     return SupportVector(bits)
 
 
@@ -416,8 +480,8 @@ def least_favorable_draw(
     TwoSided: additionally one global sign flip with probability 1/2 (the
     mixture of the two pure-sign priors), not per-coordinate signs.
 
-    Draw order is part of the reproducibility contract: the support
-    permutation is consumed first, then (TwoSided only) the sign.
+    Draw order is part of the reproducibility contract: the support's s
+    uniforms are consumed first, then (TwoSided only) the sign.
     """
     if p.family is not Family.GAUSSIAN:
         raise ValueError("least-favorable draws are defined for the Gaussian family")

@@ -10,27 +10,31 @@ before replication r, which leaves it in the same state as a fresh
 ``rng_stream(S, stream_offset + r)``; the draws, and so the results, are
 unchanged.
 
-Within one replication the draw order is fixed: support permutation,
-global sign (TwoSided only), common Gaussian factor Z0 (always consumed,
-even at rho = 0, so runs at different rho share all other draws), the
-i.i.d. noise vector, and stress magnitudes last, which lets a stress run
-share its support, sign, and noise with the plain run at the same seed.
+Within one replication the draw order is fixed: the support's s
+uniforms, global sign (TwoSided only), common Gaussian factor Z0 (always
+consumed, even at rho = 0, so runs at different rho share all other
+draws), the i.i.d. noise vector, and stress magnitudes last, which lets a
+stress run share its support, sign, and noise with the plain run at the
+same seed.  The support is the s-subset Floyd's algorithm picks from those
+uniforms (model.uniform_supports), O(s) whatever d.  Bernoulli and Poisson
+rows draw their noise before the support is known (see generate_family).
 
 Replications run in blocks of B rows (see BLOCK_BYTES).  A block's draws
-are made row by row, each row from its own stream, into (B, d) buffers;
-the noise scaling, the signal placement, the selector and the loss then
-run once on the whole block.  The selector spec is resolved once per run
-into a function from a block of observations to a bool selection, and a
-replication's loss is the count of the selection XOR its support, without
-building ``SupportVector`` objects.  Losses land in a positional array and
-are reduced with numpy's pairwise summation, so the aggregate is
-independent of B and of completion order.
+are made row by row, each row from its own stream, into (B, s) and (B, d)
+buffers; the supports of all rows, the noise scaling, the signal
+placement, the selector and the loss then run once on the whole block.
+The selector spec is resolved once per run into a function from a block
+of observations to a bool selection, and a replication's loss is the
+count of the selection XOR its support, without building
+``SupportVector`` objects.  Losses land in a positional array and are
+reduced with numpy's pairwise summation, so the aggregate is independent
+of B and of completion order.
 
 The engine picks its own worker count from d (see PARALLEL_MIN_D): one
-thread below it, where the per-row Python loop holds the interpreter lock
-and a second thread only adds contention, and min(blocks, usable CPUs) at
-or above it, where the d-length Philox fills release the lock.  Results
-never depend on the count.
+thread below it, where the per-row Python loop and the block work hold
+the interpreter lock and a second thread only adds contention, and
+min(blocks, usable CPUs) at or above it, where the d-length Philox fills
+release the lock.  Results never depend on the count.
 """
 
 from __future__ import annotations
@@ -57,9 +61,13 @@ from .model import (
     Threshold,
     TopS,
     TwoSided,
+    _check_d_s,
     _check_interval,
     _check_positive,
+    _check_rho,
+    _check_seed,
     rng_stream,
+    uniform_supports,
 )
 from .selectors import (
     adaptive_bits,
@@ -87,10 +95,8 @@ class MCConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError(f"need replications >= 1, got {self.replications}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not (0.0 <= self.rho < 1.0):
-            raise ValueError(f"need rho in [0,1), got {self.rho}")
+        _check_seed(self.seed)
+        _check_rho(self.rho)
         object.__setattr__(self, "loss_kind", LossKind(self.loss_kind))
 
 
@@ -114,8 +120,7 @@ def generate_gaussian(
     if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
     _check_positive(sigma=sigma)
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"need rho in [0,1), got {rho}")
+    _check_rho(rho)
     common, own = math.sqrt(rho), math.sqrt(1.0 - rho)
     z = rng.standard_normal(theta.size + 1)
     return theta + _scale_noise(z, sigma, common, own)
@@ -147,17 +152,22 @@ def generate_family(
     a1: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Coordinate j drawn from P1 if eta_j = 1 else P0 (Bernoulli/Poisson)."""
+    """Coordinate j drawn from P1 if eta_j = 1 else P0 (Bernoulli/Poisson).
+
+    Bernoulli: d uniforms, each below a1 on the support and a0 off it.
+    Poisson: d Poisson(a0) counts, then s = |eta| Poisson(a1 - a0) counts
+    added to the support coordinates in ascending order; a sum of
+    independent Poissons is Poisson, so a support count is Poisson(a1)
+    (to the rounding of a1 - a0).
+    """
     _check_interval(family, a0, a1)
     if family is Family.GAUSSIAN:
         raise ValueError("generate_family covers the Bernoulli and Poisson families")
-    return _family_draw(family, np.where(eta.bits, a1, a0), rng)
-
-
-def _family_draw(family: Family, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if family is Family.BERNOULLI:
-        return (rng.random(means.size) < means).astype(float)
-    return rng.poisson(means).astype(float)
+        return (rng.random(eta.d) < np.where(eta.bits, a1, a0)).astype(float)
+    x = rng.poisson(a0, eta.d).astype(float)
+    x[eta.bits] += rng.poisson(a1 - a0, eta.weight)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +221,20 @@ def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
 # replication for top-s, which made d = 10^4 slower than one row at a time.
 BLOCK_BYTES = 120 * 1024
 
-# Bytes of one replication's buffers (its permutation and its Z0-and-noise
-# row) that estimate_risk accepts: d up to about 4.2 million.
+# Bytes of one replication's d-length rows that estimate_risk accepts: its
+# Z0-and-noise (or observation) row and the selector's working row (|x|,
+# or top-s's partitioned copy), 8 (2d + 1) bytes, so d up to about 4.2
+# million.  The support and stress rows are smaller.
 ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
 # Smallest d at which replications are spread over threads.  A row's
-# shuffle and Z0-and-noise fill release the interpreter lock and grow with
-# d, while the per-row Python work holding it does not.  In a sweep of 1
-# against 2 workers on 2 CPUs, 2 were slower for every selector up to
-# d = 400 and for the adaptive rule (a per-row loop) up to d = 1,000, and
-# faster for every selector from d = 1,400 on; 2,048 clears every crossover.
+# Z0-and-noise fill releases the interpreter lock and grows with d, while
+# the per-row Python work and the block's support resolution, which hold
+# it, grow with s or not at all.  In a sweep of 1 against 2 workers on 2
+# CPUs, 2 were slower than 1 for the threshold and top-s rules up to
+# d = 400 and about even at d = 700-1,000, slower for the adaptive rule (a
+# per-row loop) up to d = 1,400, and faster for every selector from
+# d = 2,048 on: 1.14x for adaptive and 1.37-1.52x for the rest there.
 PARALLEL_MIN_D = 2048
 
 
@@ -269,34 +283,52 @@ def _block_sampler(
     """One worker's draw buffers for blocks of up to ``rows`` replications.
 
     Returns draw(stream, first, m) -> (observations, supports): an (m, d)
-    and an (m, s) view for replications first .. first + m - 1, valid
+    and an (m, s) array for replications first .. first + m - 1, valid
     until the next call.  Row i re-keys the stream to first + i and makes
     the draws of least_favorable_draw / uniform_support followed by
     generate_gaussian / generate_family, in the order the module docstring
-    fixes: the support is the first s entries of a shuffled range(d), which
-    is what rng.permutation(d) draws, and Z0 and the noise come from one
-    standard_normal call.  The noise scaling and the signal placement draw
-    nothing and run once per block.
+    fixes: s uniforms for the support, and Z0 and the noise from one
+    standard_normal call.  The supports of the whole block, the noise
+    scaling and the signal placement draw nothing and run once per block.
     """
     d, s, sig = p.d, p.s, p.signal
-    perm = np.empty((rows, d), dtype=np.intp)
-    identity = np.arange(d)
+    u = np.empty((rows, s))
+    row_index = np.arange(rows)[:, None]
 
-    if p.family is not Family.GAUSSIAN:
-        means = np.empty((rows, d))
+    if p.family is Family.BERNOULLI:
         x = np.empty((rows, d))
 
-        def draw_family(stream, first, m):
-            perm[:m] = identity
-            means[:m] = sig.a0
+        def draw_bernoulli(stream, first, m):
             for i in range(m):
                 rng = stream(first + i)
-                rng.shuffle(perm[i])
-                means[i, perm[i, :s]] = sig.a1
-                x[i] = _family_draw(p.family, means[i], rng)
-            return x[:m], perm[:m, :s]
+                rng.random(out=u[i])
+                rng.random(out=x[i])
+            idx = uniform_supports(u[:m], d)
+            on = row_index[:m], idx
+            hits = x[on] < sig.a1
+            x[:m] = x[:m] < sig.a0
+            x[on] = hits
+            return x[:m], idx
 
-        return draw_family
+        return draw_bernoulli
+
+    if p.family is Family.POISSON:
+        x = np.empty((rows, d))
+        extra = np.empty((rows, s))
+        rate = sig.a1 - sig.a0
+
+        def draw_poisson(stream, first, m):
+            for i in range(m):
+                rng = stream(first + i)
+                rng.random(out=u[i])
+                x[i] = rng.poisson(sig.a0, d)
+                extra[i] = rng.poisson(rate, s)
+            # generate_family adds the extra counts in ascending index order
+            idx = np.sort(uniform_supports(u[:m], d), axis=1)
+            x[row_index[:m], idx] += extra[:m]
+            return x[:m], idx
+
+        return draw_poisson
 
     sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
     signs = isinstance(sig, TwoSided)
@@ -305,24 +337,28 @@ def _block_sampler(
     z_flat = z.reshape(-1)
     x_starts = np.arange(1, rows * (d + 1), d + 1)[:, None]  # flat index of x[i, 0] in z
     value = np.full((rows, 1), level)
-    mult = np.empty((rows, s))
+    # a row draws stress codes for all d coordinates; the support's are
+    # read once the block's supports are resolved
+    codes = np.empty((rows, d), dtype=np.int8) if stress else None
 
     def draw_gaussian(stream, first, m):
-        perm[:m] = identity
         for i in range(m):
             rng = stream(first + i)
-            rng.shuffle(perm[i])
+            rng.random(out=u[i])
             if signs:
                 value[i] = -level if rng.random() < 0.5 else level
             rng.standard_normal(out=z[i])
             if stress:
-                mult[i] = _STRESS_MULTIPLIERS[rng.integers(0, 3, size=d)[perm[i, :s]]]
+                codes[i] = rng.integers(0, 3, size=d)
+        idx = uniform_supports(u[:m], d)
         x = _scale_noise(z[:m], sigma, common, own)
-        idx = perm[:m, :s]
         at = idx + x_starts[:m]
+        signal = value[:m]
+        if stress:
+            signal = signal * _STRESS_MULTIPLIERS[codes[row_index[:m], idx]]
         # x = theta + noise with theta = base off the support and
         # value (times the stress multiplier) on it
-        on_support = z_flat[at] + (value[:m] * mult[:m] if stress else value[:m])
+        on_support = z_flat[at] + signal
         if base:
             x += base
         z_flat[at] = on_support
@@ -368,7 +404,7 @@ def estimate_risk(
         raise ValueError(
             f"stream indices {stream_offset}..{stream_offset + n - 1} out of range"
         )
-    row_bytes = 8 * (2 * p.d + 1)  # a permutation row and a Z0-and-noise row
+    row_bytes = 8 * (2 * p.d + 1)  # see ROW_BYTES_LIMIT
     if row_bytes > ROW_BYTES_LIMIT:
         raise ValueError(
             f"d={p.d} needs {row_bytes} bytes of buffers per replication, "
@@ -561,12 +597,8 @@ def psi_bar_printed_mc(
 
     Returns (mean, stderr).
     """
-    if not 1 <= s < d:
-        raise ValueError(f"need 1 <= s < d, got s={s}, d={d}")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"need a > 0, got {a}")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"need sigma > 0, got {sigma}")
+    _check_d_s(d, s)
+    _check_positive(a, sigma)
     if draws < 2:
         raise ValueError(f"need draws >= 2, got {draws}")
     ratio = (d - s) / s

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import shlex
 import shutil
 import subprocess
@@ -90,6 +91,30 @@ class TestRiskCommand:
         )
         assert code == 0
         assert json.loads(out)["psi"] == psi_plus(50, 5, 3.0)
+
+    def test_negative_exponent_value_is_not_an_option(self, capsys):
+        """A negative float in exponent form is a value, spaced or with '='."""
+        head = ("risk", "--class", "interval", "--d", "200", "--s", "10")
+        spaced = run_cli(capsys, *head, "--a0", "-6.1e-05", "--a1", "3.564359")
+        joined = run_cli(capsys, *head, "--a0=-6.1e-05", "--a1", "3.564359")
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["psi"] == psi_plus(200, 10, 3.564359 + 6.1e-05)
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-.5e1", "-3.e0", "-7"])
+    def test_negative_float_forms_on_every_numeric_flag(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "select", "--input", "missing.csv", "--method", "threshold", "--t", value,
+        )
+        # parsed as --t's value: the run gets as far as opening the file
+        assert (code, out) == (2, "")
+        assert "missing.csv" in err
+        code, _, err = run_cli(
+            capsys, "phase", "--d-list", "100", "--s-rule", "fixed:5", "--a-mult", value,
+            "--selectors", "plus", "--reps", "2", "--seed", "1",
+        )
+        assert code == 2
+        assert "multiplier" in err
 
     def test_wrong_recovery_payload(self, capsys):
         code, out, _ = run_cli(
@@ -570,29 +595,37 @@ _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _readme_examples():
-    """The files README.md shows with `$ cat`, and (argv, stdout) for each of
-    its `$ hamsel risk` and `$ hamsel select` examples.  An example's output
-    is the lines after it up to a blank line, a fence or the next `$`."""
+    """The files README.md shows with `$ cat`, (argv, stdout) for each of
+    its `$ hamsel risk` and `$ hamsel select` examples, and (argv, shown
+    lines) for its `$ hamsel mc` and `$ hamsel phase` examples, whose
+    output it elides with "...".  A command continues over lines ending in
+    a backslash; its output is the lines after it up to a blank line, a
+    fence or the next `$`."""
     lines = _README.read_text(encoding="utf-8").splitlines()
-    files, examples = {}, []
+    files, examples, elided = {}, [], []
     for i, line in enumerate(lines):
         words = line.split()[1:3]
-        if line[:2] != "$ " or not (words[:1] == ["cat"] or words in (["hamsel", "risk"], ["hamsel", "select"])):
+        if line[:2] != "$ " or not (words[:1] == ["cat"] or words[:1] == ["hamsel"]):
             continue
+        command, end = line[2:], i + 1
+        while command.endswith("\\"):
+            command, end = command[:-1] + lines[end], end + 1
         shown = []
-        for nxt in lines[i + 1 :]:
+        for nxt in lines[end:]:
             if not nxt or nxt.startswith(("$ ", "```")):
                 break
             shown.append(nxt + "\n")
-        argv = shlex.split(line[2:])
+        argv = shlex.split(command)
         if argv[0] == "cat":
             files[argv[1]] = "".join(shown)
-        else:
+        elif argv[1] in ("risk", "select"):
             examples.append((argv[1:], "".join(shown)))
-    return files, examples
+        elif argv[1] in ("mc", "phase"):
+            elided.append((argv[1:], shown))
+    return files, examples, elided
 
 
-_README_FILES, _README_EXAMPLES = _readme_examples()
+_README_FILES, _README_EXAMPLES, _README_ELIDED = _readme_examples()
 
 
 class TestReadmeExamples:
@@ -601,6 +634,7 @@ class TestReadmeExamples:
         assert commands.count("risk") >= 4
         assert "select" in commands
         assert "obs.csv" in _README_FILES
+        assert sorted(argv[0] for argv, _ in _README_ELIDED) == ["mc", "phase"]
 
     @pytest.mark.parametrize(
         "argv, shown", _README_EXAMPLES, ids=[" ".join(a) for a, _ in _README_EXAMPLES]
@@ -610,6 +644,26 @@ class TestReadmeExamples:
             (tmp_path / name).write_text(text, encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         assert run_cli(capsys, *argv) == (0, shown, "")
+
+    @pytest.mark.parametrize(
+        "argv, shown", _README_ELIDED, ids=[" ".join(a) for a, _ in _README_ELIDED]
+    )
+    def test_elided_output_shows_what_the_cli_prints(self, capsys, argv, shown):
+        """Every `"key": value` of the mc example is in the output; each line
+        of the phase example starts its output line, up to the "..."."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if argv[0] == "mc":
+            got = json.loads(out)
+            fields = re.findall(r'"(\w+)": ([^,{}\s]+)', "".join(shown))
+            assert {"estimate", "stderr", "seed", "closed_form"} <= {key for key, _ in fields}
+            for key, text in fields:
+                assert got[key] == json.loads(text), key
+        else:
+            rows = out.splitlines()
+            assert 2 <= len(shown) <= len(rows)
+            for line, row in zip(shown, rows):
+                assert row.startswith(line.rstrip("\n").removesuffix("..."))
 
 
 class TestFormatting:

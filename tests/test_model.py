@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hamsel.model import (
@@ -18,6 +20,7 @@ from hamsel.model import (
     RiskReport,
     SupportVector,
     TwoSided,
+    floyd_resolve,
     fresh_seed,
     hamming_distance,
     least_favorable_draw,
@@ -27,6 +30,7 @@ from hamsel.model import (
     rng_stream,
     support_summary,
     uniform_support,
+    uniform_supports,
 )
 
 
@@ -189,6 +193,8 @@ class TestRngStream:
         for seed, index in ((-1, 0), (0, -1), (2**64, 0), (0, 2**64)):
             with pytest.raises(ValueError):
                 rng_stream(seed, index)
+        with pytest.raises(ValueError, match=rf"^seed must be a 64-bit unsigned integer, got {2**64}$"):
+            rng_stream(2**64, 0)
 
     def test_fresh_seed_in_range(self):
         for _ in range(8):
@@ -219,12 +225,80 @@ class TestUniformSupport:
         stat = sum((c - expected) ** 2 / expected for c in bins.values())
         assert stat < scipy.stats.chi2.ppf(0.999, df=9)
 
+    @pytest.mark.parametrize("d, s", [(6, 3), (7, 2)])
+    def test_block_draws_uniform_over_subsets(self, d, s):
+        """Every s-subset appears at the same frequency in rows of the
+        block sampler, the one estimate_risk runs."""
+        n = 2000 * math.comb(d, s)
+        rows = np.sort(uniform_supports(rng_stream(20261018, d).random((n, s)), d), axis=1)
+        assert (np.diff(rows, axis=1) > 0).all()
+        subsets, counts = np.unique(rows, axis=0, return_counts=True)
+        assert len(subsets) == math.comb(d, s)
+        expected = n / len(subsets)
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert stat < scipy.stats.chi2.ppf(0.999, df=len(subsets) - 1)
+
+    def test_one_row_of_the_block_sampler(self):
+        """uniform_support spends s uniforms and places them as
+        uniform_supports places a row of them."""
+        for d, s in ((9, 4), (200, 10), (10_000, 100), (5, 5)):
+            rng, same = rng_stream(3, d), rng_stream(3, d)
+            eta = uniform_support(d, s, rng)
+            want = uniform_supports(same.random((1, s)), d)[0]
+            assert eta.indices() == sorted(int(j) + 1 for j in want)
+            assert rng.random() == same.random()  # both streams moved on by s words
+
     def test_validation(self):
         rng = rng_stream(7, 2)
         with pytest.raises(ValueError):
             uniform_support(4, 0, rng)
         with pytest.raises(ValueError):
             uniform_support(4, 5, rng)
+
+
+def _sequential_floyd(t_row, d):
+    """Floyd's algorithm one step at a time: step k adds t_k, or
+    d - s + k when t_k is already chosen."""
+    s = len(t_row)
+    chosen = []
+    for k, t in enumerate(t_row):
+        chosen.append(d - s + k if t in chosen else t)
+    return chosen
+
+
+@st.composite
+def _floyd_blocks(draw):
+    """(d, t): a block of valid step draws, 0 <= t[r, k] <= d - s + k.
+
+    Negative raw values map into the high band d - s .. d - s + k, where
+    collisions chain, so about half the draws land there."""
+    d = draw(st.integers(1, 40))
+    s = draw(st.integers(1, d))
+    rows = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.integers(-d, d), min_size=rows * s, max_size=rows * s))
+    t = np.array(raw, dtype=np.intp).reshape(rows, s)
+    k = np.arange(s)
+    return d, np.where(t >= 0, t % (d - s + k + 1), d - s + (-t - 1) % (k + 1))
+
+
+class TestFloydResolve:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(block=_floyd_blocks())
+    @example(block=(1, np.array([[0]])))  # s = d = 1
+    @example(block=(9, np.array([[4]])))  # s = 1
+    @example(block=(4, np.array([[0, 1, 2, 3], [0, 0, 0, 0], [0, 1, 1, 2]])))  # s = d
+    # a chain: step 1 repeats t_0 and adds 2, t_2 = 2 then collides and
+    # adds 3, and t_3 = 3 collides and adds 4; row 2 has no collision
+    @example(block=(5, np.array([[0, 0, 2, 3], [1, 2, 3, 4]])))
+    @example(block=(12, np.array([[0, 0, 8, 9, 10]])))  # a chain through every step
+    def test_block_equals_sequential_floyd(self, block):
+        d, t = block
+        got = floyd_resolve(t, d)
+        assert got.shape == t.shape
+        for row, t_row in zip(got, t):
+            want = _sequential_floyd([int(v) for v in t_row], d)
+            assert row.tolist() == want
+            assert len(set(want)) == len(want)
 
 
 class TestLeastFavorableDraw:

@@ -20,6 +20,7 @@ from hamsel.risk import (
     PhasePoint,
     RecoveryBounds,
     WrongRecoveryBounds,
+    _scaled_tail,
     a0_adaptive,
     adaptive_A_min,
     delta_bounds,
@@ -232,6 +233,25 @@ class TestRiskProperties:
         lo, hi = sorted(levels)
         for psi in (psi_plus, psi_bar):
             assert psi(d, s, hi, sigma) <= psi(d, s, lo, sigma) * (1.0 + _ORDER_RTOL)
+
+
+class TestScaledTailSeam:
+    """scale Phi(y) on both sides of the switch to the log route at y = -36,
+    against mpmath: to the closed forms' 1e-13 on the direct side, and to
+    1e-12 on the log side, where the truncated Mills series (about
+    945 / y^10 = 2.6e-13 at y = 36) and the rounding of a log near -650
+    set the error."""
+
+    @_PROPERTY
+    @given(y=st.floats(-36.5, -35.5), scale=st.floats(1.0, 1e7))
+    @example(y=-36.0, scale=19.0)
+    @example(y=math.nextafter(-36.0, 0.0), scale=19.0)
+    @example(y=math.nextafter(-36.0, -37.0), scale=19.0)
+    @example(y=math.nextafter(-36.0, -37.0), scale=1e7)
+    def test_matches_mpmath(self, y, scale):
+        exact = float(mp.mpf(scale) * mp.ncdf(mp.mpf(y)))
+        rtol = 1e-13 if y > -36.0 else 1e-12
+        assert_allclose(_scaled_tail(scale, math.log(scale), y), exact, rtol=rtol)
 
 
 class TestPsiGeneralGaussian:

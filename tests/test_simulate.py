@@ -83,6 +83,14 @@ class TestMCConfig:
         with pytest.raises(ValueError):
             MCConfig(replications=10, seed=1, rho=-0.1)
 
+    def test_rho_and_seed_messages(self):
+        """The rho and seed checks are the ones generate_gaussian and
+        rng_stream run, with the same messages."""
+        with pytest.raises(ValueError, match=r"^need rho in \[0,1\), got 1\.0$"):
+            MCConfig(replications=10, seed=1, rho=1.0)
+        with pytest.raises(ValueError, match=r"^seed must be a 64-bit unsigned integer, got -1$"):
+            MCConfig(replications=10, seed=-1)
+
     def test_loss_kind_coercion(self):
         cfg = MCConfig(replications=10, seed=1, loss_kind="normalized-hamming")
         assert cfg.loss_kind is LossKind.NORMALIZED_HAMMING
@@ -122,6 +130,8 @@ class TestGenerateGaussian:
             generate_gaussian([1.0], 1.0, 1.0, rng)
         with pytest.raises(ValueError):
             generate_gaussian([float("inf")], 1.0, 0.0, rng)
+        with pytest.raises(ValueError, match=r"^need rho in \[0,1\), got -0\.1$"):
+            generate_gaussian([1.0], 1.0, -0.1, rng)
 
 
 class TestGenerateFamily:
@@ -143,6 +153,17 @@ class TestGenerateFamily:
         assert (x == np.floor(x)).all()
         assert abs(x[:1000].mean() - 6.0) < 3.0 * math.sqrt(6.0 / 1000)
         assert abs(x[1000:].mean() - 1.0) < 3.0 * math.sqrt(1.0 / 1000)
+
+    def test_poisson_counts_have_poisson_variance(self):
+        """On the support a count is Poisson(a0) plus Poisson(a1 - a0):
+        variance a1, as for a Poisson(a1) draw, not a1 - a0 or a0."""
+        n = 20_000
+        eta = SupportVector([1] * n + [0] * n)
+        x = generate_family(eta, Family.POISSON, 1.0, 6.0, rng_stream(20261018, 5))
+        for part, lam in ((x[:n], 6.0), (x[n:], 1.0)):
+            # sd of a Poisson sample variance: sqrt((lam + 2 lam^2) / n)
+            assert abs(part.var(ddof=1) - lam) < 3.0 * math.sqrt((lam + 2.0 * lam * lam) / n)
+            assert abs(part.mean() - lam) < 3.0 * math.sqrt(lam / n)
 
     def test_gaussian_rejected(self):
         with pytest.raises(ValueError):
