@@ -39,8 +39,9 @@ _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
 
 
 def _scaled_tail(scale: float, log_scale: float, y: float) -> float:
-    """scale * Phi(y), via logs once Phi(y) nears the subnormal range."""
-    if y > -36.0:
+    """scale * Phi(y), via logs below y = -37, where gaussian_cdf's 1e-14
+    accuracy ends and Phi(y) nears the subnormal range."""
+    if y >= -37.0:
         return scale * numkit.gaussian_cdf(y)
     return math.exp(log_scale + numkit.log_gaussian_tail(-y))
 

@@ -1,4 +1,6 @@
-"""Selection rules mapping observations to support vectors.
+"""Selection rules: each threshold rule's cut, the spec of each named rule
+(spec_for_kind, run by simulate.apply_selector), and the top-s and adaptive
+cores over a (rows, d) block of observations.
 
 Boundary conventions are normative, not cosmetic: selection events use the
 closed inequality ``>= t`` exactly as defined, and the adaptive procedure's
@@ -41,37 +43,6 @@ def _as_observations(x) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("observations must be finite")
     return arr
-
-
-# ---------------------------------------------------------------------------
-# Plain thresholds
-# ---------------------------------------------------------------------------
-
-
-def one_sided_bits(x: np.ndarray, t: float) -> np.ndarray:
-    """Core of the one-sided rule on validated observations: x_j >= t."""
-    return x >= t
-
-
-def two_sided_bits(x: np.ndarray, t: float) -> np.ndarray:
-    """Core of the two-sided rule on validated observations: |x_j| >= t."""
-    return np.abs(x) >= t
-
-
-def threshold_one_sided(x, t: float) -> SupportVector:
-    """Select j iff x_j >= t."""
-    arr = _as_observations(x)
-    if math.isnan(t):
-        raise ValueError("threshold must not be NaN")
-    return SupportVector(one_sided_bits(arr, t))
-
-
-def threshold_two_sided(x, t: float) -> SupportVector:
-    """Select j iff |x_j| >= t; t must be nonnegative."""
-    arr = _as_observations(x)
-    if not t >= 0.0:
-        raise ValueError(f"two-sided threshold must be >= 0, got {t}")
-    return SupportVector(two_sided_bits(arr, t))
 
 
 def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
@@ -123,12 +94,14 @@ def cosh_selector(
 ) -> SupportVector:
     """Exact-minimax symmetric selector for the two-sided class.
 
-    Implemented through the equivalent |x| threshold of
+    The "cosh" spec, a cut at the equivalent |x| threshold of
     :func:`cosh_threshold`; tests assert agreement with the literal
     log-cosh comparison.
     """
-    arr = check_observations(x, d)
-    return SupportVector(two_sided_bits(arr, cosh_threshold(d, s, a, sigma)))
+    from .simulate import apply_selector  # simulate imports this module
+
+    p = ProblemInstance(d, s, TwoSided(a), sigma=sigma)
+    return apply_selector(spec_for_kind("cosh", p), x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +149,6 @@ def check_observations(x, d: int, family: Family = Family.GAUSSIAN) -> np.ndarra
         if (arr < 0.0).any() or not (arr == np.floor(arr)).all():
             raise ValueError("Poisson observations must be nonnegative integers")
     return arr
-
-
-def llr_selector(
-    x, family: Family, d: int, s: int, a0: float, a1: float, sigma: float = 1.0
-) -> SupportVector:
-    """Likelihood-ratio selector for a two-distribution family."""
-    arr = check_observations(x, d, family)
-    return SupportVector(one_sided_bits(arr, llr_threshold(family, d, s, a0, a1, sigma)))
 
 
 def crowd_weights(rates) -> tuple[np.ndarray, float]:
@@ -251,28 +216,11 @@ def top_s_bits(x: np.ndarray, s: int, one_sided: bool = True) -> np.ndarray:
     return bits
 
 
-def top_s_selector(x, s: int, one_sided: bool = True) -> SupportVector:
-    """Select the s largest coordinates; ties go to the lowest index.
-
-    The one-sided variant ranks by value, the two-sided one by |value|.
-    """
-    arr = _as_observations(x)
-    if not 1 <= s <= arr.size:
-        raise ValueError(f"need 1 <= s <= d, got s={s}, d={arr.size}")
-    return SupportVector(top_s_bits(arr, s, one_sided))
-
-
 def universal_threshold(d: int, sigma: float = 1.0) -> float:
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     _check_positive(sigma=sigma)
     return sigma * math.sqrt(2.0 * math.log(d))
-
-
-def universal_selector(x, d: int, sigma: float = 1.0) -> SupportVector:
-    """Two-sided threshold at sigma sqrt(2 log d); needs no sparsity input."""
-    arr = check_observations(x, d)
-    return SupportVector(two_sided_bits(arr, universal_threshold(d, sigma)))
 
 
 class AdaptiveResult(NamedTuple):
@@ -307,24 +255,27 @@ def adaptive_plan(d: int, s_star: int, sigma: float = 1.0) -> AdaptivePlan:
     return AdaptivePlan(grid, w, tau)
 
 
-def adaptive_bits(x: np.ndarray, plan: AdaptivePlan) -> tuple[np.ndarray, int, dict]:
-    """Core of the adaptive rule on validated observations.
+def adaptive_bits(x: np.ndarray, plan: AdaptivePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Core of the adaptive rule along the last axis of a (rows, d) block
+    of validated observations.
 
-    Returns (selection, chosen m, band counts).  The thresholds decrease
-    along the grid, so band k's count #{w(g_k) <= |x| < w(g_{k-1})} is the
-    difference of the counts of |x| >= w(g_k) and |x| >= w(g_{k-1}).
+    Returns the (rows, d) selection, each row's chosen m and its (rows, M-1)
+    band counts N_2..N_M.  The thresholds decrease along the grid, so band
+    k's count #{w(g_k) <= |x| < w(g_{k-1})} is the difference of the counts
+    of |x| >= w(g_k) and |x| >= w(g_{k-1}), all M of which come from one
+    stacked comparison.  m_hat is the first m whose bands m..M all pass, a
+    running AND from band M down; a row whose band M fails takes M.
     """
     grid, w, tau = plan
-    m_cap = len(grid)
-    absx = np.abs(x)
-    at_least = [int(np.count_nonzero(absx >= t)) for t in w]
-    counts = {k: at_least[k - 1] - at_least[k - 2] for k in range(2, m_cap + 1)}
-    chosen = m_cap
-    for m in range(2, m_cap + 1):
-        if all(counts[k] <= tau * grid[k - 1] for k in range(m, m_cap + 1)):
-            chosen = m
-            break
-    return absx >= w[chosen - 1], chosen, counts
+    m_cap, (rows, d) = len(grid), x.shape
+    above = np.abs(x) >= np.array(w)[:, None, None]
+    at_least = row_counts(above.reshape(-1, d)).reshape(m_cap, rows)
+    counts = at_least[1:] - at_least[:-1]
+    passes = counts <= np.array([tau * g for g in grid[1:]])[:, None]
+    tail_passes = np.logical_and.accumulate(passes[::-1], axis=0)[::-1]
+    tail_passes[-1] = True  # M when no m qualifies: a failing band M fails every m
+    chosen = tail_passes.argmax(axis=0) + 2
+    return above[chosen - 1, np.arange(rows)], chosen, counts.T
 
 
 def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
@@ -342,15 +293,16 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
     """
     arr = _as_observations(x)
     plan = adaptive_plan(arr.size, s_star, sigma)
-    bits, chosen, counts = adaptive_bits(arr, plan)
+    bits, chosen, counts = adaptive_bits(arr[None], plan)
+    m_hat = int(chosen[0])
     diagnostics = {
         "grid": plan.grid,
         "thresholds": plan.thresholds,
         "tau": plan.tau,
-        "block_counts": counts,
-        "threshold_used": plan.thresholds[chosen - 1],
+        "block_counts": {k: int(n) for k, n in enumerate(counts[0], start=2)},
+        "threshold_used": plan.thresholds[m_hat - 1],
     }
-    return AdaptiveResult(SupportVector(bits), chosen, diagnostics)
+    return AdaptiveResult(SupportVector(bits[0]), m_hat, diagnostics)
 
 
 # ---------------------------------------------------------------------------

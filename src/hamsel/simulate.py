@@ -31,10 +31,11 @@ reduced with numpy's pairwise summation, so the aggregate is independent
 of B and of completion order.
 
 The engine picks its own worker count from d (see PARALLEL_MIN_D): one
-thread below it, where the per-row Python loop and the block work hold
-the interpreter lock and a second thread only adds contention, and
-min(blocks, usable CPUs) at or above it, where the d-length Philox fills
-release the lock.  Results never depend on the count.
+thread below it, where the per-row draw loop and the once-per-block
+selector and loss hold the interpreter lock long enough that a second
+thread gains little or loses, and min(blocks, usable CPUs) at or above
+it, where the d-length Philox fills release the lock.  Results never
+depend on the count.
 """
 
 from __future__ import annotations
@@ -73,11 +74,9 @@ from .selectors import (
     adaptive_bits,
     adaptive_plan,
     check_observations,
-    one_sided_bits,
     row_counts,
     spec_for_kind,
     top_s_bits,
-    two_sided_bits,
 )
 
 _STRESS_MULTIPLIERS = np.array([1.0, 2.0, 10.0])
@@ -194,14 +193,14 @@ def resolve_selector(
     if not isinstance(spec, (Threshold, Adaptive)):
         raise TypeError(f"unknown selector spec {type(spec).__name__}")
     if isinstance(spec, Threshold) and not spec.two_sided:
-        return partial(one_sided_bits, t=spec.t)
+        return lambda x: x >= spec.t
     if family is not Family.GAUSSIAN:
         name = "two-sided threshold" if isinstance(spec, Threshold) else "adaptive"
         raise ValueError(f"{name} selector requires the Gaussian family")
     if isinstance(spec, Threshold):
-        return partial(two_sided_bits, t=spec.t)
+        return lambda x: np.abs(x) >= spec.t
     plan = adaptive_plan(d, spec.s_star, sigma)
-    return lambda x: np.array([adaptive_bits(row, plan)[0] for row in x])
+    return lambda x: adaptive_bits(x, plan)[0]
 
 
 def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
@@ -230,11 +229,12 @@ ROW_BYTES_LIMIT = 64 * 1024 * 1024
 # Smallest d at which replications are spread over threads.  A row's
 # Z0-and-noise fill releases the interpreter lock and grows with d, while
 # the per-row Python work and the block's support resolution, which hold
-# it, grow with s or not at all.  In a sweep of 1 against 2 workers on 2
-# CPUs, 2 were slower than 1 for the threshold and top-s rules up to
-# d = 400 and about even at d = 700-1,000, slower for the adaptive rule (a
-# per-row loop) up to d = 1,400, and faster for every selector from
-# d = 2,048 on: 1.14x for adaptive and 1.37-1.52x for the rest there.
+# it, grow with s or not at all.  In sweeps of 1 against 2 workers on 2
+# CPUs, with every selector run once per block, 2 were slower than 1 at
+# d = 400 for every rule but the Poisson one, about even at d = 700-1,400,
+# where the winner of the threshold and adaptive cells changed from sweep
+# to sweep, and faster for every rule from d = 2,048 on: 1.15x for
+# adaptive and 1.23-1.63x for the rest there.
 PARALLEL_MIN_D = 2048
 
 

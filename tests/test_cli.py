@@ -27,6 +27,7 @@ from hamsel.model import (
     Interval,
     LowerBound,
     ProblemInstance,
+    TwoSided,
 )
 from hamsel.risk import psi_bar, psi_general, psi_plus, wrong_recovery_bounds
 from hamsel.selectors import (
@@ -34,10 +35,9 @@ from hamsel.selectors import (
     crowd_selector,
     minimax_threshold,
     spec_for_kind,
-    universal_selector,
     universal_threshold,
 )
-from hamsel.simulate import MCConfig, estimate_risk
+from hamsel.simulate import MCConfig, apply_selector, estimate_risk
 
 
 def run_cli(capsys, *args):
@@ -221,7 +221,8 @@ class TestSelectCommand:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["selected"] == universal_selector(values, 50, 1.5).indices()
+        p = ProblemInstance(50, 1, TwoSided(1.0), sigma=1.5)
+        assert payload["selected"] == apply_selector(spec_for_kind("universal", p), values, p).indices()
         assert payload["threshold_used"] == universal_threshold(50, 1.5)
 
     def test_missing_input_file(self, capsys):

@@ -37,19 +37,26 @@ from hamsel.selectors import (
     cosh_threshold,
     crowd_selector,
     crowd_weights,
-    llr_selector,
     llr_threshold,
     minimax_threshold,
     row_counts,
     spec_for_kind,
-    threshold_one_sided,
-    threshold_two_sided,
     top_s_bits,
-    top_s_selector,
-    universal_selector,
     universal_threshold,
 )
 from hamsel.simulate import apply_selector
+
+
+def _select(spec, x) -> SupportVector:
+    """apply_selector on a Gaussian instance sized to x; the spec alone
+    decides the selection."""
+    return apply_selector(spec, x, ProblemInstance(len(x), 1, LowerBound(1.0)))
+
+
+def _llr_select(x, family, d, s, a0, a1, sigma=1.0) -> SupportVector:
+    """The "llr" kind's spec at an Interval(a0, a1) instance, run on x."""
+    p = ProblemInstance(d, s, Interval(a0, a1), family=family, sigma=sigma)
+    return apply_selector(spec_for_kind("llr", p), x, p)
 
 
 def _log_cosh(z: float) -> float:
@@ -60,40 +67,41 @@ def _log_cosh(z: float) -> float:
 
 class TestThresholdSelectors:
     def test_one_sided_basic(self):
-        sv = threshold_one_sided([0.1, 2.3, -1.0], 1.0)
+        sv = _select(Threshold(1.0), [0.1, 2.3, -1.0])
         assert sv.bitstring() == "010"
 
     def test_boundary_is_selected(self):
-        assert threshold_one_sided([1.0, 0.999999], 1.0).bitstring() == "10"
+        assert _select(Threshold(1.0), [1.0, 0.999999]).bitstring() == "10"
 
     def test_negative_threshold_selects_everything(self):
-        assert threshold_one_sided([-5.0, 0.0, 5.0], -1e308).weight == 3
+        assert _select(Threshold(-1e308), [-5.0, 0.0, 5.0]).weight == 3
 
     def test_two_sided_basic(self):
-        sv = threshold_two_sided([0.1, 2.3, -1.5], 1.0)
+        sv = _select(Threshold(1.0, two_sided=True), [0.1, 2.3, -1.5])
         assert sv.bitstring() == "011"
 
     def test_two_sided_boundary_both_signs(self):
-        assert threshold_two_sided([1.0, -1.0, 0.5], 1.0).bitstring() == "110"
+        assert _select(Threshold(1.0, two_sided=True), [1.0, -1.0, 0.5]).bitstring() == "110"
 
     def test_two_sided_zero_threshold_selects_everything(self):
-        assert threshold_two_sided([0.0, -3.0, 2.0], 0.0).weight == 3
+        assert _select(Threshold(0.0, two_sided=True), [0.0, -3.0, 2.0]).weight == 3
 
     def test_two_sided_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            threshold_two_sided([1.0], -0.5)
+            Threshold(-0.5, two_sided=True)
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError):
-            threshold_one_sided([1.0], float("nan"))
+            Threshold(float("nan"))
 
     def test_observation_validation(self):
+        p = ProblemInstance(2, 1, LowerBound(1.0))
         with pytest.raises(ValueError):
-            threshold_one_sided([], 0.0)
+            apply_selector(Threshold(0.0), [], p)
         with pytest.raises(ValueError):
-            threshold_one_sided([[1.0, 2.0]], 0.0)
+            apply_selector(Threshold(0.0), [[1.0, 2.0]], p)
         with pytest.raises(ValueError):
-            threshold_one_sided([1.0, float("nan")], 0.0)
+            apply_selector(Threshold(0.0), [1.0, float("nan")], p)
 
 
 class TestMinimaxThreshold:
@@ -189,8 +197,8 @@ class TestLlrSelector:
             d, s, a, sigma
         )
         x = rng_stream(45, 0).normal(0.0, 2.0, size=d)
-        got = llr_selector(x, Family.GAUSSIAN, d, s, 0.0, a, sigma)
-        want = threshold_one_sided(x, minimax_threshold(d, s, a, sigma))
+        got = _llr_select(x, Family.GAUSSIAN, d, s, 0.0, a, sigma)
+        want = _select(Threshold(minimax_threshold(d, s, a, sigma)), x)
         assert got == want
 
     def test_gaussian_shifted_interval(self):
@@ -203,14 +211,14 @@ class TestLlrSelector:
         t = llr_threshold(Family.BERNOULLI, 10, 1, 0.1, 0.9)
         assert t == 1.0
         x = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        sv = llr_selector(x, Family.BERNOULLI, 10, 1, 0.1, 0.9)
+        sv = _llr_select(x, Family.BERNOULLI, 10, 1, 0.1, 0.9)
         assert_array_equal(sv.bits, x.astype(bool))
 
     def test_poisson_example(self):
         # a0=1, a1=e makes the slope exactly 1, so t = log(ratio) + e - 1
         t = llr_threshold(Family.POISSON, 4, 2, 1.0, math.e)
         assert t == math.e - 1.0
-        sv = llr_selector([0.0, 1.0, 2.0, 3.0], Family.POISSON, 4, 2, 1.0, math.e)
+        sv = _llr_select([0.0, 1.0, 2.0, 3.0], Family.POISSON, 4, 2, 1.0, math.e)
         assert sv.bitstring() == "0011"
 
     def test_poisson_oracle_threshold(self):
@@ -232,13 +240,13 @@ class TestLlrSelector:
 
     def test_bernoulli_observations_validated(self):
         with pytest.raises(ValueError):
-            llr_selector([0.0, 0.5], Family.BERNOULLI, 2, 1, 0.1, 0.9)
+            _llr_select([0.0, 0.5], Family.BERNOULLI, 2, 1, 0.1, 0.9)
 
     def test_poisson_observations_validated(self):
         with pytest.raises(ValueError):
-            llr_selector([1.0, -1.0], Family.POISSON, 2, 1, 1.0, 2.0)
+            _llr_select([1.0, -1.0], Family.POISSON, 2, 1, 1.0, 2.0)
         with pytest.raises(ValueError):
-            llr_selector([1.0, 2.5], Family.POISSON, 2, 1, 1.0, 2.0)
+            _llr_select([1.0, 2.5], Family.POISSON, 2, 1, 1.0, 2.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -255,7 +263,7 @@ class TestCrowdSelector:
         votes = rng_stream(46, 0).integers(0, 2, size=(1, d))
         c = CrowdInstance(votes=votes, rates=[(a0, a1)])
         got = crowd_selector(c, s)
-        want = llr_selector(votes[0].astype(float), Family.BERNOULLI, d, s, a0, a1)
+        want = _llr_select(votes[0].astype(float), Family.BERNOULLI, d, s, a0, a1)
         assert got == want
 
     def test_identical_workers_reduce_to_majority_count(self):
@@ -303,32 +311,32 @@ class TestCrowdSelector:
 
 class TestTopS:
     def test_basic_one_sided(self):
-        assert top_s_selector([0.5, 2.0, -1.0], 1).bitstring() == "010"
+        assert _select(TopS(1), [0.5, 2.0, -1.0]).bitstring() == "010"
 
     def test_two_sided_uses_magnitude(self):
-        assert top_s_selector([0.5, -2.0, 1.0], 1, one_sided=False).bitstring() == "010"
-        assert top_s_selector([0.5, -2.0, 1.0], 1, one_sided=True).bitstring() == "001"
+        assert _select(TopS(1, one_sided=False), [0.5, -2.0, 1.0]).bitstring() == "010"
+        assert _select(TopS(1, one_sided=True), [0.5, -2.0, 1.0]).bitstring() == "001"
 
     def test_tie_goes_to_lowest_index(self):
-        assert top_s_selector([1.0, 1.0, 0.0], 1).bitstring() == "100"
-        assert top_s_selector([0.0, 1.0, 1.0], 1).bitstring() == "010"
-        assert top_s_selector([2.0, 1.0, 1.0, 1.0], 2).bitstring() == "1100"
+        assert _select(TopS(1), [1.0, 1.0, 0.0]).bitstring() == "100"
+        assert _select(TopS(1), [0.0, 1.0, 1.0]).bitstring() == "010"
+        assert _select(TopS(2), [2.0, 1.0, 1.0, 1.0]).bitstring() == "1100"
 
     def test_weight_is_exactly_s(self):
         rng = rng_stream(49, 0)
         for _ in range(25):
             x = rng.normal(size=17)
             s = int(rng.integers(1, 18))
-            assert top_s_selector(x, s).weight == s
+            assert _select(TopS(s), x).weight == s
 
     def test_full_selection(self):
-        assert top_s_selector([3.0, -1.0], 2).weight == 2
+        assert _select(TopS(2), [3.0, -1.0]).weight == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            top_s_selector([1.0, 2.0], 0)
+            _select(TopS(0), [1.0, 2.0])
         with pytest.raises(ValueError):
-            top_s_selector([1.0, 2.0], 3)
+            _select(TopS(3), [1.0, 2.0])
 
 
 class TestUniversal:
@@ -339,18 +347,21 @@ class TestUniversal:
     def test_matches_two_sided_threshold(self):
         d = 40
         x = rng_stream(50, 0).normal(0.0, 3.0, size=d)
-        got = universal_selector(x, d)
-        want = threshold_two_sided(x, universal_threshold(d))
+        p = ProblemInstance(d, 1, TwoSided(1.0))
+        got = apply_selector(spec_for_kind("universal", p), x, p)
+        want = _select(Threshold(universal_threshold(d), two_sided=True), x)
         assert got == want
 
     def test_all_noise_usually_empty(self):
         # the universal level is chosen so pure noise rarely crosses it
         x = rng_stream(51, 0).standard_normal(1000)
-        assert universal_selector(x, 1000).weight <= 2
+        p = ProblemInstance(1000, 1, TwoSided(1.0))
+        assert apply_selector(spec_for_kind("universal", p), x, p).weight <= 2
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            universal_selector([1.0, 2.0], 3)
+            p = ProblemInstance(3, 1, TwoSided(1.0))
+            apply_selector(spec_for_kind("universal", p), [1.0, 2.0], p)
 
 
 class TestAdaptive:
@@ -411,7 +422,7 @@ class TestAdaptive:
                     break
             assert res.chosen_m == m_hat
 
-            want = threshold_two_sided(x, w[res.chosen_m - 1])
+            want = _select(Threshold(w[res.chosen_m - 1], two_sided=True), x)
             assert res.support == want
 
     def test_threshold_always_on_grid(self):
@@ -442,7 +453,7 @@ class TestThresholdMonotonicity:
         x = rng_stream(54, 0).normal(0.0, 2.0, size=100)
         prev = None
         for t in np.linspace(-3.0, 3.0, 13):
-            cur = threshold_one_sided(x, float(t))
+            cur = _select(Threshold(float(t)), x)
             if prev is not None:
                 assert not (cur.bits & ~prev.bits).any()
             prev = cur
@@ -451,7 +462,7 @@ class TestThresholdMonotonicity:
         x = rng_stream(55, 0).normal(0.0, 2.0, size=100)
         prev = None
         for t in np.linspace(0.0, 4.0, 9):
-            cur = threshold_two_sided(x, float(t))
+            cur = _select(Threshold(float(t), two_sided=True), x)
             if prev is not None:
                 assert not (cur.bits & ~prev.bits).any()
             prev = cur
@@ -627,7 +638,7 @@ class TestSelectionCores:
                     want[order[:s]] = True
                     got = top_s_bits(x, s, one_sided)
                     assert_array_equal(got, want)
-                    assert top_s_selector(x, s, one_sided) == SupportVector(want)
+                    assert _select(TopS(s, one_sided), x) == SupportVector(want)
 
     def test_top_s_block_rows_match_stable_argsort(self):
         """On a (rows, d) block the core applies the rule to each row."""
@@ -675,21 +686,85 @@ class TestSelectionCores:
         edges = np.zeros(d)
         edges[: 3 * len(w)] = np.repeat(w, 3) * np.tile([1.0, -1.0, 1.0], len(w))
         samples.append(edges)
-        for x in samples:
-            absx = np.abs(x)
-            counts = {
-                k: int(np.count_nonzero((absx >= w[k - 1]) & (absx < w[k - 2])))
-                for k in range(2, len(w) + 1)
-            }
-            chosen = len(w)
-            for m in range(2, len(w) + 1):
-                if all(counts[k] <= plan.tau * plan.grid[k - 1] for k in range(m, len(w) + 1)):
-                    chosen = m
-                    break
-            bits, got_m, got_counts = adaptive_bits(x, plan)
-            assert got_counts == counts
-            assert got_m == chosen
-            assert_array_equal(bits, absx >= w[chosen - 1])
-            res = adaptive_selector(x, s_star)
-            assert res.diagnostics["block_counts"] == counts
-            assert res.diagnostics["threshold_used"] == w[chosen - 1]
+        full = np.array(samples)
+        # one row and many rows take the two counting routes of row_counts;
+        # the engine's blocks are views with a leading column dropped
+        blocks = [full[:1], full, np.hstack([np.zeros((len(full), 1)), full])[:, 1:]]
+        for block in blocks:
+            bits, got_m, got_counts = adaptive_bits(block, plan)
+            assert bits.shape == block.shape
+            assert got_m.shape == (len(block),)
+            assert got_counts.shape == (len(block), len(w) - 1)
+            for x, row_bits, row_m, row_counts_ in zip(block, bits, got_m, got_counts):
+                absx = np.abs(x)
+                counts = {
+                    k: int(np.count_nonzero((absx >= w[k - 1]) & (absx < w[k - 2])))
+                    for k in range(2, len(w) + 1)
+                }
+                chosen = len(w)
+                for m in range(2, len(w) + 1):
+                    if all(counts[k] <= plan.tau * plan.grid[k - 1] for k in range(m, len(w) + 1)):
+                        chosen = m
+                        break
+                assert dict(enumerate(row_counts_.tolist(), start=2)) == counts
+                assert row_m == chosen
+                assert_array_equal(row_bits, absx >= w[chosen - 1])
+                res = adaptive_selector(x, s_star)
+                assert res.diagnostics["block_counts"] == counts
+                assert res.diagnostics["threshold_used"] == w[chosen - 1]
+
+
+def _adaptive_rule(row, plan):
+    """The adaptive rule for one row, as written: band counts
+    N_k = #{w(g_k) <= |x| < w(g_{k-1})} for k = 2..M, then
+    m_hat = min{m : N_k <= tau g_k for every k in m..M}, or M when no m
+    qualifies, and the selection |x| >= w(g_m_hat)."""
+    grid, w, tau = plan
+    m_cap = len(grid)
+    absx = [abs(float(v)) for v in row]
+    counts = {k: sum(w[k - 1] <= v < w[k - 2] for v in absx) for k in range(2, m_cap + 1)}
+    qualifying = [
+        m
+        for m in range(2, m_cap + 1)
+        if all(counts[k] <= tau * grid[k - 1] for k in range(m, m_cap + 1))
+    ]
+    m_hat = min(qualifying) if qualifying else m_cap
+    return [v >= w[m_hat - 1] for v in absx], m_hat, counts
+
+
+@st.composite
+def _adaptive_blocks(draw):
+    """(block, s_star): B = 1..6 rows of Gaussian noise at a drawn spread,
+    each with a drawn share of coordinates moved onto a band cut or one
+    ulp either side of it, with either sign."""
+    s_star = draw(st.integers(2, 40))
+    d = 4 * s_star + draw(st.integers(0, 60))
+    w = adaptive_plan(d, s_star).thresholds
+    near = [v for t in w for v in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf))]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(0.0, draw(st.floats(0.25, 4.0)), size=d)
+        on_cut = rng.random(d) < draw(st.floats(0.0, 0.6))
+        x[on_cut] = rng.choice(near, size=on_cut.sum()) * rng.choice([-1.0, 1.0], size=on_cut.sum())
+        rows.append(x)
+    return np.array(rows), s_star
+
+
+class TestAdaptiveBlockProperty:
+    """The adaptive block core against the per-row rule, row by row."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(case=_adaptive_blocks())
+    @example(case=(np.zeros((1, 8)), 2))
+    # 20 coordinates on w(g_M) = w(16) at d = 64 overfill band M (tau g_M = 15.8)
+    @example(case=(np.array([[math.sqrt(2.0 * math.log(3.0))] * 20 + [0.0] * 44]), 16))
+    def test_block_core_matches_the_rule(self, case):
+        block, s_star = case
+        plan = adaptive_plan(block.shape[1], s_star)
+        bits, chosen, counts = adaptive_bits(block, plan)
+        for r, row in enumerate(block):
+            want_bits, want_m, want_counts = _adaptive_rule(row, plan)
+            assert bits[r].tolist() == want_bits
+            assert chosen[r] == want_m
+            assert dict(enumerate(counts[r].tolist(), start=2)) == want_counts
