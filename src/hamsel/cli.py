@@ -66,25 +66,6 @@ _DEFAULT_WHICH = {
     "poisson": "general",
 }
 
-_TABLE_COLUMNS = [
-    "d",
-    "s",
-    "a",
-    "sigma",
-    "rho",
-    "family",
-    "selector",
-    "loss_kind",
-    "estimate",
-    "stderr",
-    "replications",
-    "seed",
-    "a_multiplier",
-    "a_almost_full",
-    "a_exact",
-    "t_star",
-]
-
 
 # ---------------------------------------------------------------------------
 # Serialization
@@ -131,9 +112,10 @@ def _csv_cell(v) -> str:
 
 
 def _write_table(rows: list[dict], stream) -> None:
-    stream.write(",".join(_TABLE_COLUMNS) + "\n")
+    """phase_sweep's rows as CSV, its row keys (in order) as the header."""
+    stream.write(",".join(rows[0]) + "\n")
     for row in rows:
-        stream.write(",".join(_csv_cell(row[c]) for c in _TABLE_COLUMNS) + "\n")
+        stream.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +295,8 @@ def _select_file(args) -> dict:
         s_star = _require(args.s_star, "--s-star", "--method adaptive")
         result = adaptive_selector(x, s_star, args.sigma)
         out = support_summary(result.support)
-        out["threshold_used"] = result.diagnostics["threshold_used"]
-        out["diagnostics"] = {
-            "chosen_m": result.chosen_m,
-            "grid": result.diagnostics["grid"],
-            "thresholds": result.diagnostics["thresholds"],
-            "tau": result.diagnostics["tau"],
-            "block_counts": {
-                str(k): v for k, v in result.diagnostics["block_counts"].items()
-            },
-        }
+        out["threshold_used"] = result.diagnostics.pop("threshold_used")
+        out["diagnostics"] = {"chosen_m": result.chosen_m, **result.diagnostics}
         return out
     d = int(x.size)
     family = Family(args.family) if args.method == "llr" else Family.GAUSSIAN

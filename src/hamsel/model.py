@@ -162,15 +162,6 @@ class ProblemInstance:
         else:
             raise TypeError(f"unknown signal type {type(sig).__name__}")
 
-    @property
-    def ratio(self) -> float:
-        """(d - s)/s computed from exact integers before the division."""
-        return (self.d - self.s) / self.s
-
-    @property
-    def log_ratio(self) -> float:
-        return math.log((self.d - self.s) / self.s)
-
 
 # ---------------------------------------------------------------------------
 # Supports
@@ -211,15 +202,6 @@ class SupportVector:
 
     def bitstring(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
-
-    @classmethod
-    def from_indices(cls, d: int, indices_one_based) -> "SupportVector":
-        bits = np.zeros(d, dtype=bool)
-        for i in indices_one_based:
-            if not 1 <= i <= d:
-                raise ValueError(f"index {i} outside 1..{d}")
-            bits[i - 1] = True
-        return cls(bits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SupportVector):
@@ -327,10 +309,6 @@ class CrowdInstance:
         object.__setattr__(self, "rates", rates)
 
     @property
-    def m(self) -> int:
-        return int(self.votes.shape[0])
-
-    @property
     def d(self) -> int:
         return int(self.votes.shape[1])
 
@@ -346,8 +324,6 @@ class RiskReport:
 
     loss_kind: LossKind
     closed_form: float | None = None
-    bound_lower: float | None = None
-    bound_upper: float | None = None
     mc_estimate: float | None = None
     mc_stderr: float | None = None
     replications: int = 0
@@ -361,21 +337,6 @@ class RiskReport:
                 raise ValueError("MC estimate requires replications >= 1")
             if self.mc_stderr is None or self.mc_stderr < 0.0:
                 raise ValueError(f"need mc_stderr >= 0, got {self.mc_stderr}")
-        if (self.bound_lower is not None and self.bound_upper is not None
-                and self.bound_lower > self.bound_upper):
-            raise ValueError("bound_lower exceeds bound_upper")
-
-    def to_dict(self) -> dict:
-        return {
-            "loss": self.loss_kind.value,
-            "closed_form": self.closed_form,
-            "bound_lower": self.bound_lower,
-            "bound_upper": self.bound_upper,
-            "estimate": self.mc_estimate,
-            "stderr": self.mc_stderr,
-            "replications": self.replications,
-            "seed": self.seed,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -504,79 +465,73 @@ def least_favorable_draw(
 # ---------------------------------------------------------------------------
 
 
-def read_observations_csv(path: str) -> np.ndarray:
-    """One numeric value per line, no header."""
-    values: list[float] = []
+def _data_lines(path: str, what: str):
+    """Yield (line number, stripped text) for each line of a header-less
+    data file.
+
+    Blank lines may only trail the data: one followed by data is reported
+    by its line number, and a file with no data line as an empty ``what``
+    file.
+    """
     blank_at: int | None = None
+    empty = True
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:
-                if blank_at is None:
-                    blank_at = ln
-                continue
-            if blank_at is not None:
+                blank_at = blank_at or ln
+            elif blank_at is not None:
                 raise DataFormatError(f"{path}: line {blank_at}: empty row")
-            try:
-                val = float(text)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {ln}: not a number: {text!r}"
-                ) from None
-            if not math.isfinite(val):
-                raise DataFormatError(f"{path}: line {ln}: non-finite value {text!r}")
-            values.append(val)
-    if not values:
-        raise DataFormatError(f"{path}: empty observations file")
+            else:
+                empty = False
+                yield ln, text
+    if empty:
+        raise DataFormatError(f"{path}: empty {what} file")
+
+
+def read_observations_csv(path: str) -> np.ndarray:
+    """One numeric value per line, no header."""
+    values: list[float] = []
+    for ln, text in _data_lines(path, "observations"):
+        try:
+            val = float(text)
+        except ValueError:
+            raise DataFormatError(f"{path}: line {ln}: not a number: {text!r}") from None
+        if not math.isfinite(val):
+            raise DataFormatError(f"{path}: line {ln}: non-finite value {text!r}")
+        values.append(val)
     return np.asarray(values, dtype=float)
 
 
 def read_votes_csv(path: str) -> np.ndarray:
     """m header-less rows of d comma-separated 0/1 entries."""
     rows: list[list[int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            fields = [f.strip() for f in text.split(",")]
-            row = []
-            for f in fields:
-                if f not in ("0", "1"):
-                    raise DataFormatError(
-                        f"{path}: line {ln}: vote entries must be 0 or 1, got {f!r}"
-                    )
-                row.append(int(f))
-            if rows and len(row) != len(rows[0]):
+    for ln, text in _data_lines(path, "votes"):
+        row = []
+        for f in text.split(","):
+            f = f.strip()
+            if f not in ("0", "1"):
                 raise DataFormatError(
-                    f"{path}: line {ln}: expected {len(rows[0])} entries, got {len(row)}"
+                    f"{path}: line {ln}: vote entries must be 0 or 1, got {f!r}"
                 )
-            rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}: empty votes file")
+            row.append(int(f))
+        if rows and len(row) != len(rows[0]):
+            raise DataFormatError(
+                f"{path}: line {ln}: expected {len(rows[0])} entries, got {len(row)}"
+            )
+        rows.append(row)
     return np.asarray(rows, dtype=np.int8)
 
 
 def read_rates_csv(path: str) -> list[tuple[float, float]]:
     """m rows of "a_i0,a_i1"."""
     rates: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            fields = text.split(",")
-            if len(fields) != 2:
-                raise DataFormatError(
-                    f"{path}: line {ln}: expected 'a0,a1', got {text!r}"
-                )
-            try:
-                a0, a1 = float(fields[0]), float(fields[1])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {ln}: not numeric: {text!r}"
-                ) from None
-            rates.append((a0, a1))
-    if not rates:
-        raise DataFormatError(f"{path}: empty rates file")
+    for ln, text in _data_lines(path, "rates"):
+        fields = text.split(",")
+        if len(fields) != 2:
+            raise DataFormatError(f"{path}: line {ln}: expected 'a0,a1', got {text!r}")
+        try:
+            rates.append((float(fields[0]), float(fields[1])))
+        except ValueError:
+            raise DataFormatError(f"{path}: line {ln}: not numeric: {text!r}") from None
     return rates

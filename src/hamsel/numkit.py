@@ -15,11 +15,6 @@ Conventions
 * Below roughly y = -37.6 the result itself falls into the subnormal range
   and relative accuracy degrades with it; values still saturate cleanly
   to 0.0.
-* ``arccosh`` wraps ``math.acosh``: the C library already performs the
-  log-space reduction for large arguments (it agrees with the naive
-  ``log(u + sqrt(u^2 - 1))`` to ~2e-16 at the u ~ 1e8 crossover and with
-  ``log(2u)`` asymptotics at 1e300), so a hand-rolled branch would duplicate
-  it.  The wrapper adds validation with a clear message.
 """
 
 from __future__ import annotations
@@ -133,17 +128,6 @@ def gaussian_tail_bounds(y: float) -> tuple[float, float]:
     lower = _SQRT_2_OVER_PI * e / (y + math.sqrt(y * y + 4.0))
     upper = _SQRT_2_OVER_PI * e / (y + math.sqrt(y * y + 8.0 / math.pi))
     return lower, upper
-
-
-def arccosh(u: float) -> float:
-    """Inverse hyperbolic cosine for u >= 1.
-
-    arccosh(1) = 0 exactly; large arguments are handled in log space by the
-    underlying C implementation (arccosh(1e300) = log(2e300) to 1 ulp).
-    """
-    if not (u >= 1.0):
-        raise ValueError(f"arccosh: need u >= 1, got {u}")
-    return math.acosh(u)
 
 
 def arccosh_exp(t: float) -> float:

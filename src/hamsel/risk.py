@@ -48,17 +48,28 @@ def _scaled_tail(scale: float, log_scale: float, y: float) -> float:
 
 def _psi_cut(d: int, s: int, a: float, sigma: float, clip_miss: bool) -> float:
     """Psi+ of the docstring below, or with clip_miss its miss argument
-    -a/(2 sigma) + sigma log((d-s)/s)/a clipped at 0."""
+    -a/(2 sigma) + sigma log((d-s)/s)/a clipped at 0.
+
+    A positive false-positive argument is the case log u <= 0 of psi_bar,
+    where PsiBar is exactly (d-s)/s.  There the value is written as (d-s)/s
+    less the rule's gain over selecting everything, ((d-s)/s) Phi(-fp) -
+    Phi(miss) >= 0, so it cannot round above PsiBar.  The miss argument is
+    then negative and clip_miss changes nothing.
+    """
     _check_d_s(d, s)
     _check_positive(a, sigma)
     ratio = (d - s) / s
     log_ratio = math.log((d - s) / s)
     half = a / (2.0 * sigma)
     shift = sigma * log_ratio / a
+    fp = -half - shift
     miss = -half + shift
+    if fp > 0.0:
+        gain = ratio * numkit.gaussian_cdf(-fp) - numkit.gaussian_cdf(miss)
+        return ratio - max(gain, 0.0)
     if clip_miss and miss > 0.0:
         miss = 0.0
-    return _scaled_tail(ratio, log_ratio, -half - shift) + numkit.gaussian_cdf(miss)
+    return _scaled_tail(ratio, log_ratio, fp) + numkit.gaussian_cdf(miss)
 
 
 def psi_plus(d: int, s: int, a: float, sigma: float = 1.0) -> float:
@@ -321,15 +332,14 @@ def a0_adaptive(d: int, s: int, A: float, sigma: float = 1.0) -> float:
     return sigma * math.sqrt(2.0 * log_ratio + A * math.sqrt(log_ratio))
 
 
-def adaptive_A_min(d: int, s_star: int, c0: float = 16.0) -> float:
-    """Smallest planner constant c0 sqrt(log log((d-s*)/s*)) the adaptive
+def adaptive_A_min(d: int, s_star: int) -> float:
+    """Smallest planner constant 16 sqrt(log log((d-s*)/s*)) the adaptive
     selector's guarantee asks for; requires (d-s*)/s* > e."""
     _check_d_s(d, s_star)
-    _check_positive(c0, name="c0")
     log_ratio = math.log((d - s_star) / s_star)
     if log_ratio <= 1.0:
         raise ValueError(
             f"need (d - s_star)/s_star > e for a positive double log, "
             f"got d={d}, s_star={s_star}"
         )
-    return c0 * math.sqrt(math.log(log_ratio))
+    return 16.0 * math.sqrt(math.log(log_ratio))

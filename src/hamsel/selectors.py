@@ -62,31 +62,20 @@ def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cosh_abs_threshold(a: float, t: float, sigma: float = 1.0) -> float:
-    """|x| cut for the event log cosh(a x / sigma^2) >= t.
-
-    cosh >= 1 makes the event certain for t <= 0; that case is reported as
-    a zero threshold.
-    """
-    _check_positive(a, sigma)
-    if math.isnan(t):
-        raise ValueError("threshold must not be NaN")
-    if t <= 0.0:
-        return 0.0
-    return (sigma * sigma / a) * numkit.arccosh_exp(t)
-
-
 def cosh_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     """The |x| cut equivalent to the canonical log-cosh selection event.
 
     The event log cosh(a x / sigma^2) >= a^2/(2 sigma^2) + log((d-s)/s)
     is, for u = e^{a^2/(2 sigma^2)} (d-s)/s, the same as
-    |x| >= (sigma^2/a) arccosh(u) when u > 1 and always true otherwise.
+    |x| >= (sigma^2/a) arccosh(u) when u > 1 and always true otherwise;
+    that case is reported as a zero threshold.
     """
     _check_d_s(d, s)
     _check_positive(a, sigma)
     log_u = a * a / (2.0 * sigma * sigma) + math.log((d - s) / s)
-    return cosh_abs_threshold(a, log_u, sigma)
+    if log_u <= 0.0:
+        return 0.0
+    return (sigma * sigma / a) * numkit.arccosh_exp(log_u)
 
 
 def cosh_selector(
@@ -229,13 +218,6 @@ class AdaptiveResult(NamedTuple):
     diagnostics: dict
 
 
-def adaptive_grid(s_star: int) -> list[int]:
-    """Dyadic grid g_j = 2^(j-1), j = 1..M, M = max{m : 2^(m-1) <= s_star}."""
-    if s_star < 2:
-        raise ValueError(f"need s_star >= 2, got {s_star}")
-    return [2 ** (j - 1) for j in range(1, s_star.bit_length() + 1)]
-
-
 class AdaptivePlan(NamedTuple):
     """The data-independent part of the adaptive selector for one (d, s_star, sigma)."""
 
@@ -245,9 +227,12 @@ class AdaptivePlan(NamedTuple):
 
 
 def adaptive_plan(d: int, s_star: int, sigma: float = 1.0) -> AdaptivePlan:
-    """Grid g_k, band thresholds w(g_k) and tolerance tau (see adaptive_selector)."""
+    """Dyadic grid g_k = 2^(k-1), k = 1..M, M = max{m : 2^(m-1) <= s_star},
+    band thresholds w(g_k) and tolerance tau (see adaptive_selector)."""
     _check_positive(sigma=sigma)
-    grid = adaptive_grid(s_star)
+    if s_star < 2:
+        raise ValueError(f"need s_star >= 2, got {s_star}")
+    grid = [2 ** (k - 1) for k in range(1, s_star.bit_length() + 1)]
     if 4 * s_star > d:
         raise ValueError(f"need s_star <= d/4, got s_star={s_star}, d={d}")
     w = [sigma * math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]

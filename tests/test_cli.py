@@ -457,7 +457,11 @@ class TestPhaseCommand:
         assert code == 0
         rows = _parse_csv(out)
         assert len(rows) == 2
-        assert list(rows[0]) == cli._TABLE_COLUMNS
+        assert list(rows[0]) == [
+            "d", "s", "a", "sigma", "rho", "family", "selector", "loss_kind",
+            "estimate", "stderr", "replications", "seed", "a_multiplier",
+            "a_almost_full", "a_exact", "t_star",
+        ]
         assert [r["d"] for r in rows] == ["30", "60"]
         assert all(r["seed"] == "3" for r in rows)
 

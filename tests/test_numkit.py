@@ -124,31 +124,6 @@ class TestGaussianTailBounds:
             numkit.gaussian_tail_bounds(float("nan"))
 
 
-class TestArccosh:
-    def test_round_trip(self):
-        """cosh(arccosh(u)) recovers u to 1e-12 over [1, 1e15]."""
-        for u in np.logspace(0.0, 15.0, 61):
-            t = numkit.arccosh(float(u))
-            assert_allclose(math.cosh(t), float(u), rtol=1e-12)
-
-    def test_exact_at_one(self):
-        assert numkit.arccosh(1.0) == 0.0
-
-    def test_near_one(self):
-        for u in (1.0 + 1e-12, 1.0 + 1e-8, 1.001):
-            exact = float(mp.acosh(mp.mpf(u)))
-            assert_allclose(numkit.arccosh(u), exact, rtol=1e-13)
-
-    def test_frozen_huge(self):
-        assert_allclose(numkit.arccosh(1e300), 691.4686750787736, rtol=1e-15)
-
-    def test_domain_rejected(self):
-        with pytest.raises(ValueError):
-            numkit.arccosh(0.999999)
-        with pytest.raises(ValueError):
-            numkit.arccosh(float("nan"))
-
-
 class TestArccoshExp:
     def test_equals_direct_composition_below_seam(self):
         for t in (0.0, 1e-3, 0.5, 5.0, 29.999999, 30.0):

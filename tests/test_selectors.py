@@ -30,9 +30,7 @@ from hamsel.selectors import (
     SELECTOR_KINDS,
     adaptive_bits,
     adaptive_plan,
-    adaptive_grid,
     adaptive_selector,
-    cosh_abs_threshold,
     cosh_selector,
     cosh_threshold,
     crowd_selector,
@@ -181,8 +179,8 @@ class TestCoshSelector:
 
     def test_overflow_safe_cut(self):
         # log-scale cut far beyond exp range still yields a finite threshold
-        t = cosh_abs_threshold(2.0, 800.0)
-        assert_allclose(t, (800.0 + math.log(2.0)) / 2.0, rtol=1e-15)
+        t = cosh_threshold(20, 4, 40.0)
+        assert_allclose(t, (800.0 + math.log(4.0) + math.log(2.0)) / 40.0, rtol=1e-15)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -366,9 +364,9 @@ class TestUniversal:
 
 class TestAdaptive:
     def test_grid(self):
-        assert adaptive_grid(16) == [1, 2, 4, 8, 16]
-        assert adaptive_grid(2) == [1, 2]
-        assert adaptive_grid(20) == [1, 2, 4, 8, 16]
+        assert adaptive_plan(64, 16).grid == [1, 2, 4, 8, 16]
+        assert adaptive_plan(64, 2).grid == [1, 2]
+        assert adaptive_plan(80, 20).grid == [1, 2, 4, 8, 16]
 
     def test_quiet_data_picks_smallest_block(self):
         res = adaptive_selector(np.zeros(64), 16)
@@ -379,7 +377,7 @@ class TestAdaptive:
 
     def test_saturated_bands_fall_back_to_largest_block(self):
         d, s_star = 64, 16
-        grid = adaptive_grid(s_star)
+        grid = adaptive_plan(d, s_star).grid
         m_cap = len(grid)
         w = [math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]
         tau = math.log((d - s_star) / s_star) ** (-1.0 / 7.0)
@@ -402,7 +400,7 @@ class TestAdaptive:
             x[hot] += rng.normal(0.0, 4.0, size=hot.size)
             res = adaptive_selector(x, s_star)
 
-            grid = adaptive_grid(s_star)
+            grid = adaptive_plan(d, s_star).grid
             m_cap = len(grid)
             w = [math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]
             tau = math.log((d - s_star) / s_star) ** (-1.0 / 7.0)
@@ -497,7 +495,7 @@ class TestSpecForKind:
         p = ProblemInstance(d=20, s=4, signal=TwoSided(2.0))
         spec = spec_for_kind("cosh", p)
         assert spec.two_sided
-        assert spec.t == cosh_abs_threshold(2.0, 2.0 + math.log(4.0))
+        assert spec.t == cosh_threshold(20, 4, 2.0)
 
     def test_llr(self):
         p = ProblemInstance(d=20, s=4, signal=Interval(1.0, 2.0))

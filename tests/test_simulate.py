@@ -37,7 +37,7 @@ from hamsel.model import (
     uniform_support,
 )
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus
-from hamsel.selectors import cosh_abs_threshold, cosh_threshold, minimax_threshold, spec_for_kind
+from hamsel.selectors import cosh_threshold, minimax_threshold, spec_for_kind
 from hamsel.simulate import (
     BLOCK_BYTES,
     PARALLEL_MIN_D,
@@ -760,7 +760,7 @@ def _engine_cases(draw):
     spec = {
         "plus": lambda: Threshold(t),
         "two-sided": lambda: Threshold(t, two_sided=True),
-        "cosh": lambda: Threshold(cosh_abs_threshold(a, t), two_sided=True),
+        "cosh": lambda: Threshold(cosh_threshold(d, s, a), two_sided=True),
         "tops": lambda: TopS(draw(st.integers(1, d))),
         "tops-abs": lambda: TopS(draw(st.integers(1, d)), one_sided=False),
         "universal": lambda: spec_for_kind("universal", p),

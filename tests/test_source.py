@@ -1,16 +1,19 @@
-"""Source hygiene: no import a module never uses, and no module-level
-private function that nothing in the package references.
+"""Source hygiene: no import a module never uses, no module-level private
+function that nothing in the package references, and no public name that
+nothing uses.
 
-The package has no linter; these two checks catch what a refactor most
-often leaves behind.
+The package has no linter; these checks catch what a refactor most often
+leaves behind.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hamsel"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hamsel"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -18,15 +21,20 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _used_names(tree: ast.AST) -> set[str]:
-    """Every bare name read and every attribute name in the tree."""
-    names = set()
+def _name_uses(tree: ast.AST) -> Counter:
+    """How often each bare name is read, or named as an attribute, in the tree."""
+    uses = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            uses[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            uses[node.attr] += 1
+    return uses
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every bare name read and every attribute name in the tree."""
+    return set(_name_uses(tree))
 
 
 def _imported(tree: ast.Module) -> list[tuple[str, int]]:
@@ -71,3 +79,48 @@ def test_no_orphan_private_functions():
         and node.name not in referenced
     ]
     assert not orphans, f"private functions nothing in src/ references: {orphans}"
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, bare name, node) for each public module-level
+    function or class and each public method or property of such a class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def test_no_dead_public_surface():
+    """Every public function, class, method and property in src/hamsel is
+    used by name in src/ outside its own definition, used by name in bench/,
+    or exported in hamsel.__all__.
+
+    Names are matched, not bindings: a property whose name a local or
+    another attribute shares (a ``ratio`` property beside ``ratio`` locals,
+    say) counts as used, so the check cannot see it.
+    """
+    trees = {m.name: _tree(m) for m in MODULES}
+    src_uses = sum((_name_uses(t) for t in trees.values()), Counter())
+    bench_names = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = _tree(path)
+        bench_names |= _used_names(tree) | {name for name, _ in _imported(tree)}
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+    )
+    dead = [
+        f"{module}: {qualified}"
+        for module, tree in trees.items()
+        for qualified, name, node in _public_definitions(tree)
+        if src_uses[name] == _name_uses(node)[name]
+        and name not in bench_names
+        and name not in exported
+    ]
+    assert not dead, f"public names nothing uses: {dead}"
