@@ -212,42 +212,28 @@ def _parse_selectors(text: str) -> list[str]:
 
 
 def cmd_risk(args) -> int:
+    p = _build_instance(args)
     which = args.which or _DEFAULT_WHICH[args.klass]
-    d, s, sigma = args.d, args.s, args.sigma
-    if which == "general":
-        if args.klass not in _FAMILY_FOR_CLASS:
-            raise ValueError(
-                "--which general needs --class interval, bernoulli, or poisson"
-            )
-        family = _FAMILY_FOR_CLASS[args.klass]
-        a0 = _require(args.a0, "--a0", "--which general")
-        a1 = _require(args.a1, "--a1", "--which general")
-        out = {
-            "psi": risk.psi_general(family, d, s, a0, a1, sigma),
-            "t": llr_threshold(family, d, s, a0, a1, sigma),
-        }
-    else:
-        if args.klass not in ("plus", "two-sided"):
+    d, s, sig, sigma = p.d, p.s, p.signal, p.sigma
+    if isinstance(sig, Interval):
+        if which != "general":
             raise ValueError(f"--which {which} needs --class plus or two-sided")
-        a = _require(args.a, "--a", f"--which {which}")
-        if which == "psi-plus":
-            out = {"psi_plus": risk.psi_plus(d, s, a, sigma)}
-        elif which == "psi":
-            out = {"psi": risk.psi_two_sided(d, s, a, sigma)}
-        elif which == "psi-bar":
-            out = {"psi_bar": risk.psi_bar(d, s, a, sigma)}
-        elif which == "bounds":
-            b = risk.delta_bounds(d, s, a, sigma)
-            out = {"w": b.w, "delta": b.delta, "lower": b.lower, "upper": b.upper}
-        else:
-            wr = risk.wrong_recovery_bounds(d, s, a, sigma)
-            out = {
-                "upper_plus": wr.upper_plus,
-                "upper_bar": wr.upper_bar,
-                "upper_two_sided": wr.upper_two_sided,
-                "lower_plus": wr.lower_plus,
-                "lower_bar": wr.lower_bar,
-            }
+        out = {
+            "psi": risk.psi_general(p.family, d, s, sig.a0, sig.a1, sigma),
+            "t": llr_threshold(p.family, d, s, sig.a0, sig.a1, sigma),
+        }
+    elif which == "general":
+        raise ValueError("--which general needs --class interval, bernoulli, or poisson")
+    elif which == "psi-plus":
+        out = {"psi_plus": risk.psi_plus(d, s, sig.a, sigma)}
+    elif which == "psi":
+        out = {"psi": risk.psi_two_sided(d, s, sig.a, sigma)}
+    elif which == "psi-bar":
+        out = {"psi_bar": risk.psi_bar(d, s, sig.a, sigma)}
+    elif which == "bounds":
+        out = risk.delta_bounds(d, s, sig.a, sigma)._asdict()
+    else:
+        out = risk.wrong_recovery_bounds(d, s, sig.a, sigma)._asdict()
     print(_json_text(out))
     return 0
 
@@ -375,85 +361,67 @@ def cmd_mc(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_sweep(
-    d_list,
-    s_rule,
-    a_multipliers,
-    kinds,
-    reps,
-    seed,
-    rho,
-    sigma,
-    loss,
-    a_ref,
-    s_star,
-    out_path,
-) -> int:
-    cfg = simulate.MCConfig(
-        replications=reps,
-        seed=seed if seed is not None else fresh_seed(),
-        rho=rho,
-        loss_kind=loss,
-    )
+def cmd_phase(args) -> int:
     rows = simulate.phase_sweep(
-        d_list,
-        s_rule,
-        a_multipliers,
-        kinds,
-        cfg,
-        sigma=sigma,
-        a_ref=a_ref,
-        s_star=s_star,
+        _parse_int_list(args.d_list, "--d-list"),
+        _parse_s_rule(args.s_rule),
+        _parse_float_list(args.a_mult, "--a-mult"),
+        _parse_selectors(args.selectors),
+        simulate.MCConfig(
+            replications=args.reps,
+            seed=args.seed if args.seed is not None else fresh_seed(),
+            rho=args.rho,
+            loss_kind=_LOSS_FLAGS[args.loss],
+        ),
+        sigma=args.sigma,
+        a_ref=args.a_ref,
+        s_star=args.s_star,
     )
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_table(rows, fh)
     else:
         _write_table(rows, sys.stdout)
     return 0
 
 
-def cmd_phase(args) -> int:
-    return _run_sweep(
-        _parse_int_list(args.d_list, "--d-list"),
-        _parse_s_rule(args.s_rule),
-        _parse_float_list(args.a_mult, "--a-mult"),
-        _parse_selectors(args.selectors),
-        args.reps,
-        args.seed,
-        args.rho,
-        args.sigma,
-        _LOSS_FLAGS[args.loss],
-        args.a_ref,
-        args.s_star,
-        args.out,
-    )
-
-
-_SWEEP_DEFAULTS = {
-    "rho": 0.0,
-    "sigma": 1.0,
-    "loss": "hamming",
-    "a_ref": "almost-full",
-    "s_star": None,
-    "out": None,
+# Each sweep config key -> the phase flag it is written to, and the JSON type
+# of its value; [t] is a nonempty list of t, written joined by commas.  A
+# float key takes any JSON number, and no key takes a bool.
+_SWEEP_KEYS = {
+    "d_list": ("--d-list", [int]),
+    "s_rule": ("--s-rule", str),
+    "a_multipliers": ("--a-mult", [float]),
+    "selectors": ("--selectors", [str]),
+    "replications": ("--reps", int),
+    "seed": ("--seed", int),
+    "rho": ("--rho", float),
+    "sigma": ("--sigma", float),
+    "loss": ("--loss", str),
+    "a_ref": ("--a-ref", str),
+    "s_star": ("--s-star", int),
+    "out": ("--out", str),
 }
 _SWEEP_REQUIRED = ("d_list", "s_rule", "a_multipliers", "selectors", "replications", "seed")
+_SWEEP_NULLABLE = ("s_star", "out")
+_JSON_TYPES = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+}
 
 
-def _config_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config key {key!r}: expected an integer, got {value!r}")
-    return value
-
-
-def _config_number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config key {key!r}: expected a number, got {value!r}")
-    return float(value)
+def _json_is(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and bool(value) and all(
+            _json_is(v, kind[0]) for v in value
+        )
+    accepted = (int, float) if kind is float else kind
+    return not isinstance(value, bool) and isinstance(value, accepted)
 
 
 def cmd_sweep(args) -> int:
+    """Run phase on the flags the config's keys map to: prints exactly what phase prints."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -461,58 +429,27 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"{args.config}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
-    known = set(_SWEEP_REQUIRED) | set(_SWEEP_DEFAULTS)
     for key in data:
-        if key not in known:
+        if key not in _SWEEP_KEYS:
             raise ValueError(f"config key {key!r}: unknown")
     for key in _SWEEP_REQUIRED:
         if key not in data:
             raise ValueError(f"config key {key!r}: missing")
-    merged = {**_SWEEP_DEFAULTS, **data}
-
-    if not isinstance(merged["d_list"], list) or not merged["d_list"]:
-        raise ValueError("config key 'd_list': expected a nonempty list of integers")
-    d_list = [_config_int(v, "d_list") for v in merged["d_list"]]
-    if not isinstance(merged["s_rule"], str):
-        raise ValueError("config key 's_rule': expected a string like 'power:0.5'")
-    s_rule = _parse_s_rule(merged["s_rule"])
-    if not isinstance(merged["a_multipliers"], list) or not merged["a_multipliers"]:
-        raise ValueError("config key 'a_multipliers': expected a nonempty list of numbers")
-    a_multipliers = [_config_number(v, "a_multipliers") for v in merged["a_multipliers"]]
-    if not isinstance(merged["selectors"], list) or not all(
-        isinstance(v, str) for v in merged["selectors"]
-    ):
-        raise ValueError("config key 'selectors': expected a list of selector names")
-    kinds = _parse_selectors(",".join(merged["selectors"]))
-    if merged["loss"] not in _LOSS_FLAGS:
-        raise ValueError(
-            f"config key 'loss': expected one of {sorted(_LOSS_FLAGS)}, got {merged['loss']!r}"
-        )
-    if merged["a_ref"] not in ("almost-full", "exact"):
-        raise ValueError(
-            f"config key 'a_ref': expected 'almost-full' or 'exact', got {merged['a_ref']!r}"
-        )
-    s_star = merged["s_star"]
-    if s_star is not None:
-        s_star = _config_int(s_star, "s_star")
-    out_path = merged["out"]
-    if out_path is not None and not isinstance(out_path, str):
-        raise ValueError(f"config key 'out': expected a path string, got {out_path!r}")
-
-    return _run_sweep(
-        d_list,
-        s_rule,
-        a_multipliers,
-        kinds,
-        _config_int(merged["replications"], "replications"),
-        _config_int(merged["seed"], "seed"),
-        _config_number(merged["rho"], "rho"),
-        _config_number(merged["sigma"], "sigma"),
-        _LOSS_FLAGS[merged["loss"]],
-        merged["a_ref"],
-        s_star,
-        out_path,
-    )
+    argv = ["phase"]
+    for key, (flag, kind) in _SWEEP_KEYS.items():
+        if key not in data or (data[key] is None and key in _SWEEP_NULLABLE):
+            continue
+        value = data[key]
+        if not _json_is(value, kind):
+            what = (
+                f"a nonempty list of {_JSON_TYPES[kind[0]][1]}"
+                if isinstance(kind, list)
+                else _JSON_TYPES[kind][0]
+            )
+            raise ValueError(f"config key {key!r} ({flag}): expected {what}, got {value!r}")
+        entries = value if isinstance(kind, list) else [value]
+        argv.append(f"{flag}={','.join(str(v) for v in entries)}")
+    return cmd_phase(_build_parser().parse_args(argv))
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +572,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

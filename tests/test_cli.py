@@ -158,6 +158,26 @@ class TestRiskCommand:
         assert code == 2
         assert "--a" in err
 
+    @pytest.mark.parametrize("klass, a0, a1", [("bernoulli", "0.1", "0.9"), ("poisson", "1", "2")])
+    @pytest.mark.parametrize("sigma", ["0", "-1"])
+    def test_non_positive_sigma_rejected_as_by_mc(self, capsys, klass, a0, a1, sigma):
+        """risk and mc build the same ProblemInstance, which needs sigma > 0
+        for every family, although Bernoulli and Poisson risks ignore it."""
+        head = ("--class", klass, "--d", "10", "--s", "1", "--a0", a0, "--a1", a1, f"--sigma={sigma}")
+        code, out, err = run_cli(capsys, "risk", *head)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "sigma" in err
+        mc = run_cli(capsys, "mc", *head, "--selector", "llr", "--reps", "5", "--seed", "1")
+        assert mc == (code, out, err)
+
+    @pytest.mark.parametrize("klass, a0, a1", [("bernoulli", "0.1", "0.9"), ("poisson", "1", "2")])
+    def test_zero_sparsity_is_a_usage_error(self, capsys, klass, a0, a1):
+        code, out, err = run_cli(
+            capsys, "risk", "--class", klass, "--d", "10", "--s", "0", "--a0", a0, "--a1", a1,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "s=0" in err
+
 
 class TestSelectCommand:
     def test_threshold_abs_golden(self, capsys, tmp_path):
@@ -595,6 +615,68 @@ class TestSweepCommand:
         assert out == ""
         assert len(_parse_csv(dest.read_text())) == 1
 
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [
+            ({"rho": 0.3}, ["--rho", "0.3"]),
+            ({"sigma": 2.5}, ["--sigma", "2.5"]),
+            ({"loss": "normalized"}, ["--loss", "normalized"]),
+            ({"loss": "wrong-recovery"}, ["--loss", "wrong-recovery"]),
+            ({"a_ref": "exact"}, ["--a-ref", "exact"]),
+            (
+                {"s_star": 16, "selectors": ["adaptive"], "d_list": [64]},
+                ["--s-star", "16", "--selectors", "adaptive", "--d-list", "64"],
+            ),
+            ({"out": "table.csv"}, ["--out", "table.csv"]),
+            ({"s_star": None}, []),
+            ({"out": None}, []),
+        ],
+        ids=[
+            "rho", "sigma", "loss-normalized", "loss-wrong-recovery", "a_ref-exact",
+            "s_star", "out", "s_star-null", "out-null",
+        ],
+    )
+    def test_optional_key_matches_phase_flag(
+        self, capsys, tmp_path, monkeypatch, overrides, flags
+    ):
+        """A sweep prints, or writes to its out file, exactly what phase
+        does with the flags its keys map to (a repeated flag's last value wins)."""
+        monkeypatch.chdir(tmp_path)
+        table = tmp_path / "table.csv"
+
+        def run(*argv):
+            result = run_cli(capsys, *argv)
+            written = table.read_text() if table.exists() else None
+            table.unlink(missing_ok=True)
+            return (*result, written)
+
+        sweep = run("sweep", str(self._config(tmp_path, **overrides)))
+        phase = run(
+            "phase", "--d-list", "30,60", "--s-rule", "fixed:3", "--a-mult", "1.0",
+            "--selectors", "plus", "--reps", "30", "--seed", "7", *flags,
+        )
+        assert sweep == phase
+        code, out, err, written = sweep
+        assert (code, err) == (0, "")
+        assert (out == "", written is not None) == ("--out" in flags,) * 2
+
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [
+            ("replications", True, "--reps"),
+            ("replications", 3.0, "--reps"),
+            ("d_list", [], "--d-list"),
+            ("selectors", "plus", "--selectors"),
+            ("rho", None, "--rho"),
+            ("loss", "hamming-ish", "--loss"),
+            ("a_ref", "exactly", "--a-ref"),
+        ],
+    )
+    def test_rejected_value_is_named(self, capsys, tmp_path, key, value, flag):
+        code, out, err = run_cli(capsys, "sweep", str(self._config(tmp_path, **{key: value})))
+        assert (code, out) == (2, "")
+        assert f"'{key}'" in err or flag in err
+
 
 _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -633,6 +715,18 @@ def _readme_examples():
 _README_FILES, _README_EXAMPLES, _README_ELIDED = _readme_examples()
 
 
+def _readme_sweep():
+    """The JSON config README.md shows under "`sweep` reads the same grid",
+    and its table of config keys -> `phase` flags."""
+    after = _README.read_text(encoding="utf-8").split("`sweep` reads the same grid", 1)[1]
+    config = after.split("```json\n", 1)[1].split("```", 1)[0]
+    flags = dict(re.findall(r"^\| `(\w+)` +\| `(--[\w-]+)` +\|", after, re.MULTILINE))
+    return config, flags
+
+
+_README_SWEEP_CONFIG, _README_SWEEP_FLAGS = _readme_sweep()
+
+
 class TestReadmeExamples:
     def test_examples_found(self):
         commands = [argv[0] for argv, _ in _README_EXAMPLES]
@@ -669,6 +763,22 @@ class TestReadmeExamples:
             assert 2 <= len(shown) <= len(rows)
             for line, row in zip(shown, rows):
                 assert row.startswith(line.rstrip("\n").removesuffix("..."))
+
+    def test_sweep_config_prints_what_phase_prints(self, capsys, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(_README_SWEEP_CONFIG, encoding="utf-8")
+        sweep = run_cli(capsys, "sweep", str(config))
+        phase = run_cli(
+            capsys, "phase", "--d-list", "100,200", "--s-rule", "power:0.5",
+            "--a-mult", "0.8,1.0,1.2", "--selectors", "plus,universal", "--reps", "2000",
+            "--seed", "5",
+        )
+        assert sweep == phase
+        code, out, err = sweep
+        assert (code, err, len(_parse_csv(out))) == (0, "", 12)
+
+    def test_sweep_key_table_is_the_cli_mapping(self):
+        assert _README_SWEEP_FLAGS == {key: flag for key, (flag, _) in cli._SWEEP_KEYS.items()}
 
 
 class TestFormatting:

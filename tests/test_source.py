@@ -1,6 +1,7 @@
 """Source hygiene: no import a module never uses, no module-level private
-function that nothing in the package references, and no public name that
-nothing uses.
+function that nothing in the package references, no module-level assigned
+name that nothing in the package reads, and no public name that nothing
+uses.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
@@ -79,6 +80,33 @@ def test_no_orphan_private_functions():
         and node.name not in referenced
     ]
     assert not orphans, f"private functions nothing in src/ references: {orphans}"
+
+
+def _module_assignments(tree: ast.Module):
+    """Each name an assignment statement at the module's top level binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_no_orphan_module_constants():
+    """Every module-level assigned name in src/hamsel, dunders excepted, is
+    read somewhere in src/: a table whose last reader went is left behind."""
+    trees = {m.name: _tree(m) for m in MODULES}
+    read = set().union(*(_used_names(tree) for tree in trees.values()))
+    orphans = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _module_assignments(tree)
+        if not name.startswith("__") and name not in read
+    ]
+    assert not orphans, f"module-level names nothing in src/ reads: {orphans}"
 
 
 def _public_definitions(tree: ast.Module):
