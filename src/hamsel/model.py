@@ -39,12 +39,15 @@ def _check_d_s(d: int, s: int, sparse: bool = False) -> None:
         raise ValueError(f"need 2s < d, got s={s}, d={d}")
 
 
-def _check_positive(a: float = 1.0, sigma: float = 1.0, name: str = "a") -> None:
-    """A level and a noise scale, each positive and finite; name labels a."""
-    if not (a > 0.0 and math.isfinite(a)):
+def _check_positive(a: float | None = None, sigma: float | None = None, name: str = "a") -> None:
+    """A level and a noise scale, each positive and finite; name labels a.
+    Given both, (a/sigma)^2 must be finite and nonzero: the formulas square it."""
+    if a is not None and not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"need {name} > 0, got {a}")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
+    if sigma is not None and not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"need sigma > 0, got {sigma}")
+    if a is not None and sigma is not None and not 0.0 < (a / sigma) * (a / sigma) < math.inf:
+        raise ValueError(f"need (a/sigma)^2 finite and nonzero, got a={a}, sigma={sigma}")
 
 
 def _check_interval(family: Family, a0: float, a1: float) -> None:

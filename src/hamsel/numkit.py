@@ -8,13 +8,13 @@ leading digits of the final answer.
 
 Conventions
 -----------
-* ``gaussian_cdf`` keeps relative accuracy <= 1e-14 down to y = -37.  The
-  libm ``erfc`` alone drifts to ~1e-13 beyond y ~ -25 (its argument squaring
-  loses low bits), so below ``_ERFC_CUTOFF`` we switch to a Lentz-style
-  continued fraction with a split-argument evaluation of exp(-y^2/2).
-* Below roughly y = -37.6 the result itself falls into the subnormal range
-  and relative accuracy degrades with it; values still saturate cleanly
-  to 0.0.
+* The libm ``erfc`` drifts to ~1e-13 beyond y ~ -25 (its argument squaring
+  loses low bits), so every Gaussian tail beyond 8 comes from one Mills
+  ratio R(y) = Q(y)/phi(y) = 1/(y + 1/(y + 2/(y + ...))), a fixed-depth
+  backward recurrence, times a split-argument exp(-y^2/2).
+* ``gaussian_cdf(y, scale)`` is scale * Phi(y) to <= 1e-14 relative wherever
+  that is a normal float; ``log_gaussian_tail`` uses log R(y) and never
+  underflows.
 """
 
 from __future__ import annotations
@@ -24,17 +24,17 @@ import operator
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = math.log(_SQRT_2PI)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG2 = math.log(2.0)
 
-# Below this point 0.5*erfc(-y/sqrt(2)) has lost the 1e-14 contract; the
-# continued fraction takes over.  Chosen with margin: erfc is still ~6e-15
-# accurate here while the continued fraction is ~1e-16.
-_ERFC_CUTOFF = -8.0
-_CF_TERMS = 40
-
-# log(1 - Phi(y)) switches to the asymptotic expansion above this point.
-_LOG_TAIL_CUTOFF = 35.0
+# Beyond this point 0.5*erfc(-y/sqrt(2)) has lost the 1e-14 contract; the
+# Mills ratio takes over.  Chosen with margin: erfc is still ~6e-15
+# accurate here while the Mills route is ~2e-16.
+_TAIL_CUTOFF = 8.0
+# At y = 8, 14 levels truncate the fraction at 5e-17 relative and 16 at
+# 1.5e-18 (mpmath, 50 digits); deeper in the tail it converges faster.
+_CF_TERMS = 16
 
 # Poisson CDF: forward summation below, regularized incomplete gamma above.
 # At lambda = 32 the leading term exp(-lambda) ~ 1.3e-14 is still a normal
@@ -46,69 +46,65 @@ _POISSON_SUM_MAX_LAMBDA = 32.0
 _special = None
 
 
-def _exp_neg_half_square(y: float) -> float:
-    """exp(-y^2/2) with the argument split so y*y does not round.
-
-    The high part keeps at most 26 significant bits (exact square), the low
-    part is a small correction; each exp() call then contributes ~1 ulp
-    instead of the |y|^2 * eps / 2 relative error of the naive form.
-    Valid for 0 <= y < 64.
-    """
-    yh = round(y * 1048576.0) / 1048576.0  # 2^20 grid keeps yh^2 exact
+def _scaled_exp_neg_half_square(y: float, scale: float = 1.0) -> float:
+    """scale * exp(-y^2/2) for y >= 0.  Below 64, yh (y on a 2^-20 grid) has
+    at most 26 significant bits, so yh^2 is exact, and scale * e * e with
+    e = exp(-yh^2/4) underflows only where the whole product does.  From 64
+    on e is 0.0, and the rounding to the grid would overflow at huge y."""
+    if y >= 64.0:
+        return 0.0
+    yh = round(y * 1048576.0) / 1048576.0
     yl = y - yh
-    return math.exp(-0.5 * yh * yh) * math.exp(-0.5 * yl * (y + yh))
+    e = math.exp(-0.25 * yh * yh)
+    return scale * e * e * math.exp(-0.5 * yl * (y + yh))
 
 
-def _gaussian_tail_cf(y: float) -> float:
-    """Upper tail Q(y) = 1 - Phi(y) for y >= 8 via continued fraction.
-
-    Q(y) = phi(y) / (y + 1/(y + 2/(y + 3/(...)))); 40 levels are far past
-    convergence at y = 8 (the error is already below eps at 24 levels).
-    """
+def _inverse_mills_ratio(y: float) -> float:
+    """1/R(y) = y + 1/(y + 2/(y + 3/(...))) for y >= 8, where the Gaussian
+    upper tail is Q(y) = phi(y) R(y); _CF_TERMS levels."""
     f = 0.0
     for k in range(_CF_TERMS, 0, -1):
         f = k / (y + f)
-    return _exp_neg_half_square(y) / ((y + f) * _SQRT_2PI)
+    return y + f
 
 
-def gaussian_cdf(y: float) -> float:
-    """Standard Gaussian CDF Phi(y).
+def gaussian_cdf(y: float, scale: float = 1.0) -> float:
+    """scale * Phi(y), Phi the standard Gaussian CDF.
 
     Parameters
     ----------
     y : float
-        Evaluation point.  NaN is rejected; +-inf saturates to 1/0.
+        Evaluation point.  NaN is rejected; +-inf saturates to scale/0.
+    scale : float
+        Finite positive factor, applied before the far-tail exponentials so
+        that a large one keeps digits scale * gaussian_cdf(y) would lose.
 
     Returns
     -------
     float
-        Phi(y) in [0, 1], exactly 0.5 at y = 0, relative accuracy <= 1e-14
-        for y >= -37 (see module docstring for the subnormal regime below).
+        scale * Phi(y), exactly scale/2 at y = 0, with relative accuracy
+        <= 1e-14 wherever the result is a normal float.
     """
     if math.isnan(y):
         raise ValueError("gaussian_cdf: y must not be NaN")
-    if y < _ERFC_CUTOFF:
-        if y == -math.inf:
-            return 0.0
-        return _gaussian_tail_cf(-y)
-    return 0.5 * math.erfc(-y / _SQRT2)
+    if y >= -_TAIL_CUTOFF:
+        return scale * 0.5 * math.erfc(-y / _SQRT2)
+    return _scaled_exp_neg_half_square(-y, scale) / (_inverse_mills_ratio(-y) * _SQRT_2PI)
 
 
 def log_gaussian_tail(y: float) -> float:
     """log(1 - Phi(y)), stable for arbitrarily large y.
 
     Diagnostic companion to :func:`gaussian_cdf` for regimes where even the
-    tail-safe CDF underflows.  Uses the CDF directly up to y = 35, then the
-    standard asymptotic expansion of Mills' ratio (four correction terms,
-    absolute error below ~1e-12 at the seam and shrinking with y).
+    scaled CDF underflows: log Phi(-y) up to y = 8, and above it
+    -y^2/2 - log sqrt(2 pi) + log R(y) on the same Mills ratio, which
+    never underflows.
     """
     if math.isnan(y):
         raise ValueError("log_gaussian_tail: y must not be NaN")
-    if y <= _LOG_TAIL_CUTOFF:
+    if y <= _TAIL_CUTOFF:
         return math.log(gaussian_cdf(-y))
-    inv2 = 1.0 / (y * y)
-    series = inv2 * (-1.0 + inv2 * (3.0 + inv2 * (-15.0 + inv2 * 105.0)))
-    return -0.5 * y * y - math.log(y) - math.log(_SQRT_2PI) + math.log1p(series)
+    return -0.5 * y * y - _LOG_SQRT_2PI - math.log(_inverse_mills_ratio(y))
 
 
 def gaussian_tail_bounds(y: float) -> tuple[float, float]:
@@ -120,11 +116,12 @@ def gaussian_tail_bounds(y: float) -> tuple[float, float]:
         upper = sqrt(2/pi) * exp(-y^2/2) / (y + sqrt(y^2 + 8/pi))
 
     satisfying lower < 1 - Phi(y) <= upper for y >= 0, with equality on the
-    upper side only at y = 0 where both sides are exactly 0.5.
+    upper side only at y = 0 where both sides are exactly 0.5.  Both
+    saturate to 0.0 for huge or infinite y.
     """
     if not (y >= 0.0):
         raise ValueError(f"gaussian_tail_bounds: need y >= 0, got {y}")
-    e = _exp_neg_half_square(y)
+    e = _scaled_exp_neg_half_square(y)
     lower = _SQRT_2_OVER_PI * e / (y + math.sqrt(y * y + 4.0))
     upper = _SQRT_2_OVER_PI * e / (y + math.sqrt(y * y + 8.0 / math.pi))
     return lower, upper

@@ -5,10 +5,6 @@ worst-case expected Hamming loss of the corresponding selector over its
 class is s * Psi.  All formulas follow the closed ``>= t`` selection
 convention of :mod:`hamsel.selectors`; for the discrete families this
 matters at atoms and the two modules are kept consistent bit for bit.
-
-Products like ((d-s)/s) * Phi(y) are routed through logs once Phi(y)
-approaches the subnormal range, so extreme-tail values keep full relative
-accuracy instead of degrading with the underflowing factor.
 """
 
 from __future__ import annotations
@@ -38,14 +34,6 @@ from .selectors import crowd_weights, llr_threshold
 _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
 
 
-def _scaled_tail(scale: float, log_scale: float, y: float) -> float:
-    """scale * Phi(y), via logs below y = -37, where gaussian_cdf's 1e-14
-    accuracy ends and Phi(y) nears the subnormal range."""
-    if y >= -37.0:
-        return scale * numkit.gaussian_cdf(y)
-    return math.exp(log_scale + numkit.log_gaussian_tail(-y))
-
-
 def _psi_cut(d: int, s: int, a: float, sigma: float, clip_miss: bool) -> float:
     """Psi+ of the docstring below, or with clip_miss its miss argument
     -a/(2 sigma) + sigma log((d-s)/s)/a clipped at 0.
@@ -65,11 +53,11 @@ def _psi_cut(d: int, s: int, a: float, sigma: float, clip_miss: bool) -> float:
     fp = -half - shift
     miss = -half + shift
     if fp > 0.0:
-        gain = ratio * numkit.gaussian_cdf(-fp) - numkit.gaussian_cdf(miss)
+        gain = numkit.gaussian_cdf(-fp, ratio) - numkit.gaussian_cdf(miss)
         return ratio - max(gain, 0.0)
     if clip_miss and miss > 0.0:
         miss = 0.0
-    return _scaled_tail(ratio, log_ratio, fp) + numkit.gaussian_cdf(miss)
+    return numkit.gaussian_cdf(fp, ratio) + numkit.gaussian_cdf(miss)
 
 
 def psi_plus(d: int, s: int, a: float, sigma: float = 1.0) -> float:
@@ -108,7 +96,7 @@ def psi_bar(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     if log_u <= 0.0:
         return ratio
     q = (sigma / a) * numkit.arccosh_exp(log_u)
-    term_fp = _scaled_tail(2.0 * ratio, math.log(2.0) + log_ratio, -q)
+    term_fp = numkit.gaussian_cdf(-q, 2.0 * ratio)
     term_miss = numkit.gaussian_cdf(q - a / sigma) - numkit.gaussian_cdf(-q - a / sigma)
     return term_fp + max(term_miss, 0.0)
 
@@ -130,8 +118,8 @@ def psi_general(
     if family is Family.GAUSSIAN:
         _check_interval(family, a0, a1)
         return psi_plus(d, s, a1 - a0, sigma)
-    ratio = (d - s) / s
     t = llr_threshold(family, d, s, a0, a1, sigma)
+    ratio = (d - s) / s
     if family is Family.BERNOULLI:
         if t <= 0.0:
             return ratio

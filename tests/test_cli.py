@@ -178,6 +178,21 @@ class TestRiskCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "s=0" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("risk", "--class", "two-sided", "--sigma", "1e-300"),
+            ("mc", "--class", "two-sided", "--selector", "cosh", "--sigma", "1e-300",
+             "--reps", "5", "--seed", "1"),
+            ("risk", "--class", "plus", "--sigma", "1e-303"),
+        ],
+    )
+    def test_squared_level_ratio_out_of_range_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--d", "200", "--s", "10", "--a", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "(a/sigma)^2" in err
+        assert err.count("\n") == 1
+
 
 class TestSelectCommand:
     def test_threshold_abs_golden(self, capsys, tmp_path):

@@ -260,7 +260,7 @@ def _floyd_blocks(draw):
 
 
 class TestFloydResolve:
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200)
     @given(block=_floyd_blocks())
     @example(block=(1, np.array([[0]])))  # s = d = 1
     @example(block=(9, np.array([[4]])))  # s = 1

@@ -59,6 +59,10 @@ class TestGaussianCdf:
         assert numkit.gaussian_cdf(float("inf")) == 1.0
         # beyond the subnormal edge the value degrades but stays a valid tail
         assert 0.0 <= numkit.gaussian_cdf(-38.5) < 1e-300
+        # past the 2^-20 split's range the value saturates, and no
+        # intermediate overflows on the way
+        assert numkit.gaussian_cdf(-1e303) == 0.0
+        assert numkit.gaussian_cdf(-1e303, 1e300) == 0.0
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -86,6 +90,9 @@ class TestLogGaussianTail:
         got = numkit.log_gaussian_tail(1e6)
         exact = float(mp.log(mp.ncdf(-mp.mpf(1e6))))
         assert_allclose(got, exact, rtol=1e-13)
+        # log Q(y) ~ -y^2/2 leaves double range; it saturates, never raises
+        assert numkit.log_gaussian_tail(1e303) == -math.inf
+        assert numkit.log_gaussian_tail(math.inf) == -math.inf
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -116,6 +123,10 @@ class TestGaussianTailBounds:
             return (upper - lower) / lower
 
         assert gap(10.0) < gap(1.0) < gap(0.0)
+
+    def test_saturates_at_huge_arguments(self):
+        assert numkit.gaussian_tail_bounds(1e303) == (0.0, 0.0)
+        assert numkit.gaussian_tail_bounds(math.inf) == (0.0, 0.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -202,7 +213,7 @@ class TestPoissonCdf:
             numkit.poisson_cdf(3, float("inf"))
 
 
-_PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+_PROPERTY = settings(max_examples=100)
 
 
 class TestSeamProperties:
@@ -225,6 +236,19 @@ class TestSeamProperties:
     def test_log_gaussian_tail_at_35(self, y):
         exact = float(mp.log(mp.ncdf(-mp.mpf(y))))
         assert_allclose(numkit.log_gaussian_tail(y), exact, rtol=1e-13, atol=1e-12)
+
+    @_PROPERTY
+    @given(y=st.floats(8.0, 1e6))
+    @example(y=8.0)
+    @example(y=math.nextafter(8.0, 9.0))
+    @example(y=10.0)
+    @example(y=34.0)
+    @example(y=64.0)
+    @example(y=1e6)
+    def test_log_gaussian_tail_beyond_8(self, y):
+        """The Mills-ratio route keeps log Q(y) to a few ulp."""
+        exact = float(mp.log(mp.ncdf(-mp.mpf(y))))
+        assert_allclose(numkit.log_gaussian_tail(y), exact, rtol=1e-15)
 
     @_PROPERTY
     @given(t=st.floats(29.5, 30.5))

@@ -6,6 +6,7 @@ the discrete families, and scipy CDFs where a second implementation exists.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -15,12 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hamsel import numkit
 from hamsel.model import Family, LossKind
 from hamsel.risk import (
     PhasePoint,
     RecoveryBounds,
     WrongRecoveryBounds,
-    _scaled_tail,
     a0_adaptive,
     adaptive_A_min,
     delta_bounds,
@@ -194,7 +195,7 @@ class TestSandwich:
 # <= PsiBar is the exception, exact by construction: where PsiBar is (d-s)/s,
 # Psi+ is (d-s)/s less a nonnegative gain.
 _ORDER_RTOL = 1e-13
-_PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+_PROPERTY = settings(max_examples=100)
 _LEVELS = st.floats(1e-3, 60.0)
 _SIGMAS = st.floats(0.1, 10.0)
 
@@ -236,23 +237,28 @@ class TestRiskProperties:
 
 
 class TestScaledTailSeam:
-    """scale Phi(y) on both sides of the switch to the log route at y = -37,
-    against mpmath: to the closed forms' 1e-13 on the direct side, and to
-    1e-12 on the log side, where the truncated Mills series (about
-    945 / y^10 = 2.0e-13 at y = 37) and the rounding of a log near -690
-    set the error."""
+    """scale Phi(y) from the Mills-ratio seam at -8 down through the far
+    tail the closed forms reach, against mpmath, to the closed forms' 1e-13
+    wherever the result is a normal float: the scale enters before the
+    exponentials, so no digits are lost to an underflowing Phi(y)."""
 
     @_PROPERTY
-    @given(y=st.floats(-37.5, -35.5), scale=st.floats(1.0, 1e7))
+    @given(y=st.floats(-60.0, -8.0), scale=st.floats(1.0, 1e7))
     @example(y=-37.0, scale=19.0)
     @example(y=math.nextafter(-37.0, 0.0), scale=19.0)
     @example(y=math.nextafter(-37.0, -38.0), scale=19.0)
     @example(y=math.nextafter(-37.0, -38.0), scale=1e7)
     @example(y=-36.0, scale=19.0)
+    @example(y=-37.75, scale=1e7)
+    @example(y=-37.9, scale=1e7)
+    @example(y=math.nextafter(-8.0, -9.0), scale=1e7)
     def test_matches_mpmath(self, y, scale):
         exact = float(mp.mpf(scale) * mp.ncdf(mp.mpf(y)))
-        rtol = 1e-13 if y >= -37.0 else 1e-12
-        assert_allclose(_scaled_tail(scale, math.log(scale), y), exact, rtol=rtol)
+        got = numkit.gaussian_cdf(y, scale)
+        if exact >= sys.float_info.min:
+            assert_allclose(got, exact, rtol=1e-13)
+        else:
+            assert 0.0 <= got < sys.float_info.min
 
 
 class TestPsiGeneralGaussian:
@@ -314,6 +320,10 @@ class TestPsiGeneralBernoulli:
     def test_never_select_branch_returns_one(self):
         assert psi_general(Family.BERNOULLI, 50, 1, 0.3, 0.7) == 1.0
 
+    def test_zero_sparsity_rejected_before_the_ratio(self):
+        with pytest.raises(ValueError, match="need 1 <= s < d"):
+            psi_general(Family.BERNOULLI, 10, 0, 0.1, 0.9)
+
     def test_matches_atom_enumeration_exactly(self):
         rng = np.random.default_rng(7)
         hits = {0, 1, 2}
@@ -364,6 +374,10 @@ class TestPsiGeneralPoisson:
         # s > d/2 with close rates pushes the cut below zero
         val = psi_general(Family.POISSON, 5, 4, 1.0, 2.0)
         assert val == 0.25
+
+    def test_zero_sparsity_rejected_before_the_ratio(self):
+        with pytest.raises(ValueError, match="need 1 <= s < d"):
+            psi_general(Family.POISSON, 10, 0, 1.0, 2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -579,7 +579,7 @@ def _threshold_cases(draw):
 class TestThresholdProperty:
     """Threshold against its literal selection event, coordinate by coordinate."""
 
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200)
     @given(case=_threshold_cases())
     @example(case=(Threshold(0.0, two_sided=True), [-0.0, 0.0, -5e-324]))
     @example(case=(Threshold(-0.0), [-0.0, 0.0, -5e-324]))
@@ -752,7 +752,7 @@ def _adaptive_blocks(draw):
 class TestAdaptiveBlockProperty:
     """The adaptive block core against the per-row rule, row by row."""
 
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200)
     @given(case=_adaptive_blocks())
     @example(case=(np.zeros((1, 8)), 2))
     # 20 coordinates on w(g_M) = w(16) at d = 64 overfill band M (tau g_M = 15.8)

@@ -778,7 +778,7 @@ _POISSON_1500 = ProblemInstance(1500, 5, Interval(1.0, 2.5), family=Family.POISS
 
 
 class TestBlockEngineProperty:
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=60)
     @given(case=_engine_cases())
     @example(
         case=(
