@@ -15,8 +15,6 @@ import re
 import sys
 import traceback
 
-import numpy as np
-
 from . import risk, simulate
 from .model import (
     CrowdInstance,
@@ -81,14 +79,14 @@ def _fmt_float(v: float) -> str:
 
 
 def _json_text(obj) -> str:
+    """None, ints, floats (numpy's float64 is one), strings, and dicts and
+    lists of them, as one line of JSON."""
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -96,26 +94,17 @@ def _json_text(obj) -> str:
             f"{json.dumps(str(k))}: {_json_text(v)}" for k, v in obj.items()
         )
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, list):
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
-    return str(v)
 
 
 def _write_table(rows: list[dict], stream) -> None:
     """phase_sweep's rows as CSV, its row keys (in order) as the header."""
     stream.write(",".join(rows[0]) + "\n")
     for row in rows:
-        stream.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
+        cells = (_fmt_float(v) if isinstance(v, float) else str(v) for v in row.values())
+        stream.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +134,22 @@ def _build_instance(args) -> ProblemInstance:
     return ProblemInstance(args.d, args.s, signal, family, args.sigma)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag}: empty list")
-    return values
+# How messages name a value of each type a flag list or sweep key takes: (one, several)
+_TYPE_NAMES = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+}
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """A nonempty comma-separated list of kind (int, float or str) values."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = [kind(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+        raise ValueError(
+            f"{flag}: expected comma-separated {_TYPE_NAMES[kind][1]}, got {text!r}"
+        ) from None
     if not values:
         raise ValueError(f"{flag}: empty list")
     return values
@@ -195,9 +185,7 @@ def _parse_s_rule(text: str):
 
 
 def _parse_selectors(text: str) -> list[str]:
-    kinds = [part.strip() for part in text.split(",") if part.strip()]
-    if not kinds:
-        raise ValueError("--selectors: empty list")
+    kinds = _parse_list(text, "--selectors", str)
     for kind in kinds:
         if kind not in SELECTOR_KINDS:
             raise ValueError(
@@ -323,16 +311,21 @@ def _mc_closed_form(p: ProblemInstance, kind: str, loss: LossKind) -> float | No
     return base if loss is LossKind.HAMMING else base / p.s
 
 
-def cmd_mc(args) -> int:
-    p = _build_instance(args)
-    spec = spec_for_kind(args.selector, p, s_star=args.s_star)
-    seed = args.seed if args.seed is not None else fresh_seed()
-    cfg = simulate.MCConfig(
+def _mc_config(args) -> simulate.MCConfig:
+    """The run flags of mc and phase; a fresh seed, echoed in the output,
+    when --seed is omitted."""
+    return simulate.MCConfig(
         replications=args.reps,
-        seed=seed,
+        seed=args.seed if args.seed is not None else fresh_seed(),
         rho=args.rho,
         loss_kind=_LOSS_FLAGS[args.loss],
     )
+
+
+def cmd_mc(args) -> int:
+    p = _build_instance(args)
+    spec = spec_for_kind(args.selector, p, s_star=args.s_star)
+    cfg = _mc_config(args)
     report = simulate.estimate_risk(p, spec, cfg)
     sig = p.signal
     out = {
@@ -363,16 +356,11 @@ def cmd_mc(args) -> int:
 
 def cmd_phase(args) -> int:
     rows = simulate.phase_sweep(
-        _parse_int_list(args.d_list, "--d-list"),
+        _parse_list(args.d_list, "--d-list", int),
         _parse_s_rule(args.s_rule),
-        _parse_float_list(args.a_mult, "--a-mult"),
+        _parse_list(args.a_mult, "--a-mult", float),
         _parse_selectors(args.selectors),
-        simulate.MCConfig(
-            replications=args.reps,
-            seed=args.seed if args.seed is not None else fresh_seed(),
-            rho=args.rho,
-            loss_kind=_LOSS_FLAGS[args.loss],
-        ),
+        _mc_config(args),
         sigma=args.sigma,
         a_ref=args.a_ref,
         s_star=args.s_star,
@@ -404,11 +392,6 @@ _SWEEP_KEYS = {
 }
 _SWEEP_REQUIRED = ("d_list", "s_rule", "a_multipliers", "selectors", "replications", "seed")
 _SWEEP_NULLABLE = ("s_star", "out")
-_JSON_TYPES = {
-    int: ("an integer", "integers"),
-    float: ("a number", "numbers"),
-    str: ("a string", "strings"),
-}
 
 
 def _json_is(value, kind) -> bool:
@@ -442,9 +425,9 @@ def cmd_sweep(args) -> int:
         value = data[key]
         if not _json_is(value, kind):
             what = (
-                f"a nonempty list of {_JSON_TYPES[kind[0]][1]}"
+                f"a nonempty list of {_TYPE_NAMES[kind[0]][1]}"
                 if isinstance(kind, list)
-                else _JSON_TYPES[kind][0]
+                else _TYPE_NAMES[kind][0]
             )
             raise ValueError(f"config key {key!r} ({flag}): expected {what}, got {value!r}")
         entries = value if isinstance(kind, list) else [value]
@@ -486,6 +469,15 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a0", type=float, help="null level or rate")
     p.add_argument("--a1", type=float, help="signal level or rate")
     p.add_argument("--sigma", type=float, default=1.0, help="noise level (default 1)")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The Monte Carlo run flags of mc and phase (see _mc_config)."""
+    p.add_argument("--s-star", dest="s_star", type=int, help="adaptive sparsity budget")
+    p.add_argument("--reps", type=int, required=True, help="replications")
+    p.add_argument("--seed", type=int, help="64-bit seed (auto-chosen and echoed if omitted)")
+    p.add_argument("--rho", type=float, default=0.0, help="equicorrelation in [0,1)")
+    p.add_argument("--loss", choices=list(_LOSS_FLAGS), default="hamming")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -537,11 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo risk of a selector")
     _add_instance_flags(p)
     p.add_argument("--selector", required=True, choices=list(SELECTOR_KINDS))
-    p.add_argument("--s-star", dest="s_star", type=int, help="adaptive sparsity budget")
-    p.add_argument("--reps", type=int, required=True, help="replications")
-    p.add_argument("--seed", type=int, help="64-bit seed (auto-chosen and echoed if omitted)")
-    p.add_argument("--rho", type=float, default=0.0, help="equicorrelation in [0,1)")
-    p.add_argument("--loss", choices=list(_LOSS_FLAGS), default="hamming")
+    _add_run_flags(p)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("phase", help="risk table over a (d, a-multiplier, selector) grid")
@@ -554,14 +542,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--a-mult", dest="a_mult", required=True, help="e.g. 0.8,1,1.2")
     p.add_argument("--selectors", required=True, help=f"comma list from {','.join(SELECTOR_KINDS)}")
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, help="64-bit seed (auto-chosen and echoed if omitted)")
-    p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--loss", choices=list(_LOSS_FLAGS), default="hamming")
     p.add_argument("--a-ref", dest="a_ref", choices=["almost-full", "exact"], default="almost-full")
-    p.add_argument("--s-star", dest="s_star", type=int, help="adaptive sparsity budget")
     p.add_argument("--out", help="CSV output path (default stdout)")
+    _add_run_flags(p)
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config file")

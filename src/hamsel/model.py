@@ -39,15 +39,22 @@ def _check_d_s(d: int, s: int, sparse: bool = False) -> None:
         raise ValueError(f"need 2s < d, got s={s}, d={d}")
 
 
-def _check_positive(a: float | None = None, sigma: float | None = None, name: str = "a") -> None:
+def _check_positive(
+    a: float | None = None, sigma: float | None = None, name: str = "a"
+) -> float | None:
     """A level and a noise scale, each positive and finite; name labels a.
-    Given both, (a/sigma)^2 must be finite and nonzero: the formulas square it."""
+    Given both, returns r = a/sigma, which must square to a finite nonzero
+    value: the Gaussian formulas read a and sigma only through r."""
     if a is not None and not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"need {name} > 0, got {a}")
     if sigma is not None and not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"need sigma > 0, got {sigma}")
-    if a is not None and sigma is not None and not 0.0 < (a / sigma) * (a / sigma) < math.inf:
+    if a is None or sigma is None:
+        return None
+    r = a / sigma
+    if not 0.0 < r * r < math.inf:
         raise ValueError(f"need (a/sigma)^2 finite and nonzero, got a={a}, sigma={sigma}")
+    return r
 
 
 def _check_interval(family: Family, a0: float, a1: float) -> None:
@@ -447,8 +454,6 @@ def least_favorable_draw(
     Draw order is part of the reproducibility contract: the support's s
     uniforms are consumed first, then (TwoSided only) the sign.
     """
-    if p.family is not Family.GAUSSIAN:
-        raise ValueError("least-favorable draws are defined for the Gaussian family")
     sig = p.signal
     if isinstance(sig, Interval):
         raise ValueError(

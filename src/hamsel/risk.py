@@ -5,6 +5,8 @@ worst-case expected Hamming loss of the corresponding selector over its
 class is s * Psi.  All formulas follow the closed ``>= t`` selection
 convention of :mod:`hamsel.selectors`; for the discrete families this
 matters at atoms and the two modules are kept consistent bit for bit.
+The Gaussian forms read a and sigma only through r = a/sigma, so
+f(d, s, a, sigma) = f(d, s, a/sigma, 1) exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .model import (
     fresh_seed,
     rng_stream,
 )
-from .selectors import crowd_weights, llr_threshold
+from .selectors import _cosh_cut, crowd_weights, llr_threshold
 
 _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
 
@@ -45,11 +47,10 @@ def _psi_cut(d: int, s: int, a: float, sigma: float, clip_miss: bool) -> float:
     then negative and clip_miss changes nothing.
     """
     _check_d_s(d, s)
-    _check_positive(a, sigma)
+    r = _check_positive(a, sigma)
     ratio = (d - s) / s
-    log_ratio = math.log((d - s) / s)
-    half = a / (2.0 * sigma)
-    shift = sigma * log_ratio / a
+    half = r / 2.0
+    shift = math.log(ratio) / r
     fp = -half - shift
     miss = -half + shift
     if fp > 0.0:
@@ -89,15 +90,13 @@ def psi_bar(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     (d-s)/s: no misses, all d-s off-support coordinates wrong.
     """
     _check_d_s(d, s)
-    _check_positive(a, sigma)
+    r = _check_positive(a, sigma)
     ratio = (d - s) / s
-    log_ratio = math.log((d - s) / s)
-    log_u = a * a / (2.0 * sigma * sigma) + log_ratio
-    if log_u <= 0.0:
+    q = _cosh_cut(r, math.log(ratio))
+    if q == 0.0:
         return ratio
-    q = (sigma / a) * numkit.arccosh_exp(log_u)
     term_fp = numkit.gaussian_cdf(-q, 2.0 * ratio)
-    term_miss = numkit.gaussian_cdf(q - a / sigma) - numkit.gaussian_cdf(-q - a / sigma)
+    term_miss = numkit.gaussian_cdf(q - r) - numkit.gaussian_cdf(-q - r)
     return term_fp + max(term_miss, 0.0)
 
 
@@ -265,10 +264,10 @@ def delta_bounds(d: int, s: int, a: float, sigma: float = 1.0) -> RecoveryBounds
     degenerate regimes.  Requires 2s < d.
     """
     _check_d_s(d, s, sparse=True)
-    _check_positive(a, sigma)
-    w = a * a / (sigma * sigma) - 2.0 * math.log((d - s) / s)
+    r = _check_positive(a, sigma)
+    w = r * r - 2.0 * math.log((d - s) / s)
     if w >= 0.0:
-        delta = sigma * w / (2.0 * a)
+        delta = w / (2.0 * r)
         tail = numkit.gaussian_cdf(-delta)
         return RecoveryBounds(w, delta, s * tail, _UPPER_CONST * s * tail)
     return RecoveryBounds(w, 0.0, 0.0, _UPPER_CONST * s * 0.5)

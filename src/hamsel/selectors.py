@@ -53,13 +53,22 @@ def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     at zero themselves).
     """
     _check_d_s(d, s)
-    _check_positive(a, sigma)
-    return a / 2.0 + (sigma * sigma / a) * math.log((d - s) / s)
+    r = _check_positive(a, sigma)
+    return a / 2.0 + sigma * ((1.0 / r) * math.log((d - s) / s))
 
 
 # ---------------------------------------------------------------------------
 # Cosh likelihood-ratio selector
 # ---------------------------------------------------------------------------
+
+
+def _cosh_cut(r: float, log_ratio: float) -> float:
+    """The |x|/sigma cut (1/r) arccosh(u), u = e^{r^2/2} (d-s)/s, of the
+    log-cosh event at r = a/sigma and log_ratio = log((d-s)/s); 0 when u <= 1."""
+    log_u = r * r / 2.0 + log_ratio
+    if log_u <= 0.0:
+        return 0.0
+    return (1.0 / r) * numkit.arccosh_exp(log_u)
 
 
 def cosh_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
@@ -71,11 +80,7 @@ def cosh_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     that case is reported as a zero threshold.
     """
     _check_d_s(d, s)
-    _check_positive(a, sigma)
-    log_u = a * a / (2.0 * sigma * sigma) + math.log((d - s) / s)
-    if log_u <= 0.0:
-        return 0.0
-    return (sigma * sigma / a) * numkit.arccosh_exp(log_u)
+    return sigma * _cosh_cut(_check_positive(a, sigma), math.log((d - s) / s))
 
 
 def cosh_selector(
@@ -115,9 +120,9 @@ def llr_threshold(
     _check_interval(family, a0, a1)
     log_ratio = math.log((d - s) / s)
     if family is Family.GAUSSIAN:
-        _check_positive(sigma=sigma)
+        r = _check_positive(a1 - a0, sigma, name="a1 - a0")
         # grouped exactly like minimax_threshold so a0 = 0 reproduces it bitwise
-        return (a1 + a0) / 2.0 + (sigma * sigma / (a1 - a0)) * log_ratio
+        return (a1 + a0) / 2.0 + sigma * ((1.0 / r) * log_ratio)
     if family is Family.BERNOULLI:
         slope = math.log((a1 / (1.0 - a1)) * ((1.0 - a0) / a0))
         intercept = math.log((1.0 - a1) / (1.0 - a0))
@@ -192,8 +197,6 @@ def top_s_bits(x: np.ndarray, s: int, one_sided: bool = True) -> np.ndarray:
     """
     key = x if one_sided else np.abs(x)
     d = key.shape[-1]
-    if s == d:
-        return np.ones(key.shape, dtype=bool)
     kth = np.partition(key, d - s, axis=-1)[..., d - s, None]
     bits = key >= kth  # at least s per row, more where the s-th value is tied
     if np.count_nonzero(bits) > s * (bits.size // d):

@@ -226,6 +226,10 @@ BLOCK_BYTES = 120 * 1024
 # million.  The support and stress rows are smaller.
 ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
+# Bytes of the loss buffer, 8 per replication, that estimate_risk accepts:
+# at most 2^27 = 134,217,728 replications in one run.
+LOSS_BYTES_LIMIT = 2**30
+
 # Smallest d at which replications are spread over threads.  A row's
 # Z0-and-noise fill releases the interpreter lock and grows with d, while
 # the per-row Python work and the block's support resolution, which hold
@@ -391,18 +395,23 @@ def estimate_risk(
     worker count never changes the results either.  stress replaces the
     boundary magnitudes by per-coordinate draws from {a, 2a, 10a} while
     keeping all other draws identical.  A d whose per-replication buffers
-    exceed ROW_BYTES_LIMIT is rejected before anything is allocated.
+    exceed ROW_BYTES_LIMIT, or an R whose losses exceed LOSS_BYTES_LIMIT,
+    is rejected before anything is allocated.
     """
-    gaussian = p.family is Family.GAUSSIAN
-    if cfg.rho != 0.0 and not gaussian:
+    if cfg.rho != 0.0 and p.family is not Family.GAUSSIAN:
         raise ValueError("correlated noise is defined for the Gaussian family only")
-    if stress and not (gaussian and isinstance(p.signal, (LowerBound, TwoSided))):
+    if stress and not isinstance(p.signal, (LowerBound, TwoSided)):
         raise ValueError("stress magnitudes apply to LowerBound/TwoSided signals")
     select = resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
     if not (0 <= stream_offset and stream_offset + n <= 2**64):
         raise ValueError(
             f"stream indices {stream_offset}..{stream_offset + n - 1} out of range"
+        )
+    if 8 * n > LOSS_BYTES_LIMIT:
+        raise ValueError(
+            f"{n} replications need {8 * n} bytes of losses, "
+            f"over the limit of {LOSS_BYTES_LIMIT}"
         )
     row_bytes = 8 * (2 * p.d + 1)  # see ROW_BYTES_LIMIT
     if row_bytes > ROW_BYTES_LIMIT:
@@ -486,8 +495,6 @@ def bayes_floor_check(
     once and can beat it (top-s does at d = 10^4).  The gate is 3 stderr:
     passed = estimate >= floor - 3 stderr.
     """
-    if p.family is not Family.GAUSSIAN:
-        raise ValueError("the Bayes floor is defined for the Gaussian family")
     if isinstance(p.signal, Interval):
         raise ValueError("the Bayes floor needs a LowerBound or TwoSided class")
     if cfg.loss_kind is LossKind.WRONG_RECOVERY:

@@ -193,6 +193,19 @@ class TestRiskCommand:
         assert err.startswith("error:") and "(a/sigma)^2" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, level",
+        [
+            (("--class", "two-sided", "--d", "200", "--s", "10"), "1e-170"),
+            (("--class", "plus", "--d", "500", "--s", "5", "--which", "bounds"), "1e300"),
+        ],
+    )
+    def test_level_and_scale_enter_only_through_their_ratio(self, capsys, argv, level):
+        """a = sigma at either end of the float range prints what a = sigma = 1 does."""
+        code, out, err = run_cli(capsys, "risk", *argv, "--a", level, "--sigma", level)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, "risk", *argv, "--a", "1", "--sigma", "1")
+
 
 class TestSelectCommand:
     def test_threshold_abs_golden(self, capsys, tmp_path):
@@ -402,6 +415,35 @@ class TestMcCommand:
         assert code == 2
         assert out == ""
         assert "d=1000000000" in err
+        assert peak < 4 << 20
+
+    def test_tiny_level_and_scale_run(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mc", "--class", "two-sided", "--d", "200", "--s", "10", "--a", "1e-170",
+            "--sigma", "1e-170", "--selector", "cosh", "--reps", "2000", "--seed", "1",
+        )
+        assert (code, err) == (0, "")
+        assert math.isfinite(json.loads(out)["estimate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mc", "--class", "plus", "--d", "200", "--s", "10", "--a", "3",
+             "--selector", "plus"),
+            ("phase", "--d-list", "200", "--s-rule", "fixed:10", "--a-mult", "1",
+             "--selectors", "plus"),
+        ],
+    )
+    def test_oversized_replication_count_exits_2_before_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv, "--reps", "1000000000000", "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 1000000000000 replications") and "limit" in err
+        assert err.count("\n") == 1
         assert peak < 4 << 20
 
     def test_auto_seed_echoed(self, capsys):

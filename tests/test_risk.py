@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -201,8 +201,8 @@ _SIGMAS = st.floats(0.1, 10.0)
 
 
 @st.composite
-def _dims(draw):
-    d = draw(st.integers(2, 10**7))
+def _dims(draw, d_min=2, d_max=10**7):
+    d = draw(st.integers(d_min, d_max))
     return d, draw(st.integers(1, d - 1))
 
 
@@ -234,6 +234,27 @@ class TestRiskProperties:
         lo, hi = sorted(levels)
         for psi in (psi_plus, psi_bar):
             assert psi(d, s, hi, sigma) <= psi(d, s, lo, sigma) * (1.0 + _ORDER_RTOL)
+
+
+class TestScaleInvariance:
+    """The Gaussian closed forms read a and sigma only through r = a/sigma,
+    so each is the same function of (d, s, a, sigma) and (d, s, a/sigma, 1)
+    bit for bit, at either end of the float range too."""
+
+    _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+    @settings(max_examples=500)
+    @given(ds=_dims(d_min=3, d_max=10**9), a=_POSITIVE, sigma=_POSITIVE)
+    @example(ds=(200, 10), a=1e-170, sigma=1e-170)
+    @example(ds=(500, 5), a=1e300, sigma=1e300)
+    def test_depends_on_ratio_only(self, ds, a, sigma):
+        r = a / sigma
+        assume(0.0 < r * r < math.inf)
+        d, s = ds
+        for fn in (psi_plus, psi_two_sided, psi_bar, wrong_recovery_bounds):
+            assert fn(d, s, a, sigma) == fn(d, s, r, 1.0)
+        if 2 * s < d:
+            assert delta_bounds(d, s, a, sigma) == delta_bounds(d, s, r, 1.0)
 
 
 class TestScaledTailSeam:

@@ -732,6 +732,18 @@ class TestEngineLimits:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_oversized_replication_count_rejected_before_allocating(self):
+        p = _plus_instance()
+        reps = simulate.LOSS_BYTES_LIMIT // 8 + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{reps} replications .*limit of {2**30}"):
+                estimate_risk(p, _plus_spec(p), MCConfig(replications=reps, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 @st.composite
 def _engine_cases(draw):

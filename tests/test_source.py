@@ -1,7 +1,7 @@
 """Source hygiene: no import a module never uses, no module-level private
 function that nothing in the package references, no module-level assigned
-name that nothing in the package reads, and no public name that nothing
-uses.
+name that nothing in the package reads, no public name that nothing uses,
+and no numpy in the command-line layer.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
@@ -152,3 +152,15 @@ def test_no_dead_public_surface():
         and name not in exported
     ]
     assert not dead, f"public names nothing uses: {dead}"
+
+
+def test_cli_imports_no_numpy():
+    """cli.py formats and parses plain Python values; the array work is the
+    library's, so a numpy import there is a serializer branch no caller needs."""
+    modules = set()
+    for node in ast.walk(_tree(SRC / "cli.py")):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
