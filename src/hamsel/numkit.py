@@ -10,8 +10,8 @@ Conventions
 -----------
 * The libm ``erfc`` drifts to ~1e-13 beyond y ~ -25 (its argument squaring
   loses low bits), so every Gaussian tail beyond 8 comes from one Mills
-  ratio R(y) = Q(y)/phi(y) = 1/(y + 1/(y + 2/(y + ...))), a fixed-depth
-  backward recurrence, times a split-argument exp(-y^2/2).
+  ratio R(y) = Q(y)/phi(y) = 1/(y + 1/(y + 2/(y + ...))), 16 levels written
+  out as one nested expression, times a split-argument exp(-y^2/2).
 * ``gaussian_cdf(y, scale)`` is scale * Phi(y) to <= 1e-14 relative wherever
   that is a normal float; ``log_gaussian_tail`` uses log R(y) and never
   underflows.
@@ -32,9 +32,6 @@ _LOG2 = math.log(2.0)
 # Mills ratio takes over.  Chosen with margin: erfc is still ~6e-15
 # accurate here while the Mills route is ~2e-16.
 _TAIL_CUTOFF = 8.0
-# At y = 8, 14 levels truncate the fraction at 5e-17 relative and 16 at
-# 1.5e-18 (mpmath, 50 digits); deeper in the tail it converges faster.
-_CF_TERMS = 16
 
 # Poisson CDF: forward summation below, regularized incomplete gamma above.
 # At lambda = 32 the leading term exp(-lambda) ~ 1.3e-14 is still a normal
@@ -47,25 +44,26 @@ _special = None
 
 
 def _scaled_exp_neg_half_square(y: float, scale: float = 1.0) -> float:
-    """scale * exp(-y^2/2) for y >= 0.  Below 64, yh (y on a 2^-20 grid) has
-    at most 26 significant bits, so yh^2 is exact, and scale * e * e with
-    e = exp(-yh^2/4) underflows only where the whole product does.  From 64
-    on e is 0.0, and the rounding to the grid would overflow at huge y."""
+    """scale * exp(-y^2/2) for y >= 0.  Below 64, yh (y rounded half-even to
+    a 2^-20 grid by adding and removing 1.5 * 2^52) has at most 26 significant
+    bits, so yh^2 is exact, and scale * e * e with e = exp(-yh^2/4) underflows
+    only where the whole product does.  From 64 on e is 0.0, and the grid
+    rounding holds only while y * 2^20 < 2^51."""
     if y >= 64.0:
         return 0.0
-    yh = round(y * 1048576.0) / 1048576.0
-    yl = y - yh
+    yh = (y * 1048576.0 + 6755399441055744.0 - 6755399441055744.0) / 1048576.0
     e = math.exp(-0.25 * yh * yh)
-    return scale * e * e * math.exp(-0.5 * yl * (y + yh))
+    return scale * e * e * math.exp(-0.5 * (y - yh) * (y + yh))
 
 
 def _inverse_mills_ratio(y: float) -> float:
     """1/R(y) = y + 1/(y + 2/(y + 3/(...))) for y >= 8, where the Gaussian
-    upper tail is Q(y) = phi(y) R(y); _CF_TERMS levels."""
-    f = 0.0
-    for k in range(_CF_TERMS, 0, -1):
-        f = k / (y + f)
-    return y + f
+    upper tail is Q(y) = phi(y) R(y), to 16 levels: at y = 8, 14 levels
+    truncate it at 5e-17 relative and 16 at 1.5e-18 (mpmath, 50 digits);
+    deeper in the tail it converges faster."""
+    return y + 1.0 / (y + 2.0 / (y + 3.0 / (y + 4.0 / (y + 5.0 / (y + 6.0 / (y + 7.0 / (
+        y + 8.0 / (y + 9.0 / (y + 10.0 / (y + 11.0 / (y + 12.0 / (y + 13.0 / (
+            y + 14.0 / (y + 15.0 / (y + 16.0 / y)))))))))))))))
 
 
 def gaussian_cdf(y: float, scale: float = 1.0) -> float:
@@ -76,8 +74,8 @@ def gaussian_cdf(y: float, scale: float = 1.0) -> float:
     y : float
         Evaluation point.  NaN is rejected; +-inf saturates to scale/0.
     scale : float
-        Finite positive factor, applied before the far-tail exponentials so
-        that a large one keeps digits scale * gaussian_cdf(y) would lose.
+        Factor in (0, inf), else ValueError; applied before the far-tail
+        exponentials, so a large one keeps digits scale * gaussian_cdf(y) would lose.
 
     Returns
     -------
@@ -87,6 +85,8 @@ def gaussian_cdf(y: float, scale: float = 1.0) -> float:
     """
     if math.isnan(y):
         raise ValueError("gaussian_cdf: y must not be NaN")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"gaussian_cdf: need finite scale > 0, got {scale}")
     if y >= -_TAIL_CUTOFF:
         return scale * 0.5 * math.erfc(-y / _SQRT2)
     return _scaled_exp_neg_half_square(-y, scale) / (_inverse_mills_ratio(-y) * _SQRT_2PI)

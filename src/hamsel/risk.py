@@ -6,7 +6,8 @@ class is s * Psi.  All formulas follow the closed ``>= t`` selection
 convention of :mod:`hamsel.selectors`; for the discrete families this
 matters at atoms and the two modules are kept consistent bit for bit.
 The Gaussian forms read a and sigma only through r = a/sigma, so
-f(d, s, a, sigma) = f(d, s, a/sigma, 1) exactly.
+f(d, s, a, sigma) = f(d, s, a/sigma, 1) exactly; Psi+ and the two-sided
+rate Psi come from one shared evaluation of the one-sided cut.
 """
 
 from __future__ import annotations
@@ -36,29 +37,32 @@ from .selectors import _cosh_cut, crowd_weights, llr_threshold
 _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
 
 
-def _psi_cut(d: int, s: int, a: float, sigma: float, clip_miss: bool) -> float:
-    """Psi+ of the docstring below, or with clip_miss its miss argument
-    -a/(2 sigma) + sigma log((d-s)/s)/a clipped at 0.
+def _ratio_and_r(d: int, s: int, a: float, sigma: float) -> tuple[float, float]:
+    """(d-s)/s and r = a/sigma, each input checked once."""
+    _check_d_s(d, s)
+    return (d - s) / s, _check_positive(a, sigma)
+
+
+def _psi_cut(ratio: float, r: float) -> tuple[float, float]:
+    """(Psi+, Psi) at ratio = (d-s)/s and r = a/sigma from one cut.  Psi clips
+    the miss argument at 0, so where it is positive Psi's miss term is Phi(0).
 
     A positive false-positive argument is the case log u <= 0 of psi_bar,
-    where PsiBar is exactly (d-s)/s.  There the value is written as (d-s)/s
-    less the rule's gain over selecting everything, ((d-s)/s) Phi(-fp) -
-    Phi(miss) >= 0, so it cannot round above PsiBar.  The miss argument is
-    then negative and clip_miss changes nothing.
+    where PsiBar is exactly (d-s)/s.  There the value is (d-s)/s less the
+    rule's gain over selecting everything, ((d-s)/s) Phi(-fp) - Phi(miss) >= 0,
+    so it cannot round above PsiBar; the miss argument is negative, Psi = Psi+.
     """
-    _check_d_s(d, s)
-    r = _check_positive(a, sigma)
-    ratio = (d - s) / s
     half = r / 2.0
     shift = math.log(ratio) / r
     fp = -half - shift
     miss = -half + shift
     if fp > 0.0:
         gain = numkit.gaussian_cdf(-fp, ratio) - numkit.gaussian_cdf(miss)
-        return ratio - max(gain, 0.0)
-    if clip_miss and miss > 0.0:
-        miss = 0.0
-    return numkit.gaussian_cdf(fp, ratio) + numkit.gaussian_cdf(miss)
+        plus = ratio - max(gain, 0.0)
+        return plus, plus
+    tail = numkit.gaussian_cdf(fp, ratio)
+    plus = tail + numkit.gaussian_cdf(miss)
+    return plus, (tail + 0.5 if miss > 0.0 else plus)
 
 
 def psi_plus(d: int, s: int, a: float, sigma: float = 1.0) -> float:
@@ -70,12 +74,21 @@ def psi_plus(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     the false-positive and miss probabilities of the threshold
     a/2 + sigma^2 log((d-s)/s)/a, the first weighted by (d-s)/s.
     """
-    return _psi_cut(d, s, a, sigma, False)
+    return _psi_cut(*_ratio_and_r(d, s, a, sigma))[0]
 
 
 def psi_two_sided(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     """Two-sided lower-bound rate: Psi+ with the miss argument clipped at 0."""
-    return _psi_cut(d, s, a, sigma, True)
+    return _psi_cut(*_ratio_and_r(d, s, a, sigma))[1]
+
+
+def _psi_bar_cut(ratio: float, r: float) -> float:
+    """PsiBar of psi_bar at ratio = (d-s)/s and r = a/sigma."""
+    q = _cosh_cut(r, math.log(ratio))
+    if q == 0.0:
+        return ratio
+    term_miss = numkit.gaussian_cdf(q - r) - numkit.gaussian_cdf(-q - r)
+    return numkit.gaussian_cdf(-q, 2.0 * ratio) + max(term_miss, 0.0)
 
 
 def psi_bar(d: int, s: int, a: float, sigma: float = 1.0) -> float:
@@ -89,15 +102,7 @@ def psi_bar(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     For u <= 1 the selector keeps every coordinate, so the value is exactly
     (d-s)/s: no misses, all d-s off-support coordinates wrong.
     """
-    _check_d_s(d, s)
-    r = _check_positive(a, sigma)
-    ratio = (d - s) / s
-    q = _cosh_cut(r, math.log(ratio))
-    if q == 0.0:
-        return ratio
-    term_fp = numkit.gaussian_cdf(-q, 2.0 * ratio)
-    term_miss = numkit.gaussian_cdf(q - r) - numkit.gaussian_cdf(-q - r)
-    return term_fp + max(term_miss, 0.0)
+    return _psi_bar_cut(*_ratio_and_r(d, s, a, sigma))
 
 
 def psi_general(
@@ -236,16 +241,11 @@ def wrong_recovery_bounds(
     r/(1+r) come from the Hamming risk being concentrated on one-coordinate
     errors at the minimax point.
     """
-    sp = s * psi_plus(d, s, a, sigma)
-    sb = s * psi_bar(d, s, a, sigma)
-    st = 2.0 * (s * psi_two_sided(d, s, a, sigma))
-    return WrongRecoveryBounds(
-        upper_plus=sp,
-        upper_bar=sb,
-        upper_two_sided=st,
-        lower_plus=sp / (1.0 + sp),
-        lower_bar=sb / (1.0 + sb),
-    )
+    ratio, r = _ratio_and_r(d, s, a, sigma)
+    plus, two_sided = _psi_cut(ratio, r)
+    sp = s * plus
+    sb = s * _psi_bar_cut(ratio, r)
+    return WrongRecoveryBounds(sp, sb, 2.0 * (s * two_sided), sp / (1.0 + sp), sb / (1.0 + sb))
 
 
 class RecoveryBounds(NamedTuple):

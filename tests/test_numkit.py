@@ -68,6 +68,15 @@ class TestGaussianCdf:
         with pytest.raises(ValueError):
             numkit.gaussian_cdf(float("nan"))
 
+    @pytest.mark.parametrize(
+        "y, scale",
+        [(1.0, -math.inf), (-9.0, -1.0), (1.0, math.nan), (-20.0, math.inf), (-9.0, 0.0)],
+    )
+    def test_scale_outside_open_half_line_rejected(self, y, scale):
+        """Each would scale Phi(y) into a value that is no scaled probability."""
+        with pytest.raises(ValueError):
+            numkit.gaussian_cdf(y, scale)
+
     def test_monotone_spot(self):
         ys = [-30.0, -10.0, -2.0, 0.0, 1.0, 5.0]
         vals = [numkit.gaussian_cdf(y) for y in ys]
@@ -211,6 +220,49 @@ class TestPoissonCdf:
             numkit.poisson_cdf(3, -2.0)
         with pytest.raises(ValueError):
             numkit.poisson_cdf(3, float("inf"))
+
+
+def _inverse_mills_ratio_recurrence(y: float) -> float:
+    """Reference: the same 16-level fraction as a backward recurrence."""
+    f = 0.0
+    for k in range(16, 0, -1):
+        f = k / (y + f)
+    return y + f
+
+
+def _scaled_exp_neg_half_square_round(y: float, scale: float = 1.0) -> float:
+    """Reference: the same split of y, its grid point taken with round()."""
+    if y >= 64.0:
+        return 0.0
+    yh = round(y * 1048576.0) / 1048576.0
+    e = math.exp(-0.25 * yh * yh)
+    return scale * e * e * math.exp(-0.5 * (y - yh) * (y + yh))
+
+
+class TestTailKernelReferences:
+    """The far-tail kernels equal their plain references bit for bit."""
+
+    @settings(max_examples=500)
+    @given(y=st.floats(8.0, 1e6))
+    @example(y=8.0)
+    @example(y=8.5)
+    @example(y=36.5)
+    @example(y=64.0)
+    @example(y=1e300)
+    def test_inverse_mills_ratio(self, y):
+        assert numkit._inverse_mills_ratio(y) == _inverse_mills_ratio_recurrence(y)
+
+    @settings(max_examples=500)
+    @given(y=st.floats(0.0, 70.0), scale=st.floats(1.0, 1e7))
+    # halfway between grid points, where rounding half up changes the result
+    @example(y=16777217 / 2097152, scale=1.0)
+    @example(y=41943045 / 2097152, scale=19.0)
+    @example(y=477 / 2097152, scale=1.0)
+    @example(y=math.nextafter(64.0, 0.0), scale=1e7)
+    @example(y=5e-324, scale=1.0)
+    def test_scaled_exp_neg_half_square(self, y, scale):
+        want = _scaled_exp_neg_half_square_round(y, scale)
+        assert numkit._scaled_exp_neg_half_square(y, scale) == want
 
 
 _PROPERTY = settings(max_examples=100)

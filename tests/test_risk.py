@@ -491,8 +491,16 @@ class TestPsiCrowd:
 
 
 class TestWrongRecoveryBounds:
-    def test_component_identities(self):
-        d, s, a = 100, 10, 2.5
+    @settings(max_examples=500)
+    @given(ds=_dims(d_min=3, d_max=10**9), a=st.floats(1e-3, 80.0))
+    @example(ds=(100, 10), a=2.5)
+    @example(ds=(101, 1), a=1.0)  # miss argument clipped
+    @example(ds=(200, 190), a=0.01)  # false-positive argument positive
+    def test_component_identities(self, ds, a):
+        """The bounds share one evaluation of each cut with psi_plus,
+        psi_two_sided and psi_bar, and equal their single calls exactly;
+        Psi = Psi+ wherever the miss argument is not positive."""
+        d, s = ds
         b = wrong_recovery_bounds(d, s, a)
         sp = s * psi_plus(d, s, a)
         sb = s * psi_bar(d, s, a)
@@ -501,6 +509,8 @@ class TestWrongRecoveryBounds:
         assert b.upper_two_sided == 2.0 * (s * psi_two_sided(d, s, a))
         assert b.lower_plus == sp / (1.0 + sp)
         assert b.lower_bar == sb / (1.0 + sb)
+        if -(a / 2.0) + math.log((d - s) / s) / a <= 0.0:
+            assert psi_two_sided(d, s, a) == psi_plus(d, s, a)
 
     def test_two_coordinate_example(self):
         b = wrong_recovery_bounds(2, 1, 2.0)
