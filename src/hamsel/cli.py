@@ -9,6 +9,7 @@ significant digits so replayed runs are byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -71,11 +72,10 @@ _DEFAULT_WHICH = {
 
 
 def _fmt_float(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"cannot print the non-finite value {v}")
     out = format(v, ".17g")
-    if "." not in out and "e" not in out and "E" not in out:
-        if "inf" not in out and "nan" not in out:
-            out += ".0"
-    return out
+    return out if "." in out or "e" in out else out + ".0"
 
 
 def _json_text(obj) -> str:
@@ -172,16 +172,16 @@ def _parse_s_rule(text: str):
         try:
             return int(value)
         except ValueError:
-            raise ValueError(f"s-rule 'fixed:' needs an integer, got {value!r}") from None
+            raise ValueError(f"--s-rule: 'fixed:' needs an integer, got {value!r}") from None
     if kind == "power":
         try:
             beta = float(value)
         except ValueError:
-            raise ValueError(f"s-rule 'power:' needs a number, got {value!r}") from None
+            raise ValueError(f"--s-rule: 'power:' needs a number, got {value!r}") from None
         if not 0.0 <= beta < 1.0:
-            raise ValueError(f"s-rule power exponent must lie in [0,1), got {beta}")
+            raise ValueError(f"--s-rule: power exponent must lie in [0,1), got {beta}")
         return lambda d: _power_s(d, beta)
-    raise ValueError(f"s-rule must be 'fixed:k' or 'power:beta', got {text!r}")
+    raise ValueError(f"--s-rule: expected 'fixed:k' or 'power:beta', got {text!r}")
 
 
 def _parse_selectors(text: str) -> list[str]:
@@ -189,7 +189,7 @@ def _parse_selectors(text: str) -> list[str]:
     for kind in kinds:
         if kind not in SELECTOR_KINDS:
             raise ValueError(
-                f"unknown selector {kind!r}; choose from {', '.join(SELECTOR_KINDS)}"
+                f"--selectors: unknown selector {kind!r}; choose from {', '.join(SELECTOR_KINDS)}"
             )
     return kinds
 
@@ -480,6 +480,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=list(_LOSS_FLAGS), default="hamming")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hamsel",

@@ -57,6 +57,13 @@ def _check_positive(
     return r
 
 
+def _check_finite(value: float, name: str) -> float:
+    """value, unless a formula of checked inputs overflowed or came out NaN."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite at these inputs, got {value}")
+    return value
+
+
 def _check_interval(family: Family, a0: float, a1: float) -> None:
     """Finite a0 < a1, and rates a family can have: (0,1) for Bernoulli,
     a0 > 0 for Poisson."""

@@ -184,4 +184,7 @@ def poisson_cdf(k: int, lam: float) -> float:
     global _special
     if _special is None:
         from scipy import special as _special
-    return float(_special.gammaincc(k + 1, lam))
+    q = float(_special.gammaincc(k + 1, lam))
+    if math.isnan(q):
+        raise ValueError(f"poisson_cdf: no incomplete gamma value at k={k}, lambda={lam}")
+    return q

@@ -26,6 +26,7 @@ from .model import (
     RiskReport,
     TwoSided,
     _check_d_s,
+    _check_finite,
     _check_interval,
     _check_positive,
     _check_rates,
@@ -302,7 +303,8 @@ def phase_point(d: int, s: int, sigma: float = 1.0) -> PhasePoint:
     log_ratio = math.log((d - s) / s)
     a_almost_full = sigma * math.sqrt(2.0 * log_ratio)
     t_star = sigma * math.sqrt(2.0 * math.log(d - s))
-    a_exact = t_star + sigma * math.sqrt(2.0 * math.log(s))
+    # a_almost_full <= t_star <= a_exact, so one check covers all three
+    a_exact = _check_finite(t_star + sigma * math.sqrt(2.0 * math.log(s)), "a_exact")
     w_star = 4.0 * (
         math.log(s) + math.sqrt(math.log(s) * math.log(d - s))
     )
@@ -316,7 +318,7 @@ def a0_adaptive(d: int, s: int, A: float, sigma: float = 1.0) -> float:
         raise ValueError(f"need A >= 0, got {A}")
     _check_positive(sigma=sigma)
     log_ratio = math.log((d - s) / s)
-    return sigma * math.sqrt(2.0 * log_ratio + A * math.sqrt(log_ratio))
+    return _check_finite(sigma * math.sqrt(2.0 * log_ratio + A * math.sqrt(log_ratio)), "a0")
 
 
 def adaptive_A_min(d: int, s_star: int) -> float:

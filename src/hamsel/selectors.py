@@ -31,6 +31,7 @@ from .model import (
     TopS,
     TwoSided,
     _check_d_s,
+    _check_finite,
     _check_interval,
     _check_positive,
 )
@@ -54,7 +55,7 @@ def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     """
     _check_d_s(d, s)
     r = _check_positive(a, sigma)
-    return a / 2.0 + sigma * ((1.0 / r) * math.log((d - s) / s))
+    return _check_finite(a / 2.0 + sigma * ((1.0 / r) * math.log((d - s) / s)), "threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,8 @@ def cosh_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     that case is reported as a zero threshold.
     """
     _check_d_s(d, s)
-    return sigma * _cosh_cut(_check_positive(a, sigma), math.log((d - s) / s))
+    q = _cosh_cut(_check_positive(a, sigma), math.log((d - s) / s))
+    return _check_finite(sigma * q, "cosh threshold")
 
 
 def cosh_selector(
@@ -122,9 +124,11 @@ def llr_threshold(
     if family is Family.GAUSSIAN:
         r = _check_positive(a1 - a0, sigma, name="a1 - a0")
         # grouped exactly like minimax_threshold so a0 = 0 reproduces it bitwise
-        return (a1 + a0) / 2.0 + sigma * ((1.0 / r) * log_ratio)
+        return _check_finite((a1 + a0) / 2.0 + sigma * ((1.0 / r) * log_ratio), "llr threshold")
     if family is Family.BERNOULLI:
         slope = math.log((a1 / (1.0 - a1)) * ((1.0 - a0) / a0))
+        if not slope > 0.0:
+            raise ValueError(f"rates a0={a0} and a1={a1} are too close to tell apart")
         intercept = math.log((1.0 - a1) / (1.0 - a0))
         return (log_ratio - intercept) / slope
     return (log_ratio + a1 - a0) / math.log(a1 / a0)
@@ -212,7 +216,7 @@ def universal_threshold(d: int, sigma: float = 1.0) -> float:
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     _check_positive(sigma=sigma)
-    return sigma * math.sqrt(2.0 * math.log(d))
+    return _check_finite(sigma * math.sqrt(2.0 * math.log(d)), "universal threshold")
 
 
 class AdaptiveResult(NamedTuple):

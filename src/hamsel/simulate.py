@@ -11,13 +11,12 @@ before replication r, which leaves it in the same state as a fresh
 unchanged.
 
 Within one replication the draw order is fixed: the support's s
-uniforms, global sign (TwoSided only), common Gaussian factor Z0 (always
-consumed, even at rho = 0, so runs at different rho share all other
-draws), the i.i.d. noise vector, and stress magnitudes last, which lets a
-stress run share its support, sign, and noise with the plain run at the
-same seed.  The support is the s-subset Floyd's algorithm picks from those
-uniforms (model.uniform_supports), O(s) whatever d.  Bernoulli and Poisson
-rows draw their noise before the support is known (see generate_family).
+uniforms, global sign (TwoSided only), then the common Gaussian factor
+Z0 (always consumed, even at rho = 0, so runs at different rho share all
+other draws) and the i.i.d. noise vector from one standard_normal call.
+The support is the s-subset Floyd's algorithm picks from those uniforms
+(model.uniform_supports), O(s) whatever d.  Bernoulli and Poisson rows
+draw their noise before the support is known (see generate_family).
 
 Replications run in blocks of B rows (see BLOCK_BYTES).  A block's draws
 are made row by row, each row from its own stream, into (B, s) and (B, d)
@@ -78,9 +77,6 @@ from .selectors import (
     spec_for_kind,
     top_s_bits,
 )
-
-_STRESS_MULTIPLIERS = np.array([1.0, 2.0, 10.0])
-
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -223,7 +219,7 @@ BLOCK_BYTES = 120 * 1024
 # Bytes of one replication's d-length rows that estimate_risk accepts: its
 # Z0-and-noise (or observation) row and the selector's working row (|x|,
 # or top-s's partitioned copy), 8 (2d + 1) bytes, so d up to about 4.2
-# million.  The support and stress rows are smaller.
+# million.  The support row is smaller.
 ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
 # Bytes of the loss buffer, 8 per replication, that estimate_risk accepts:
@@ -282,7 +278,7 @@ def _stream_rekeyer(seed: int) -> Callable[[int], np.random.Generator]:
 
 
 def _block_sampler(
-    p: ProblemInstance, rho: float, stress: bool, rows: int
+    p: ProblemInstance, rho: float, rows: int
 ) -> Callable[[Callable[[int], np.random.Generator], int, int], tuple[np.ndarray, np.ndarray]]:
     """One worker's draw buffers for blocks of up to ``rows`` replications.
 
@@ -341,9 +337,6 @@ def _block_sampler(
     z_flat = z.reshape(-1)
     x_starts = np.arange(1, rows * (d + 1), d + 1)[:, None]  # flat index of x[i, 0] in z
     value = np.full((rows, 1), level)
-    # a row draws stress codes for all d coordinates; the support's are
-    # read once the block's supports are resolved
-    codes = np.empty((rows, d), dtype=np.int8) if stress else None
 
     def draw_gaussian(stream, first, m):
         for i in range(m):
@@ -352,17 +345,11 @@ def _block_sampler(
             if signs:
                 value[i] = -level if rng.random() < 0.5 else level
             rng.standard_normal(out=z[i])
-            if stress:
-                codes[i] = rng.integers(0, 3, size=d)
         idx = uniform_supports(u[:m], d)
         x = _scale_noise(z[:m], sigma, common, own)
         at = idx + x_starts[:m]
-        signal = value[:m]
-        if stress:
-            signal = signal * _STRESS_MULTIPLIERS[codes[row_index[:m], idx]]
-        # x = theta + noise with theta = base off the support and
-        # value (times the stress multiplier) on it
-        on_support = z_flat[at] + signal
+        # x = theta + noise with theta = base off the support and value on it
+        on_support = z_flat[at] + value[:m]
         if base:
             x += base
         z_flat[at] = on_support
@@ -377,7 +364,6 @@ def estimate_risk(
     cfg: MCConfig,
     *,
     stream_offset: int = 0,
-    stress: bool = False,
 ) -> RiskReport:
     """Monte Carlo risk of a selector under the class's least-favorable prior.
 
@@ -392,16 +378,12 @@ def estimate_risk(
     so B never changes the results.  Runs with d >= PARALLEL_MIN_D spread
     whole blocks over min(blocks, usable CPUs) threads, the calling thread
     taking the first share; smaller d run on the calling thread alone.  The
-    worker count never changes the results either.  stress replaces the
-    boundary magnitudes by per-coordinate draws from {a, 2a, 10a} while
-    keeping all other draws identical.  A d whose per-replication buffers
-    exceed ROW_BYTES_LIMIT, or an R whose losses exceed LOSS_BYTES_LIMIT,
-    is rejected before anything is allocated.
+    worker count never changes the results either.  A d whose
+    per-replication buffers exceed ROW_BYTES_LIMIT, or an R whose losses
+    exceed LOSS_BYTES_LIMIT, is rejected before anything is allocated.
     """
     if cfg.rho != 0.0 and p.family is not Family.GAUSSIAN:
         raise ValueError("correlated noise is defined for the Gaussian family only")
-    if stress and not isinstance(p.signal, (LowerBound, TwoSided)):
-        raise ValueError("stress magnitudes apply to LowerBound/TwoSided signals")
     select = resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
     if not (0 <= stream_offset and stream_offset + n <= 2**64):
@@ -426,7 +408,7 @@ def estimate_risk(
 
     def fill(first_block: int, end_block: int) -> None:
         stream = _stream_rekeyer(cfg.seed)
-        draw = _block_sampler(p, cfg.rho, stress, rows)
+        draw = _block_sampler(p, cfg.rho, rows)
         for b in range(first_block, end_block):
             lo, hi = b * rows, min(n, (b + 1) * rows)
             x, idx = draw(stream, stream_offset + lo, hi - lo)

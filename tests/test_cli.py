@@ -5,6 +5,7 @@ codes are checked exactly as a shell user would see them; one smoke test
 goes through a real subprocess.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -19,6 +20,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hamsel import cli
@@ -29,8 +32,9 @@ from hamsel.model import (
     ProblemInstance,
     TwoSided,
 )
-from hamsel.risk import psi_bar, psi_general, psi_plus, wrong_recovery_bounds
+from hamsel.risk import psi_bar, psi_general, psi_plus, psi_two_sided, wrong_recovery_bounds
 from hamsel.selectors import (
+    SELECTOR_KINDS,
     adaptive_selector,
     crowd_selector,
     minimax_threshold,
@@ -865,6 +869,154 @@ class TestExitCodes:
 
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    def test_non_finite_float_is_never_printed(self):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                cli._json_text({"t": value})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["risk", "--class", "interval", "--d", "200", "--s", "10",
+             "--a0", "0", "--a1", "1e308", "--sigma", "1.7e308"],
+            ["risk", "--class", "poisson", "--d", "1000000000000000000", "--s", "5",
+             "--a0", "1e20", "--a1", "1.7e308"],
+        ],
+        ids=["interval-cut-overflows", "poisson-cdf-nan"],
+    )
+    def test_non_finite_result_exits_2_before_printing(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
+_PHASE_ARGV = {
+    "--d-list": "100", "--s-rule": "fixed:4", "--a-mult": "1.0",
+    "--selectors": "plus", "--reps": "5", "--seed": "1",
+}
+
+
+def _phase_argv(**flags):
+    """phase argv with the given flags (by name, underscores for dashes)
+    replacing the defaults above."""
+    merged = dict(_PHASE_ARGV, **{f"--{k.replace('_', '-')}": v for k, v in flags.items()})
+    return ["phase", *(part for item in merged.items() for part in item)]
+
+
+class TestUsageErrors:
+    def test_which_psi_is_the_two_sided_rate(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "risk", "--class", "two-sided", "--d", "200", "--s", "10",
+            "--a", "1", "--which", "psi",
+        )
+        assert code == 0
+        assert out == '{"psi": 0.50543633498867391}\n'
+        assert json.loads(out)["psi"] == psi_two_sided(200, 10, 1.0)
+        assert psi_plus(200, 10, 1.0) > 0.99
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["risk", "--class", "interval", "--d", "200", "--s", "10",
+              "--a0", "0", "--a1", "1", "--which", "psi-plus"], "--which psi-plus"),
+            (_phase_argv(d_list="1,x"), "--d-list"),
+            (_phase_argv(d_list=","), "--d-list"),
+            (_phase_argv(s_rule="fixed:x"), "--s-rule"),
+            (_phase_argv(s_rule="power:x"), "--s-rule"),
+            (_phase_argv(s_rule="power:1.5"), "--s-rule"),
+            (_phase_argv(selectors="plus,bogus"), "--selectors"),
+            (["sweep", "ARRAY_CONFIG"], "config must be a JSON object"),
+        ],
+        ids=[
+            "which-psi-plus-interval", "d-list-not-int", "d-list-empty", "s-rule-fixed",
+            "s-rule-power", "s-rule-power-range", "selectors-unknown", "sweep-array",
+        ],
+    )
+    def test_exit_2_with_one_error_line_naming_the_input(self, capsys, tmp_path, argv, named):
+        config = tmp_path / "sweep.json"
+        config.write_text("[1, 2]")
+        argv = [str(config) if part == "ARRAY_CONFIG" else part for part in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
+
+_EDGE_INTS = [-1, 0, 1, 2, 3, 5, 10, 200, 10**6, 10**18, 2**70]
+_ARGV_INTS = st.sampled_from(_EDGE_INTS)
+_ARGV_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1e-300, 1e-170, 0.5, 1.0, 3.0, 1e8, 1e170, 1e300, 1.7e308,
+     math.inf, -math.inf, math.nan, -1.0]
+)
+
+# (d, s) as one draw: drawn apart, Hypothesis makes them equal far more often
+_ARGV_D_S = st.sampled_from([(d, s) for d in _EDGE_INTS for s in _EDGE_INTS])
+_ARGV_CLASSES = st.sampled_from(["plus", "two-sided", "interval", "bernoulli", "poisson"])
+_ARGV_SHARED = {flag: st.none() | _ARGV_FLOATS for flag in ("--a", "--a0", "--a1", "--sigma")}
+# Each command's flags past --class, --d and --s, with None to leave one out
+_ARGV_FLAGS = {
+    "risk": {
+        **_ARGV_SHARED,
+        "--which": st.none() | st.sampled_from(
+            ["psi-plus", "psi", "psi-bar", "general", "bounds", "wrong-recovery"]
+        ),
+    },
+    "mc": {
+        **_ARGV_SHARED,
+        "--s-star": st.none() | _ARGV_INTS,
+        "--rho": st.none() | _ARGV_FLOATS,
+        "--loss": st.none() | st.sampled_from(list(cli._LOSS_FLAGS)),
+    },
+}
+_MC_RUN = st.tuples(st.sampled_from(SELECTOR_KINDS), st.integers(1, 3), _ARGV_INTS)
+
+
+@st.composite
+def _risk_or_mc_argv(draw):
+    """risk and mc argv over every class: the class's levels drawn from edge
+    values, every other flag drawn from them or left out; mc runs 1 to 3
+    replications."""
+    command = draw(st.sampled_from(["risk", "mc"]))
+    klass = draw(_ARGV_CLASSES)
+    d, s = draw(_ARGV_D_S)
+    argv = [command, f"--class={klass}", f"--d={d}", f"--s={s}"]
+    levels = ("--a",) if klass in ("plus", "two-sided") else ("--a0", "--a1")
+    argv += [f"{flag}={draw(_ARGV_FLOATS)!r}" for flag in levels]
+    if command == "mc":
+        selector, reps, seed = draw(_MC_RUN)
+        argv += [f"--selector={selector}", f"--reps={reps}", f"--seed={seed}"]
+    for flag, values in _ARGV_FLAGS[command].items():
+        value = None if flag in levels else draw(values)
+        if value is not None:
+            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestNeverInvalidOutput:
+    @settings(max_examples=500)
+    @given(argv=_risk_or_mc_argv())
+    @example(argv=["risk", "--class=two-sided", "--d=200", "--s=10", "--a=1.0", "--which=psi"])
+    @example(argv=["mc", "--class=plus", "--d=200", "--s=10", "--a=3.0", "--selector=plus",
+                   "--reps=3", "--seed=1"])
+    def test_one_json_line_or_exit_2(self, argv):
+        """Exit 0 with one line of strict JSON (no NaN or Infinity), or exit 2
+        with nothing on stdout; never the internal-error exit 1."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == ""
+            return
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        json.loads(lines[0], parse_constant=_reject_constant)
 
 
 class TestSubprocess:

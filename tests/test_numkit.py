@@ -220,6 +220,9 @@ class TestPoissonCdf:
             numkit.poisson_cdf(3, -2.0)
         with pytest.raises(ValueError):
             numkit.poisson_cdf(3, float("inf"))
+        # the incomplete gamma has no value this far out: NaN, not a probability
+        with pytest.raises(ValueError, match="incomplete gamma"):
+            numkit.poisson_cdf(int(2.56e305), 1.7e308)
 
 
 def _inverse_mills_ratio_recurrence(y: float) -> float:

@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -33,7 +33,12 @@ from hamsel.risk import (
     psi_two_sided,
     wrong_recovery_bounds,
 )
-from hamsel.selectors import llr_threshold, minimax_threshold
+from hamsel.selectors import (
+    cosh_threshold,
+    llr_threshold,
+    minimax_threshold,
+    universal_threshold,
+)
 
 mp.mp.dps = 60
 
@@ -650,3 +655,74 @@ class TestReturnTypes:
         assert isinstance(wrong_recovery_bounds(10, 2, 1.0), WrongRecoveryBounds)
         assert isinstance(delta_bounds(10, 2, 1.0), RecoveryBounds)
         assert isinstance(phase_point(10, 2), PhasePoint)
+
+
+# One input per function at which its formula overflows to inf or, through
+# the incomplete gamma, comes out NaN.
+_NON_FINITE_AT = {
+    "minimax_threshold": (minimax_threshold, (200, 10, 1e308, 1.7e308)),
+    "cosh_threshold": (cosh_threshold, (200, 10, 1e308, 1.7e308)),
+    "llr_threshold": (llr_threshold, (Family.GAUSSIAN, 200, 10, 0.0, 1e308, 1.7e308)),
+    "universal_threshold": (universal_threshold, (3, 1.7e308)),
+    "a0_adaptive": (a0_adaptive, (200, 10, 1.0, 1.7e308)),
+    "phase_point": (phase_point, (200, 10, 1.7e308)),
+    "psi_general": (psi_general, (Family.POISSON, 10**18, 5, 1e20, 1.7e308)),
+}
+
+_EDGE_INTS = [-1, 0, 1, 2, 3, 5, 10, 200, 10**6, 10**18, 2**70]
+_INTS = st.sampled_from(_EDGE_INTS)
+# (d, s) as one draw: drawn apart, Hypothesis makes them equal far more often
+_D_S = st.sampled_from([(d, s) for d in _EDGE_INTS for s in _EDGE_INTS])
+_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1e-300, 1e-170, 0.5, 1.0, 3.0, 1e8, 1e170, 1e300, 1.7e308,
+     math.inf, -math.inf, math.nan, -1.0]
+)
+_FAMILIES = st.sampled_from(list(Family))
+
+# Every public closed form, cut and level of risk and selectors, with the
+# strategies of its positional arguments; _D_S stands for two of them.
+_CLOSED_FORMS = [
+    (psi_plus, (_D_S, _FLOATS, _FLOATS)),
+    (psi_two_sided, (_D_S, _FLOATS, _FLOATS)),
+    (psi_bar, (_D_S, _FLOATS, _FLOATS)),
+    (delta_bounds, (_D_S, _FLOATS, _FLOATS)),
+    (wrong_recovery_bounds, (_D_S, _FLOATS, _FLOATS)),
+    (psi_general, (_FAMILIES, _D_S, _FLOATS, _FLOATS, _FLOATS)),
+    (llr_threshold, (_FAMILIES, _D_S, _FLOATS, _FLOATS, _FLOATS)),
+    (phase_point, (_D_S, _FLOATS)),
+    (a0_adaptive, (_D_S, _FLOATS, _FLOATS)),
+    (adaptive_A_min, (_D_S,)),
+    (minimax_threshold, (_D_S, _FLOATS, _FLOATS)),
+    (cosh_threshold, (_D_S, _FLOATS, _FLOATS)),
+    (universal_threshold, (_INTS, _FLOATS)),
+]
+
+
+class TestFiniteOrRejected:
+    """A closed form, cut or level is finite in every field, or the call
+    raises ValueError; the numkit kernels, which saturate to +-inf by
+    definition, are not among them."""
+
+    @pytest.mark.parametrize("name", list(_NON_FINITE_AT))
+    def test_non_finite_value_is_rejected(self, name):
+        f, args = _NON_FINITE_AT[name]
+        with pytest.raises(ValueError, match="not finite|incomplete gamma"):
+            f(*args)
+
+    @settings(max_examples=500)
+    @given(
+        call=st.sampled_from(_CLOSED_FORMS).flatmap(
+            lambda fa: st.tuples(st.just(fa[0]), st.tuples(*fa[1]))
+        )
+    )
+    def test_closed_forms_and_cuts(self, call):
+        f, parts = call
+        args = [x for part in parts for x in (part if isinstance(part, tuple) else (part,))]
+        try:
+            value = f(*args)
+        except ValueError:
+            event(f"{f.__name__} rejected")
+            return
+        event(f"{f.__name__} returned")
+        fields = value if isinstance(value, tuple) else (value,)
+        assert all(math.isfinite(v) for v in fields), (f.__name__, args, value)

@@ -253,6 +253,9 @@ class TestLlrSelector:
             llr_threshold(Family.BERNOULLI, 10, 1, 0.0, 0.9)
         with pytest.raises(ValueError):
             llr_threshold(Family.POISSON, 10, 1, 0.0, 2.0)
+        # adjacent floats whose log-odds ratio rounds to 1: a zero slope
+        with pytest.raises(ValueError, match="too close"):
+            llr_threshold(Family.BERNOULLI, 200, 10, 0.0938595867742349, 0.09385958677423491)
 
 
 class TestCrowdSelector:

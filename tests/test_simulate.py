@@ -345,32 +345,26 @@ class TestEstimateRiskCompat:
         with pytest.raises(ValueError):
             estimate_risk(p, Adaptive(4), MCConfig(replications=5, seed=1))
 
-    def test_stress_needs_gaussian_threshold_class(self):
-        p = ProblemInstance(
-            d=10, s=1, signal=Interval(0.1, 0.9), family=Family.BERNOULLI
-        )
-        with pytest.raises(ValueError):
-            estimate_risk(p, spec_for_kind("llr", p), MCConfig(replications=5, seed=1), stress=True)
-
 
 class TestStress:
     def test_boosted_magnitudes_never_hurt_one_sided_rule(self):
-        """Stress shares support, sign, and noise with the plain run, so the
-        one-sided threshold's loss can only drop pathwise."""
-        p = _plus_instance(d=40, s=6, a=1.5)
+        """Interval(0, a) is LowerBound(a) draw for draw, and Interval(0, m a)
+        shares its support and noise, so at the boundary cut the one-sided
+        threshold's loss can only drop pathwise as m grows."""
+        d, s, a = 40, 6, 1.5
+        p = _plus_instance(d=d, s=s, a=a)
         spec = _plus_spec(p)
         cfg = MCConfig(replications=3000, seed=23)
         plain = estimate_risk(p, spec, cfg)
-        boosted = estimate_risk(p, spec, cfg, stress=True)
-        assert boosted.mc_estimate <= plain.mc_estimate + 1e-12
-
-    def test_stress_changes_draws(self):
-        p = ProblemInstance(d=40, s=6, signal=TwoSided(1.5))
-        spec = spec_for_kind("cosh", p)
-        cfg = MCConfig(replications=500, seed=24)
-        plain = estimate_risk(p, spec, cfg)
-        boosted = estimate_risk(p, spec, cfg, stress=True)
-        assert plain.mc_estimate != boosted.mc_estimate
+        same = estimate_risk(ProblemInstance(d, s, Interval(0.0, a)), spec, cfg)
+        assert (same.mc_estimate, same.mc_stderr) == (plain.mc_estimate, plain.mc_stderr)
+        one = MCConfig(replications=1, seed=23)
+        for m in (2.0, 10.0):
+            boosted = ProblemInstance(d, s, Interval(0.0, m * a))
+            assert estimate_risk(boosted, spec, cfg).mc_estimate <= plain.mc_estimate
+            for r in range(100):
+                loss = estimate_risk(boosted, spec, one, stream_offset=r).mc_estimate
+                assert loss <= estimate_risk(p, spec, one, stream_offset=r).mc_estimate
 
 
 class TestBayesFloor:
@@ -510,8 +504,7 @@ class TestPsiBarPrintedMc:
 
 
 def _contract_cases():
-    """(id, instance, spec, rho values, stress values) over every spec kind
-    and family."""
+    """(id, instance, spec, rho values) over every spec kind and family."""
     d, s = 40, 4
     lower = ProblemInstance(d, s, LowerBound(2.5))
     two = ProblemInstance(d, s, TwoSided(2.5))
@@ -528,24 +521,23 @@ def _contract_cases():
         "adaptive": Adaptive(8),
     }
     cases = []
-    for name, p, stress in (("lower", lower, (False, True)), ("two", two, (False, True)),
-                            ("interval", interval, (False,))):
+    for name, p in (("lower", lower), ("two", two), ("interval", interval)):
         specs = dict(gaussian_specs)
         if not isinstance(p.signal, TwoSided):
             specs["llr"] = spec_for_kind("llr", p)
         for kind, spec in specs.items():
-            cases.append((f"gaussian-{name}-{kind}", p, spec, (0.0, 0.5), stress))
+            cases.append((f"gaussian-{name}-{kind}", p, spec, (0.0, 0.5)))
     for family, a0, a1 in ((Family.BERNOULLI, 0.2, 0.7), (Family.POISSON, 1.0, 3.0)):
         p = ProblemInstance(d, s, Interval(a0, a1), family=family)
         for kind, spec in (("llr", spec_for_kind("llr", p)), ("tops", TopS(s)), ("plus", Threshold(1.0))):
-            cases.append((f"{family.value}-{kind}", p, spec, (0.0,), (False,)))
+            cases.append((f"{family.value}-{kind}", p, spec, (0.0,)))
     return cases
 
 
 _CONTRACT_CASES = _contract_cases()
 
 
-def _replayed_errors(p, spec, seed, offset, reps, rho, stress):
+def _replayed_errors(p, spec, seed, offset, reps, rho):
     """Per-replication Hamming errors rebuilt from the public calls, one
     fresh rng_stream per replication."""
     errors = []
@@ -558,12 +550,7 @@ def _replayed_errors(p, spec, seed, offset, reps, rho, stress):
                 theta = np.where(eta.bits, sig.a1, sig.a0)
             else:
                 theta, eta = least_favorable_draw(p, rng)
-            if stress:
-                noise = generate_gaussian(np.zeros(p.d), p.sigma, rho, rng)
-                mult = np.array([1.0, 2.0, 10.0])[rng.integers(0, 3, size=p.d)]
-                x = theta * mult + noise
-            else:
-                x = generate_gaussian(theta, p.sigma, rho, rng)
+            x = generate_gaussian(theta, p.sigma, rho, rng)
         else:
             eta = uniform_support(p.d, p.s, rng)
             x = generate_family(eta, p.family, sig.a0, sig.a1, rng)
@@ -575,30 +562,27 @@ class TestStreamContract:
     """estimate_risk is the loop of public calls, one stream per replication."""
 
     @pytest.mark.parametrize(
-        "p, spec, rhos, stresses",
+        "p, spec, rhos",
         [case[1:] for case in _CONTRACT_CASES],
         ids=[case[0] for case in _CONTRACT_CASES],
     )
-    def test_engine_equals_public_replay(self, p, spec, rhos, stresses):
+    def test_engine_equals_public_replay(self, p, spec, rhos):
         seed, offset, reps = 20261018, 5 << 40, 25
         for rho in rhos:
-            for stress in stresses:
-                errors = _replayed_errors(p, spec, seed, offset, reps, rho, stress)
-                for kind in LossKind:
-                    if kind is LossKind.HAMMING:
-                        losses = np.array([float(e) for e in errors])
-                    elif kind is LossKind.NORMALIZED_HAMMING:
-                        losses = np.array([e / p.s for e in errors])
-                    else:
-                        losses = np.array([1.0 if e else 0.0 for e in errors])
-                    cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=kind)
-                    for workers in (1, 2):
-                        with _workers(workers):
-                            report = estimate_risk(
-                                p, spec, cfg, stream_offset=offset, stress=stress
-                            )
-                        assert report.mc_estimate == float(losses.mean())
-                        assert report.mc_stderr == float(losses.std(ddof=1) / math.sqrt(reps))
+            errors = _replayed_errors(p, spec, seed, offset, reps, rho)
+            for kind in LossKind:
+                if kind is LossKind.HAMMING:
+                    losses = np.array([float(e) for e in errors])
+                elif kind is LossKind.NORMALIZED_HAMMING:
+                    losses = np.array([e / p.s for e in errors])
+                else:
+                    losses = np.array([1.0 if e else 0.0 for e in errors])
+                cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=kind)
+                for workers in (1, 2):
+                    with _workers(workers):
+                        report = estimate_risk(p, spec, cfg, stream_offset=offset)
+                    assert report.mc_estimate == float(losses.mean())
+                    assert report.mc_stderr == float(losses.std(ddof=1) / math.sqrt(reps))
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_rekeyed_generator_state(self, seed):
@@ -637,22 +621,22 @@ class TestStreamContract:
         two = ProblemInstance(d, s, TwoSided(a))
         poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
         cases = [
-            (lower, _plus_spec(lower), 0.0, False),
-            (lower, _plus_spec(lower), 0.5, True),
-            (lower, TopS(s), 0.0, False),
-            (two, spec_for_kind("cosh", two), 0.0, True),
-            (two, TopS(s, one_sided=False), 0.5, False),
-            (two, spec_for_kind("universal", two), 0.0, False),
-            (two, Adaptive(16), 0.0, False),
-            (poisson, spec_for_kind("llr", poisson), 0.0, False),
+            (lower, _plus_spec(lower), 0.0),
+            (lower, _plus_spec(lower), 0.5),
+            (lower, TopS(s), 0.0),
+            (two, spec_for_kind("cosh", two), 0.0),
+            (two, TopS(s, one_sided=False), 0.5),
+            (two, spec_for_kind("universal", two), 0.0),
+            (two, Adaptive(16), 0.0),
+            (poisson, spec_for_kind("llr", poisson), 0.0),
         ]
         seed, offset = 20261018, 3 << 40
-        for p, spec, rho, stress in cases:
-            errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho, stress), dtype=float)
+        for p, spec, rho in cases:
+            errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho), dtype=float)
             cfg = MCConfig(replications=reps, seed=seed, rho=rho)
             for workers in (1, 2):
                 with _workers(workers):
-                    report = estimate_risk(p, spec, cfg, stream_offset=offset, stress=stress)
+                    report = estimate_risk(p, spec, cfg, stream_offset=offset)
                 assert report.mc_estimate == float(errors.mean())
                 assert report.mc_stderr == float(errors.std(ddof=1) / math.sqrt(reps))
 
@@ -747,13 +731,13 @@ class TestEngineLimits:
 
 @st.composite
 def _engine_cases(draw):
-    """(instance, spec, rho, stress, loss kind, seed, offset, reps) over every
+    """(instance, spec, rho, loss kind, seed, offset, reps) over every
     spec kind and family; reps up to 40 span several blocks for d >= 400."""
     d = draw(st.integers(2, 3000))
     s = draw(st.integers(1, min(d - 1, 40)))
     a = draw(st.floats(0.25, 6.0))
     cls = draw(st.sampled_from(["lower", "two", "interval", "bernoulli", "poisson"]))
-    rho, stress = 0.0, False
+    rho = 0.0
     if cls in ("bernoulli", "poisson"):
         family = Family(cls)
         a0, a1 = (0.2, 0.7) if cls == "bernoulli" else (1.0, 1.0 + a)
@@ -766,7 +750,6 @@ def _engine_cases(draw):
         kinds += ["adaptive"] if d >= 8 else []
         kinds += ["llr"] if cls != "two" else []
         rho = draw(st.sampled_from([0.0, 0.5, 0.9]))
-        stress = cls != "interval" and draw(st.booleans())
     kind = draw(st.sampled_from(kinds))
     t = draw(st.floats(0.0, 4.0))
     spec = {
@@ -783,7 +766,7 @@ def _engine_cases(draw):
     seed = draw(st.integers(0, 2**64 - 1))
     reps = draw(st.integers(1, 40))
     offset = draw(st.integers(0, 2**64 - reps))
-    return p, spec, rho, stress, loss_kind, seed, offset, reps
+    return p, spec, rho, loss_kind, seed, offset, reps
 
 
 _POISSON_1500 = ProblemInstance(1500, 5, Interval(1.0, 2.5), family=Family.POISSON)
@@ -795,20 +778,20 @@ class TestBlockEngineProperty:
     @example(
         case=(
             ProblemInstance(2000, 20, TwoSided(3.0)), TopS(20, one_sided=False),
-            0.5, True, LossKind.HAMMING, 7, 11, 17,
+            0.5, LossKind.HAMMING, 7, 11, 17,
         )
     )
     @example(
         case=(
             _POISSON_1500, spec_for_kind("llr", _POISSON_1500),
-            0.0, False, LossKind.WRONG_RECOVERY, 2**64 - 1, 2**64 - 21, 21,
+            0.0, LossKind.WRONG_RECOVERY, 2**64 - 1, 2**64 - 21, 21,
         )
     )
     def test_engine_equals_public_replay(self, case):
-        p, spec, rho, stress, loss_kind, seed, offset, reps = case
+        p, spec, rho, loss_kind, seed, offset, reps = case
         rows = max(1, min(reps, BLOCK_BYTES // (8 * p.d)))
         event("one block" if reps == rows else f"several blocks, last {'partial' if reps % rows else 'full'}")
-        errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho, stress), dtype=float)
+        errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho), dtype=float)
         if loss_kind is LossKind.NORMALIZED_HAMMING:
             losses = errors / p.s
         elif loss_kind is LossKind.WRONG_RECOVERY:
@@ -819,6 +802,6 @@ class TestBlockEngineProperty:
         stderr = float(losses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         for workers in (1, 2):
             with _workers(workers):
-                report = estimate_risk(p, spec, cfg, stream_offset=offset, stress=stress)
+                report = estimate_risk(p, spec, cfg, stream_offset=offset)
             assert report.mc_estimate == float(losses.mean())
             assert report.mc_stderr == stderr

@@ -1,7 +1,8 @@
 """Source hygiene: no import a module never uses, no module-level private
 function that nothing in the package references, no module-level assigned
 name that nothing in the package reads, no public name that nothing uses,
-and no numpy in the command-line layer.
+no keyword option that no caller passes, and no numpy in the command-line
+layer.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
@@ -152,6 +153,34 @@ def test_no_dead_public_surface():
         and name not in exported
     ]
     assert not dead, f"public names nothing uses: {dead}"
+
+
+def _keywords_passed(tree: ast.AST) -> set[str]:
+    """Every name passed as a keyword argument in a call in the tree."""
+    return {
+        kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call) for kw in node.keywords
+    }
+
+
+def test_every_keyword_option_is_passed():
+    """Every keyword-only parameter of a public module-level function in
+    src/hamsel is passed by name in some call in src/ or bench/; a call in a
+    test does not count, as an option only tests set does not pay for itself.
+
+    Names are matched, as in test_no_dead_public_surface: a keyword that
+    some other call passes under the same name counts as passed.
+    """
+    callers = MODULES + sorted((ROOT / "bench").glob("*.py"))
+    passed = set().union(*(_keywords_passed(_tree(path)) for path in callers))
+    unpassed = [
+        f"{path.name}: {node.name}({arg.arg}=)"
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in node.args.kwonlyargs
+        if arg.arg not in passed
+    ]
+    assert not unpassed, f"keyword options no caller in src/ or bench/ passes: {unpassed}"
 
 
 def test_cli_imports_no_numpy():
