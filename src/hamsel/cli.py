@@ -299,16 +299,10 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Selector kinds that are minimax for each signal class.
-_MINIMAX_KINDS = {LowerBound: ("plus", "llr"), TwoSided: ("cosh",), Interval: ("llr",)}
-
-
 def _mc_closed_form(p: ProblemInstance, kind: str, loss: LossKind) -> float | None:
-    """Exact reference risk when the selector is minimax for p's class."""
-    if loss is LossKind.WRONG_RECOVERY or kind not in _MINIMAX_KINDS[type(p.signal)]:
-        return None
-    base = risk.minimax_risk(p)
-    return base if loss is LossKind.HAMMING else base / p.s
+    """risk.threshold_risk in the run's loss; None under wrong recovery."""
+    base = None if loss is LossKind.WRONG_RECOVERY else risk.threshold_risk(p, kind)
+    return base if base is None or loss is LossKind.HAMMING else base / p.s
 
 
 def _mc_config(args) -> simulate.MCConfig:
@@ -441,7 +435,7 @@ def cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes every negative number as a value.
+    """An ArgumentParser that reads negative numbers as values and errs in one line.
 
     argparse reads "-6.1e-05" as an unknown option, because its own
     negative-number pattern has no exponent form; this one accepts any
@@ -453,6 +447,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
         )
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:

@@ -6,8 +6,8 @@ class is s * Psi.  All formulas follow the closed ``>= t`` selection
 convention of :mod:`hamsel.selectors`; for the discrete families this
 matters at atoms and the two modules are kept consistent bit for bit.
 The Gaussian forms read a and sigma only through r = a/sigma, so
-f(d, s, a, sigma) = f(d, s, a/sigma, 1) exactly; Psi+ and the two-sided
-rate Psi come from one shared evaluation of the one-sided cut.
+f(d, s, a, sigma) = f(d, s, a/sigma, 1) exactly.  threshold_risk gives every
+named threshold rule's risk from _psi_cut (a cut on x) or _two_sided_cut (|x|).
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import numpy as np
 from . import numkit
 from .model import (
     Family,
+    Interval,
     LossKind,
     LowerBound,
     ProblemInstance,
     RiskReport,
-    TwoSided,
     _check_d_s,
     _check_finite,
     _check_interval,
@@ -33,7 +33,7 @@ from .model import (
     fresh_seed,
     rng_stream,
 )
-from .selectors import _cosh_cut, crowd_weights, llr_threshold
+from .selectors import _cosh_cut, crowd_weights, llr_threshold, spec_for_kind
 
 _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
 
@@ -83,9 +83,8 @@ def psi_two_sided(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     return _psi_cut(*_ratio_and_r(d, s, a, sigma))[1]
 
 
-def _psi_bar_cut(ratio: float, r: float) -> float:
-    """PsiBar of psi_bar at ratio = (d-s)/s and r = a/sigma."""
-    q = _cosh_cut(r, math.log(ratio))
+def _two_sided_cut(ratio: float, q: float, r: float) -> float:
+    """Psi of the rule |x| >= sigma q at ratio = (d-s)/s and r = a/sigma (or -a)."""
     if q == 0.0:
         return ratio
     term_miss = numkit.gaussian_cdf(q - r) - numkit.gaussian_cdf(-q - r)
@@ -103,7 +102,8 @@ def psi_bar(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     For u <= 1 the selector keeps every coordinate, so the value is exactly
     (d-s)/s: no misses, all d-s off-support coordinates wrong.
     """
-    return _psi_bar_cut(*_ratio_and_r(d, s, a, sigma))
+    ratio, r = _ratio_and_r(d, s, a, sigma)
+    return _two_sided_cut(ratio, _cosh_cut(r, math.log(ratio)), r)
 
 
 def psi_general(
@@ -139,17 +139,40 @@ def psi_general(
     )
 
 
-def minimax_risk(p: ProblemInstance) -> float:
-    """s Psi of the minimax selector of p's class: the expected Hamming loss
-    of the one-sided rule (Psi+) for a LowerBound class, of the log-cosh rule
-    (PsiBar) for a TwoSided class, and of the likelihood-ratio rule
-    (psi_general) for an Interval class, under the least-favorable prior."""
-    sig = p.signal
-    if isinstance(sig, LowerBound):
-        return p.s * psi_plus(p.d, p.s, sig.a, p.sigma)
-    if isinstance(sig, TwoSided):
-        return p.s * psi_bar(p.d, p.s, sig.a, p.sigma)
-    return p.s * psi_general(p.family, p.d, p.s, sig.a0, sig.a1, p.sigma)
+def threshold_risk(p: ProblemInstance, kind: str) -> float | None:
+    """Expected Hamming loss s [P_on(miss) + ((d-s)/s) P_off(select)] of
+    spec_for_kind(kind, p) under p's least-favorable prior; None for tops,
+    adaptive, and a cut on |x| on an Interval class with a0 != 0 (a Gaussian
+    one with a0 = 0 is LowerBound(a1)).  The cut is formed in sigma units as
+    the Psi functions form it, so plus, llr and cosh give s Psi+, s
+    psi_general and s PsiBar bit for bit.  universal cuts |x| at
+    sqrt(2 log d), which reads no r (r may round to 0 or inf there), and
+    plus on a TwoSided class is a cut on x with the signal at +-a."""
+    if kind in ("tops", "adaptive"):
+        return None
+    spec_for_kind(kind, p)  # the pairing's and the cut's checks
+    d, s, sig = p.d, p.s, p.signal
+    if isinstance(sig, Interval):
+        if kind == "llr":
+            return s * psi_general(p.family, d, s, sig.a0, sig.a1, p.sigma)
+        if sig.a0 != 0.0 or p.family is not Family.GAUSSIAN:
+            return None
+        sig = LowerBound(sig.a1)
+    ratio, r = (d - s) / s, sig.a / p.sigma
+    if kind in ("plus", "llr"):
+        if isinstance(sig, LowerBound):
+            return s * _psi_cut(ratio, r)[0]
+        # the signal at +-a; not _psi_cut, whose gain branch needs a mean above the cut
+        c = r / 2.0 + math.log(ratio) / r
+        on = numkit.gaussian_cdf(c - r) + numkit.gaussian_cdf(c + r)
+        return s * (numkit.gaussian_cdf(-c, ratio) + 0.5 * on)
+    if kind == "cosh":
+        q = _cosh_cut(r, math.log(ratio))
+    elif kind == "universal":
+        q = math.sqrt(2.0 * math.log(d))
+    else:
+        q = max(r / 2.0 + math.log(ratio) / r, 0.0)
+    return s * _two_sided_cut(ratio, q, r)
 
 
 def psi_crowd(
@@ -245,7 +268,7 @@ def wrong_recovery_bounds(
     ratio, r = _ratio_and_r(d, s, a, sigma)
     plus, two_sided = _psi_cut(ratio, r)
     sp = s * plus
-    sb = s * _psi_bar_cut(ratio, r)
+    sb = s * _two_sided_cut(ratio, _cosh_cut(r, math.log(ratio)), r)
     return WrongRecoveryBounds(sp, sb, 2.0 * (s * two_sided), sp / (1.0 + sp), sb / (1.0 + sb))
 
 

@@ -43,7 +43,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -226,6 +226,9 @@ ROW_BYTES_LIMIT = 64 * 1024 * 1024
 # at most 2^27 = 134,217,728 replications in one run.
 LOSS_BYTES_LIMIT = 2**30
 
+# Largest rate numpy's Poisson sampler takes: 2^63 - 1 less ten square roots of it.
+POISSON_RATE_LIMIT = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 # Smallest d at which replications are spread over threads.  A row's
 # Z0-and-noise fill releases the interpreter lock and grows with d, while
 # the per-row Python work and the block's support resolution, which hold
@@ -379,11 +382,16 @@ def estimate_risk(
     whole blocks over min(blocks, usable CPUs) threads, the calling thread
     taking the first share; smaller d run on the calling thread alone.  The
     worker count never changes the results either.  A d whose
-    per-replication buffers exceed ROW_BYTES_LIMIT, or an R whose losses
-    exceed LOSS_BYTES_LIMIT, is rejected before anything is allocated.
+    per-replication buffers exceed ROW_BYTES_LIMIT, an R whose losses
+    exceed LOSS_BYTES_LIMIT, or a Poisson a0 or a1 - a0 above
+    POISSON_RATE_LIMIT is rejected before anything is allocated.
     """
     if cfg.rho != 0.0 and p.family is not Family.GAUSSIAN:
         raise ValueError("correlated noise is defined for the Gaussian family only")
+    if p.family is Family.POISSON:
+        for name, rate in (("a0", p.signal.a0), ("a1 - a0", p.signal.a1 - p.signal.a0)):
+            if rate > POISSON_RATE_LIMIT:
+                raise ValueError(f"Poisson {name} = {rate} is over the limit {POISSON_RATE_LIMIT}")
     select = resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
     if not (0 <= stream_offset and stream_offset + n <= 2**64):
@@ -448,44 +456,6 @@ def estimate_risk(
         replications=n,
         seed=cfg.seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Bayes floor
-# ---------------------------------------------------------------------------
-
-
-class BayesFloorResult(NamedTuple):
-    estimate: float
-    floor: float
-    passed: bool
-    stderr: float
-
-
-def bayes_floor_check(
-    p: ProblemInstance,
-    spec: SelectorSpec,
-    cfg: MCConfig,
-) -> BayesFloorResult:
-    """Estimate a selector's uniform-prior risk and test it against the floor.
-
-    The floor is the exact Bayes risk of the optimal separable selector
-    (one that decides coordinate j from x_j alone) under the
-    least-favorable prior: s Psi+ for a LowerBound class, s PsiBar for a
-    TwoSided class (divided by s under the normalized loss).  It binds only
-    separable selectors: top-s and the adaptive rule use all coordinates at
-    once and can beat it (top-s does at d = 10^4).  The gate is 3 stderr:
-    passed = estimate >= floor - 3 stderr.
-    """
-    if isinstance(p.signal, Interval):
-        raise ValueError("the Bayes floor needs a LowerBound or TwoSided class")
-    if cfg.loss_kind is LossKind.WRONG_RECOVERY:
-        raise ValueError("the Bayes floor is a Hamming-loss statement")
-    base = risk.minimax_risk(p)
-    floor = base if cfg.loss_kind is LossKind.HAMMING else base / p.s
-    report = estimate_risk(p, spec, cfg)
-    passed = report.mc_estimate >= floor - 3.0 * report.mc_stderr
-    return BayesFloorResult(report.mc_estimate, floor, passed, report.mc_stderr)
 
 
 # ---------------------------------------------------------------------------

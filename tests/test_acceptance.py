@@ -33,12 +33,12 @@ from hamsel.risk import (
     psi_general,
     psi_plus,
     psi_two_sided,
+    threshold_risk,
     wrong_recovery_bounds,
 )
 from hamsel.selectors import llr_threshold, spec_for_kind
 from hamsel.simulate import (
     MCConfig,
-    bayes_floor_check,
     estimate_risk,
     psi_bar_printed_mc,
 )
@@ -133,20 +133,22 @@ def test_criterion_04_tail_bound_bracketing():
 
 
 def test_criterion_05_bayes_floor_all_selectors():
-    # No selector can beat the exact Bayes risk of the boundary prior; the
-    # optimal one sits on the floor and the rest stay above it.
+    # No selector can beat the exact Bayes risk of the boundary prior, the
+    # risk of the class's minimax rule; the optimal one sits on the floor
+    # and the rest stay above it.
     p = ProblemInstance(d=200, s=10, signal=LowerBound(3.0))
+    floor = threshold_risk(p, "plus")
     kinds = ("plus", "two-sided", "cosh", "tops", "universal", "adaptive")
     worst_kind = None
     worst_margin = math.inf
     all_passed = True
     for kind in kinds:
         spec = spec_for_kind(kind, p, s_star=50 if kind == "adaptive" else None)
-        res = bayes_floor_check(p, spec, MCConfig(replications=_R, seed=501))
-        margin = (res.estimate - res.floor) / res.stderr
+        rep = estimate_risk(p, spec, MCConfig(replications=_R, seed=501))
+        margin = (rep.mc_estimate - floor) / rep.mc_stderr
         if margin < worst_margin:
             worst_kind, worst_margin = kind, margin
-        all_passed = all_passed and res.passed
+        all_passed = all_passed and rep.mc_estimate >= floor - 3.0 * rep.mc_stderr
     ok = all_passed
     detail = f"6 selectors, tightest={worst_kind} at {worst_margin:+.2f} SE above floor"
     assert _report(5, "uniform-prior risk never beats the Bayes floor", ok, detail)

@@ -32,7 +32,14 @@ from hamsel.model import (
     ProblemInstance,
     TwoSided,
 )
-from hamsel.risk import psi_bar, psi_general, psi_plus, psi_two_sided, wrong_recovery_bounds
+from hamsel.risk import (
+    psi_bar,
+    psi_general,
+    psi_plus,
+    psi_two_sided,
+    threshold_risk,
+    wrong_recovery_bounds,
+)
 from hamsel.selectors import (
     SELECTOR_KINDS,
     adaptive_selector,
@@ -41,7 +48,7 @@ from hamsel.selectors import (
     spec_for_kind,
     universal_threshold,
 )
-from hamsel.simulate import MCConfig, apply_selector, estimate_risk
+from hamsel.simulate import POISSON_RATE_LIMIT, MCConfig, apply_selector, estimate_risk
 
 
 def run_cli(capsys, *args):
@@ -496,6 +503,69 @@ class TestMcCommand:
         payload = json.loads(out)
         assert payload["closed_form"] == 1.0 * psi_general(Family.BERNOULLI, 10, 1, 0.1, 0.9)
 
+    @pytest.mark.parametrize(
+        "level, kind",
+        [(["--class", "plus", "--a", "2"], kind)
+         for kind in ("plus", "two-sided", "cosh", "llr", "universal")]
+        + [(["--class", "two-sided", "--a", "2"], kind)
+           for kind in ("plus", "two-sided", "cosh", "universal")]
+        + [(["--class", "interval", "--a0", "0", "--a1", "2"], kind) for kind in ("llr", "universal")]
+        + [(["--class", "interval", "--a0", "-0.5", "--a1", "2"], "llr")],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v[1::2]),
+    )
+    @pytest.mark.parametrize("loss", ["hamming", "normalized"])
+    def test_every_threshold_rule_has_a_closed_form(self, capsys, level, kind, loss):
+        """On every Gaussian class, the exact risk of the rule's cut, per
+        signal coordinate under normalized loss."""
+        argv = ["mc", *level, "--d", "30", "--s", "3", "--selector", kind, "--reps", "5"]
+        code, out, _ = run_cli(capsys, *argv, "--seed", "1", "--loss", loss)
+        assert code == 0
+        base = threshold_risk(cli._build_instance(cli._build_parser().parse_args(argv)), kind)
+        assert json.loads(out)["closed_form"] == (base if loss == "hamming" else base / 3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--class", "plus", "--a", "2", "--selector", "adaptive", "--s-star", "4"],
+            ["--class", "interval", "--a0", "-0.5", "--a1", "2", "--selector", "universal"],
+        ],
+        ids=["adaptive", "universal-interval"],
+    )
+    def test_closed_form_is_null_off_threshold_rules(self, capsys, argv):
+        """tops (test_non_minimax_pairing_has_no_closed_form), the adaptive
+        rule, and a cut on |x| around an interval class's nonzero a0."""
+        code, out, _ = run_cli(
+            capsys, "mc", "--d", "30", "--s", "3", *argv, "--reps", "5", "--seed", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["closed_form"] is None
+
+    @pytest.mark.parametrize("rho", ["0", "0.5"])
+    @pytest.mark.parametrize("klass", ["plus", "two-sided"])
+    @pytest.mark.parametrize("kind", ["universal", "two-sided"])
+    def test_closed_form_within_4_stderr_of_the_estimate(self, capsys, kind, klass, rho):
+        code, out, _ = run_cli(
+            capsys, "mc", "--class", klass, "--d", "100", "--s", "5", "--a", "2.5",
+            "--selector", kind, "--reps", "8000", "--seed", "1607", "--rho", rho,
+        )
+        assert code == 0
+        got = json.loads(out)
+        assert abs(got["estimate"] - got["closed_form"]) <= 4.0 * got["stderr"]
+
+    def test_poisson_rate_over_sampler_limit_exits_2_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "mc", "--class", "poisson", "--d", "200", "--s", "10", "--a0", "1e8",
+                "--a1", "1e170", "--selector", "llr", "--reps", "2", "--seed", "1",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f"error: Poisson a1 - a0 = 1e+170 is over the limit {POISSON_RATE_LIMIT}\n"
+        assert peak < 4 << 20
+
     def test_zero_replications_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "mc", "--class", "plus", "--d", "10", "--s", "1", "--a", "2",
@@ -794,7 +864,7 @@ class TestReadmeExamples:
         assert commands.count("risk") >= 4
         assert "select" in commands
         assert "obs.csv" in _README_FILES
-        assert sorted(argv[0] for argv, _ in _README_ELIDED) == ["mc", "phase"]
+        assert sorted(argv[0] for argv, _ in _README_ELIDED) == ["mc", "mc", "phase"]
 
     @pytest.mark.parametrize(
         "argv, shown", _README_EXAMPLES, ids=[" ".join(a) for a, _ in _README_EXAMPLES]
@@ -927,10 +997,15 @@ class TestUsageErrors:
             (_phase_argv(s_rule="power:1.5"), "--s-rule"),
             (_phase_argv(selectors="plus,bogus"), "--selectors"),
             (["sweep", "ARRAY_CONFIG"], "config must be a JSON object"),
+            (["risk", "--class", "plus", "--d", "x", "--s", "1", "--a", "1"], "--d"),
+            (["risk", "--class", "bogus", "--d", "3", "--s", "1"], "--class"),
+            (["mc", "--class", "plus", "--d", "3", "--s", "1", "--a", "1",
+              "--selector", "plus"], "--reps"),
         ],
         ids=[
             "which-psi-plus-interval", "d-list-not-int", "d-list-empty", "s-rule-fixed",
             "s-rule-power", "s-rule-power-range", "selectors-unknown", "sweep-array",
+            "d-not-int", "class-unknown", "mc-reps-missing",
         ],
     )
     def test_exit_2_with_one_error_line_naming_the_input(self, capsys, tmp_path, argv, named):
@@ -1030,6 +1105,22 @@ class TestSubprocess:
             text=True,
         )
         assert result.returncode == 0
+        assert result.stdout == '{"psi_plus": 0.31731050786291415}\n'
+
+    def test_console_script_target(self):
+        """The function pyproject.toml installs as the hamsel script, run as
+        the generated script runs it."""
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["hamsel"]
+        module, func = target.split(":")
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())",
+             "risk", "--class", "plus", "--d", "2", "--s", "1", "--a", "2", "--which", "psi-plus"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == '{"psi_plus": 0.31731050786291415}\n'
 
     @pytest.mark.skipif(shutil.which("hamsel") is None, reason="script not on PATH")

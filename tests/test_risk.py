@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hamsel import numkit
-from hamsel.model import Family, LossKind
+from hamsel.model import Family, Interval, LossKind, LowerBound, ProblemInstance, TwoSided
 from hamsel.risk import (
     PhasePoint,
     RecoveryBounds,
@@ -31,12 +31,15 @@ from hamsel.risk import (
     psi_general,
     psi_plus,
     psi_two_sided,
+    threshold_risk,
     wrong_recovery_bounds,
 )
 from hamsel.selectors import (
+    SELECTOR_KINDS,
     cosh_threshold,
     llr_threshold,
     minimax_threshold,
+    spec_for_kind,
     universal_threshold,
 )
 
@@ -412,6 +415,121 @@ class TestPsiGeneralPoisson:
             psi_general("cauchy", 10, 2, 1.0, 2.0)
 
 
+def _threshold_risk_oracle(d, s, a, sigma, signs, kind):
+    """s P_on(not selected) + (d-s) P_off(selected) at 40 digits, from the
+    literal selection event of kind's cut in observation units: x >= t for
+    plus, |x| >= q for universal and two-sided.  The signal sits at sign a
+    for each sign in signs, equally likely."""
+    with mp.workdps(40):
+        d, s, a, sigma = mp.mpf(d), mp.mpf(s), mp.mpf(a), mp.mpf(sigma)
+        t = a / 2 + sigma**2 * mp.log((d - s) / s) / a
+        if kind == "plus":
+            def miss(mean):  # P(mean + sigma Z < t)
+                return mp.ncdf((t - mean) / sigma)
+
+            def select(mean):
+                return mp.ncdf((mean - t) / sigma)
+        else:
+            q = sigma * mp.sqrt(2 * mp.log(d)) if kind == "universal" else max(t, mp.mpf(0))
+
+            def miss(mean):  # P(|mean + sigma Z| < q)
+                return mp.ncdf((q - mean) / sigma) - mp.ncdf((-q - mean) / sigma)
+
+            def select(mean):
+                return mp.ncdf((mean - q) / sigma) + mp.ncdf((-q - mean) / sigma)
+        on = mp.fsum(miss(sign * a) for sign in signs) / len(signs)
+        return float(s * on + (d - s) * select(0))
+
+
+# (d, s, a, sigma): sparse, dense (s > d/2), and dense with the two-sided
+# cut clamped to q = 0 (the third)
+_THRESHOLD_CELLS = [
+    (200, 10, 3.0, 1.0),
+    (50, 30, 3.0, 1.0),
+    (50, 30, 0.5, 1.0),
+    (1000, 5, 4.0, 2.0),
+    (10**6, 10, 6.0, 0.7),
+    (7, 6, 0.2, 0.3),
+]
+
+
+class TestThresholdRisk:
+    @pytest.mark.parametrize("cell", _THRESHOLD_CELLS, ids=str)
+    @pytest.mark.parametrize(
+        "signal, signs, kind",
+        [
+            (LowerBound, (1,), "universal"),
+            (TwoSided, (1, -1), "universal"),
+            (LowerBound, (1,), "two-sided"),
+            (TwoSided, (1, -1), "two-sided"),
+            (TwoSided, (1, -1), "plus"),
+        ],
+        ids=["universal-plus", "universal-two-sided", "two-sided-plus",
+             "two-sided-two-sided", "plus-two-sided"],
+    )
+    def test_against_the_literal_event(self, cell, signal, signs, kind):
+        d, s, a, sigma = cell
+        got = threshold_risk(ProblemInstance(d, s, signal(a), sigma=sigma), kind)
+        assert_allclose(got, _threshold_risk_oracle(d, s, a, sigma, signs, kind), rtol=1e-12)
+
+    def test_two_sided_cut_clamped_at_zero_selects_everything(self):
+        p = ProblemInstance(50, 30, TwoSided(0.5))
+        assert minimax_threshold(50, 30, 0.5) < 0.0
+        assert threshold_risk(p, "two-sided") == 20.0
+
+    @pytest.mark.parametrize("cell", _THRESHOLD_CELLS, ids=str)
+    def test_minimax_kinds_are_the_psi_functions_exactly(self, cell):
+        d, s, a, sigma = cell
+        lower = ProblemInstance(d, s, LowerBound(a), sigma=sigma)
+        two = ProblemInstance(d, s, TwoSided(a), sigma=sigma)
+        interval = ProblemInstance(d, s, Interval(-0.5, a), sigma=sigma)
+        assert threshold_risk(lower, "plus") == s * psi_plus(d, s, a, sigma)
+        assert threshold_risk(lower, "llr") == s * psi_plus(d, s, a, sigma)
+        assert threshold_risk(lower, "cosh") == s * psi_bar(d, s, a, sigma)
+        assert threshold_risk(two, "cosh") == s * psi_bar(d, s, a, sigma)
+        assert threshold_risk(interval, "llr") == s * psi_general(
+            Family.GAUSSIAN, d, s, -0.5, a, sigma
+        )
+        # a Gaussian interval class with a0 = 0 is the one-sided class
+        at_zero = ProblemInstance(d, s, Interval(0.0, a), sigma=sigma)
+        for kind in ("llr", "universal"):
+            assert threshold_risk(at_zero, kind) == threshold_risk(lower, kind)
+
+    @pytest.mark.parametrize(
+        "family, a0, a1", [(Family.BERNOULLI, 0.2, 0.7), (Family.POISSON, 1.0, 4.0)]
+    )
+    def test_discrete_llr_is_psi_general_exactly(self, family, a0, a1):
+        p = ProblemInstance(40, 4, Interval(a0, a1), family)
+        assert threshold_risk(p, "llr") == 4 * psi_general(family, 40, 4, a0, a1)
+
+    @pytest.mark.parametrize(
+        "p, kind",
+        [
+            (ProblemInstance(40, 4, LowerBound(2.0)), "tops"),
+            (ProblemInstance(40, 4, TwoSided(2.0)), "adaptive"),
+            (ProblemInstance(40, 4, Interval(0.5, 2.0)), "universal"),
+            (ProblemInstance(40, 4, Interval(0.2, 0.7), Family.BERNOULLI), "universal"),
+        ],
+        ids=["tops", "adaptive", "universal-interval", "universal-bernoulli"],
+    )
+    def test_none_off_threshold_rules(self, p, kind):
+        assert threshold_risk(p, kind) is None
+
+    @pytest.mark.parametrize(
+        "p, kind",
+        [
+            (ProblemInstance(40, 4, TwoSided(2.0)), "llr"),
+            (ProblemInstance(40, 4, Interval(0.0, 2.0)), "plus"),
+            (ProblemInstance(40, 4, Interval(0.0, 2.0)), "cosh"),
+            (ProblemInstance(40, 4, LowerBound(2.0)), "argmax"),
+        ],
+        ids=["llr-two-sided", "plus-interval", "cosh-interval", "unknown"],
+    )
+    def test_pairings_spec_for_kind_rejects_are_rejected(self, p, kind):
+        with pytest.raises(ValueError):
+            threshold_risk(p, kind)
+
+
 class TestPsiCrowd:
     def test_single_worker_equals_bernoulli_formula_exactly(self):
         # one case per piecewise branch of the single-observation rule
@@ -678,6 +796,14 @@ _FLOATS = st.sampled_from(
      math.inf, -math.inf, math.nan, -1.0]
 )
 _FAMILIES = st.sampled_from(list(Family))
+# Inputs the checks accept more often, for the range properties: valid
+# (d, s), the positive finite members of _FLOATS and 0.7 for a Bernoulli
+# a1, and lower levels or rates from -1 to 1e8.
+_VALID_D_S = st.sampled_from([(d, s) for d in _EDGE_INTS for s in _EDGE_INTS if 1 <= s < d])
+_LEVELS_AND_SCALES = st.sampled_from(
+    [1e-300, 1e-170, 0.5, 0.7, 1.0, 3.0, 1e8, 1e170, 1e300, 1.7e308]
+)
+_A0S = st.sampled_from([-1.0, -0.0, 0.0, 1e-300, 0.2, 0.5, 3.0, 1e8])
 
 # Every public closed form, cut and level of risk and selectors, with the
 # strategies of its positional arguments; _D_S stands for two of them.
@@ -726,3 +852,61 @@ class TestFiniteOrRejected:
         event(f"{f.__name__} returned")
         fields = value if isinstance(value, tuple) else (value,)
         assert all(math.isfinite(v) for v in fields), (f.__name__, args, value)
+
+    @settings(max_examples=300)
+    @given(
+        d_s=_VALID_D_S,
+        f=st.sampled_from([psi_plus, psi_two_sided, psi_bar, psi_general]),
+        family=_FAMILIES,
+        a0=_A0S,
+        a=_LEVELS_AND_SCALES,
+        sigma=_LEVELS_AND_SCALES,
+    )
+    def test_psi_lies_in_0_ratio_plus_1(self, d_s, f, family, a0, a, sigma):
+        """Each Psi is a miss probability plus (d-s)/s times a false-positive
+        probability, so 0 <= Psi <= (d-s)/s + 1."""
+        d, s = d_s
+        args = (family, d, s, a0, a, sigma) if f is psi_general else (d, s, a, sigma)
+        try:
+            value = f(*args)
+        except ValueError:
+            event(f"{f.__name__} rejected")
+            return
+        event(f"{f.__name__} returned")
+        assert 0.0 <= value <= (d - s) / s + 1.0, (f.__name__, args, value)
+
+    @settings(max_examples=500)
+    @given(
+        d_s=_VALID_D_S,
+        signal_family=st.sampled_from(
+            [("lower", Family.GAUSSIAN), ("two-sided", Family.GAUSSIAN)]
+            + [("interval", family) for family in Family]
+        ),
+        a0=_A0S,
+        a1=_LEVELS_AND_SCALES,
+        sigma=_LEVELS_AND_SCALES,
+        kind=st.sampled_from(SELECTOR_KINDS),
+    )
+    @example(d_s=(200, 10), signal_family=("lower", Family.GAUSSIAN), a0=0.0, a1=1e-300,
+             sigma=1.0, kind="universal")
+    def test_threshold_risk_lies_in_0_d(self, d_s, signal_family, a0, a1, sigma, kind):
+        """For every kind spec_for_kind accepts, threshold_risk is None or
+        in [0, d]; for every threshold kind it rejects, threshold_risk raises
+        too (adaptive, whose budget it does not take, is always None)."""
+        (d, s), (signal, family) = d_s, signal_family
+        sig = {"lower": LowerBound, "two-sided": TwoSided}.get(signal)
+        try:
+            p = ProblemInstance(d, s, sig(a1) if sig else Interval(a0, a1), family, sigma)
+        except ValueError:
+            return
+        try:
+            spec_for_kind(kind, p, s_star=s)
+        except ValueError:
+            event("pairing rejected")
+            if kind != "adaptive":
+                with pytest.raises(ValueError):
+                    threshold_risk(p, kind)
+            return
+        value = threshold_risk(p, kind)
+        event(f"{kind} {'None' if value is None else 'returned'}")
+        assert value is None or 0.0 <= value <= d, (p, kind, value)

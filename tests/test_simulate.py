@@ -36,7 +36,7 @@ from hamsel.model import (
     rng_stream,
     uniform_support,
 )
-from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus
+from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus, threshold_risk
 from hamsel.selectors import cosh_threshold, minimax_threshold, spec_for_kind
 from hamsel.simulate import (
     BLOCK_BYTES,
@@ -44,7 +44,6 @@ from hamsel.simulate import (
     MCConfig,
     _stream_rekeyer,
     apply_selector,
-    bayes_floor_check,
     estimate_risk,
     generate_family,
     generate_gaussian,
@@ -368,50 +367,38 @@ class TestStress:
 
 
 class TestBayesFloor:
+    """No rule's risk under the least-favorable prior falls more than 3
+    stderr below the exact risk of the class's minimax rule."""
+
     def test_optimal_selector_sits_on_the_floor(self):
         p = _plus_instance(d=100, s=5, a=2.0)
         cfg = MCConfig(replications=20_000, seed=1)
-        res = bayes_floor_check(p, _plus_spec(p), cfg)
-        assert res.passed
-        assert_allclose(res.floor, 5.0 * psi_plus(100, 5, 2.0), rtol=1e-13)
-        assert abs(res.estimate - res.floor) <= 3.0 * res.stderr
+        rep = estimate_risk(p, _plus_spec(p), cfg)
+        floor = threshold_risk(p, "plus")
+        assert_allclose(floor, 5.0 * psi_plus(100, 5, 2.0), rtol=1e-13)
+        assert abs(rep.mc_estimate - floor) <= 3.0 * rep.mc_stderr
 
     def test_suboptimal_selector_stays_above(self):
         p = _plus_instance(d=100, s=5, a=2.0)
         cfg = MCConfig(replications=5000, seed=26)
-        res = bayes_floor_check(p, TopS(5), cfg)
-        assert res.passed
+        rep = estimate_risk(p, TopS(5), cfg)
+        assert rep.mc_estimate >= threshold_risk(p, "plus") - 3.0 * rep.mc_stderr
 
     def test_two_sided_floor_uses_symmetric_rate(self):
         p = ProblemInstance(d=100, s=5, signal=TwoSided(2.0))
         cfg = MCConfig(replications=5000, seed=27)
-        res = bayes_floor_check(p, spec_for_kind("cosh", p), cfg)
-        assert res.passed
-        assert_allclose(res.floor, 5.0 * psi_bar(100, 5, 2.0), rtol=1e-13)
+        rep = estimate_risk(p, spec_for_kind("cosh", p), cfg)
+        floor = threshold_risk(p, "cosh")
+        assert rep.mc_estimate >= floor - 3.0 * rep.mc_stderr
+        assert_allclose(floor, 5.0 * psi_bar(100, 5, 2.0), rtol=1e-13)
 
     def test_normalized_floor_scaling(self):
         p = _plus_instance(d=100, s=5, a=2.0)
         cfg = MCConfig(replications=500, seed=28, loss_kind="normalized-hamming")
-        res = bayes_floor_check(p, _plus_spec(p), cfg)
-        assert_allclose(res.floor, psi_plus(100, 5, 2.0), rtol=1e-13)
-
-    def test_wrong_recovery_rejected(self):
-        p = _plus_instance(d=100, s=5)
-        cfg = MCConfig(replications=50, seed=29, loss_kind="wrong-recovery")
-        with pytest.raises(ValueError):
-            bayes_floor_check(p, _plus_spec(p), cfg)
-
-    def test_interval_rejected(self):
-        p = ProblemInstance(d=100, s=5, signal=Interval(0.0, 2.0))
-        with pytest.raises(ValueError):
-            bayes_floor_check(p, spec_for_kind("llr", p), MCConfig(replications=50, seed=30))
-
-    def test_non_gaussian_rejected(self):
-        p = ProblemInstance(
-            d=10, s=1, signal=Interval(0.1, 0.9), family=Family.BERNOULLI
-        )
-        with pytest.raises(ValueError):
-            bayes_floor_check(p, spec_for_kind("llr", p), MCConfig(replications=50, seed=30))
+        rep = estimate_risk(p, _plus_spec(p), cfg)
+        floor = threshold_risk(p, "plus") / p.s
+        assert_allclose(floor, psi_plus(100, 5, 2.0), rtol=1e-13)
+        assert rep.mc_estimate >= floor - 3.0 * rep.mc_stderr
 
 
 class TestPhaseSweep:
@@ -727,6 +714,25 @@ class TestEngineLimits:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_poisson_rates_up_to_the_sampler_limit_run(self):
+        """numpy draws a rate of POISSON_RATE_LIMIT and refuses the next
+        float; estimate_risk runs at the limit and refuses above it."""
+        limit = simulate.POISSON_RATE_LIMIT
+        rng = np.random.default_rng(1)
+        assert rng.poisson(limit) >= 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(limit, math.inf))
+        cfg = MCConfig(replications=2, seed=1)
+        at = ProblemInstance(20, 2, Interval(limit, 2.0 * limit), Family.POISSON)
+        assert 0 <= estimate_risk(at, spec_for_kind("llr", at), cfg).mc_estimate <= 20
+        for a0, a1, name in (
+            (np.nextafter(limit, math.inf), 3.0 * limit, "a0"),
+            (1.0, np.nextafter(limit, math.inf) + 1.0, "a1 - a0"),
+        ):
+            p = ProblemInstance(20, 2, Interval(float(a0), float(a1)), Family.POISSON)
+            with pytest.raises(ValueError, match=f"Poisson {name} = .* is over the limit"):
+                estimate_risk(p, spec_for_kind("llr", p), cfg)
 
 
 @st.composite
