@@ -14,6 +14,8 @@ from typing import Union
 
 import numpy as np
 
+from .numkit import POISSON_RATE_MAX
+
 
 class DataFormatError(ValueError):
     """Malformed user-supplied data file (message carries the line number)."""
@@ -66,7 +68,7 @@ def _check_finite(value: float, name: str) -> float:
 
 def _check_interval(family: Family, a0: float, a1: float) -> None:
     """Finite a0 < a1, and rates a family can have: (0,1) for Bernoulli,
-    a0 > 0 for Poisson."""
+    0 < a0 < a1 <= POISSON_RATE_MAX for Poisson."""
     if not (math.isfinite(a0) and math.isfinite(a1) and a0 < a1):
         raise ValueError(f"need finite a0 < a1, got ({a0}, {a1})")
     if family is Family.GAUSSIAN:
@@ -77,6 +79,8 @@ def _check_interval(family: Family, a0: float, a1: float) -> None:
     elif family is Family.POISSON:
         if not a0 > 0.0:
             raise ValueError(f"Poisson rates must be positive, got a0={a0}")
+        if a1 > POISSON_RATE_MAX:
+            raise ValueError(f"Poisson a1 = {a1} is over the limit {POISSON_RATE_MAX}")
     else:
         raise ValueError(f"unknown family {family!r}")
 

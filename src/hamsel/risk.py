@@ -58,11 +58,11 @@ def _psi_cut(ratio: float, r: float) -> tuple[float, float]:
     fp = -half - shift
     miss = -half + shift
     if fp > 0.0:
-        gain = numkit.gaussian_cdf(-fp, ratio) - numkit.gaussian_cdf(miss)
+        gain = numkit._phi(-fp, ratio) - numkit._phi(miss)
         plus = ratio - max(gain, 0.0)
         return plus, plus
-    tail = numkit.gaussian_cdf(fp, ratio)
-    plus = tail + numkit.gaussian_cdf(miss)
+    tail = numkit._phi(fp, ratio)
+    plus = tail + numkit._phi(miss)
     return plus, (tail + 0.5 if miss > 0.0 else plus)
 
 
@@ -87,7 +87,8 @@ def _two_sided_cut(ratio: float, q: float, r: float) -> float:
     """Psi of the rule |x| >= sigma q at ratio = (d-s)/s and r = a/sigma (or -a)."""
     if q == 0.0:
         return ratio
-    term_miss = numkit.gaussian_cdf(q - r) - numkit.gaussian_cdf(-q - r)
+    term_miss = numkit._phi(q - r) - numkit._phi(-q - r)
+    # checked: 2 (d-s)/s overflows to inf for (d-s)/s above DBL_MAX/2
     return numkit.gaussian_cdf(-q, 2.0 * ratio) + max(term_miss, 0.0)
 
 
@@ -117,8 +118,10 @@ def psi_general(
     Gaussian risk depends on the means only through the separation a1 - a0
     (shifting both by a constant shifts the threshold identically), so it
     equals psi_plus(d, s, a1 - a0, sigma).  Bernoulli is piecewise in the
-    cut's position against the atoms {0, 1}; Poisson reduces to CDFs at
-    k = ceil(t), the smallest integer the selector keeps.
+    cut's position against the atoms {0, 1}; Poisson reduces to the miss
+    tail P_{a1}(X <= k - 1) and the false-positive tail P_{a0}(X >= k) at
+    k = ceil(t), the smallest integer the selector keeps, each summed from
+    its own side.
     """
     if family is Family.GAUSSIAN:
         _check_interval(family, a0, a1)
@@ -134,9 +137,7 @@ def psi_general(
     k_cut = math.ceil(t)
     if k_cut <= 0:
         return ratio
-    return numkit.poisson_cdf(k_cut - 1, a1) + ratio * (
-        1.0 - numkit.poisson_cdf(k_cut - 1, a0)
-    )
+    return numkit.poisson_cdf(k_cut - 1, a1) + ratio * numkit.poisson_sf(k_cut, a0)
 
 
 def threshold_risk(p: ProblemInstance, kind: str) -> float | None:
@@ -164,8 +165,8 @@ def threshold_risk(p: ProblemInstance, kind: str) -> float | None:
             return s * _psi_cut(ratio, r)[0]
         # the signal at +-a; not _psi_cut, whose gain branch needs a mean above the cut
         c = r / 2.0 + math.log(ratio) / r
-        on = numkit.gaussian_cdf(c - r) + numkit.gaussian_cdf(c + r)
-        return s * (numkit.gaussian_cdf(-c, ratio) + 0.5 * on)
+        on = numkit._phi(c - r) + numkit._phi(c + r)
+        return s * (numkit._phi(-c, ratio) + 0.5 * on)
     if kind == "cosh":
         q = _cosh_cut(r, math.log(ratio))
     elif kind == "universal":
@@ -292,7 +293,7 @@ def delta_bounds(d: int, s: int, a: float, sigma: float = 1.0) -> RecoveryBounds
     w = r * r - 2.0 * math.log((d - s) / s)
     if w >= 0.0:
         delta = w / (2.0 * r)
-        tail = numkit.gaussian_cdf(-delta)
+        tail = numkit._phi(-delta)
         return RecoveryBounds(w, delta, s * tail, _UPPER_CONST * s * tail)
     return RecoveryBounds(w, 0.0, 0.0, _UPPER_CONST * s * 0.5)
 

@@ -226,9 +226,6 @@ ROW_BYTES_LIMIT = 64 * 1024 * 1024
 # at most 2^27 = 134,217,728 replications in one run.
 LOSS_BYTES_LIMIT = 2**30
 
-# Largest rate numpy's Poisson sampler takes: 2^63 - 1 less ten square roots of it.
-POISSON_RATE_LIMIT = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-
 # Smallest d at which replications are spread over threads.  A row's
 # Z0-and-noise fill releases the interpreter lock and grows with d, while
 # the per-row Python work and the block's support resolution, which hold
@@ -382,16 +379,12 @@ def estimate_risk(
     whole blocks over min(blocks, usable CPUs) threads, the calling thread
     taking the first share; smaller d run on the calling thread alone.  The
     worker count never changes the results either.  A d whose
-    per-replication buffers exceed ROW_BYTES_LIMIT, an R whose losses
-    exceed LOSS_BYTES_LIMIT, or a Poisson a0 or a1 - a0 above
-    POISSON_RATE_LIMIT is rejected before anything is allocated.
+    per-replication buffers exceed ROW_BYTES_LIMIT or an R whose losses
+    exceed LOSS_BYTES_LIMIT is rejected before anything is allocated; a
+    Poisson class's rates are bounded by ProblemInstance itself.
     """
     if cfg.rho != 0.0 and p.family is not Family.GAUSSIAN:
         raise ValueError("correlated noise is defined for the Gaussian family only")
-    if p.family is Family.POISSON:
-        for name, rate in (("a0", p.signal.a0), ("a1 - a0", p.signal.a1 - p.signal.a0)):
-            if rate > POISSON_RATE_LIMIT:
-                raise ValueError(f"Poisson {name} = {rate} is over the limit {POISSON_RATE_LIMIT}")
     select = resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
     if not (0 <= stream_offset and stream_offset + n <= 2**64):

@@ -26,6 +26,7 @@ from numpy.testing import assert_allclose
 
 from hamsel import cli
 from hamsel.model import (
+    POISSON_RATE_MAX,
     Family,
     Interval,
     LowerBound,
@@ -48,7 +49,7 @@ from hamsel.selectors import (
     spec_for_kind,
     universal_threshold,
 )
-from hamsel.simulate import POISSON_RATE_LIMIT, MCConfig, apply_selector, estimate_risk
+from hamsel.simulate import MCConfig, apply_selector, estimate_risk
 
 
 def run_cli(capsys, *args):
@@ -552,19 +553,23 @@ class TestMcCommand:
         got = json.loads(out)
         assert abs(got["estimate"] - got["closed_form"]) <= 4.0 * got["stderr"]
 
-    def test_poisson_rate_over_sampler_limit_exits_2_before_allocating(self, capsys):
+    def test_poisson_rate_over_the_limit_exits_2_before_allocating(self, capsys):
+        """mc and risk refuse a Poisson a1 one float above POISSON_RATE_MAX,
+        naming the rate and the limit; mc before it allocates."""
+        above = repr(math.nextafter(POISSON_RATE_MAX, math.inf))
+        rates = ["--class", "poisson", "--d", "200", "--s", "10", "--a0", "1", "--a1", above]
         tracemalloc.start()
         try:
             code, out, err = run_cli(
-                capsys, "mc", "--class", "poisson", "--d", "200", "--s", "10", "--a0", "1e8",
-                "--a1", "1e170", "--selector", "llr", "--reps", "2", "--seed", "1",
+                capsys, "mc", *rates, "--selector", "llr", "--reps", "2", "--seed", "1"
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (code, out) == (2, "")
-        assert err == f"error: Poisson a1 - a0 = 1e+170 is over the limit {POISSON_RATE_LIMIT}\n"
+        want = f"error: Poisson a1 = {above} is over the limit {POISSON_RATE_MAX}\n"
+        assert (code, out, err) == (2, "", want)
         assert peak < 4 << 20
+        assert run_cli(capsys, "risk", *rates) == (2, "", want)
 
     def test_zero_replications_rejected(self, capsys):
         code, _, err = run_cli(
@@ -1122,6 +1127,24 @@ class TestSubprocess:
         )
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == '{"psi_plus": 0.31731050786291415}\n'
+
+    def test_poisson_risk_loads_no_scipy(self):
+        """A Poisson risk above lambda = 32 loads no scipy module: -X importtime
+        lists every module the process imports on stderr."""
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hamsel.cli", "risk", "--class", "poisson",
+             "--d", "200", "--s", "10", "--a0", "40", "--a1", "60"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        imported = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "hamsel.risk" in imported
+        assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
     @pytest.mark.skipif(shutil.which("hamsel") is None, reason="script not on PATH")
     def test_console_script(self):

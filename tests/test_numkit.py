@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hamsel import numkit
+from oracles import poisson_tail_exact
 
 mp.mp.dps = 60
 
@@ -176,7 +177,7 @@ class TestPoissonCdf:
         assert_allclose(numkit.poisson_cdf(5, 2.0), 0.9834363915193857, rtol=1e-15)
 
     def test_against_gamma_oracle(self):
-        """abs err <= 1e-12 up to lambda = 1e4, both summation and gamma routes."""
+        """abs err <= 1e-12 up to lambda = 1e4, on both sides of lambda = 32."""
         for lam in (0.1, 1.0, 2.0, 5.0, 17.3, 31.9, 32.0, 32.1, 100.0, 1000.0, 10000.0):
             ks = sorted(
                 {0, 1, int(lam), int(lam + 4.0 * math.sqrt(lam)), 2 * int(lam) + 5}
@@ -220,9 +221,89 @@ class TestPoissonCdf:
             numkit.poisson_cdf(3, -2.0)
         with pytest.raises(ValueError):
             numkit.poisson_cdf(3, float("inf"))
-        # the incomplete gamma has no value this far out: NaN, not a probability
-        with pytest.raises(ValueError, match="incomplete gamma"):
+        # a rate over the limit is refused, not summed
+        with pytest.raises(ValueError, match="over the limit"):
             numkit.poisson_cdf(int(2.56e305), 1.7e308)
+
+
+# Rates on both sides of the lambda = 32 seam, up to the limit.
+_TAIL_RATES = (1e-3, 0.5, 1.0, 5.0, 17.3, 31.9, 32.0, 32.5, 100.0, 1e3, 1e4, 1e5, 1e6,
+               numkit.POISSON_RATE_MAX)
+_TAIL_Z = (-30.0, -10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0, 30.0)
+
+
+class TestPoissonTails:
+    """poisson_cdf and poisson_sf each to 1e-12 relative of mpmath, at
+    k = lambda + z sqrt(lambda) from far below the mode to far above it."""
+
+    @pytest.mark.parametrize("lam", _TAIL_RATES)
+    def test_relative_error_against_mpmath(self, lam):
+        ks = {max(0, round(lam + z * math.sqrt(lam))) for z in _TAIL_Z} | {0, 1}
+        checked = 0
+        for k in sorted(ks):
+            for upper, f in ((False, numkit.poisson_cdf), (True, numkit.poisson_sf)):
+                exact = poisson_tail_exact(k, lam, upper)
+                got = f(k, lam)
+                if exact < mp.mpf(2.2250738585072014e-308):
+                    assert got < 2.3e-308, (k, lam, upper, got)
+                    continue
+                assert abs(got - exact) <= 1e-12 * exact, (k, lam, upper, got)
+                checked += 1
+        assert checked >= len(ks)
+
+    def test_oracle_self_check(self):
+        """Both tails of the oracle are the pmf summed in 60 digits."""
+        lam = mp.mpf("40.5")
+        pmf = [mp.e ** (-lam) * lam**i / mp.factorial(i) for i in range(400)]
+        for k in (0, 1, 20, 40, 41, 90, 150):
+            assert abs(poisson_tail_exact(k, 40.5, False) - sum(pmf[: k + 1])) < mp.mpf("1e-45")
+            want = sum(pmf[k:])
+            assert abs(poisson_tail_exact(k, 40.5, True) - want) < mp.mpf("1e-30") * want
+
+    def test_tails_meet_at_every_k(self):
+        """P(X <= k - 1) + P(X >= k) = 1, the smaller summed and the larger
+        taken as 1 minus it, on both sides of lambda = 32."""
+        for lam in (3.7, 31.9, 32.5, 250.0, 1e5):
+            spread = 12.0 * math.sqrt(lam)
+            for k in range(max(0, int(lam - spread)), int(lam + spread) + 2, 7):
+                total = numkit.poisson_cdf(k - 1, lam) + numkit.poisson_sf(k, lam)
+                assert abs(total - 1.0) <= 4e-16, (lam, k)
+
+    def test_sf_edges(self):
+        assert numkit.poisson_sf(0, 3.0) == 1.0
+        assert numkit.poisson_sf(10_000, 0.5) == 0.0
+        assert numkit.poisson_sf(2**70, 1e4) == 0.0
+        assert numkit.poisson_sf(10**400, 5.0) == 0.0
+        assert numkit.poisson_cdf(10**400, 5e5) == 1.0
+
+    def test_the_limit_is_accepted_and_the_next_float_refused(self):
+        limit = numkit.POISSON_RATE_MAX
+        assert 0.0 < numkit.poisson_sf(int(limit) + 1, limit) < 0.5
+        above = math.nextafter(limit, math.inf)
+        for f in (numkit.poisson_cdf, numkit.poisson_sf):
+            with pytest.raises(ValueError, match=f"lambda = {above} is over the limit {limit}"):
+                f(3, above)
+
+    def test_sf_validation(self):
+        with pytest.raises(ValueError, match="need k >= 0"):
+            numkit.poisson_sf(-1, 1.0)
+        with pytest.raises(TypeError):
+            numkit.poisson_sf(1.5, 1.0)
+        for lam in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                numkit.poisson_sf(3, lam)
+
+    def test_stirlerr_table_and_series_against_mpmath(self):
+        """log(n!) - log(sqrt(2 pi n) (n/e)^n): the table is the correctly
+        rounded value for n <= 15, and the series is within 2e-16 above."""
+        def exact(n):
+            return mp.loggamma(n + 1) - (n + mp.mpf(0.5)) * mp.log(n) + n - mp.log(mp.sqrt(2 * mp.pi))
+
+        assert len(numkit._STIRLERR) == 15
+        for n in range(1, 16):
+            assert numkit._stirlerr(n) == float(exact(n)), n
+        for n in (16, 17, 20, 35, 36, 80, 81, 500, 501, 10**4, 10**7):
+            assert abs(numkit._stirlerr(n) - exact(n)) <= 2e-16, n
 
 
 def _inverse_mills_ratio_recurrence(y: float) -> float:

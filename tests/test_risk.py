@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hamsel import numkit
-from hamsel.model import Family, Interval, LossKind, LowerBound, ProblemInstance, TwoSided
+from hamsel.model import (
+    POISSON_RATE_MAX,
+    Family,
+    Interval,
+    LossKind,
+    LowerBound,
+    ProblemInstance,
+    TwoSided,
+)
 from hamsel.risk import (
     PhasePoint,
     RecoveryBounds,
@@ -42,6 +50,7 @@ from hamsel.selectors import (
     spec_for_kind,
     universal_threshold,
 )
+from oracles import poisson_tail_exact
 
 mp.mp.dps = 60
 
@@ -414,6 +423,27 @@ class TestPsiGeneralPoisson:
         with pytest.raises(ValueError):
             psi_general("cauchy", 10, 2, 1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "d, s, a0, a1",
+        # the cases where 1 - P(X <= k - 1) lost 1e-7 to all of its digits
+        [(200, 10, 1.0, 3.0), (10**6, 1, 1.0, 30.0), (10**9, 1, 2.0, 60.0),
+         (10**12, 3, 5.0, 120.0), (10**12, 1, 100.0, 600.0)]
+        + [(d, s, a0, a1)
+           for d, s in ((2, 1), (200, 10), (10**6, 1), (10**15 + 1, 1))
+           for a0, a1 in ((0.5, 2.0), (31.0, 33.0), (40.0, 60.0), (1e3, 1.2e3),
+                          (1e5, 1.02e5), (9.99e6, POISSON_RATE_MAX))],
+    )
+    def test_relative_error_against_mpmath(self, d, s, a0, a1):
+        """(d-s)/s P_{a0}(X >= k) keeps its digits however large (d-s)/s is:
+        within 1e-12 of mpmath up to (d-s)/s = 1e15 and the largest rate."""
+        k = math.ceil(llr_threshold(Family.POISSON, d, s, a0, a1))
+        assert k > 0
+        exact = poisson_tail_exact(k - 1, a1, False) + mp.mpf(d - s) / s * poisson_tail_exact(
+            k, a0, True
+        )
+        got = psi_general(Family.POISSON, d, s, a0, a1)
+        assert abs(got - exact) <= 1e-12 * exact, (got, exact)
+
 
 def _threshold_risk_oracle(d, s, a, sigma, signs, kind):
     """s P_on(not selected) + (d-s) P_off(selected) at 40 digits, from the
@@ -775,8 +805,8 @@ class TestReturnTypes:
         assert isinstance(phase_point(10, 2), PhasePoint)
 
 
-# One input per function at which its formula overflows to inf or, through
-# the incomplete gamma, comes out NaN.
+# One input per function at which its formula overflows to inf, or, for
+# psi_general, a Poisson rate over the limit.
 _NON_FINITE_AT = {
     "minimax_threshold": (minimax_threshold, (200, 10, 1e308, 1.7e308)),
     "cosh_threshold": (cosh_threshold, (200, 10, 1e308, 1.7e308)),
@@ -805,22 +835,32 @@ _LEVELS_AND_SCALES = st.sampled_from(
 )
 _A0S = st.sampled_from([-1.0, -0.0, 0.0, 1e-300, 0.2, 0.5, 3.0, 1e8])
 
-# Every public closed form, cut and level of risk and selectors, with the
-# strategies of its positional arguments; _D_S stands for two of them.
+# Ordered (a0, a1) pairs from rates that each family accepts some of:
+# Bernoulli's in (0, 1), Poisson's on both sides of lambda = 32 and at the limit.
+_RATES = [0.2, 0.7, 3.0, 31.0, 33.0, 1e3, POISSON_RATE_MAX]
+_RATE_PAIRS = st.sampled_from([(a0, a1) for a0 in _RATES for a1 in _RATES if a0 < a1])
+_ACCEPTED_D = _VALID_D_S.map(lambda d_s: d_s[0])
+
+# Every public closed form, cut and level of risk and selectors, with two
+# tuples of strategies for its positional arguments: edge values, and inputs
+# the checks accept more often.  _D_S and _RATE_PAIRS stand for two of them.
+_L = _LEVELS_AND_SCALES
 _CLOSED_FORMS = [
-    (psi_plus, (_D_S, _FLOATS, _FLOATS)),
-    (psi_two_sided, (_D_S, _FLOATS, _FLOATS)),
-    (psi_bar, (_D_S, _FLOATS, _FLOATS)),
-    (delta_bounds, (_D_S, _FLOATS, _FLOATS)),
-    (wrong_recovery_bounds, (_D_S, _FLOATS, _FLOATS)),
-    (psi_general, (_FAMILIES, _D_S, _FLOATS, _FLOATS, _FLOATS)),
-    (llr_threshold, (_FAMILIES, _D_S, _FLOATS, _FLOATS, _FLOATS)),
-    (phase_point, (_D_S, _FLOATS)),
-    (a0_adaptive, (_D_S, _FLOATS, _FLOATS)),
-    (adaptive_A_min, (_D_S,)),
-    (minimax_threshold, (_D_S, _FLOATS, _FLOATS)),
-    (cosh_threshold, (_D_S, _FLOATS, _FLOATS)),
-    (universal_threshold, (_INTS, _FLOATS)),
+    (psi_plus, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),
+    (psi_two_sided, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),
+    (psi_bar, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),
+    (delta_bounds, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),
+    (wrong_recovery_bounds, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),
+    (psi_general, (_FAMILIES, _D_S, _FLOATS, _FLOATS, _FLOATS),
+     (_FAMILIES, _VALID_D_S, _RATE_PAIRS, _L)),
+    (llr_threshold, (_FAMILIES, _D_S, _FLOATS, _FLOATS, _FLOATS),
+     (_FAMILIES, _VALID_D_S, _RATE_PAIRS, _L)),
+    (phase_point, (_D_S, _FLOATS), (_VALID_D_S, _L)),
+    (a0_adaptive, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),
+    (adaptive_A_min, (_D_S,), (_VALID_D_S,)),
+    (minimax_threshold, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),
+    (cosh_threshold, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),
+    (universal_threshold, (_INTS, _FLOATS), (_ACCEPTED_D, _L)),
 ]
 
 
@@ -832,14 +872,14 @@ class TestFiniteOrRejected:
     @pytest.mark.parametrize("name", list(_NON_FINITE_AT))
     def test_non_finite_value_is_rejected(self, name):
         f, args = _NON_FINITE_AT[name]
-        with pytest.raises(ValueError, match="not finite|incomplete gamma"):
+        with pytest.raises(ValueError, match="not finite|over the limit"):
             f(*args)
 
     @settings(max_examples=500)
     @given(
-        call=st.sampled_from(_CLOSED_FORMS).flatmap(
-            lambda fa: st.tuples(st.just(fa[0]), st.tuples(*fa[1]))
-        )
+        call=st.sampled_from(
+            [(f, parts) for f, edges, accepted in _CLOSED_FORMS for parts in (edges, accepted)]
+        ).flatmap(lambda fa: st.tuples(st.just(fa[0]), st.tuples(*fa[1])))
     )
     def test_closed_forms_and_cuts(self, call):
         f, parts = call

@@ -1,8 +1,8 @@
 """Source hygiene: no import a module never uses, no module-level private
 function that nothing in the package references, no module-level assigned
 name that nothing in the package reads, no public name that nothing uses,
-no keyword option that no caller passes, and no numpy in the command-line
-layer.
+no keyword option that no caller passes, no numpy in the command-line
+layer, and no scipy anywhere in the package.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
@@ -183,13 +183,25 @@ def test_every_keyword_option_is_passed():
     assert not unpassed, f"keyword options no caller in src/ or bench/ passes: {unpassed}"
 
 
-def test_cli_imports_no_numpy():
-    """cli.py formats and parses plain Python values; the array work is the
-    library's, so a numpy import there is a serializer branch no caller needs."""
+def _imported_packages(tree: ast.AST) -> set[str]:
+    """The top-level package of each module the tree imports."""
     modules = set()
-    for node in ast.walk(_tree(SRC / "cli.py")):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module or "")
-    assert not {m for m in modules if m.split(".")[0] == "numpy"}
+    return {m.split(".")[0] for m in modules}
+
+
+def test_cli_imports_no_numpy():
+    """cli.py formats and parses plain Python values; the array work is the
+    library's, so a numpy import there is a serializer branch no caller needs."""
+    assert "numpy" not in _imported_packages(_tree(SRC / "cli.py"))
+
+
+def test_no_module_imports_scipy():
+    """The package runs on numpy and the standard library: scipy is a test
+    dependency only, and an import of it anywhere in src/hamsel, even inside
+    a function, would bring it back at run time."""
+    assert not [m.name for m in MODULES if "scipy" in _imported_packages(_tree(m))]
