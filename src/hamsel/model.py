@@ -341,23 +341,20 @@ class CrowdInstance:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Closed-form and/or Monte Carlo risk values on a common footing."""
+    """A Monte Carlo risk estimate with its standard error, replication count
+    and seed; the run's fields are checked together."""
 
     loss_kind: LossKind
-    closed_form: float | None = None
-    mc_estimate: float | None = None
+    mc_estimate: float
     mc_stderr: float | None = None
     replications: int = 0
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.closed_form is None and self.mc_estimate is None:
-            raise ValueError("report needs a closed form or an MC estimate")
-        if self.mc_estimate is not None:
-            if self.replications < 1:
-                raise ValueError("MC estimate requires replications >= 1")
-            if self.mc_stderr is None or self.mc_stderr < 0.0:
-                raise ValueError(f"need mc_stderr >= 0, got {self.mc_stderr}")
+        if self.replications < 1:
+            raise ValueError("MC estimate requires replications >= 1")
+        if self.mc_stderr is None or self.mc_stderr < 0.0:
+            raise ValueError(f"need mc_stderr >= 0, got {self.mc_stderr}")
 
 
 # ---------------------------------------------------------------------------

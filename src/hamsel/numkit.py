@@ -32,7 +32,6 @@ import operator
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG2 = math.log(2.0)
 
 # Beyond this point 0.5*erfc(-y/sqrt(2)) has lost the 1e-14 contract; the
@@ -119,26 +118,6 @@ def log_gaussian_tail(y: float) -> float:
     if y <= _TAIL_CUTOFF:
         return math.log(gaussian_cdf(-y))
     return -0.5 * y * y - _LOG_SQRT_2PI - math.log(_inverse_mills_ratio(y))
-
-
-def gaussian_tail_bounds(y: float) -> tuple[float, float]:
-    """Two-sided elementary bracket of the Gaussian upper tail.
-
-    Returns the pair
-
-        lower = sqrt(2/pi) * exp(-y^2/2) / (y + sqrt(y^2 + 4))
-        upper = sqrt(2/pi) * exp(-y^2/2) / (y + sqrt(y^2 + 8/pi))
-
-    satisfying lower < 1 - Phi(y) <= upper for y >= 0, with equality on the
-    upper side only at y = 0 where both sides are exactly 0.5.  Both
-    saturate to 0.0 for huge or infinite y.
-    """
-    if not (y >= 0.0):
-        raise ValueError(f"gaussian_tail_bounds: need y >= 0, got {y}")
-    e = _scaled_exp_neg_half_square(y)
-    lower = _SQRT_2_OVER_PI * e / (y + math.sqrt(y * y + 4.0))
-    upper = _SQRT_2_OVER_PI * e / (y + math.sqrt(y * y + 8.0 / math.pi))
-    return lower, upper
 
 
 def arccosh_exp(t: float) -> float:

@@ -21,17 +21,13 @@ from . import numkit
 from .model import (
     Family,
     Interval,
-    LossKind,
     LowerBound,
     ProblemInstance,
-    RiskReport,
     _check_d_s,
     _check_finite,
     _check_interval,
     _check_positive,
     _check_rates,
-    fresh_seed,
-    rng_stream,
 )
 from .selectors import _cosh_cut, crowd_weights, llr_threshold, spec_for_kind
 
@@ -176,76 +172,40 @@ def threshold_risk(p: ProblemInstance, kind: str) -> float | None:
     return s * _two_sided_cut(ratio, q, r)
 
 
-def psi_crowd(
-    rates,
-    d: int,
-    s: int,
-    mode: str = "enumerate",
-    replications: int = 100_000,
-    seed: int | None = None,
-) -> RiskReport:
+def psi_crowd(rates, d: int, s: int) -> float:
     """Per-signal-item risk of the m-worker vote aggregator.
 
-    enumerate mode sums the exact pattern masses over {0,1}^m (m <= 20);
-    mc mode simulates vote vectors under both hypotheses and reports the
-    estimate with its standard error.  Masses are accumulated as direct
-    products and direct sums, which keeps the m = 1 case identical to the
-    single-worker Bernoulli formula down to the last bit.
+    Sums the exact pattern masses over {0,1}^m (m <= 20).  Masses are
+    accumulated as direct products and direct sums, which keeps the m = 1
+    case identical to the single-worker Bernoulli formula down to the last
+    bit.
     """
     rates = _check_rates(rates)
     _check_d_s(d, s)
     m = len(rates)
+    if m > 20:
+        raise ValueError(f"enumeration caps at 20 workers, got {m}")
     ratio = (d - s) / s
     cut = math.log((d - s) / s)
     weights, intercept = crowd_weights(rates)
     a0 = np.array([r[0] for r in rates])
     a1 = np.array([r[1] for r in rates])
-
-    if mode == "enumerate":
-        if m > 20:
-            raise ValueError(f"enumeration caps at 20 workers, got {m}")
-        n = 1 << m
-        idx = np.arange(n)
-        llr = np.full(n, intercept)
-        mass1 = np.ones(n)
-        mass0 = np.ones(n)
-        for i in range(m):
-            on = ((idx >> i) & 1) == 1
-            llr[on] += weights[i]
-            mass1[on] *= a1[i]
-            mass1[~on] *= 1.0 - a1[i]
-            mass0[on] *= a0[i]
-            mass0[~on] *= 1.0 - a0[i]
-        selected = llr >= cut
-        miss = float(np.sum(mass1[~selected]))
-        false_pos = float(np.sum(mass0[selected]))
-        return RiskReport(
-            loss_kind=LossKind.NORMALIZED_HAMMING,
-            closed_form=miss + ratio * false_pos,
-        )
-
-    if mode != "mc":
-        raise ValueError(f"mode must be 'enumerate' or 'mc', got {mode!r}")
-    if replications < 1:
-        raise ValueError(f"need replications >= 1, got {replications}")
-    if seed is None:
-        seed = fresh_seed()
-    rng = rng_stream(seed, 0)
-    votes_on = (rng.random((replications, m)) < a1).astype(float)
-    votes_off = (rng.random((replications, m)) < a0).astype(float)
-    miss_ind = (votes_on @ weights + intercept < cut).astype(float)
-    fp_ind = (votes_off @ weights + intercept >= cut).astype(float)
-    estimate = float(miss_ind.mean() + ratio * fp_ind.mean())
-    stderr = math.sqrt(
-        (miss_ind.var(ddof=1) + ratio * ratio * fp_ind.var(ddof=1)) / replications
-    )
-    return RiskReport(
-        loss_kind=LossKind.NORMALIZED_HAMMING,
-        mc_estimate=estimate,
-        mc_stderr=stderr,
-        replications=replications,
-        seed=seed,
-    )
+    n = 1 << m
+    idx = np.arange(n)
+    llr = np.full(n, intercept)
+    mass1 = np.ones(n)
+    mass0 = np.ones(n)
+    for i in range(m):
+        on = ((idx >> i) & 1) == 1
+        llr[on] += weights[i]
+        mass1[on] *= a1[i]
+        mass1[~on] *= 1.0 - a1[i]
+        mass0[on] *= a0[i]
+        mass0[~on] *= 1.0 - a0[i]
+    selected = llr >= cut
+    miss = float(np.sum(mass1[~selected]))
+    false_pos = float(np.sum(mass0[selected]))
+    return miss + ratio * false_pos
 
 
 class WrongRecoveryBounds(NamedTuple):

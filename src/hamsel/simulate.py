@@ -61,12 +61,10 @@ from .model import (
     Threshold,
     TopS,
     TwoSided,
-    _check_d_s,
     _check_interval,
     _check_positive,
     _check_rho,
     _check_seed,
-    rng_stream,
     uniform_supports,
 )
 from .selectors import (
@@ -521,60 +519,3 @@ def phase_sweep(
                 )
                 cell += 1
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Printed-form oracle for PsiBar
-# ---------------------------------------------------------------------------
-
-
-def psi_bar_printed_mc(
-    d: int,
-    s: int,
-    a: float,
-    sigma: float = 1.0,
-    draws: int = 10_000_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """MC evaluation of PsiBar straight from the log-cosh event.
-
-    Independent check on the arccosh reduction in risk.psi_bar: per draw,
-    w = I[log cosh(a(a + sigma Z)/sigma^2) < cut]
-      + ((d-s)/s) I[log cosh(a sigma Z/sigma^2) >= cut],
-    cut = a^2/(2 sigma^2) + log((d-s)/s), using the stable
-    log cosh(v) = |v| + log1p(e^{-2|v|}) - log 2.  Both indicators reuse one
-    Z, the dependence is absorbed by the stderr of w.  Draws come from
-    stream (seed, 0) in fixed chunks of 10^6, so a given (draws, seed) is
-    reproducible.
-
-    Returns (mean, stderr).
-    """
-    _check_d_s(d, s)
-    _check_positive(a, sigma)
-    if draws < 2:
-        raise ValueError(f"need draws >= 2, got {draws}")
-    ratio = (d - s) / s
-    cut = a * a / (2.0 * sigma * sigma) + math.log((d - s) / s)
-    rng = rng_stream(seed, 0)
-
-    def log_cosh(v: np.ndarray) -> np.ndarray:
-        av = np.abs(v)
-        return av + np.log1p(np.exp(-2.0 * av)) - math.log(2.0)
-
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 1_000_000
-    while done < draws:
-        k = min(chunk, draws - done)
-        z = rng.standard_normal(k)
-        arg_signal = a * (a + sigma * z) / (sigma * sigma)
-        arg_null = a * z / sigma
-        w = (log_cosh(arg_signal) < cut).astype(float)
-        w += ratio * (log_cosh(arg_null) >= cut)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-        done += k
-    mean = total / draws
-    var = max(total_sq - draws * mean * mean, 0.0) / (draws - 1)
-    return mean, math.sqrt(var / draws)

@@ -20,7 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -1073,17 +1073,39 @@ def _risk_or_mc_argv(draw):
     return argv
 
 
+_SELECT_METHODS = ["threshold", "threshold-abs", "cosh", "llr", "tops", "universal", "adaptive"]
+_SELECT_FLAGS = {
+    **{flag: st.none() | _ARGV_FLOATS for flag in ("--t", "--a", "--a0", "--a1", "--sigma")},
+    "--s": st.none() | _ARGV_INTS,
+    "--s-star": st.none() | _ARGV_INTS,
+    "--family": st.none() | st.sampled_from(["gaussian", "bernoulli", "poisson"]),
+}
+# Observation files of up to 6 lines (none is the empty-file case)
+_SELECT_OBSERVATIONS = st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, 5e-324]), max_size=6)
+
+
+@st.composite
+def _select_argv(draw):
+    """(observations, argv) for select on a data file: every --method, with
+    each flag drawn from the edge values or left out, and --by-abs on or off.
+    The argv names the file as OBSERVATIONS."""
+    argv = ["select", "--input=OBSERVATIONS", f"--method={draw(st.sampled_from(_SELECT_METHODS))}"]
+    for flag, values in _SELECT_FLAGS.items():
+        value = draw(values)
+        if value is not None:
+            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    if draw(st.booleans()):
+        argv.append("--by-abs")
+    return draw(_SELECT_OBSERVATIONS), argv
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
 class TestNeverInvalidOutput:
-    @settings(max_examples=500)
-    @given(argv=_risk_or_mc_argv())
-    @example(argv=["risk", "--class=two-sided", "--d=200", "--s=10", "--a=1.0", "--which=psi"])
-    @example(argv=["mc", "--class=plus", "--d=200", "--s=10", "--a=3.0", "--selector=plus",
-                   "--reps=3", "--seed=1"])
-    def test_one_json_line_or_exit_2(self, argv):
+    @staticmethod
+    def _check(argv):
         """Exit 0 with one line of strict JSON (no NaN or Infinity), or exit 2
         with nothing on stdout; never the internal-error exit 1."""
         out, err = io.StringIO(), io.StringIO()
@@ -1097,6 +1119,25 @@ class TestNeverInvalidOutput:
         lines = out.getvalue().splitlines()
         assert len(lines) == 1
         json.loads(lines[0], parse_constant=_reject_constant)
+
+    @settings(max_examples=500)
+    @given(argv=_risk_or_mc_argv())
+    @example(argv=["risk", "--class=two-sided", "--d=200", "--s=10", "--a=1.0", "--which=psi"])
+    @example(argv=["mc", "--class=plus", "--d=200", "--s=10", "--a=3.0", "--selector=plus",
+                   "--reps=3", "--seed=1"])
+    def test_one_json_line_or_exit_2(self, argv):
+        self._check(argv)
+
+    # one file per test, rewritten by each example
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_select_argv())
+    @example(case=([1e308, -1e308, 5e-324], ["select", "--input=OBSERVATIONS", "--method=tops",
+                                              "--s=2", "--by-abs"]))
+    def test_select_one_json_line_or_exit_2(self, tmp_path, case):
+        observations, argv = case
+        path = tmp_path / "x.csv"
+        path.write_text("".join(f"{v!r}\n" for v in observations))
+        self._check([f"--input={path}" if part == "--input=OBSERVATIONS" else part for part in argv])
 
 
 class TestSubprocess:

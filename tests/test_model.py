@@ -364,8 +364,11 @@ class TestCrowdInstance:
 
 class TestRiskReport:
     def test_requires_some_value(self):
-        with pytest.raises(ValueError):
+        # MC-only: an estimate is required, and there is no closed-form field
+        with pytest.raises(TypeError):
             RiskReport(loss_kind=LossKind.HAMMING)
+        with pytest.raises(TypeError):
+            RiskReport(loss_kind=LossKind.HAMMING, closed_form=1.0)
 
     def test_mc_fields_travel_together(self):
         with pytest.raises(ValueError):

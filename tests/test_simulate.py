@@ -37,6 +37,7 @@ from hamsel.model import (
     rng_stream,
     uniform_support,
 )
+from hamsel.numkit import gaussian_cdf
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus, threshold_risk
 from hamsel.selectors import cosh_threshold, minimax_threshold, spec_for_kind
 from hamsel.simulate import (
@@ -49,8 +50,8 @@ from hamsel.simulate import (
     generate_family,
     generate_gaussian,
     phase_sweep,
-    psi_bar_printed_mc,
 )
+from oracles import psi_bar_printed_mc, top_s_risk
 
 
 @contextmanager
@@ -400,6 +401,39 @@ class TestBayesFloor:
         floor = threshold_risk(p, "plus") / p.s
         assert_allclose(floor, psi_plus(100, 5, 2.0), rtol=1e-13)
         assert rep.mc_estimate >= floor - 3.0 * rep.mc_stderr
+
+
+class TestTopSExact:
+    """Top-s against the quadrature value of its risk under the class's
+    least-favorable prior: the one rule with no closed form is held to an
+    equality, not only to the floor above."""
+
+    def test_oracle_closed_case(self):
+        # d = 2, s = 1: the support coordinate is missed iff the null one
+        # exceeds it, so the risk is 2 P(Z' - Z > a) = 2 Phi(-a/sqrt 2)
+        for a in (0.1, 0.5, 1.0, 2.0, 3.0, 6.0):
+            want = 2.0 * gaussian_cdf(-a / math.sqrt(2.0))
+            assert abs(top_s_risk(2, 1, a) - want) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "d, s, a, one_sided, seed",
+        [
+            (200, 10, 3.0, True, 1801),
+            (1000, 5, 4.0, True, 1802),
+            (50, 3, 2.0, True, 1803),
+            (200, 10, 3.0, False, 1804),
+            (50, 3, 2.0, False, 1805),
+            (500, 20, 3.5, False, 1806),
+        ],
+    )
+    def test_estimate_matches_quadrature(self, d, s, a, one_sided, seed):
+        signal = LowerBound(a) if one_sided else TwoSided(a)
+        p = ProblemInstance(d=d, s=s, signal=signal)
+        spec = spec_for_kind("tops", p)
+        assert spec == TopS(s, one_sided=one_sided)
+        rep = estimate_risk(p, spec, MCConfig(replications=20_000, seed=seed))
+        z = (rep.mc_estimate - top_s_risk(d, s, a, one_sided)) / rep.mc_stderr
+        assert abs(z) <= 4.0, z
 
 
 class TestPhaseSweep:
