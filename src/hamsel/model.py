@@ -346,14 +346,14 @@ class RiskReport:
 
     loss_kind: LossKind
     mc_estimate: float
-    mc_stderr: float | None = None
-    replications: int = 0
-    seed: int | None = None
+    mc_stderr: float
+    replications: int
+    seed: int
 
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("MC estimate requires replications >= 1")
-        if self.mc_stderr is None or self.mc_stderr < 0.0:
+        if self.mc_stderr < 0.0:
             raise ValueError(f"need mc_stderr >= 0, got {self.mc_stderr}")
 
 

@@ -18,20 +18,21 @@ The support is the s-subset Floyd's algorithm picks from those uniforms
 (model.uniform_supports), O(s) whatever d.  Bernoulli and Poisson rows
 draw their noise before the support is known (see generate_family).
 
-Replications run in blocks of B rows (see BLOCK_BYTES).  A block's draws
-are made row by row, each row from its own stream, into (B, s) and (B, d)
-buffers; the supports of all rows, the noise scaling, the signal
-placement, the selector and the loss then run once on the whole block.
-The selector spec is resolved once per run into a function from a block
-of observations to a bool selection, and a replication's loss is the
-count of the selection XOR its support, without building
-``SupportVector`` objects.  Losses land in a positional array and are
-reduced with numpy's pairwise summation, so the aggregate is independent
-of B and of completion order.
+Replications run in blocks of B rows, and the selector in chunks of C <= B
+of them (see _block_layout).  A block's draws are made row by row, each
+row from its own stream, into (B, s) and (B, d) buffers; the supports of
+all rows, the noise scaling, the signal placement and the loss then run
+once on the whole block, and the selector once per chunk, into one
+(B, d) selection.  The selector spec is resolved once per run into a
+function from a block of observations to a bool selection, and a
+replication's loss is the count of the selection XOR its support,
+without building ``SupportVector`` objects.  Losses land in a positional
+array and are reduced with numpy's pairwise summation, so the aggregate
+is independent of B, C and completion order.
 
 The engine picks its own worker count from d (see PARALLEL_MIN_D): one
-thread below it, where the per-row draw loop and the once-per-block
-selector and loss hold the interpreter lock long enough that a second
+thread below it, where the per-row draw loop, the selector and the
+once-per-block loss hold the interpreter lock long enough that a second
 thread gains little or loses, and min(blocks, usable CPUs) at or above
 it, where the d-length Philox fills release the lock.  Results never
 depend on the count.
@@ -207,12 +208,25 @@ def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
 # Replication blocks
 # ---------------------------------------------------------------------------
 
-# Bytes of one (B, d) float64 block of observations, so B = 76 at d = 200
-# and 1 at d = 10^4.  The selectors' (B, d) temporaries stay below glibc's
-# default 128 KiB mmap threshold: at 256 KiB (B = 3 at d = 10^4) each one was
-# a fresh mapping whose pages faulted in on every block, about 28 faults per
-# replication for top-s, which made d = 10^4 slower than one row at a time.
+# Bytes of one (C, d) float64 chunk of observations that a selector call
+# takes, so C = 76 at d = 200 and 1 from d = 7,681.  The selectors' (C, d)
+# temporaries stay below glibc's default 128 KiB mmap threshold: at 256 KiB
+# (C = 3 at d = 10^4) each one was a fresh mapping whose pages faulted in on
+# every call, about 28 faults per replication for top-s, which made
+# d = 10^4 slower than one row at a time.
 BLOCK_BYTES = 120 * 1024
+
+# A block holds the fewest whole chunks that make DRAW_ROWS rows or more,
+# as long as its (B, d + 1) float64 draw buffer fits DRAW_BYTES: one chunk
+# up to d = 1,920, 14 rows at d = 2,048, 8 at d = 10^4 and 1 again from
+# d = 65,536.  The draw buffer is allocated once per worker, so the mmap
+# threshold does not bind it, and the supports, placement, loss and loop
+# run once per 8 or more replications instead of once per replication.
+# Whole chunks matter: 8-row blocks at d = 2,048 (a 7-row and a 1-row
+# selector call) were slower than 7-row ones on 2 threads.  So does the
+# byte budget: 8 rows (3.2 MB) at d = 50,000 were no faster than one.
+DRAW_ROWS = 8
+DRAW_BYTES = 1 << 20
 
 # Bytes of one replication's d-length rows that estimate_risk accepts: its
 # Z0-and-noise (or observation) row and the selector's working row (|x|,
@@ -228,12 +242,19 @@ LOSS_BYTES_LIMIT = 2**30
 # Z0-and-noise fill releases the interpreter lock and grows with d, while
 # the per-row Python work and the block's support resolution, which hold
 # it, grow with s or not at all.  In sweeps of 1 against 2 workers on 2
-# CPUs, with every selector run once per block, 2 were slower than 1 at
-# d = 400 for every rule but the Poisson one, about even at d = 700-1,400,
-# where the winner of the threshold and adaptive cells changed from sweep
-# to sweep, and faster for every rule from d = 2,048 on: 1.15x for
-# adaptive and 1.23-1.63x for the rest there.
+# CPUs, 2 were slower than 1 at d = 400 for every rule but the Poisson one
+# and about even at d = 700-1,400.  Re-timed with the blocks of
+# _block_layout, adaptive still lost at 1,024 and was even at 1,536, and
+# from 2,048 on every rule gained: 1.21-1.70x at 2,048, 1.28-1.70x at 4,096.
 PARALLEL_MIN_D = 2048
+
+
+def _block_layout(d: int, n: int) -> tuple[int, int]:
+    """(block rows B, chunk rows C) for n replications at dimension d:
+    1 <= C <= B <= n (see BLOCK_BYTES and DRAW_ROWS)."""
+    chunk = max(1, BLOCK_BYTES // (8 * d))
+    chunks = max(1, min(-(-DRAW_ROWS // chunk), DRAW_BYTES // (8 * (d + 1) * chunk)))
+    return min(n, chunks * chunk), min(n, chunk)
 
 
 def _usable_cpus() -> int:
@@ -370,13 +391,15 @@ def estimate_risk(
     support with the two-point signal.  The report carries the mean loss and
     stderr = sample sd / sqrt(R) for cfg.loss_kind.
 
-    Replications run in blocks of B = BLOCK_BYTES // (8 d) rows (at least
-    1, at most R): each row's draws still come from its own stream (seed,
-    stream_offset + r), and the selector and the loss run once per block,
-    so B never changes the results.  Runs with d >= PARALLEL_MIN_D spread
-    whole blocks over min(blocks, usable CPUs) threads, the calling thread
-    taking the first share; smaller d run on the calling thread alone.  The
-    worker count never changes the results either.  A d whose
+    Replications run in blocks of B rows, and the selector in chunks of C
+    of them (_block_layout; B = C = BLOCK_BYTES // (8 d) up to d = 1,920,
+    B = 14, C = 7 at d = 2,048 and B = 8, C = 1 at d = 10^4): each row's
+    draws still come from its own stream (seed, stream_offset + r), the
+    loss runs once per block and the selector once per chunk, so B and C
+    never change the results.  Runs with d >= PARALLEL_MIN_D spread whole
+    blocks over min(blocks, usable CPUs) threads, the calling thread
+    taking the first share; smaller d run on the calling thread alone.
+    The worker count never changes the results either.  A d whose
     per-replication buffers exceed ROW_BYTES_LIMIT or an R whose losses
     exceed LOSS_BYTES_LIMIT is rejected before anything is allocated; a
     Poisson class's rates are bounded by ProblemInstance itself.
@@ -400,7 +423,7 @@ def estimate_risk(
             f"d={p.d} needs {row_bytes} bytes of buffers per replication, "
             f"over the limit of {ROW_BYTES_LIMIT}"
         )
-    rows = max(1, min(n, BLOCK_BYTES // (8 * p.d)))
+    rows, chunk = _block_layout(p.d, n)
     blocks = -(-n // rows)
     errors = np.empty(n, dtype=np.int64)
     row_index = np.arange(rows)[:, None]
@@ -408,10 +431,17 @@ def estimate_risk(
     def fill(first_block: int, end_block: int) -> None:
         stream = _stream_rekeyer(cfg.seed)
         draw = _block_sampler(p, cfg.rho, rows)
+        # a block of one chunk (d <= 1,920) is selected directly, without a copy
+        selected = np.empty((rows, p.d), dtype=bool) if chunk < rows else None
         for b in range(first_block, end_block):
             lo, hi = b * rows, min(n, (b + 1) * rows)
             x, idx = draw(stream, stream_offset + lo, hi - lo)
-            sel = select(x)
+            if selected is None:
+                sel = select(x)
+            else:
+                sel = selected[: hi - lo]
+                for c in range(0, hi - lo, chunk):
+                    sel[c : c + chunk] = select(x[c : c + chunk])
             # flipping the support turns each row into selection XOR truth,
             # whose count is the Hamming loss
             sel[row_index[: hi - lo], idx] ^= True

@@ -371,15 +371,14 @@ class TestRiskReport:
             RiskReport(loss_kind=LossKind.HAMMING, closed_form=1.0)
 
     def test_mc_fields_travel_together(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RiskReport(loss_kind=LossKind.HAMMING, mc_estimate=0.3)
-        r = RiskReport(
-            loss_kind=LossKind.HAMMING,
-            mc_estimate=0.3,
-            mc_stderr=0.01,
-            replications=100,
-            seed=5,
-        )
+        fields = dict(loss_kind=LossKind.HAMMING, mc_estimate=0.3, mc_stderr=0.01, seed=5)
+        with pytest.raises(ValueError, match="replications >= 1"):
+            RiskReport(replications=0, **fields)
+        with pytest.raises(ValueError, match="mc_stderr >= 0"):
+            RiskReport(replications=100, **{**fields, "mc_stderr": -0.01})
+        r = RiskReport(replications=100, **fields)
         assert r.replications == 100
 
     def test_loss_kind_values(self):

@@ -41,9 +41,9 @@ from hamsel.numkit import gaussian_cdf
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus, threshold_risk
 from hamsel.selectors import cosh_threshold, minimax_threshold, spec_for_kind
 from hamsel.simulate import (
-    BLOCK_BYTES,
     PARALLEL_MIN_D,
     MCConfig,
+    _block_layout,
     _stream_rekeyer,
     apply_selector,
     estimate_risk,
@@ -631,25 +631,33 @@ class TestStreamContract:
             with pytest.raises(ValueError, match="stream indices"):
                 estimate_risk(p, _plus_spec(p), cfg, stream_offset=offset)
 
-    @pytest.mark.parametrize("d", [1000, 10_000])
+    @pytest.mark.parametrize("d", [1000, 2048, 10_000])
     def test_engine_equals_public_replay_across_blocks(self, d):
-        """Three or more blocks, the last one partial wherever a block holds
-        more than one replication."""
-        rows = max(1, BLOCK_BYTES // (8 * d))
-        reps = 2 * rows + max(1, rows // 2)
-        assert -(-reps // rows) >= 3
+        """Three or more blocks, the last one partial; at d = 2,048 two
+        7-row selector chunks make each full block and a 7-row and a 1-row
+        chunk the last, and at d = 10,000 every row of an 8-row block is its
+        own chunk."""
+        rows, chunk = _block_layout(d, 10**6)
+        reps = 2 * rows + rows // 2 + 1
+        assert _block_layout(d, reps) == (rows, chunk)
+        assert -(-reps // rows) >= 3 and reps % rows
+        assert {2048: (14, 7), 10_000: (8, 1)}.get(d, (rows, rows)) == (rows, chunk)
         s, a = 10, 2.5
         lower = ProblemInstance(d, s, LowerBound(a))
         two = ProblemInstance(d, s, TwoSided(a))
+        bernoulli = ProblemInstance(d, s, Interval(0.2, 0.7), family=Family.BERNOULLI)
         poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
         cases = [
             (lower, _plus_spec(lower), 0.0),
             (lower, _plus_spec(lower), 0.5),
+            (lower, spec_for_kind("llr", lower), 0.0),
             (lower, TopS(s), 0.0),
+            (two, spec_for_kind("two-sided", two), 0.0),
             (two, spec_for_kind("cosh", two), 0.0),
             (two, TopS(s, one_sided=False), 0.5),
             (two, spec_for_kind("universal", two), 0.0),
             (two, Adaptive(16), 0.0),
+            (bernoulli, spec_for_kind("llr", bernoulli), 0.0),
             (poisson, spec_for_kind("llr", poisson), 0.0),
         ]
         seed, offset = 20261018, 3 << 40
@@ -696,7 +704,7 @@ class TestEngineLimits:
         estimate_risk(small, _plus_spec(small), MCConfig(replications=200, seed=3))
         assert _InlinePool.requested == []
         p = _plus_instance(d=PARALLEL_MIN_D, s=10)
-        rows = BLOCK_BYTES // (8 * p.d)
+        rows, _ = _block_layout(p.d, 10**6)
         cfg = MCConfig(replications=5 * rows - 2, seed=3)  # 5 blocks, the last partial
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
         want = estimate_risk(p, _plus_spec(p), cfg)
@@ -717,7 +725,7 @@ class TestEngineLimits:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 9}, raising=False)
         assert simulate._usable_cpus() == 2
         p = _plus_instance(d=PARALLEL_MIN_D, s=10)
-        rows = BLOCK_BYTES // (8 * p.d)
+        rows, _ = _block_layout(p.d, 10**6)
         estimate_risk(p, _plus_spec(p), MCConfig(replications=5 * rows, seed=3))
         assert _InlinePool.requested == [1]
         # without an affinity call the installed count is the cap
@@ -737,6 +745,30 @@ class TestEngineLimits:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("kind", ["tops", "adaptive", "poisson"])
+    def test_large_d_blocks_stay_small(self, kind):
+        """At d = 10,000 a block holds 8 replications and the selector runs
+        one at a time; a one-worker run of 200 replications then peaks
+        under 1.5 MiB, the 1 MiB draw budget plus a chunk's selector work.
+        From d = 65,536 a block holds one replication again."""
+        assert _block_layout(10_000, 200) == (8, 1)
+        assert _block_layout(200_000, 200) == (1, 1)
+        if kind == "poisson":
+            p = ProblemInstance(10_000, 100, Interval(1.0, 3.0), family=Family.POISSON)
+            spec = spec_for_kind("llr", p)
+        else:
+            p = ProblemInstance(10_000, 100, TwoSided(3.0))
+            spec = spec_for_kind(kind, p, s_star=16)
+        with _workers(1):
+            estimate_risk(p, spec, MCConfig(replications=2, seed=1))  # lazy imports
+            tracemalloc.start()
+            try:
+                estimate_risk(p, spec, MCConfig(replications=200, seed=1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 << 19
 
     def test_oversized_replication_count_rejected_before_allocating(self):
         p = _plus_instance()
@@ -822,8 +854,9 @@ class TestBlockEngineProperty:
     )
     def test_engine_equals_public_replay(self, case):
         p, spec, rho, loss_kind, seed, offset, reps = case
-        rows = max(1, min(reps, BLOCK_BYTES // (8 * p.d)))
+        rows, chunk = _block_layout(p.d, reps)
         event("one block" if reps == rows else f"several blocks, last {'partial' if reps % rows else 'full'}")
+        event("selector chunks within a block" if chunk < rows else "one selector call per block")
         errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho), dtype=float)
         if loss_kind is LossKind.NORMALIZED_HAMMING:
             losses = errors / p.s
