@@ -214,7 +214,7 @@ def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
 # (C = 3 at d = 10^4) each one was a fresh mapping whose pages faulted in on
 # every call, about 28 faults per replication for top-s, which made
 # d = 10^4 slower than one row at a time.
-BLOCK_BYTES = 120 * 1024
+CHUNK_BYTES = 120 * 1024
 
 # A block holds the fewest whole chunks that make DRAW_ROWS rows or more,
 # as long as its (B, d + 1) float64 draw buffer fits DRAW_BYTES: one chunk
@@ -251,8 +251,8 @@ PARALLEL_MIN_D = 2048
 
 def _block_layout(d: int, n: int) -> tuple[int, int]:
     """(block rows B, chunk rows C) for n replications at dimension d:
-    1 <= C <= B <= n (see BLOCK_BYTES and DRAW_ROWS)."""
-    chunk = max(1, BLOCK_BYTES // (8 * d))
+    1 <= C <= B <= n (see CHUNK_BYTES and DRAW_ROWS)."""
+    chunk = max(1, CHUNK_BYTES // (8 * d))
     chunks = max(1, min(-(-DRAW_ROWS // chunk), DRAW_BYTES // (8 * (d + 1) * chunk)))
     return min(n, chunks * chunk), min(n, chunk)
 
@@ -392,7 +392,7 @@ def estimate_risk(
     stderr = sample sd / sqrt(R) for cfg.loss_kind.
 
     Replications run in blocks of B rows, and the selector in chunks of C
-    of them (_block_layout; B = C = BLOCK_BYTES // (8 d) up to d = 1,920,
+    of them (_block_layout; B = C = CHUNK_BYTES // (8 d) up to d = 1,920,
     B = 14, C = 7 at d = 2,048 and B = 8, C = 1 at d = 10^4): each row's
     draws still come from its own stream (seed, stream_offset + r), the
     loss runs once per block and the selector once per chunk, so B and C
@@ -431,17 +431,13 @@ def estimate_risk(
     def fill(first_block: int, end_block: int) -> None:
         stream = _stream_rekeyer(cfg.seed)
         draw = _block_sampler(p, cfg.rho, rows)
-        # a block of one chunk (d <= 1,920) is selected directly, without a copy
-        selected = np.empty((rows, p.d), dtype=bool) if chunk < rows else None
+        selected = np.empty((rows, p.d), dtype=bool)
         for b in range(first_block, end_block):
             lo, hi = b * rows, min(n, (b + 1) * rows)
             x, idx = draw(stream, stream_offset + lo, hi - lo)
-            if selected is None:
-                sel = select(x)
-            else:
-                sel = selected[: hi - lo]
-                for c in range(0, hi - lo, chunk):
-                    sel[c : c + chunk] = select(x[c : c + chunk])
+            sel = selected[: hi - lo]
+            for c in range(0, hi - lo, chunk):
+                sel[c : c + chunk] = select(x[c : c + chunk])
             # flipping the support turns each row into selection XOR truth,
             # whose count is the Hamming loss
             sel[row_index[: hi - lo], idx] ^= True
