@@ -18,17 +18,17 @@ The support is the s-subset Floyd's algorithm picks from those uniforms
 (model.uniform_supports), O(s) whatever d.  Bernoulli and Poisson rows
 draw their noise before the support is known (see generate_family).
 
-Replications run in blocks of B rows, and the selector in chunks of C <= B
-of them (see _block_layout).  A block's draws are made row by row, each
-row from its own stream, into (B, s) and (B, d) buffers; the supports of
-all rows, the noise scaling, the signal placement and the loss then run
-once on the whole block, and the selector once per chunk, into one
-(B, d) selection.  The selector spec is resolved once per run into a
-function from a block of observations to a bool selection, and a
-replication's loss is the count of the selection XOR its support,
-without building ``SupportVector`` objects.  Losses land in a positional
-array and are reduced with numpy's pairwise summation, so the aggregate
-is independent of B, C and completion order.
+Replications run in blocks of B rows, as many whole selector chunks of C
+rows as a DRAW_BYTES draw buffer holds (see _block_layout).  A block's
+draws are made row by row, each row from its own stream, into (B, s) and
+(B, d) buffers; the supports of all rows, the noise scaling, the signal
+placement and the loss then run once on the whole block, and the
+selector once per chunk, into one (B, d) selection.  The selector spec
+is resolved once per run into a function from a block of observations
+to a bool selection, and a replication's loss is the count of the
+selection XOR its support, without building ``SupportVector`` objects.
+Losses land in a positional array and are reduced with numpy's pairwise
+summation, so the aggregate is independent of B, C and completion order.
 
 The engine picks its own worker count from d (see PARALLEL_MIN_D): one
 thread below it, where the per-row draw loop, the selector and the
@@ -216,17 +216,14 @@ def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
 # d = 10^4 slower than one row at a time.
 CHUNK_BYTES = 120 * 1024
 
-# A block holds the fewest whole chunks that make DRAW_ROWS rows or more,
-# as long as its (B, d + 1) float64 draw buffer fits DRAW_BYTES: one chunk
-# up to d = 1,920, 14 rows at d = 2,048, 8 at d = 10^4 and 1 again from
-# d = 65,536.  The draw buffer is allocated once per worker, so the mmap
-# threshold does not bind it, and the supports, placement, loss and loop
-# run once per 8 or more replications instead of once per replication.
-# Whole chunks matter: 8-row blocks at d = 2,048 (a 7-row and a 1-row
-# selector call) were slower than 7-row ones on 2 threads.  So does the
-# byte budget: 8 rows (3.2 MB) at d = 50,000 were no faster than one.
-DRAW_ROWS = 8
-DRAW_BYTES = 1 << 20
+# A block holds as many whole chunks as its (B, d + 1) float64 draw buffer
+# fits in DRAW_BYTES, and at least one: B = 380 at d = 200, 35 at d = 2,048
+# and 1 from d = 40,960.  The draw buffer is allocated once per worker, so
+# the mmap threshold does not bind it.  Whole chunks, since blocks ending in
+# a part chunk (7 + 1 rows at d = 2,048) were slower on 2 threads.  640 KiB
+# is the largest budget that keeps d = 10^4 at 8-row blocks: 1 MiB was no
+# faster at d = 200, and its 13-row blocks at d = 10^4 held more memory.
+DRAW_BYTES = 640 * 1024
 
 # Bytes of one replication's d-length rows that estimate_risk accepts: its
 # Z0-and-noise (or observation) row and the selector's working row (|x|,
@@ -243,17 +240,17 @@ LOSS_BYTES_LIMIT = 2**30
 # the per-row Python work and the block's support resolution, which hold
 # it, grow with s or not at all.  In sweeps of 1 against 2 workers on 2
 # CPUs, 2 were slower than 1 at d = 400 for every rule but the Poisson one
-# and about even at d = 700-1,400.  Re-timed with the blocks of
-# _block_layout, adaptive still lost at 1,024 and was even at 1,536, and
-# from 2,048 on every rule gained: 1.21-1.70x at 2,048, 1.28-1.70x at 4,096.
+# and about even at d = 700-1,400.  Re-timed with the 640 KiB blocks of
+# _block_layout, plus lost and adaptive was even at 1,536, and from 2,048
+# on every rule gained: 1.12-1.68x at 2,048, 1.33-1.79x at 4,096.
 PARALLEL_MIN_D = 2048
 
 
 def _block_layout(d: int, n: int) -> tuple[int, int]:
     """(block rows B, chunk rows C) for n replications at dimension d:
-    1 <= C <= B <= n (see CHUNK_BYTES and DRAW_ROWS)."""
+    1 <= C <= B <= n (see CHUNK_BYTES and DRAW_BYTES)."""
     chunk = max(1, CHUNK_BYTES // (8 * d))
-    chunks = max(1, min(-(-DRAW_ROWS // chunk), DRAW_BYTES // (8 * (d + 1) * chunk)))
+    chunks = max(1, DRAW_BYTES // (8 * (d + 1) * chunk))
     return min(n, chunks * chunk), min(n, chunk)
 
 
@@ -281,12 +278,11 @@ def _stream_rekeyer(seed: int) -> Callable[[int], np.random.Generator]:
     """
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
-    state = bitgen.state
     # Lists, not arrays: the state setter reads them one entry at a time,
     # which costs a numpy scalar per entry on an array.
     key = [seed, 0]
-    state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key}
-    state["buffer"] = state["buffer"].tolist()
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def at(index: int) -> np.random.Generator:
         key[1] = index
@@ -312,16 +308,18 @@ def _block_sampler(
     """
     d, s, sig = p.d, p.s, p.signal
     u = np.empty((rows, s))
+    u_rows = list(u)  # row views made once, not once per row per block
     row_index = np.arange(rows)[:, None]
 
     if p.family is Family.BERNOULLI:
         x = np.empty((rows, d))
+        x_rows = list(x)
 
         def draw_bernoulli(stream, first, m):
-            for i in range(m):
-                rng = stream(first + i)
-                rng.random(out=u[i])
-                rng.random(out=x[i])
+            for index, u_row, x_row in zip(range(first, first + m), u_rows, x_rows):
+                rng = stream(index)
+                rng.random(out=u_row)
+                rng.random(out=x_row)
             idx = uniform_supports(u[:m], d)
             on = row_index[:m], idx
             hits = x[on] < sig.a1
@@ -339,7 +337,7 @@ def _block_sampler(
         def draw_poisson(stream, first, m):
             for i in range(m):
                 rng = stream(first + i)
-                rng.random(out=u[i])
+                rng.random(out=u_rows[i])
                 x[i] = rng.poisson(sig.a0, d)
                 extra[i] = rng.poisson(rate, s)
             # generate_family adds the extra counts in ascending index order
@@ -353,22 +351,22 @@ def _block_sampler(
     signs = isinstance(sig, TwoSided)
     base, level = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
     z = np.empty((rows, d + 1))
+    z_rows = list(z)
     z_flat = z.reshape(-1)
     x_starts = np.arange(1, rows * (d + 1), d + 1)[:, None]  # flat index of x[i, 0] in z
-    value = np.full((rows, 1), level)
 
     def draw_gaussian(stream, first, m):
-        for i in range(m):
-            rng = stream(first + i)
-            rng.random(out=u[i])
-            if signs:
-                value[i] = -level if rng.random() < 0.5 else level
-            rng.standard_normal(out=z[i])
+        levels = []
+        for index, u_row, z_row in zip(range(first, first + m), u_rows, z_rows):
+            rng = stream(index)
+            rng.random(out=u_row)
+            levels.append(-level if signs and rng.random() < 0.5 else level)
+            rng.standard_normal(out=z_row)
         idx = uniform_supports(u[:m], d)
         x = _scale_noise(z[:m], sigma, common, own)
         at = idx + x_starts[:m]
-        # x = theta + noise with theta = base off the support and value on it
-        on_support = z_flat[at] + value[:m]
+        # x = theta + noise with theta = base off the support and a row's level on it
+        on_support = z_flat[at] + np.array(levels)[:, None]
         if base:
             x += base
         z_flat[at] = on_support
@@ -392,17 +390,16 @@ def estimate_risk(
     stderr = sample sd / sqrt(R) for cfg.loss_kind.
 
     Replications run in blocks of B rows, and the selector in chunks of C
-    of them (_block_layout; B = C = CHUNK_BYTES // (8 d) up to d = 1,920,
-    B = 14, C = 7 at d = 2,048 and B = 8, C = 1 at d = 10^4): each row's
-    draws still come from its own stream (seed, stream_offset + r), the
-    loss runs once per block and the selector once per chunk, so B and C
-    never change the results.  Runs with d >= PARALLEL_MIN_D spread whole
-    blocks over min(blocks, usable CPUs) threads, the calling thread
-    taking the first share; smaller d run on the calling thread alone.
-    The worker count never changes the results either.  A d whose
-    per-replication buffers exceed ROW_BYTES_LIMIT or an R whose losses
-    exceed LOSS_BYTES_LIMIT is rejected before anything is allocated; a
-    Poisson class's rates are bounded by ProblemInstance itself.
+    of them (_block_layout; B = 380, C = 76 at d = 200 and B = 8, C = 1 at
+    d = 10^4): each row's draws still come from its own stream (seed,
+    stream_offset + r), the loss runs once per block and the selector once
+    per chunk, so B and C never change the results.  Runs with d >=
+    PARALLEL_MIN_D spread whole blocks over min(blocks, usable CPUs)
+    threads, the calling thread taking the first share; smaller d run on
+    the calling thread alone.  The worker count never changes the results
+    either.  A d whose per-replication buffers exceed ROW_BYTES_LIMIT or an
+    R whose losses exceed LOSS_BYTES_LIMIT is rejected before anything is
+    allocated; a Poisson class's rates are bounded by ProblemInstance itself.
     """
     if cfg.rho != 0.0 and p.family is not Family.GAUSSIAN:
         raise ValueError("correlated noise is defined for the Gaussian family only")

@@ -631,17 +631,20 @@ class TestStreamContract:
             with pytest.raises(ValueError, match="stream indices"):
                 estimate_risk(p, _plus_spec(p), cfg, stream_offset=offset)
 
-    @pytest.mark.parametrize("d", [1000, 2048, 10_000])
+    @pytest.mark.parametrize("d", [200, 1000, 2048, 10_000])
     def test_engine_equals_public_replay_across_blocks(self, d):
-        """Three or more blocks, the last one partial; at d = 2,048 two
-        7-row selector chunks make each full block and a 7-row and a 1-row
-        chunk the last, and at d = 10,000 every row of an 8-row block is its
-        own chunk."""
+        """Three or more blocks, the last one partial.  At d = 200 five
+        76-row selector chunks make each 380-row block, so the two-sided
+        signs and the chunk seams cross block ends; at d = 2,048 five 7-row
+        chunks make each full block and two 7-row and a 4-row chunk the
+        last, and at d = 10,000 every row of an 8-row block is its own
+        chunk."""
         rows, chunk = _block_layout(d, 10**6)
         reps = 2 * rows + rows // 2 + 1
         assert _block_layout(d, reps) == (rows, chunk)
         assert -(-reps // rows) >= 3 and reps % rows
-        assert {2048: (14, 7), 10_000: (8, 1)}.get(d, (rows, rows)) == (rows, chunk)
+        layouts = {200: (380, 76), 1000: (75, 15), 2048: (35, 7), 10_000: (8, 1)}
+        assert layouts[d] == (rows, chunk)
         s, a = 10, 2.5
         lower = ProblemInstance(d, s, LowerBound(a))
         two = ProblemInstance(d, s, TwoSided(a))
@@ -669,6 +672,18 @@ class TestStreamContract:
                     report = estimate_risk(p, spec, cfg, stream_offset=offset)
                 assert report.mc_estimate == float(errors.mean())
                 assert report.mc_stderr == float(errors.std(ddof=1) / math.sqrt(reps))
+
+
+def _one_worker_peak(p, spec, reps):
+    """Bytes tracemalloc sees at the peak of a one-worker estimate_risk run."""
+    with _workers(1):
+        estimate_risk(p, spec, MCConfig(replications=2, seed=1))  # lazy imports
+        tracemalloc.start()
+        try:
+            estimate_risk(p, spec, MCConfig(replications=reps, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 class _InlinePool:
@@ -750,25 +765,32 @@ class TestEngineLimits:
     def test_large_d_blocks_stay_small(self, kind):
         """At d = 10,000 a block holds 8 replications and the selector runs
         one at a time; a one-worker run of 200 replications then peaks
-        under 1.5 MiB, the 1 MiB draw budget plus a chunk's selector work.
-        From d = 65,536 a block holds one replication again."""
+        under 1.5 MiB, the 640 KiB draw budget plus a chunk's selector work
+        and the bookkeeping of a run.  From d = 40,960 a block holds one
+        replication again."""
         assert _block_layout(10_000, 200) == (8, 1)
-        assert _block_layout(200_000, 200) == (1, 1)
+        assert _block_layout(40_960, 200) == (1, 1)
         if kind == "poisson":
             p = ProblemInstance(10_000, 100, Interval(1.0, 3.0), family=Family.POISSON)
             spec = spec_for_kind("llr", p)
         else:
             p = ProblemInstance(10_000, 100, TwoSided(3.0))
             spec = spec_for_kind(kind, p, s_star=16)
-        with _workers(1):
-            estimate_risk(p, spec, MCConfig(replications=2, seed=1))  # lazy imports
-            tracemalloc.start()
-            try:
-                estimate_risk(p, spec, MCConfig(replications=200, seed=1))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < 3 << 19
+        assert _one_worker_peak(p, spec, 200) < 3 << 19
+
+    @pytest.mark.parametrize("kind", ["plus", "cosh", "poisson"])
+    def test_d200_blocks_stay_within_budget(self, kind):
+        """At d = 200 a block holds five 76-row selector chunks; a one-worker
+        run of 2,000 replications peaks under 1.25 MiB: the 640 KiB draw
+        budget, the block's support resolution and a chunk's selector work."""
+        assert _block_layout(200, 2000) == (380, 76)
+        if kind == "poisson":
+            p = ProblemInstance(200, 10, Interval(1.0, 3.0), family=Family.POISSON)
+            spec = spec_for_kind("llr", p)
+        else:
+            p = ProblemInstance(200, 10, (LowerBound if kind == "plus" else TwoSided)(3.0))
+            spec = spec_for_kind(kind, p)
+        assert _one_worker_peak(p, spec, 2000) < 5 << 18
 
     def test_oversized_replication_count_rejected_before_allocating(self):
         p = _plus_instance()
@@ -797,7 +819,8 @@ class TestEngineLimits:
 @st.composite
 def _engine_cases(draw):
     """(instance, spec, rho, loss kind, seed, offset, reps) over every
-    spec kind and family; reps up to 40 span several blocks for d >= 400."""
+    spec kind and family; reps up to 40 span several blocks for d >= 1,950,
+    and the examples of TestBlockEngineProperty span them at d = 200 and 400."""
     d = draw(st.integers(2, 3000))
     s = draw(st.integers(1, min(d - 1, 40)))
     a = draw(st.floats(0.25, 6.0))
@@ -835,6 +858,8 @@ def _engine_cases(draw):
 
 
 _POISSON_1500 = ProblemInstance(1500, 5, Interval(1.0, 2.5), family=Family.POISSON)
+_TWO_200 = ProblemInstance(200, 10, TwoSided(3.0))
+_POISSON_400 = ProblemInstance(400, 10, Interval(1.0, 3.0), family=Family.POISSON)
 
 
 class TestBlockEngineProperty:
@@ -850,6 +875,18 @@ class TestBlockEngineProperty:
         case=(
             _POISSON_1500, spec_for_kind("llr", _POISSON_1500),
             0.0, LossKind.WRONG_RECOVERY, 2**64 - 1, 2**64 - 21, 21,
+        )
+    )
+    @example(  # two full 380-row blocks and one row
+        case=(
+            _TWO_200, spec_for_kind("cosh", _TWO_200),
+            0.5, LossKind.HAMMING, 11, 3 << 40, 2 * 380 + 1,
+        )
+    )
+    @example(  # two full 190-row blocks and one row
+        case=(
+            _POISSON_400, spec_for_kind("llr", _POISSON_400),
+            0.0, LossKind.NORMALIZED_HAMMING, 5, 0, 2 * 190 + 1,
         )
     )
     def test_engine_equals_public_replay(self, case):
