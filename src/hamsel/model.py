@@ -8,6 +8,7 @@ every user-facing serialization.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -85,10 +86,12 @@ def _check_interval(family: Family, a0: float, a1: float) -> None:
         raise ValueError(f"unknown family {family!r}")
 
 
-def _check_seed(seed: int) -> None:
-    """A master seed is a 64-bit unsigned integer."""
+def _check_seed(seed: int) -> int:
+    """A master seed as an int: a 64-bit unsigned integer, never a float."""
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 def _check_rho(rho: float) -> None:
@@ -368,7 +371,7 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
     Philox keyed by the pair makes replication #index reproducible on its
     own, so parallel schedules and sequential runs give identical draws.
     """
-    _check_seed(seed)
+    seed, index = _check_seed(seed), operator.index(index)
     if not 0 <= index < 2**64:
         raise ValueError(f"stream index out of range: {index}")
     key = np.array([seed, index], dtype=np.uint64)

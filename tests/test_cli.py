@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hamsel import cli
+from hamsel import cli, simulate
 from hamsel.model import (
     POISSON_RATE_MAX,
     Family,
@@ -685,6 +685,31 @@ class TestPhaseCommand:
         assert code == 2
         assert "s-rule" in err or "s_rule" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ({"--a-mult": "1,-1"}, "multiplier"),
+            ({"--d-list": "200,15"}, "15"),
+            ({"--selectors": "plus,adaptive"}, "s_star"),
+            ({"--d-list": "200,40", "--selectors": "plus,adaptive", "--s-star": "16"}, "d/4"),
+        ],
+        ids=["negative-multiplier", "s-too-large", "no-s-star", "s-star-above-d/4"],
+    )
+    def test_invalid_last_cell_fails_before_any_cell_runs(
+        self, capsys, monkeypatch, flags, message
+    ):
+        """Only the last cell of each grid is invalid; the sweep builds and
+        checks every cell first, so no estimate runs before it exits 2."""
+        calls = []
+        monkeypatch.setattr(simulate, "estimate_risk", lambda *args, **kw: calls.append(args))
+        argv = {
+            "--d-list": "200", "--s-rule": "fixed:10", "--a-mult": "1", "--selectors": "plus",
+            "--reps": "200000", "--seed": "1", **flags,
+        }
+        code, out, err = run_cli(capsys, "phase", *[w for kv in argv.items() for w in kv])
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: ") and message in err
+
 
 class TestSweepCommand:
     @staticmethod
@@ -915,6 +940,34 @@ class TestReadmeExamples:
 
     def test_sweep_key_table_is_the_cli_mapping(self):
         assert _README_SWEEP_FLAGS == {key: flag for key, (flag, _) in cli._SWEEP_KEYS.items()}
+
+    def test_determinism_section_matches_the_engine(self):
+        """The (B, C) table of the "Determinism" section is
+        simulate._block_layout at each d, a block holds one row from the d
+        it names on, and the constants the section states are the code's."""
+        text = _README.read_text(encoding="utf-8").split("## Determinism\n", 1)[1]
+        text = text.split("\n## ", 1)[0]
+        ds = re.search(r"^\| d \|(.+)\|$", text, re.MULTILINE).group(1).split("|")
+        pairs = re.search(r"^\| \(B, C\) \|(.+)\|$", text, re.MULTILINE).group(1).split("|")
+        table = {
+            int(d.replace(",", "")): tuple(int(v) for v in re.findall(r"\d+", pair))
+            for d, pair in zip(ds, pairs, strict=True)
+        }
+        assert len(table) >= 6
+        assert table == {d: simulate._block_layout(d, 10**9) for d in table}
+        one_row = re.search(r"A block holds 1 row from d = ([\d,]+)", text)[1]
+        one_row = int(one_row.replace(",", ""))
+        rows = [simulate._block_layout(d, 10**9)[0] for d in (one_row - 1, one_row)]
+        assert rows[0] > rows[1] == 1
+        stated = {
+            name: float(value.replace(",", ""))
+            for name, value in re.findall(r"`(?:\w+\.)?([A-Z_]+)` = ([\d,.e]+\d)", text)
+        }
+        assert stated == {
+            "PARALLEL_MIN_D": simulate.PARALLEL_MIN_D,
+            "POISSON_RATE_MAX": POISSON_RATE_MAX,
+            "MAX_REPLICATIONS": simulate.MAX_REPLICATIONS,
+        }
 
 
 class TestFormatting:

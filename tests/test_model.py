@@ -174,6 +174,15 @@ class TestRngStream:
         with pytest.raises(ValueError, match=rf"^seed must be a 64-bit unsigned integer, got {2**64}$"):
             rng_stream(2**64, 0)
 
+    def test_seed_and_index_are_integers(self):
+        """A float seed or index is refused, not truncated to another
+        stream; numpy integers are taken as the ints they hold."""
+        for seed, index in ((1.7, 0), (1.0, 0), (0, 2.0), (0, 0.5)):
+            with pytest.raises(TypeError):
+                rng_stream(seed, index)
+        want = rng_stream(7, 3).standard_normal(4)
+        assert_array_equal(rng_stream(np.uint64(7), np.int64(3)).standard_normal(4), want)
+
     def test_fresh_seed_in_range(self):
         for _ in range(8):
             seed = fresh_seed()

@@ -41,6 +41,7 @@ from hamsel.numkit import gaussian_cdf
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus, threshold_risk
 from hamsel.selectors import cosh_threshold, minimax_threshold, spec_for_kind
 from hamsel.simulate import (
+    MAX_REPLICATIONS,
     PARALLEL_MIN_D,
     MCConfig,
     _block_layout,
@@ -51,7 +52,7 @@ from hamsel.simulate import (
     generate_gaussian,
     phase_sweep,
 )
-from oracles import psi_bar_printed_mc, top_s_risk
+from oracles import exact_loss_moments, psi_bar_printed_mc, top_s_risk
 
 
 @contextmanager
@@ -91,6 +92,21 @@ class TestMCConfig:
             MCConfig(replications=10, seed=1, rho=1.0)
         with pytest.raises(ValueError, match=r"^seed must be a 64-bit unsigned integer, got -1$"):
             MCConfig(replications=10, seed=-1)
+
+    def test_run_keys_are_integers(self):
+        """Seed and replications are taken as integers: a float seed would
+        run another seed's streams while the report echoed the float, so
+        it is refused like a float count; numpy integers are stored as the
+        ints they hold."""
+        for reps, seed in ((500, 1.7), (500, 1.0), (500.5, 1), (500.0, 1)):
+            with pytest.raises(TypeError):
+                MCConfig(replications=reps, seed=seed)
+        cfg = MCConfig(replications=np.int64(500), seed=np.uint64(2**64 - 1))
+        assert (type(cfg.replications), type(cfg.seed)) == (int, int)
+        assert (cfg.replications, cfg.seed) == (500, 2**64 - 1)
+        p = _plus_instance()
+        report = estimate_risk(p, _plus_spec(p), MCConfig(np.int32(500), np.uint64(1)))
+        assert (report.mc_estimate, report.seed, type(report.seed)) == (4.204, 1, int)
 
     def test_loss_kind_coercion(self):
         cfg = MCConfig(replications=10, seed=1, loss_kind="normalized-hamming")
@@ -593,18 +609,12 @@ class TestStreamContract:
         for rho in rhos:
             errors = _replayed_errors(p, spec, seed, offset, reps, rho)
             for kind in LossKind:
-                if kind is LossKind.HAMMING:
-                    losses = np.array([float(e) for e in errors])
-                elif kind is LossKind.NORMALIZED_HAMMING:
-                    losses = np.array([e / p.s for e in errors])
-                else:
-                    losses = np.array([1.0 if e else 0.0 for e in errors])
+                want = exact_loss_moments(errors, kind, p.s)
                 cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=kind)
                 for workers in (1, 2):
                     with _workers(workers):
                         report = estimate_risk(p, spec, cfg, stream_offset=offset)
-                    assert report.mc_estimate == float(losses.mean())
-                    assert report.mc_stderr == float(losses.std(ddof=1) / math.sqrt(reps))
+                    assert (report.mc_estimate, report.mc_stderr) == want
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_rekeyed_generator_state(self, seed):
@@ -665,13 +675,13 @@ class TestStreamContract:
         ]
         seed, offset = 20261018, 3 << 40
         for p, spec, rho in cases:
-            errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho), dtype=float)
+            errors = _replayed_errors(p, spec, seed, offset, reps, rho)
+            want = exact_loss_moments(errors, LossKind.HAMMING, p.s)
             cfg = MCConfig(replications=reps, seed=seed, rho=rho)
             for workers in (1, 2):
                 with _workers(workers):
                     report = estimate_risk(p, spec, cfg, stream_offset=offset)
-                assert report.mc_estimate == float(errors.mean())
-                assert report.mc_stderr == float(errors.std(ddof=1) / math.sqrt(reps))
+                assert (report.mc_estimate, report.mc_stderr) == want
 
 
 def _one_worker_peak(p, spec, reps):
@@ -793,16 +803,37 @@ class TestEngineLimits:
         assert _one_worker_peak(p, spec, 2000) < 5 << 18
 
     def test_oversized_replication_count_rejected_before_allocating(self):
-        p = _plus_instance()
-        reps = simulate.LOSS_BYTES_LIMIT // 8 + 1
+        """MCConfig takes up to MAX_REPLICATIONS = 2^27 replications and
+        refuses the next count, naming it, before a run allocates anything."""
+        assert MAX_REPLICATIONS == 2**27
+        assert MCConfig(replications=MAX_REPLICATIONS, seed=1).replications == 2**27
+        reps = MAX_REPLICATIONS + 1
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"{reps} replications .*limit of {2**30}"):
-                estimate_risk(p, _plus_spec(p), MCConfig(replications=reps, seed=1))
+            with pytest.raises(ValueError, match=f"^{reps} replications .*limit of {2**27}$"):
+                MCConfig(replications=reps, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("loss", [LossKind.HAMMING, LossKind.NORMALIZED_HAMMING])
+    def test_peak_does_not_grow_with_replications(self, loss):
+        """At d = 200 a run keeps no per-replication buffer: after a
+        warm-up call, 10^5 replications peak no higher than 10^3 do.  A
+        float or int64 loss per replication would add 800,000 bytes."""
+        p = _plus_instance()
+        spec = _plus_spec(p)
+        estimate_risk(p, spec, MCConfig(replications=10**3, seed=1, loss_kind=loss))
+        peaks = []
+        for reps in (10**3, 10**5):
+            tracemalloc.start()
+            try:
+                estimate_risk(p, spec, MCConfig(replications=reps, seed=2, loss_kind=loss))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (1 << 12), peaks
 
     def test_poisson_rates_up_to_the_limit_run(self):
         """estimate_risk runs with a1 at POISSON_RATE_MAX, which numpy's
@@ -894,17 +925,10 @@ class TestBlockEngineProperty:
         rows, chunk = _block_layout(p.d, reps)
         event("one block" if reps == rows else f"several blocks, last {'partial' if reps % rows else 'full'}")
         event("selector chunks within a block" if chunk < rows else "one selector call per block")
-        errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho), dtype=float)
-        if loss_kind is LossKind.NORMALIZED_HAMMING:
-            losses = errors / p.s
-        elif loss_kind is LossKind.WRONG_RECOVERY:
-            losses = (errors != 0).astype(float)
-        else:
-            losses = errors
+        errors = _replayed_errors(p, spec, seed, offset, reps, rho)
+        want = exact_loss_moments(errors, loss_kind, p.s)
         cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=loss_kind)
-        stderr = float(losses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         for workers in (1, 2):
             with _workers(workers):
                 report = estimate_risk(p, spec, cfg, stream_offset=offset)
-            assert report.mc_estimate == float(losses.mean())
-            assert report.mc_stderr == stderr
+            assert (report.mc_estimate, report.mc_stderr) == want
