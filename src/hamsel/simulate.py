@@ -27,8 +27,8 @@ selector once per chunk, into one (B, d) selection.  The selector spec
 is resolved once per run into a function from a block of observations
 to a bool selection, and a replication's loss is the count of the
 selection XOR its support, without building ``SupportVector`` objects.
-Workers sum the integer losses and their squares exactly, and the mean
-and stderr are rounded once from those sums (see estimate_risk).
+Losses land in a positional array and are reduced with numpy's pairwise
+summation, so the aggregate is independent of B, C and completion order.
 
 The engine picks its own worker count from d (see PARALLEL_MIN_D): one
 thread below it, where the per-row draw loop, the selector and the
@@ -78,8 +78,9 @@ from .selectors import (
     top_s_bits,
 )
 
-# Most replications one run accepts, 2^27 = 134,217,728: a bound on work
-# that also keeps the 2^40-wide stream ranges of phase_sweep's cells apart.
+# Most replications one run accepts, 2^27 = 134,217,728: estimate_risk's
+# int64 loss array stays within 1 GiB, and the 2^40-wide stream ranges of
+# phase_sweep's cells stay apart.
 MAX_REPLICATIONS = 2**27
 
 
@@ -381,14 +382,12 @@ def _block_sampler(
     return draw_gaussian
 
 
-def _checked_selector(
-    p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig, stream_offset: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Check a run of estimate_risk before anything is drawn or allocated,
-    and return its resolved selector."""
+def _check_run(p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig, stream_offset: int) -> None:
+    """Raise on a run of estimate_risk that cannot go ahead, before
+    anything is drawn or allocated."""
     if cfg.rho != 0.0 and p.family is not Family.GAUSSIAN:
         raise ValueError("correlated noise is defined for the Gaussian family only")
-    select = resolve_selector(spec, p.d, p.family, p.sigma)
+    resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
     if not (0 <= stream_offset and stream_offset + n <= 2**64):
         raise ValueError(f"stream indices {stream_offset}..{stream_offset + n - 1} out of range")
@@ -398,7 +397,6 @@ def _checked_selector(
             f"d={p.d} needs {row_bytes} bytes of buffers per replication, "
             f"over the limit of {ROW_BYTES_LIMIT}"
         )
-    return select
 
 
 def estimate_risk(
@@ -417,29 +415,28 @@ def estimate_risk(
 
     Replications run in blocks of B rows, and the selector in chunks of C
     of them (_block_layout; B = 380, C = 76 at d = 200 and B = 8, C = 1 at
-    d = 10^4), each row drawing from its own stream (seed, stream_offset +
-    r).  Runs with d >= PARALLEL_MIN_D spread whole blocks over min(blocks,
-    usable CPUs) threads, the calling thread taking the first share.  Each
-    worker returns the exact integer sums of its losses l and of l^2, l
-    being the error count, or whether it is nonzero under wrong recovery;
-    the estimate and variance are ratios of those integers (divided by s
-    for the normalized loss), each rounded once.  So neither B, C nor the
-    worker count changes the results, and nothing is allocated per
-    replication.  MCConfig bounds R, ProblemInstance a Poisson class's
-    rates, and a d whose per-replication buffers exceed ROW_BYTES_LIMIT is
+    d = 10^4): each row's draws still come from its own stream (seed,
+    stream_offset + r), the loss runs once per block and the selector once
+    per chunk, so B and C never change the results.  Runs with d >=
+    PARALLEL_MIN_D spread whole blocks over min(blocks, usable CPUs)
+    threads, the calling thread taking the first share; smaller d run on
+    the calling thread alone.  The worker count never changes the results
+    either.  MCConfig bounds R, ProblemInstance a Poisson class's rates,
+    and a d whose per-replication buffers exceed ROW_BYTES_LIMIT is
     rejected before anything is allocated.
     """
-    select = _checked_selector(p, spec, cfg, stream_offset)
+    _check_run(p, spec, cfg, stream_offset)
+    select = resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
     rows, chunk = _block_layout(p.d, n)
     blocks = -(-n // rows)
+    errors = np.empty(n, dtype=np.int64)
     row_index = np.arange(rows)[:, None]
 
-    def fill(first_block: int, end_block: int) -> tuple[int, int]:
+    def fill(first_block: int, end_block: int) -> None:
         stream = _stream_rekeyer(cfg.seed)
         draw = _block_sampler(p, cfg.rho, rows)
         selected = np.empty((rows, p.d), dtype=bool)
-        total = squares = 0
         for b in range(first_block, end_block):
             lo, hi = b * rows, min(n, (b + 1) * rows)
             x, idx = draw(stream, stream_offset + lo, hi - lo)
@@ -449,16 +446,11 @@ def estimate_risk(
             # flipping the support turns each row into selection XOR truth,
             # whose count is the Hamming loss
             sel[row_index[: hi - lo], idx] ^= True
-            losses = row_counts(sel)
-            if cfg.loss_kind is LossKind.WRONG_RECOVERY:
-                np.minimum(losses, 1, out=losses)
-            total += int(losses.sum())
-            squares += int(losses @ losses)  # at most B d^2 < 2^45: int64 holds it
-        return total, squares
+            errors[lo:hi] = row_counts(sel)
 
     workers = _worker_count(p.d, blocks)
     if workers == 1:
-        sums = [fill(0, blocks)]
+        fill(0, blocks)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -467,12 +459,24 @@ def estimate_risk(
         # one thread, and one set of block buffers, fewer than there are shares.
         with ThreadPoolExecutor(max_workers=workers - 1) as pool:
             futures = [pool.submit(fill, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-            sums = [fill(cuts[0], cuts[1])] + [fut.result() for fut in futures]
-    total, squares = map(sum, zip(*sums))
-    scale = p.s if cfg.loss_kind is LossKind.NORMALIZED_HAMMING else 1
-    variance = (n * squares - total * total) / (n * n * (n - 1) * scale * scale) if n > 1 else 0.0
+            fill(cuts[0], cuts[1])
+            for fut in futures:
+                fut.result()
+
+    if cfg.loss_kind is LossKind.HAMMING:
+        losses = errors.astype(float)
+    elif cfg.loss_kind is LossKind.NORMALIZED_HAMMING:
+        losses = errors / p.s
+    else:
+        losses = (errors != 0).astype(float)
+    estimate = float(losses.mean())
+    stderr = float(losses.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return RiskReport(
-        cfg.loss_kind, total / (n * scale), math.sqrt(variance), replications=n, seed=cfg.seed
+        loss_kind=cfg.loss_kind,
+        mc_estimate=estimate,
+        mc_stderr=stderr,
+        replications=n,
+        seed=cfg.seed,
     )
 
 
@@ -523,13 +527,25 @@ def phase_sweep(
                 signal = LowerBound(a) if kind in _ONE_SIDED_KINDS else TwoSided(a)
                 p = ProblemInstance(d, s, signal, sigma=sigma)
                 spec = spec_for_kind(kind, p, s_star=s_star)
-                _checked_selector(p, spec, cfg, len(cells) << 40)
-                row = dict(
-                    d=d, s=s, a=a, sigma=sigma, rho=cfg.rho, family="gaussian", selector=kind,
-                    loss_kind=cfg.loss_kind.value, estimate=None, stderr=None,
-                    replications=cfg.replications, seed=cfg.seed, a_multiplier=float(mult),
-                    a_almost_full=point.a_almost_full, a_exact=point.a_exact, t_star=point.t_star,
-                )
+                _check_run(p, spec, cfg, len(cells) << 40)
+                row = {
+                    "d": d,
+                    "s": s,
+                    "a": a,
+                    "sigma": sigma,
+                    "rho": cfg.rho,
+                    "family": "gaussian",
+                    "selector": kind,
+                    "loss_kind": cfg.loss_kind.value,
+                    "estimate": None,
+                    "stderr": None,
+                    "replications": cfg.replications,
+                    "seed": cfg.seed,
+                    "a_multiplier": float(mult),
+                    "a_almost_full": point.a_almost_full,
+                    "a_exact": point.a_exact,
+                    "t_star": point.t_star,
+                }
                 cells.append((row, p, spec))
     for cell, (row, p, spec) in enumerate(cells):
         report = estimate_risk(p, spec, cfg, stream_offset=cell << 40)

@@ -1,12 +1,10 @@
 """Independent references shared by the test modules: mpmath values, Monte
-Carlo evaluations of the printed forms, an elementary Gaussian tail bracket,
-a quadrature value of the top-s risk and the exact moments of replayed
-losses.  None of them is library code; each checks a closed form or an
-estimate of :mod:`hamsel` by another route.
+Carlo evaluations of the printed forms, an elementary Gaussian tail bracket
+and a quadrature value of the top-s risk.  None of them is library code;
+each checks a closed form or an estimate of :mod:`hamsel` by another route.
 """
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +12,7 @@ import scipy.integrate
 import scipy.special
 
 from hamsel import numkit
-from hamsel.model import LossKind, _check_d_s, _check_positive, rng_stream
+from hamsel.model import _check_d_s, _check_positive, rng_stream
 from hamsel.selectors import crowd_weights
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -38,28 +36,6 @@ def poisson_tail_exact(k: int, lam: float, upper: bool) -> mp.mpf:
             if p > mp.mpf(10) ** (30 - dps):
                 return +p
     return mp.mpf(0)
-
-
-def exact_loss_moments(errors, loss_kind: LossKind, s: int) -> tuple[float, float]:
-    """(mean, sd / sqrt(n)) of the per-replication losses of the Hamming
-    error counts ``errors`` under loss_kind: the count, the count / s, or
-    whether it is nonzero.  The mean and then the squared deviations from
-    it are summed as exact fractions, the textbook two-pass sample
-    variance with n - 1; each moment is rounded to a float once, and the
-    stderr is one math.sqrt of the rounded variance of the mean (0.0 at
-    n = 1)."""
-    if loss_kind is LossKind.NORMALIZED_HAMMING:
-        losses = [Fraction(int(e), s) for e in errors]
-    elif loss_kind is LossKind.WRONG_RECOVERY:
-        losses = [Fraction(int(e != 0)) for e in errors]
-    else:
-        losses = [Fraction(int(e)) for e in errors]
-    n = len(losses)
-    mean = sum(losses, Fraction(0)) / n
-    if n == 1:
-        return float(mean), 0.0
-    variance = sum(((x - mean) ** 2 for x in losses), Fraction(0)) / (n - 1)
-    return float(mean), math.sqrt(float(variance / n))
 
 
 def gaussian_tail_bounds(y: float) -> tuple[float, float]:
