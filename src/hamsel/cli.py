@@ -37,7 +37,6 @@ from .model import (
 from .selectors import (
     SELECTOR_KINDS,
     adaptive_selector,
-    check_observations,
     crowd_selector,
     crowd_weights,
     llr_threshold,
@@ -275,9 +274,7 @@ def _select_file(args) -> dict:
     d = int(x.size)
     family = Family(args.family) if args.method == "llr" else Family.GAUSSIAN
     spec = _select_spec(args, d, family)
-    arr = check_observations(x, d, family)
-    bits = simulate.resolve_selector(spec, d, family, args.sigma)(arr[None])[0]
-    out = support_summary(SupportVector(bits))
+    out = support_summary(SupportVector(simulate.select_row(spec, x, d, family, args.sigma)))
     out["threshold_used"] = spec.t if isinstance(spec, Threshold) else None
     out["diagnostics"] = {}
     return out

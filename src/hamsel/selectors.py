@@ -1,6 +1,7 @@
 """Selection rules: each threshold rule's cut, the spec of each named rule
 (spec_for_kind, run by simulate.apply_selector), and the top-s and adaptive
-cores over a (rows, d) block of observations.
+cores, which write the selection of a (rows, d) block of observations into
+a bool block and never write the observations.
 
 Boundary conventions are normative, not cosmetic: selection events use the
 closed inequality ``>= t`` exactly as defined, and the adaptive procedure's
@@ -190,26 +191,26 @@ def row_counts(bits: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(row) for row in bits], dtype=np.intp)
 
 
-def top_s_bits(x: np.ndarray, s: int, one_sided: bool = True) -> np.ndarray:
-    """Core of the top-s rule along the last axis of validated observations.
+def top_s_into(key: np.ndarray, s: int, out: np.ndarray, part: np.ndarray) -> None:
+    """Core of the top-s rule on a (rows, d) block of keys (x, or |x| when
+    two-sided), 1 <= s <= d, writing the selection into the bool block out.
 
-    Each row (1 <= s <= d entries) selects its s largest keys (x, or |x|
-    when two-sided) with ties at the s-th value going to the lowest
-    indices: exactly the first s entries of a stable argsort of -key, found
-    in O(d) by partitioning.  Only rows with ties at the s-th value pay
-    for the tie fill.
+    Each row selects its s largest keys with ties at the s-th value going
+    to the lowest indices: exactly the first s entries of a stable argsort
+    of -key, found in O(d) by partitioning a copy of key in part, a float
+    block of the same shape.  key is only read.  Only rows with ties at
+    the s-th value pay for the tie fill.
     """
-    key = x if one_sided else np.abs(x)
-    d = key.shape[-1]
-    kth = np.partition(key, d - s, axis=-1)[..., d - s, None]
-    bits = key >= kth  # at least s per row, more where the s-th value is tied
-    if np.count_nonzero(bits) > s * (bits.size // d):
-        keys, cuts, sel = key.reshape(-1, d), kth.reshape(-1), bits.reshape(-1, d)
-        counts = row_counts(sel)
+    d = key.shape[1]
+    part[...] = key
+    part.partition(d - s, axis=1)
+    kth = part[:, d - s, None]
+    np.greater_equal(key, kth, out=out)  # at least s per row, more where the s-th value is tied
+    if np.count_nonzero(out) > s * len(out):
+        counts = row_counts(out)
         for r in np.flatnonzero(counts > s):
-            ties = np.flatnonzero(keys[r] == cuts[r])
-            sel[r, ties[s - counts[r] + ties.size :]] = False
-    return bits
+            ties = np.flatnonzero(key[r] == kth[r])
+            out[r, ties[s - counts[r] + ties.size :]] = False
 
 
 def universal_threshold(d: int, sigma: float = 1.0) -> float:
@@ -248,26 +249,43 @@ def adaptive_plan(d: int, s_star: int, sigma: float = 1.0) -> AdaptivePlan:
 
 
 def adaptive_bits(x: np.ndarray, plan: AdaptivePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Core of the adaptive rule along the last axis of a (rows, d) block
-    of validated observations.
+    """The adaptive rule on a (rows, d) block of validated observations
+    (see adaptive_into): the selection, each row's chosen m and its band
+    counts.  x itself is not written."""
+    bits = np.empty(x.shape, dtype=bool)
+    chosen, counts = adaptive_into(np.abs(x), plan, bits)
+    return bits, chosen, counts
 
-    Returns the (rows, d) selection, each row's chosen m and its (rows, M-1)
-    band counts N_2..N_M.  The thresholds decrease along the grid, so band
-    k's count #{w(g_k) <= |x| < w(g_{k-1})} is the difference of the counts
-    of |x| >= w(g_k) and |x| >= w(g_{k-1}), all M of which come from one
-    stacked comparison.  m_hat is the first m whose bands m..M all pass, a
-    running AND from band M down; a row whose band M fails takes M.
+
+def adaptive_into(
+    mag: np.ndarray, plan: AdaptivePlan, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Core of the adaptive rule on a (rows, d) block of magnitudes |x|,
+    writing the selection into the bool block out.
+
+    Returns each row's chosen m and its (rows, M-1) band counts N_2..N_M.
+    mag is only read.  Only the entries at or above the lowest cut w(g_M)
+    fall in a band, so only they are counted: the number of cuts at or
+    below such an entry is 1..M, and band k holds the entries with exactly
+    M - k + 1, since the cuts decrease along the grid.  m_hat is the first
+    m whose bands m..M all pass, a running AND from band M down; a row
+    whose band M fails takes M.  The selection |x| >= w(g_m_hat) is the
+    lowest cut's, less the entries below the row's own cut.
     """
     grid, w, tau = plan
-    m_cap, (rows, d) = len(grid), x.shape
-    above = np.abs(x) >= np.array(w)[:, None, None]
-    at_least = row_counts(above.reshape(-1, d)).reshape(m_cap, rows)
-    counts = at_least[1:] - at_least[:-1]
-    passes = counts <= np.array([tau * g for g in grid[1:]])[:, None]
-    tail_passes = np.logical_and.accumulate(passes[::-1], axis=0)[::-1]
-    tail_passes[-1] = True  # M when no m qualifies: a failing band M fails every m
-    chosen = tail_passes.argmax(axis=0) + 2
-    return above[chosen - 1, np.arange(rows)], chosen, counts.T
+    m_cap, rows = len(grid), len(mag)
+    np.greater_equal(mag, w[-1], out=out)
+    hit_rows, hit_cols = np.divmod(np.flatnonzero(out), mag.shape[1])
+    cuts_below = np.searchsorted(np.array(w[::-1]), mag[hit_rows, hit_cols], side="right")
+    per_row = np.bincount(hit_rows * (m_cap + 1) + cuts_below, minlength=rows * (m_cap + 1))
+    counts = per_row.reshape(rows, m_cap + 1)[:, m_cap - 1 : 0 : -1]
+    passes = counts <= np.array([tau * g for g in grid[1:]])
+    tail_passes = np.logical_and.accumulate(passes[:, ::-1], axis=1)[:, ::-1]
+    tail_passes[:, -1] = True  # M when no m qualifies: a failing band M fails every m
+    chosen = tail_passes.argmax(axis=1) + 2
+    below = cuts_below < m_cap + 1 - chosen[hit_rows]
+    out[hit_rows[below], hit_cols[below]] = False
+    return chosen, counts
 
 
 def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:

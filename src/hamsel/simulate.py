@@ -11,24 +11,27 @@ before replication r, which leaves it in the same state as a fresh
 unchanged.
 
 Within one replication the draw order is fixed: the support's s
-uniforms, global sign (TwoSided only), then the common Gaussian factor
-Z0 (always consumed, even at rho = 0, so runs at different rho share all
+uniforms, global sign (TwoSided only; the s uniforms and the sign come
+from one call of s + 1 uniforms), then the common Gaussian factor Z0
+(always consumed, even at rho = 0, so runs at different rho share all
 other draws) and the i.i.d. noise vector from one standard_normal call.
 The support is the s-subset Floyd's algorithm picks from those uniforms
 (model.uniform_supports), O(s) whatever d.  Bernoulli and Poisson rows
 draw their noise before the support is known (see generate_family).
 
-Replications run in blocks of B rows, as many whole selector chunks of C
-rows as a DRAW_BYTES draw buffer holds (see _block_layout).  A block's
-draws are made row by row, each row from its own stream, into (B, s) and
-(B, d) buffers; the supports of all rows, the noise scaling, the signal
-placement and the loss then run once on the whole block, and the
-selector once per chunk, into one (B, d) selection.  The selector spec
-is resolved once per run into a function from a block of observations
-to a bool selection, and a replication's loss is the count of the
-selection XOR its support, without building ``SupportVector`` objects.
-Losses land in a positional array and are reduced with numpy's pairwise
-summation, so the aggregate is independent of B, C and completion order.
+Replications run in blocks of B rows, as many as a DRAW_BYTES draw
+buffer holds (see _block_layout).  A block's draws are made row by row,
+each row from its own stream, into (B, s) and (B, d) buffers; the
+supports of all rows, the noise scaling, the signal placement, the
+selector and the loss then run once on the whole block.  The selector
+spec is resolved once per run (resolve_selector); each worker makes its
+own selection function from it, which writes a block's selection into
+the worker's (B, d) bool buffer and may overwrite the block's
+observations, which are not read again.  A replication's loss is the
+count of the selection XOR its support, without building
+``SupportVector`` objects.  Losses land in a positional array and are
+reduced with numpy's pairwise summation, so the aggregate is independent
+of B and completion order.
 
 The engine picks its own worker count from d (see PARALLEL_MIN_D): one
 thread below it, where the per-row draw loop, the selector and the
@@ -70,12 +73,12 @@ from .model import (
     uniform_supports,
 )
 from .selectors import (
-    adaptive_bits,
+    adaptive_into,
     adaptive_plan,
     check_observations,
     row_counts,
     spec_for_kind,
-    top_s_bits,
+    top_s_into,
 )
 
 # Most replications one run accepts, 2^27 = 134,217,728: estimate_risk's
@@ -180,66 +183,84 @@ def generate_family(
 # ---------------------------------------------------------------------------
 
 
+# select(x, out): writes the selection of an (m, d) block of observations
+# x into the bool block out of the same shape, and may overwrite x.
+Select = Callable[[np.ndarray, np.ndarray], object]
+
+
+def _top_s_select(spec: TopS, part: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """The top-s rule's Select, with part a worker's partition buffer."""
+    key = x if spec.one_sided else np.abs(x, out=x)
+    top_s_into(key, spec.s, out, part[: len(x)])
+
+
 def resolve_selector(
     spec: SelectorSpec, d: int, family: Family = Family.GAUSSIAN, sigma: float = 1.0
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[int], Select]:
     """Check spec against observations of length d from family, and return
-    it as a function from a (rows, d) block of them to a bool selection of
-    the same shape, one row per replication.
+    it as a maker of selection functions: make(rows) gives a Select for
+    blocks of up to ``rows`` replications, with the buffers it needs (the
+    top-s rule's partitioned copy of a block) made once, so that each
+    worker makes its own.
 
     Rejects a top-s spec with s > d, and a two-sided threshold or the
-    adaptive rule outside the Gaussian family.  Everything that depends
-    only on (spec, d, sigma), such as the adaptive grid, is computed here,
-    once.
+    adaptive rule outside the Gaussian family.  Checking allocates no
+    array.  Everything that depends only on (spec, d, sigma), such as the
+    adaptive grid, is computed here, once.  A Select takes |x| in place
+    for the two-sided rules, so only a caller that owns x may pass it.
     """
     if isinstance(spec, TopS):
         if spec.s > d:
             raise ValueError(f"top-s selector needs s <= d, got s={spec.s}, d={d}")
-        return partial(top_s_bits, s=spec.s, one_sided=spec.one_sided)
+        return lambda rows: partial(_top_s_select, spec, np.empty((rows, d)))
     if not isinstance(spec, (Threshold, Adaptive)):
         raise TypeError(f"unknown selector spec {type(spec).__name__}")
     if isinstance(spec, Threshold) and not spec.two_sided:
-        return lambda x: x >= spec.t
+        return lambda rows: lambda x, out: np.greater_equal(x, spec.t, out=out)
     if family is not Family.GAUSSIAN:
         name = "two-sided threshold" if isinstance(spec, Threshold) else "adaptive"
         raise ValueError(f"{name} selector requires the Gaussian family")
     if isinstance(spec, Threshold):
-        return lambda x: np.abs(x) >= spec.t
+        return lambda rows: lambda x, out: np.greater_equal(np.abs(x, out=x), spec.t, out=out)
     plan = adaptive_plan(d, spec.s_star, sigma)
-    return lambda x: adaptive_bits(x, plan)[0]
+    return lambda rows: lambda x, out: adaptive_into(np.abs(x, out=x), plan, out)
+
+
+def select_row(
+    spec: SelectorSpec, x, d: int, family: Family = Family.GAUSSIAN, sigma: float = 1.0
+) -> np.ndarray:
+    """spec's bool selection on one vector x of d observations from family,
+    checked first; x itself is not written."""
+    block = check_observations(x, d, family)[None].copy()
+    bits = np.empty(block.shape, dtype=bool)
+    resolve_selector(spec, d, family, sigma)(1)(block, bits)
+    return bits[0]
 
 
 def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
     """Run a selector spec on observations from instance p."""
-    arr = check_observations(x, p.d, p.family)
-    return SupportVector(resolve_selector(spec, p.d, p.family, p.sigma)(arr[None])[0])
+    return SupportVector(select_row(spec, x, p.d, p.family, p.sigma))
 
 
 # ---------------------------------------------------------------------------
 # Replication blocks
 # ---------------------------------------------------------------------------
 
-# Bytes of one (C, d) float64 chunk of observations that a selector call
-# takes, so C = 76 at d = 200 and 1 from d = 7,681.  The selectors' (C, d)
-# temporaries stay below glibc's default 128 KiB mmap threshold: at 256 KiB
-# (C = 3 at d = 10^4) each one was a fresh mapping whose pages faulted in on
-# every call, about 28 faults per replication for top-s, which made
-# d = 10^4 slower than one row at a time.
-CHUNK_BYTES = 120 * 1024
-
-# A block holds as many whole chunks as its (B, d + 1) float64 draw buffer
-# fits in DRAW_BYTES, and at least one: B = 380 at d = 200, 35 at d = 2,048
-# and 1 from d = 40,960.  The draw buffer is allocated once per worker, so
-# the mmap threshold does not bind it.  Whole chunks, since blocks ending in
-# a part chunk (7 + 1 rows at d = 2,048) were slower on 2 threads.  640 KiB
-# is the largest budget that keeps d = 10^4 at 8-row blocks: 1 MiB was no
-# faster at d = 200, and its 13-row blocks at d = 10^4 held more memory.
+# A block holds as many rows as its (B, d + 1) float64 draw buffer fits in
+# DRAW_BYTES, and at least one: B = 407 at d = 200, 39 at d = 2,048, 8 at
+# d = 10^4 and 1 from d = 40,960.  The draw buffer, the (B, d) selection
+# and top-s's (B, d) partition buffer are allocated once per worker, so the
+# selector runs once per block with no block-sized temporary, which at
+# 128 KiB or more (glibc's default mmap threshold) would be a fresh mapping
+# whose pages fault in on every call.  640 KiB is the largest budget that
+# keeps d = 10^4 at 8-row blocks: 1 MiB was no faster at d = 200, and its
+# 13-row blocks at d = 10^4 held more memory.
 DRAW_BYTES = 640 * 1024
 
 # Bytes of one replication's d-length rows that estimate_risk accepts: its
-# Z0-and-noise (or observation) row and the selector's working row (|x|,
-# or top-s's partitioned copy), 8 (2d + 1) bytes, so d up to about 4.2
-# million.  The support row is smaller.
+# Z0-and-noise (or observation) row, in which the selector takes |x|, and
+# top-s's partition row, 8 (2d + 1) bytes, so d up to about 4.2 million.
+# The support and selection rows are smaller.
 ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
 # Smallest d at which replications are spread over threads.  A row's
@@ -247,18 +268,17 @@ ROW_BYTES_LIMIT = 64 * 1024 * 1024
 # the per-row Python work and the block's support resolution, which hold
 # it, grow with s or not at all.  In sweeps of 1 against 2 workers on 2
 # CPUs, 2 were slower than 1 at d = 400 for every rule but the Poisson one
-# and about even at d = 700-1,400.  Re-timed with the 640 KiB blocks of
-# _block_layout, plus lost and adaptive was even at 1,536, and from 2,048
-# on every rule gained: 1.12-1.68x at 2,048, 1.33-1.79x at 4,096.
+# and about even at d = 700-1,400.  Re-timed with one selector call per
+# 640 KiB block (s = 10; median of 9 alternated runs, two sweeps), 2 workers
+# gained over 1 for plus, top-s and adaptive alike: 1.14-1.47x at 1,536,
+# 1.38-1.57x at 2,048 and 1.23-1.74x at 4,096.
 PARALLEL_MIN_D = 2048
 
 
-def _block_layout(d: int, n: int) -> tuple[int, int]:
-    """(block rows B, chunk rows C) for n replications at dimension d:
-    1 <= C <= B <= n (see CHUNK_BYTES and DRAW_BYTES)."""
-    chunk = max(1, CHUNK_BYTES // (8 * d))
-    chunks = max(1, DRAW_BYTES // (8 * (d + 1) * chunk))
-    return min(n, chunks * chunk), min(n, chunk)
+def _block_layout(d: int, n: int) -> int:
+    """Block rows B for n replications at dimension d: 1 <= B <= n (see
+    DRAW_BYTES)."""
+    return min(n, max(1, DRAW_BYTES // (8 * (d + 1))))
 
 
 def _usable_cpus() -> int:
@@ -309,12 +329,14 @@ def _block_sampler(
     until the next call.  Row i re-keys the stream to first + i and makes
     the draws of least_favorable_draw / uniform_support followed by
     generate_gaussian / generate_family, in the order the module docstring
-    fixes: s uniforms for the support, and Z0 and the noise from one
-    standard_normal call.  The supports of the whole block, the noise
-    scaling and the signal placement draw nothing and run once per block.
+    fixes: s uniforms for the support (s + 1 with a TwoSided sign), and
+    Z0 and the noise from one standard_normal call.  The supports and signs
+    of the whole block, the noise scaling and the signal placement draw
+    nothing and run once per block.
     """
     d, s, sig = p.d, p.s, p.signal
-    u = np.empty((rows, s))
+    signs = isinstance(sig, TwoSided)
+    u = np.empty((rows, s + signs))  # TwoSided: the sign's uniform follows the support's
     u_rows = list(u)  # row views made once, not once per row per block
     row_index = np.arange(rows)[:, None]
 
@@ -355,7 +377,6 @@ def _block_sampler(
         return draw_poisson
 
     sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
-    signs = isinstance(sig, TwoSided)
     base, level = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
     z = np.empty((rows, d + 1))
     z_rows = list(z)
@@ -363,17 +384,16 @@ def _block_sampler(
     x_starts = np.arange(1, rows * (d + 1), d + 1)[:, None]  # flat index of x[i, 0] in z
 
     def draw_gaussian(stream, first, m):
-        levels = []
         for index, u_row, z_row in zip(range(first, first + m), u_rows, z_rows):
             rng = stream(index)
             rng.random(out=u_row)
-            levels.append(-level if signs and rng.random() < 0.5 else level)
             rng.standard_normal(out=z_row)
-        idx = uniform_supports(u[:m], d)
+        idx = uniform_supports(u[:m, :s], d)
+        levels = np.where(u[:m, s, None] < 0.5, -level, level) if signs else level
         x = _scale_noise(z[:m], sigma, common, own)
         at = idx + x_starts[:m]
         # x = theta + noise with theta = base off the support and a row's level on it
-        on_support = z_flat[at] + np.array(levels)[:, None]
+        on_support = z_flat[at] + levels
         if base:
             x += base
         z_flat[at] = on_support
@@ -413,11 +433,10 @@ def estimate_risk(
     support with the two-point signal.  The report carries the mean loss and
     stderr = sample sd / sqrt(R) for cfg.loss_kind.
 
-    Replications run in blocks of B rows, and the selector in chunks of C
-    of them (_block_layout; B = 380, C = 76 at d = 200 and B = 8, C = 1 at
-    d = 10^4): each row's draws still come from its own stream (seed,
-    stream_offset + r), the loss runs once per block and the selector once
-    per chunk, so B and C never change the results.  Runs with d >=
+    Replications run in blocks of B rows (_block_layout; B = 407 at d =
+    200 and 8 at d = 10^4): each row's draws still come from its own
+    stream (seed, stream_offset + r), and the selector and the loss run
+    once per block, so B never changes the results.  Runs with d >=
     PARALLEL_MIN_D spread whole blocks over min(blocks, usable CPUs)
     threads, the calling thread taking the first share; smaller d run on
     the calling thread alone.  The worker count never changes the results
@@ -426,9 +445,9 @@ def estimate_risk(
     rejected before anything is allocated.
     """
     _check_run(p, spec, cfg, stream_offset)
-    select = resolve_selector(spec, p.d, p.family, p.sigma)
+    make_select = resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
-    rows, chunk = _block_layout(p.d, n)
+    rows = _block_layout(p.d, n)
     blocks = -(-n // rows)
     errors = np.empty(n, dtype=np.int64)
     row_index = np.arange(rows)[:, None]
@@ -436,13 +455,13 @@ def estimate_risk(
     def fill(first_block: int, end_block: int) -> None:
         stream = _stream_rekeyer(cfg.seed)
         draw = _block_sampler(p, cfg.rho, rows)
+        select = make_select(rows)
         selected = np.empty((rows, p.d), dtype=bool)
         for b in range(first_block, end_block):
             lo, hi = b * rows, min(n, (b + 1) * rows)
             x, idx = draw(stream, stream_offset + lo, hi - lo)
             sel = selected[: hi - lo]
-            for c in range(0, hi - lo, chunk):
-                sel[c : c + chunk] = select(x[c : c + chunk])
+            select(x, sel)  # may overwrite x, the block's own draws
             # flipping the support turns each row into selection XOR truth,
             # whose count is the Hamming loss
             sel[row_index[: hi - lo], idx] ^= True

@@ -942,22 +942,22 @@ class TestReadmeExamples:
         assert _README_SWEEP_FLAGS == {key: flag for key, (flag, _) in cli._SWEEP_KEYS.items()}
 
     def test_determinism_section_matches_the_engine(self):
-        """The (B, C) table of the "Determinism" section is
+        """The B table of the "Determinism" section is
         simulate._block_layout at each d, a block holds one row from the d
         it names on, and the constants the section states are the code's."""
         text = _README.read_text(encoding="utf-8").split("## Determinism\n", 1)[1]
         text = text.split("\n## ", 1)[0]
         ds = re.search(r"^\| d \|(.+)\|$", text, re.MULTILINE).group(1).split("|")
-        pairs = re.search(r"^\| \(B, C\) \|(.+)\|$", text, re.MULTILINE).group(1).split("|")
+        sizes = re.search(r"^\| B \|(.+)\|$", text, re.MULTILINE).group(1).split("|")
         table = {
-            int(d.replace(",", "")): tuple(int(v) for v in re.findall(r"\d+", pair))
-            for d, pair in zip(ds, pairs, strict=True)
+            int(d.replace(",", "")): int(b.replace(",", ""))
+            for d, b in zip(ds, sizes, strict=True)
         }
         assert len(table) >= 6
         assert table == {d: simulate._block_layout(d, 10**9) for d in table}
         one_row = re.search(r"A block holds 1 row from d = ([\d,]+)", text)[1]
         one_row = int(one_row.replace(",", ""))
-        rows = [simulate._block_layout(d, 10**9)[0] for d in (one_row - 1, one_row)]
+        rows = [simulate._block_layout(d, 10**9) for d in (one_row - 1, one_row)]
         assert rows[0] > rows[1] == 1
         stated = {
             name: float(value.replace(",", ""))

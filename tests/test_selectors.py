@@ -29,6 +29,7 @@ from hamsel.model import (
 from hamsel.selectors import (
     SELECTOR_KINDS,
     adaptive_bits,
+    adaptive_into,
     adaptive_plan,
     adaptive_selector,
     cosh_selector,
@@ -39,7 +40,7 @@ from hamsel.selectors import (
     minimax_threshold,
     row_counts,
     spec_for_kind,
-    top_s_bits,
+    top_s_into,
     universal_threshold,
 )
 from hamsel.simulate import apply_selector
@@ -49,6 +50,13 @@ def _select(spec, x) -> SupportVector:
     """apply_selector on a Gaussian instance sized to x; the spec alone
     decides the selection."""
     return apply_selector(spec, x, ProblemInstance(len(x), 1, LowerBound(1.0)))
+
+
+def _top_s(key, s) -> np.ndarray:
+    """top_s_into on a (rows, d) block of keys, into fresh buffers."""
+    bits = np.empty(key.shape, dtype=bool)
+    top_s_into(key, s, bits, np.empty(key.shape))
+    return bits
 
 
 def _llr_select(x, family, d, s, a0, a1, sigma=1.0) -> SupportVector:
@@ -637,8 +645,7 @@ class TestSelectionCores:
                 for s in range(1, x.size + 1):
                     want = np.zeros(x.size, dtype=bool)
                     want[order[:s]] = True
-                    got = top_s_bits(x, s, one_sided)
-                    assert_array_equal(got, want)
+                    assert_array_equal(_top_s(key[None], s)[0], want)
                     assert _select(TopS(s, one_sided), x) == SupportVector(want)
 
     def test_top_s_block_rows_match_stable_argsort(self):
@@ -664,12 +671,43 @@ class TestSelectionCores:
             for one_sided in (True, False):
                 keys = block if one_sided else np.abs(block)
                 for s in range(1, d + 1):
-                    got = top_s_bits(block, s, one_sided)
-                    assert got.shape == block.shape
+                    got = _top_s(keys, s)
                     for bits, key in zip(got, keys):
                         want = np.zeros(d, dtype=bool)
                         want[np.argsort(-key, kind="stable")[:s]] = True
                         assert_array_equal(bits, want)
+
+    def test_observations_are_never_written(self):
+        """The selectors take |x| in place only on a block the engine owns:
+        every spec kind of both sidednesses through apply_selector, and
+        cosh_selector, adaptive_selector and the block cores leave the
+        caller's observations as they were."""
+        rng = rng_stream(59, 0)
+        d, s, s_star = 64, 4, 8
+        x = rng.normal(0.0, 2.0, size=d)
+        x[:6] = [-5.0, -3.0, -2.5, -2.5, -0.0, -1.0]  # |x| in place would change these
+        block = np.array([x, -x, x[::-1]])
+        want, want_block = x.copy(), block.copy()
+        specs = []
+        for signal in (LowerBound(2.0), TwoSided(2.0)):
+            p = ProblemInstance(d, s, signal)
+            kinds = [k for k in SELECTOR_KINDS if not (k == "llr" and isinstance(signal, TwoSided))]
+            specs += [(spec_for_kind(k, p, s_star=s_star), p) for k in kinds]
+        p = ProblemInstance(d, s, LowerBound(2.0))
+        specs += [(spec, p) for spec in (Threshold(1.0), Threshold(1.0, two_sided=True))]
+        specs += [(TopS(s, one_sided), p) for one_sided in (True, False)]
+        for spec, p in specs:
+            apply_selector(spec, x, p)
+        cosh_selector(x, d, s, 2.0)
+        adaptive_selector(x, s_star)
+        plan = adaptive_plan(d, s_star)
+        adaptive_bits(block, plan)
+        adaptive_into(block, plan, np.empty(block.shape, dtype=bool))
+        _top_s(block, s)
+        assert_array_equal(x, want)
+        assert_array_equal(np.signbit(x), np.signbit(want))
+        assert_array_equal(block, want_block)
+        assert_array_equal(np.signbit(block), np.signbit(want_block))
 
     def test_row_counts(self):
         rng = rng_stream(58, 0)

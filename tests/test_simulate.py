@@ -8,6 +8,8 @@ and each replication can be reproduced in isolation from its stream index.
 import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
@@ -649,18 +651,15 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("d", [200, 1000, 2048, 10_000])
     def test_engine_equals_public_replay_across_blocks(self, d):
-        """Three or more blocks, the last one partial.  At d = 200 five
-        76-row selector chunks make each 380-row block, so the two-sided
-        signs and the chunk seams cross block ends; at d = 2,048 five 7-row
-        chunks make each full block and two 7-row and a 4-row chunk the
-        last, and at d = 10,000 every row of an 8-row block is its own
-        chunk."""
-        rows, chunk = _block_layout(d, 10**6)
+        """Three or more blocks, the last one partial, so the two-sided
+        signs and the selector's block calls cross block ends: 407-row
+        blocks at d = 200 and 8-row blocks at d = 10,000."""
+        rows = _block_layout(d, 10**6)
         reps = 2 * rows + rows // 2 + 1
-        assert _block_layout(d, reps) == (rows, chunk)
+        assert _block_layout(d, reps) == rows
         assert -(-reps // rows) >= 3 and reps % rows
-        layouts = {200: (380, 76), 1000: (75, 15), 2048: (35, 7), 10_000: (8, 1)}
-        assert layouts[d] == (rows, chunk)
+        layouts = {200: 407, 1000: 81, 2048: 39, 10_000: 8}
+        assert layouts[d] == rows
         s, a = 10, 2.5
         lower = ProblemInstance(d, s, LowerBound(a))
         two = ProblemInstance(d, s, TwoSided(a))
@@ -735,7 +734,7 @@ class TestEngineLimits:
         estimate_risk(small, _plus_spec(small), MCConfig(replications=200, seed=3))
         assert _InlinePool.requested == []
         p = _plus_instance(d=PARALLEL_MIN_D, s=10)
-        rows, _ = _block_layout(p.d, 10**6)
+        rows = _block_layout(p.d, 10**6)
         cfg = MCConfig(replications=5 * rows - 2, seed=3)  # 5 blocks, the last partial
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
         want = estimate_risk(p, _plus_spec(p), cfg)
@@ -756,7 +755,7 @@ class TestEngineLimits:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 9}, raising=False)
         assert simulate._usable_cpus() == 2
         p = _plus_instance(d=PARALLEL_MIN_D, s=10)
-        rows, _ = _block_layout(p.d, 10**6)
+        rows = _block_layout(p.d, 10**6)
         estimate_risk(p, _plus_spec(p), MCConfig(replications=5 * rows, seed=3))
         assert _InlinePool.requested == [1]
         # without an affinity call the installed count is the cap
@@ -766,12 +765,15 @@ class TestEngineLimits:
         assert simulate._usable_cpus() == 1
 
     def test_oversized_d_rejected_before_allocating(self):
+        """Checking a selector spec makes none of its buffers: top-s's
+        partition block is made per worker, after the checks."""
         p = ProblemInstance(10**9, 10, LowerBound(3.0))
         cfg = MCConfig(replications=10, seed=1)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"d=1000000000 .*limit"):
-                estimate_risk(p, _plus_spec(p), cfg)
+            for spec in (_plus_spec(p), TopS(10), Adaptive(16)):
+                with pytest.raises(ValueError, match=r"d=1000000000 .*limit"):
+                    estimate_risk(p, spec, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -779,13 +781,13 @@ class TestEngineLimits:
 
     @pytest.mark.parametrize("kind", ["tops", "adaptive", "poisson"])
     def test_large_d_blocks_stay_small(self, kind):
-        """At d = 10,000 a block holds 8 replications and the selector runs
-        one at a time; a one-worker run of 200 replications then peaks
-        under 1.5 MiB, the 640 KiB draw budget plus a chunk's selector work
+        """At d = 10,000 a block holds 8 replications, which the selector
+        takes in one call; a one-worker run of 200 replications then peaks
+        under 1.5 MiB, the 640 KiB draw budget plus the selector's buffers
         and the bookkeeping of a run.  From d = 40,960 a block holds one
-        replication again."""
-        assert _block_layout(10_000, 200) == (8, 1)
-        assert _block_layout(40_960, 200) == (1, 1)
+        replication."""
+        assert _block_layout(10_000, 200) == 8
+        assert _block_layout(40_960, 200) == 1
         if kind == "poisson":
             p = ProblemInstance(10_000, 100, Interval(1.0, 3.0), family=Family.POISSON)
             spec = spec_for_kind("llr", p)
@@ -794,12 +796,43 @@ class TestEngineLimits:
             spec = spec_for_kind(kind, p, s_star=16)
         assert _one_worker_peak(p, spec, 200) < 3 << 19
 
+    @pytest.mark.parametrize("kind", ["tops", "adaptive"])
+    def test_large_d_blocks_fault_in_no_fresh_pages(self, kind):
+        """A warm one-worker run of 200 replications at d = 10,000 takes
+        fewer than 8 minor page faults per replication: the selector makes
+        no block-sized temporaries.  Enough of them, freed at the top of
+        the heap, are trimmed and fault in again on every block, about 20
+        faults per replication for top-s.  Measured in a fresh interpreter,
+        since malloc's mmap and trim thresholds rise with the largest block
+        freed so far, which earlier tests in this process set."""
+        code = f"""if True:
+            import resource
+            from hamsel import simulate
+            from hamsel.model import ProblemInstance, TwoSided
+            from hamsel.selectors import spec_for_kind
+            simulate._usable_cpus = lambda: 1
+            p = ProblemInstance(10_000, 100, TwoSided(3.0))
+            spec = spec_for_kind({kind!r}, p, s_star=16)
+            cfg = simulate.MCConfig(replications=200, seed=1)
+            simulate.estimate_risk(p, spec, cfg)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            simulate.estimate_risk(p, spec, cfg)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert int(result.stdout) < 8 * 200
+
     @pytest.mark.parametrize("kind", ["plus", "cosh", "poisson"])
     def test_d200_blocks_stay_within_budget(self, kind):
-        """At d = 200 a block holds five 76-row selector chunks; a one-worker
-        run of 2,000 replications peaks under 1.25 MiB: the 640 KiB draw
-        budget, the block's support resolution and a chunk's selector work."""
-        assert _block_layout(200, 2000) == (380, 76)
+        """At d = 200 a block holds 407 replications; a one-worker run of
+        2,000 replications peaks under 1.25 MiB: the 640 KiB draw budget,
+        the block's support resolution and its selection."""
+        assert _block_layout(200, 2000) == 407
         if kind == "poisson":
             p = ProblemInstance(200, 10, Interval(1.0, 3.0), family=Family.POISSON)
             spec = spec_for_kind("llr", p)
@@ -838,7 +871,7 @@ class TestEngineLimits:
 @st.composite
 def _engine_cases(draw):
     """(instance, spec, rho, loss kind, seed, offset, reps) over every
-    spec kind and family; reps up to 40 span several blocks for d >= 1,950,
+    spec kind and family; reps up to 40 span several blocks for d >= 2,048,
     and the examples of TestBlockEngineProperty span them at d = 200 and 400."""
     d = draw(st.integers(2, 3000))
     s = draw(st.integers(1, min(d - 1, 40)))
@@ -896,23 +929,22 @@ class TestBlockEngineProperty:
             0.0, LossKind.WRONG_RECOVERY, 2**64 - 1, 2**64 - 21, 21,
         )
     )
-    @example(  # two full 380-row blocks and one row
+    @example(  # two full blocks and one row
         case=(
             _TWO_200, spec_for_kind("cosh", _TWO_200),
-            0.5, LossKind.HAMMING, 11, 3 << 40, 2 * 380 + 1,
+            0.5, LossKind.HAMMING, 11, 3 << 40, 2 * _block_layout(200, 10**6) + 1,
         )
     )
-    @example(  # two full 190-row blocks and one row
+    @example(  # two full blocks and one row
         case=(
             _POISSON_400, spec_for_kind("llr", _POISSON_400),
-            0.0, LossKind.NORMALIZED_HAMMING, 5, 0, 2 * 190 + 1,
+            0.0, LossKind.NORMALIZED_HAMMING, 5, 0, 2 * _block_layout(400, 10**6) + 1,
         )
     )
     def test_engine_equals_public_replay(self, case):
         p, spec, rho, loss_kind, seed, offset, reps = case
-        rows, chunk = _block_layout(p.d, reps)
+        rows = _block_layout(p.d, reps)
         event("one block" if reps == rows else f"several blocks, last {'partial' if reps % rows else 'full'}")
-        event("selector chunks within a block" if chunk < rows else "one selector call per block")
         errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho), dtype=float)
         if loss_kind is LossKind.NORMALIZED_HAMMING:
             losses = errors / p.s
