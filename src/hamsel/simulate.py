@@ -7,31 +7,28 @@ stream (S, stream_offset + r), so results are bit-identical no matter how
 replications are grouped into blocks or spread over threads.  Each
 worker keeps one Philox generator and re-keys it to (S, stream_offset + r)
 before replication r, which leaves it in the same state as a fresh
-``rng_stream(S, stream_offset + r)``; the draws, and so the results, are
-unchanged.
+``rng_stream(S, stream_offset + r)``.
 
 Within one replication the draw order is fixed: the support's s
 uniforms, global sign (TwoSided only; the s uniforms and the sign come
-from one call of s + 1 uniforms), then the common Gaussian factor Z0
-(always consumed, even at rho = 0, so runs at different rho share all
-other draws) and the i.i.d. noise vector from one standard_normal call.
-The support is the s-subset Floyd's algorithm picks from those uniforms
-(model.uniform_supports), O(s) whatever d.  Bernoulli and Poisson rows
-draw their noise before the support is known (see generate_family).
+from one call of s + 1 uniforms), then the row's noise as
+generate_gaussian or generate_family draws it.  The Gaussian factor Z0 is
+always consumed, even at rho = 0, so runs at different rho share all
+other draws.  The support is the s-subset Floyd's algorithm picks from
+those uniforms (model.uniform_supports), O(s) whatever d.
 
 Replications run in blocks of B rows, as many as a DRAW_BYTES draw
-buffer holds (see _block_layout).  A block's draws are made row by row,
-each row from its own stream, into (B, s) and (B, d) buffers; the
-supports of all rows, the noise scaling, the signal placement, the
+buffer holds (see _block_layout).  One row loop serves every family: it
+re-keys the worker's generator and draws each row's uniforms and noise
+(see _block_sampler).  The block's supports, the family's finish, the
 selector and the loss then run once on the whole block.  The selector
-spec is resolved once per run (resolve_selector); each worker makes its
-own selection function from it, which writes a block's selection into
-the worker's (B, d) bool buffer and may overwrite the block's
-observations, which are not read again.  A replication's loss is the
-count of the selection XOR its support, without building
-``SupportVector`` objects.  Losses land in a positional array and are
-reduced with numpy's pairwise summation, so the aggregate is independent
-of B and completion order.
+spec is resolved once per run; each worker makes its own selection
+function from it, which writes a block's selection into the worker's
+(B, d) bool buffer and may overwrite the block's observations, which are
+not read again.  A replication's loss is the count of the selection XOR
+its support, without building ``SupportVector`` objects.  Losses land in
+a positional array and are reduced with numpy's pairwise summation, so
+the aggregate is independent of B and completion order.
 
 The engine picks its own worker count from d (see PARALLEL_MIN_D): one
 thread below it, where the per-row draw loop, the selector and the
@@ -258,21 +255,21 @@ def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
 DRAW_BYTES = 640 * 1024
 
 # Bytes of one replication's d-length rows that estimate_risk accepts: its
-# Z0-and-noise (or observation) row, in which the selector takes |x|, and
-# top-s's partition row, 8 (2d + 1) bytes, so d up to about 4.2 million.
-# The support and selection rows are smaller.
+# draw row, d + 1 floats (d + s for a Poisson row's support counts), in
+# which the selector takes |x|, and top-s's partition row of d floats, so d
+# up to about 4.2 million.  The support and selection rows are smaller.
 ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
-# Smallest d at which replications are spread over threads.  A row's
-# Z0-and-noise fill releases the interpreter lock and grows with d, while
-# the per-row Python work and the block's support resolution, which hold
-# it, grow with s or not at all.  In sweeps of 1 against 2 workers on 2
-# CPUs, 2 were slower than 1 at d = 400 for every rule but the Poisson one
-# and about even at d = 700-1,400.  Re-timed with one selector call per
-# 640 KiB block (s = 10; median of 9 alternated runs, two sweeps), 2 workers
-# gained over 1 for plus, top-s and adaptive alike: 1.14-1.47x at 1,536,
-# 1.38-1.57x at 2,048 and 1.23-1.74x at 4,096.
-PARALLEL_MIN_D = 2048
+# Smallest d at which replications are spread over threads: a row's fills
+# release the interpreter lock and grow with d.  Speedup of 2 workers over
+# 1 on 2 CPUs (s = 10; median of 9 alternated runs in each of two sweeps,
+# 2 winning at least 8 of 9 at every point):
+#   d         1,024      1,280      1,536      1,792      2,048
+#   plus      1.13/1.18  1.21/1.34  1.25/1.43  1.48/1.48  1.50/1.52
+#   top-s     1.29/1.17  1.52/1.39  1.54/1.46  1.56/1.45  1.69/1.54
+#   adaptive  1.29/1.13  1.17/1.24  1.50/1.33  1.13/1.11  1.47/1.23
+#   Poisson   1.54/1.38  1.29/1.43  1.63/1.30  1.62/1.47  1.33/1.44
+PARALLEL_MIN_D = 1024
 
 
 def _block_layout(d: int, n: int) -> int:
@@ -297,126 +294,119 @@ def _worker_count(d: int, blocks: int) -> int:
     return min(blocks, _usable_cpus())
 
 
-def _stream_rekeyer(seed: int) -> Callable[[int], np.random.Generator]:
-    """index -> a generator in the state of a fresh rng_stream(seed, index).
-
-    One Philox generator is re-keyed in place (counter 0, empty buffer), so
-    every call returns the same object; indices are not range-checked.
-    """
+def _stream_rekeyer(seed: int) -> tuple[np.random.Generator, Callable[[int], None]]:
+    """A Philox generator and rekey(index), which re-keys it in place
+    (counter 0, empty buffer) to the state of a fresh rng_stream(seed,
+    index); indices are not range-checked."""
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
     # Lists, not arrays: the state setter reads them one entry at a time,
     # which costs a numpy scalar per entry on an array.
     key = [seed, 0]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def at(index: int) -> np.random.Generator:
+    def rekey(index: int) -> None:
         key[1] = index
         bitgen.state = state
-        return rng
 
-    return at
+    return np.random.Generator(bitgen), rekey
 
 
 def _block_sampler(
-    p: ProblemInstance, rho: float, rows: int
-) -> Callable[[Callable[[int], np.random.Generator], int, int], tuple[np.ndarray, np.ndarray]]:
-    """One worker's draw buffers for blocks of up to ``rows`` replications.
-
-    Returns draw(stream, first, m) -> (observations, supports): an (m, d)
-    and an (m, s) array for replications first .. first + m - 1, valid
-    until the next call.  Row i re-keys the stream to first + i and makes
-    the draws of least_favorable_draw / uniform_support followed by
-    generate_gaussian / generate_family, in the order the module docstring
-    fixes: s uniforms for the support (s + 1 with a TwoSided sign), and
-    Z0 and the noise from one standard_normal call.  The supports and signs
-    of the whole block, the noise scaling and the signal placement draw
-    nothing and run once per block.
+    p: ProblemInstance, rho: float, seed: int, rows: int
+) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """One worker's generator and draw buffers for blocks of up to ``rows``
+    replications: draw(first, m) -> (observations, supports), an (m, d) and
+    an (m, s) array for replications first .. first + m - 1, valid until
+    the next call.  Row i re-keys the generator to (seed, first + i), draws
+    the support's s uniforms (s + 1 with a TwoSided sign) into a row of u,
+    then the family's row fill into a row of z: Z0 and the noise, d
+    uniforms, or d Poisson(a0) counts then s Poisson(a1 - a0) ones.  The
+    block's supports and the family's finish, which turns z into
+    observations, draw nothing and run once per block.
     """
+    rng, rekey = _stream_rekeyer(seed)
     d, s, sig = p.d, p.s, p.signal
     signs = isinstance(sig, TwoSided)
     u = np.empty((rows, s + signs))  # TwoSided: the sign's uniform follows the support's
-    u_rows = list(u)  # row views made once, not once per row per block
     row_index = np.arange(rows)[:, None]
 
     if p.family is Family.BERNOULLI:
-        x = np.empty((rows, d))
-        x_rows = list(x)
+        z = np.empty((rows, d))
+        fill = rng.random
 
-        def draw_bernoulli(stream, first, m):
-            for index, u_row, x_row in zip(range(first, first + m), u_rows, x_rows):
-                rng = stream(index)
-                rng.random(out=u_row)
-                rng.random(out=x_row)
-            idx = uniform_supports(u[:m], d)
+        def finish(m, idx):
             on = row_index[:m], idx
-            hits = x[on] < sig.a1
-            x[:m] = x[:m] < sig.a0
-            x[on] = hits
-            return x[:m], idx
+            hits = z[on] < sig.a1
+            z[:m] = z[:m] < sig.a0
+            z[on] = hits
+            return z[:m]
 
-        return draw_bernoulli
+    elif p.family is Family.POISSON:
+        z = np.empty((rows, d + s))
+        a0, rate, poisson = sig.a0, sig.a1 - sig.a0, rng.poisson
 
-    if p.family is Family.POISSON:
-        x = np.empty((rows, d))
-        extra = np.empty((rows, s))
-        rate = sig.a1 - sig.a0
+        def fill(out):
+            out[:d] = poisson(a0, d)
+            out[d:] = poisson(rate, s)
 
-        def draw_poisson(stream, first, m):
-            for i in range(m):
-                rng = stream(first + i)
-                rng.random(out=u_rows[i])
-                x[i] = rng.poisson(sig.a0, d)
-                extra[i] = rng.poisson(rate, s)
-            # generate_family adds the extra counts in ascending index order
-            idx = np.sort(uniform_supports(u[:m], d), axis=1)
-            x[row_index[:m], idx] += extra[:m]
-            return x[:m], idx
+        def finish(m, idx):
+            idx.sort(axis=1)  # generate_family adds the support counts in ascending index order
+            z[row_index[:m], idx] += z[:m, d:]
+            return z[:m, :d]
 
-        return draw_poisson
+    else:
+        sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
+        base, level = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
+        z = np.empty((rows, d + 1))
+        z_flat = z.reshape(-1)
+        x_starts = np.arange(1, rows * (d + 1), d + 1)[:, None]  # flat index of x[i, 0] in z
+        fill = rng.standard_normal
 
-    sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
-    base, level = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
-    z = np.empty((rows, d + 1))
-    z_rows = list(z)
-    z_flat = z.reshape(-1)
-    x_starts = np.arange(1, rows * (d + 1), d + 1)[:, None]  # flat index of x[i, 0] in z
+        def finish(m, idx):
+            levels = np.where(u[:m, s, None] < 0.5, -level, level) if signs else level
+            x = _scale_noise(z[:m], sigma, common, own)
+            at = idx + x_starts[:m]
+            # x = theta + noise with theta = base off the support and a row's level on it
+            on_support = z_flat[at] + levels
+            if base:
+                x += base
+            z_flat[at] = on_support
+            return x
 
-    def draw_gaussian(stream, first, m):
+    u_rows, z_rows = list(u), list(z)  # row views made once, not once per row per block
+
+    def draw(first, m):
         for index, u_row, z_row in zip(range(first, first + m), u_rows, z_rows):
-            rng = stream(index)
+            rekey(index)
             rng.random(out=u_row)
-            rng.standard_normal(out=z_row)
+            fill(out=z_row)
         idx = uniform_supports(u[:m, :s], d)
-        levels = np.where(u[:m, s, None] < 0.5, -level, level) if signs else level
-        x = _scale_noise(z[:m], sigma, common, own)
-        at = idx + x_starts[:m]
-        # x = theta + noise with theta = base off the support and a row's level on it
-        on_support = z_flat[at] + levels
-        if base:
-            x += base
-        z_flat[at] = on_support
-        return x, idx
+        return finish(m, idx), idx
 
-    return draw_gaussian
+    return draw
 
 
-def _check_run(p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig, stream_offset: int) -> None:
+def _check_run(
+    p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig, stream_offset: int
+) -> tuple[Callable[[int], Select], int]:
     """Raise on a run of estimate_risk that cannot go ahead, before
-    anything is drawn or allocated."""
+    anything is drawn or allocated; return the run's selector maker
+    (resolve_selector) and its stream offset as an int."""
+    offset = operator.index(stream_offset)
     if cfg.rho != 0.0 and p.family is not Family.GAUSSIAN:
         raise ValueError("correlated noise is defined for the Gaussian family only")
-    resolve_selector(spec, p.d, p.family, p.sigma)
+    make_select = resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
-    if not (0 <= stream_offset and stream_offset + n <= 2**64):
-        raise ValueError(f"stream indices {stream_offset}..{stream_offset + n - 1} out of range")
-    row_bytes = 8 * (2 * p.d + 1)  # see ROW_BYTES_LIMIT
+    if not (0 <= offset and offset + n <= 2**64):
+        raise ValueError(f"stream indices {offset}..{offset + n - 1} out of range")
+    row_bytes = 8 * (2 * p.d + (p.s if p.family is Family.POISSON else 1))  # ROW_BYTES_LIMIT
     if row_bytes > ROW_BYTES_LIMIT:
         raise ValueError(
             f"d={p.d} needs {row_bytes} bytes of buffers per replication, "
             f"over the limit of {ROW_BYTES_LIMIT}"
         )
+    return make_select, offset
 
 
 def estimate_risk(
@@ -433,19 +423,15 @@ def estimate_risk(
     support with the two-point signal.  The report carries the mean loss and
     stderr = sample sd / sqrt(R) for cfg.loss_kind.
 
-    Replications run in blocks of B rows (_block_layout; B = 407 at d =
-    200 and 8 at d = 10^4): each row's draws still come from its own
-    stream (seed, stream_offset + r), and the selector and the loss run
-    once per block, so B never changes the results.  Runs with d >=
-    PARALLEL_MIN_D spread whole blocks over min(blocks, usable CPUs)
-    threads, the calling thread taking the first share; smaller d run on
-    the calling thread alone.  The worker count never changes the results
-    either.  MCConfig bounds R, ProblemInstance a Poisson class's rates,
-    and a d whose per-replication buffers exceed ROW_BYTES_LIMIT is
-    rejected before anything is allocated.
+    Replications run in blocks of B rows (_block_layout), spread over the
+    workers the module docstring describes, the calling thread taking the
+    first share; neither B nor the worker count changes the results.
+    MCConfig bounds R, ProblemInstance a Poisson class's rates, and
+    _check_run refuses a non-integer stream_offset, or a d whose
+    per-replication buffers exceed ROW_BYTES_LIMIT, before anything is
+    allocated.
     """
-    _check_run(p, spec, cfg, stream_offset)
-    make_select = resolve_selector(spec, p.d, p.family, p.sigma)
+    make_select, stream_offset = _check_run(p, spec, cfg, stream_offset)
     n = cfg.replications
     rows = _block_layout(p.d, n)
     blocks = -(-n // rows)
@@ -453,13 +439,12 @@ def estimate_risk(
     row_index = np.arange(rows)[:, None]
 
     def fill(first_block: int, end_block: int) -> None:
-        stream = _stream_rekeyer(cfg.seed)
-        draw = _block_sampler(p, cfg.rho, rows)
+        draw = _block_sampler(p, cfg.rho, cfg.seed, rows)
         select = make_select(rows)
         selected = np.empty((rows, p.d), dtype=bool)
         for b in range(first_block, end_block):
             lo, hi = b * rows, min(n, (b + 1) * rows)
-            x, idx = draw(stream, stream_offset + lo, hi - lo)
+            x, idx = draw(stream_offset + lo, hi - lo)
             sel = selected[: hi - lo]
             select(x, sel)  # may overwrite x, the block's own draws
             # flipping the support turns each row into selection XOR truth,

@@ -626,9 +626,9 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_rekeyed_generator_state(self, seed):
-        stream = _stream_rekeyer(seed)
+        rng, rekey = _stream_rekeyer(seed)
         for index in (0, 1, 5 << 40, 2**64 - 1):
-            rng = stream(index)
+            rekey(index)
             fresh = rng_stream(seed, index)
             state, want = rng.bit_generator.state, fresh.bit_generator.state
             assert state["state"]["key"].tolist() == want["state"]["key"].tolist()
@@ -648,6 +648,29 @@ class TestStreamContract:
         for offset in (-1, 2**64 - 1):
             with pytest.raises(ValueError, match="stream indices"):
                 estimate_risk(p, _plus_spec(p), cfg, stream_offset=offset)
+
+    def test_stream_offset_must_be_an_integer(self):
+        """A float offset is refused before the run's loss array (8 MB
+        here) or any block buffer is allocated; a numpy integer offset
+        gives the bits of the equal Python int."""
+        p = _plus_instance(d=40, s=4)
+        spec, big = _plus_spec(p), MCConfig(replications=10**6, seed=1)
+        tracemalloc.start()
+        try:
+            for offset in (1.5, 2.0):
+                with pytest.raises(TypeError):
+                    estimate_risk(p, spec, big, stream_offset=offset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        cfg = MCConfig(replications=50, seed=1, loss_kind=LossKind.NORMALIZED_HAMMING)
+        for offset in (7, 2**64 - 50):
+            want = estimate_risk(p, spec, cfg, stream_offset=offset)
+            for np_int in (np.int64, np.uint64):
+                if offset <= np.iinfo(np_int).max:
+                    got = estimate_risk(p, spec, cfg, stream_offset=np_int(offset))
+                    assert (got.mc_estimate, got.mc_stderr) == (want.mc_estimate, want.mc_stderr)
 
     @pytest.mark.parametrize("d", [200, 1000, 2048, 10_000])
     def test_engine_equals_public_replay_across_blocks(self, d):
@@ -779,12 +802,25 @@ class TestEngineLimits:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("kind", ["tops", "adaptive", "poisson"])
+    def test_row_limit_counts_poisson_support_counts(self):
+        """A Poisson draw row holds d + s counts, a Gaussian one d + 1
+        floats, so at the same (d, s) near the limit only the Poisson run
+        is refused."""
+        d, s, cfg = 4_194_000, 1000, MCConfig(replications=10, seed=1)
+        gauss = ProblemInstance(d, s, Interval(1.0, 3.0))
+        simulate._check_run(gauss, spec_for_kind("llr", gauss), cfg, 0)
+        poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
+        with pytest.raises(ValueError, match=f"d={d} needs {8 * (2 * d + s)} bytes"):
+            simulate._check_run(poisson, spec_for_kind("llr", poisson), cfg, 0)
+
+    @pytest.mark.parametrize("kind", ["tops", "adaptive", "universal", "poisson"])
     def test_large_d_blocks_stay_small(self, kind):
         """At d = 10,000 a block holds 8 replications, which the selector
         takes in one call; a one-worker run of 200 replications then peaks
-        under 1.5 MiB, the 640 KiB draw budget plus the selector's buffers
-        and the bookkeeping of a run.  From d = 40,960 a block holds one
+        at the 640 KiB draw budget plus the selector's buffers and the
+        bookkeeping of a run: under 0.9 MiB, or 1.5 MiB with top-s's
+        partition block.  A block-sized temporary, such as a copy of |x|,
+        does not fit under 0.9 MiB.  From d = 40,960 a block holds one
         replication."""
         assert _block_layout(10_000, 200) == 8
         assert _block_layout(40_960, 200) == 1
@@ -794,7 +830,7 @@ class TestEngineLimits:
         else:
             p = ProblemInstance(10_000, 100, TwoSided(3.0))
             spec = spec_for_kind(kind, p, s_star=16)
-        assert _one_worker_peak(p, spec, 200) < 3 << 19
+        assert _one_worker_peak(p, spec, 200) < (3 << 19 if kind == "tops" else 0.9 * 2**20)
 
     @pytest.mark.parametrize("kind", ["tops", "adaptive"])
     def test_large_d_blocks_fault_in_no_fresh_pages(self, kind):
