@@ -2,117 +2,8 @@
 
 Selectors and exact risk formulas for the sparse Gaussian sequence model
 and its Bernoulli/Poisson analogues, phase-boundary signal levels, and a
-deterministic seeded Monte Carlo harness.
+deterministic seeded Monte Carlo harness.  Names are imported from their
+modules; the package namespace holds only the submodules and __version__.
 """
 
-from .model import (
-    CrowdInstance,
-    DataFormatError,
-    Family,
-    Interval,
-    LossKind,
-    LowerBound,
-    ProblemInstance,
-    RiskReport,
-    SupportVector,
-    TwoSided,
-    hamming_distance,
-    least_favorable_draw,
-    rng_stream,
-    uniform_support,
-)
-from .numkit import (
-    arccosh_exp,
-    gaussian_cdf,
-    log_gaussian_tail,
-    poisson_cdf,
-    poisson_sf,
-)
-from .risk import (
-    PhasePoint,
-    RecoveryBounds,
-    WrongRecoveryBounds,
-    a0_adaptive,
-    adaptive_A_min,
-    delta_bounds,
-    phase_point,
-    psi_bar,
-    psi_crowd,
-    psi_general,
-    psi_plus,
-    psi_two_sided,
-    threshold_risk,
-    wrong_recovery_bounds,
-)
-from .selectors import (
-    AdaptiveResult,
-    adaptive_selector,
-    cosh_selector,
-    cosh_threshold,
-    crowd_selector,
-    llr_threshold,
-    minimax_threshold,
-    spec_for_kind,
-    universal_threshold,
-)
-from .simulate import (
-    MCConfig,
-    apply_selector,
-    estimate_risk,
-    generate_family,
-    generate_gaussian,
-    phase_sweep,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdaptiveResult",
-    "CrowdInstance",
-    "DataFormatError",
-    "Family",
-    "Interval",
-    "LossKind",
-    "LowerBound",
-    "MCConfig",
-    "PhasePoint",
-    "ProblemInstance",
-    "RecoveryBounds",
-    "RiskReport",
-    "SupportVector",
-    "TwoSided",
-    "WrongRecoveryBounds",
-    "a0_adaptive",
-    "adaptive_A_min",
-    "adaptive_selector",
-    "apply_selector",
-    "arccosh_exp",
-    "cosh_selector",
-    "cosh_threshold",
-    "crowd_selector",
-    "delta_bounds",
-    "estimate_risk",
-    "gaussian_cdf",
-    "generate_family",
-    "generate_gaussian",
-    "hamming_distance",
-    "least_favorable_draw",
-    "llr_threshold",
-    "log_gaussian_tail",
-    "minimax_threshold",
-    "phase_point",
-    "phase_sweep",
-    "poisson_cdf",
-    "poisson_sf",
-    "psi_bar",
-    "psi_crowd",
-    "psi_general",
-    "psi_plus",
-    "psi_two_sided",
-    "rng_stream",
-    "spec_for_kind",
-    "threshold_risk",
-    "uniform_support",
-    "universal_threshold",
-    "wrong_recovery_bounds",
-]

@@ -40,6 +40,7 @@ from .selectors import (
     crowd_selector,
     crowd_weights,
     llr_threshold,
+    select_row,
     spec_for_kind,
     universal_threshold,
 )
@@ -48,12 +49,6 @@ _LOSS_FLAGS = {
     "hamming": LossKind.HAMMING,
     "normalized": LossKind.NORMALIZED_HAMMING,
     "wrong-recovery": LossKind.WRONG_RECOVERY,
-}
-
-_FAMILY_FOR_CLASS = {
-    "interval": Family.GAUSSIAN,
-    "bernoulli": Family.BERNOULLI,
-    "poisson": Family.POISSON,
 }
 
 _DEFAULT_WHICH = {
@@ -121,15 +116,14 @@ def _build_instance(args) -> ProblemInstance:
     klass = args.klass
     if klass == "plus":
         signal = LowerBound(_require(args.a, "--a", "--class plus"))
-        family = Family.GAUSSIAN
     elif klass == "two-sided":
         signal = TwoSided(_require(args.a, "--a", "--class two-sided"))
-        family = Family.GAUSSIAN
     else:
         a0 = _require(args.a0, "--a0", f"--class {klass}")
         a1 = _require(args.a1, "--a1", f"--class {klass}")
         signal = Interval(a0, a1)
-        family = _FAMILY_FOR_CLASS[klass]
+    # the bernoulli and poisson classes are named after their family
+    family = klass if klass in ("bernoulli", "poisson") else Family.GAUSSIAN
     return ProblemInstance(args.d, args.s, signal, family, args.sigma)
 
 
@@ -274,7 +268,7 @@ def _select_file(args) -> dict:
     d = int(x.size)
     family = Family(args.family) if args.method == "llr" else Family.GAUSSIAN
     spec = _select_spec(args, d, family)
-    out = support_summary(SupportVector(simulate.select_row(spec, x, d, family, args.sigma)))
+    out = support_summary(SupportVector(select_row(spec, x, d, family, args.sigma)))
     out["threshold_used"] = spec.t if isinstance(spec, Threshold) else None
     out["diagnostics"] = {}
     return out

@@ -1,8 +1,9 @@
-"""Shared domain types: problem classes, supports, selector specs, reports.
-
-Immutable value objects only; random state is always passed explicitly as a
-``numpy.random.Generator``.  Indices are 0-based internally and 1-based in
-every user-facing serialization.
+"""Shared domain types: problem classes, supports, selector specs and
+reports (frozen, checked and coerced at construction); the shared input
+checks; counter-based RNG streams and the support and least-favorable
+samplers, each taking its ``numpy.random.Generator`` explicitly; and the
+CSV readers.  Indices are 0-based internally and 1-based in every
+user-facing serialization.
 """
 
 from __future__ import annotations
@@ -67,13 +68,17 @@ def _check_finite(value: float, name: str) -> float:
     return value
 
 
-def _check_interval(family: Family, a0: float, a1: float) -> None:
-    """Finite a0 < a1, and rates a family can have: (0,1) for Bernoulli,
-    0 < a0 < a1 <= POISSON_RATE_MAX for Poisson."""
+def _check_family(family: Family | str) -> Family:
+    """A noise family as its Family member, given the member or its name."""
+    return family if type(family) is Family else Family(family)
+
+
+def _check_interval(family: Family | str, a0: float, a1: float) -> Family:
+    """family as a member (_check_family), given finite a0 < a1 and rates it
+    can have: (0,1) for Bernoulli, 0 < a0 < a1 <= POISSON_RATE_MAX for Poisson."""
+    family = _check_family(family)
     if not (math.isfinite(a0) and math.isfinite(a1) and a0 < a1):
         raise ValueError(f"need finite a0 < a1, got ({a0}, {a1})")
-    if family is Family.GAUSSIAN:
-        return
     if family is Family.BERNOULLI:
         if not (0.0 < a0 and a1 < 1.0):
             raise ValueError(f"Bernoulli rates must lie in (0,1), got ({a0}, {a1})")
@@ -82,8 +87,7 @@ def _check_interval(family: Family, a0: float, a1: float) -> None:
             raise ValueError(f"Poisson rates must be positive, got a0={a0}")
         if a1 > POISSON_RATE_MAX:
             raise ValueError(f"Poisson a1 = {a1} is over the limit {POISSON_RATE_MAX}")
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    return family
 
 
 def _check_seed(seed: int) -> int:
@@ -154,12 +158,12 @@ class ProblemInstance:
     Parameters
     ----------
     d, s : int
-        Dimension and sparsity, 1 <= s < d.
+        Dimension and sparsity, 1 <= s < d, stored as int (a float is a TypeError).
     signal : Signal
         Signal-strength description; LowerBound/TwoSided are Gaussian-only,
         Interval covers the two-distribution setting for every family.
     family : Family
-        Noise family.
+        Noise family, given as the member or its name; stored as the member.
     sigma : float
         Gaussian noise level (ignored by Bernoulli/Poisson but kept positive
         for uniformity).
@@ -172,6 +176,9 @@ class ProblemInstance:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", operator.index(self.d))
+        object.__setattr__(self, "s", operator.index(self.s))
+        object.__setattr__(self, "family", _check_family(self.family))
         _check_d_s(self.d, self.s)
         _check_positive(sigma=self.sigma)
         sig = self.signal
@@ -281,6 +288,7 @@ class TopS:
     one_sided: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "s", operator.index(self.s))
         if self.s < 1:
             raise ValueError(f"need s >= 1, got {self.s}")
 
@@ -292,6 +300,7 @@ class Adaptive:
     s_star: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "s_star", operator.index(self.s_star))
         if self.s_star < 2:
             raise ValueError(f"need s_star >= 2, got {self.s_star}")
 

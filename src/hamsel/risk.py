@@ -24,6 +24,7 @@ from .model import (
     LowerBound,
     ProblemInstance,
     _check_d_s,
+    _check_family,
     _check_finite,
     _check_interval,
     _check_positive,
@@ -119,6 +120,7 @@ def psi_general(
     k = ceil(t), the smallest integer the selector keeps, each summed from
     its own side.
     """
+    family = _check_family(family)
     if family is Family.GAUSSIAN:
         _check_interval(family, a0, a1)
         return psi_plus(d, s, a1 - a0, sigma)

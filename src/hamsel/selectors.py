@@ -1,7 +1,9 @@
 """Selection rules: each threshold rule's cut, the spec of each named rule
-(spec_for_kind, run by simulate.apply_selector), and the top-s and adaptive
-cores, which write the selection of a (rows, d) block of observations into
-a bool block and never write the observations.
+(spec_for_kind), the top-s and adaptive cores, and the selection layer that
+runs any spec: resolve_selector checks a spec once and makes the block
+selection functions the MC engine calls, and select_row runs a spec on one
+vector.  The cores write the selection of a (rows, d) block of observations
+into a bool block and never write the observations.
 
 Boundary conventions are normative, not cosmetic: selection events use the
 closed inequality ``>= t`` exactly as defined, and the adaptive procedure's
@@ -14,7 +16,8 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .model import (
     TopS,
     TwoSided,
     _check_d_s,
+    _check_family,
     _check_finite,
     _check_interval,
     _check_positive,
@@ -92,13 +96,11 @@ def cosh_selector(
     """Exact-minimax symmetric selector for the two-sided class.
 
     The "cosh" spec, a cut at the equivalent |x| threshold of
-    :func:`cosh_threshold`; tests assert agreement with the literal
-    log-cosh comparison.
+    :func:`cosh_threshold`, run by select_row; tests assert agreement with
+    the literal log-cosh comparison.
     """
-    from .simulate import apply_selector  # simulate imports this module
-
     p = ProblemInstance(d, s, TwoSided(a), sigma=sigma)
-    return apply_selector(spec_for_kind("cosh", p), x, p)
+    return SupportVector(select_row(spec_for_kind("cosh", p), x, d, sigma=sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def llr_threshold(
         Poisson:  t = (log((d-s)/s) + a1 - a0) / log(a1/a0)
     """
     _check_d_s(d, s)
-    _check_interval(family, a0, a1)
+    family = _check_interval(family, a0, a1)
     log_ratio = math.log((d - s) / s)
     if family is Family.GAUSSIAN:
         r = _check_positive(a1 - a0, sigma, name="a1 - a0")
@@ -138,6 +140,7 @@ def llr_threshold(
 def check_observations(x, d: int, family: Family = Family.GAUSSIAN) -> np.ndarray:
     """d finite observations as a float array; 0/1 or counts for the
     Bernoulli and Poisson families."""
+    family = _check_family(family)
     arr = _as_observations(x)
     if arr.size != d:
         raise ValueError(f"expected {d} observations, got {arr.size}")
@@ -236,10 +239,10 @@ class AdaptivePlan(NamedTuple):
 
 def adaptive_plan(d: int, s_star: int, sigma: float = 1.0) -> AdaptivePlan:
     """Dyadic grid g_k = 2^(k-1), k = 1..M, M = max{m : 2^(m-1) <= s_star},
-    band thresholds w(g_k) and tolerance tau (see adaptive_selector)."""
+    band thresholds w(g_k) and tolerance tau (see adaptive_selector).
+    s_star is checked as the Adaptive spec checks it."""
     _check_positive(sigma=sigma)
-    if s_star < 2:
-        raise ValueError(f"need s_star >= 2, got {s_star}")
+    s_star = Adaptive(s_star).s_star
     grid = [2 ** (k - 1) for k in range(1, s_star.bit_length() + 1)]
     if 4 * s_star > d:
         raise ValueError(f"need s_star <= d/4, got s_star={s_star}, d={d}")
@@ -313,6 +316,65 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
         "threshold_used": plan.thresholds[m_hat - 1],
     }
     return AdaptiveResult(SupportVector(bits[0]), m_hat, diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# Selection functions: a spec run on a block of observations
+# ---------------------------------------------------------------------------
+
+
+# select(x, out): writes the selection of an (m, d) block of observations
+# x into the bool block out of the same shape, and may overwrite x.
+Select = Callable[[np.ndarray, np.ndarray], object]
+
+
+def _top_s_select(spec: TopS, part: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """The top-s rule's Select, with part a worker's partition buffer."""
+    key = x if spec.one_sided else np.abs(x, out=x)
+    top_s_into(key, spec.s, out, part[: len(x)])
+
+
+def resolve_selector(
+    spec: SelectorSpec, d: int, family: Family = Family.GAUSSIAN, sigma: float = 1.0
+) -> Callable[[int], Select]:
+    """Check spec against observations of length d from family, and return
+    a maker of selection functions: make(rows) gives a Select for blocks of
+    up to ``rows`` replications with its own buffers (top-s's partitioned
+    copy of a block), so that each worker makes its own.
+
+    Rejects a top-s spec with s > d, and a two-sided threshold or the
+    adaptive rule outside the Gaussian family, allocating no array.  What
+    depends only on (spec, d, sigma), such as the adaptive grid, is computed
+    here, once.  A Select takes |x| in place for the two-sided rules, so
+    only a caller that owns x may pass it.
+    """
+    family = _check_family(family)
+    if isinstance(spec, TopS):
+        if spec.s > d:
+            raise ValueError(f"top-s selector needs s <= d, got s={spec.s}, d={d}")
+        return lambda rows: partial(_top_s_select, spec, np.empty((rows, d)))
+    if not isinstance(spec, (Threshold, Adaptive)):
+        raise TypeError(f"unknown selector spec {type(spec).__name__}")
+    if isinstance(spec, Threshold) and not spec.two_sided:
+        return lambda rows: lambda x, out: np.greater_equal(x, spec.t, out=out)
+    if family is not Family.GAUSSIAN:
+        name = "two-sided threshold" if isinstance(spec, Threshold) else "adaptive"
+        raise ValueError(f"{name} selector requires the Gaussian family")
+    if isinstance(spec, Threshold):
+        return lambda rows: lambda x, out: np.greater_equal(np.abs(x, out=x), spec.t, out=out)
+    plan = adaptive_plan(d, spec.s_star, sigma)
+    return lambda rows: lambda x, out: adaptive_into(np.abs(x, out=x), plan, out)
+
+
+def select_row(
+    spec: SelectorSpec, x, d: int, family: Family = Family.GAUSSIAN, sigma: float = 1.0
+) -> np.ndarray:
+    """spec's bool selection on one vector x of d observations from family,
+    checked first; x itself is not written."""
+    block = check_observations(x, d, family)[None].copy()
+    bits = np.empty(block.shape, dtype=bool)
+    resolve_selector(spec, d, family, sigma)(1)(block, bits)
+    return bits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,14 @@ Replications run in blocks of B rows, as many as a DRAW_BYTES draw
 buffer holds (see _block_layout).  One row loop serves every family: it
 re-keys the worker's generator and draws each row's uniforms and noise
 (see _block_sampler).  The block's supports, the family's finish, the
-selector and the loss then run once on the whole block.  The selector
-spec is resolved once per run; each worker makes its own selection
-function from it, which writes a block's selection into the worker's
-(B, d) bool buffer and may overwrite the block's observations, which are
-not read again.  A replication's loss is the count of the selection XOR
-its support, without building ``SupportVector`` objects.  Losses land in
-a positional array and are reduced with numpy's pairwise summation, so
-the aggregate is independent of B and completion order.
+selector and the loss then run once on the whole block.  The spec is
+resolved once per run (selectors.resolve_selector); each worker makes its
+own selection function from it, which writes a block's selection into the
+worker's (B, d) bool buffer and may overwrite the block's observations,
+which are not read again.  A replication's loss is the count of the
+selection XOR its support, without building ``SupportVector`` objects.
+Losses land in a positional array and are reduced with numpy's pairwise
+summation, so the aggregate is independent of B and completion order.
 
 The engine picks its own worker count from d (see PARALLEL_MIN_D): one
 thread below it, where the per-row draw loop, the selector and the
@@ -44,14 +44,12 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from . import risk
 from .model import (
-    Adaptive,
     Family,
     Interval,
     LossKind,
@@ -60,8 +58,6 @@ from .model import (
     RiskReport,
     SelectorSpec,
     SupportVector,
-    Threshold,
-    TopS,
     TwoSided,
     _check_interval,
     _check_positive,
@@ -69,14 +65,7 @@ from .model import (
     _check_seed,
     uniform_supports,
 )
-from .selectors import (
-    adaptive_into,
-    adaptive_plan,
-    check_observations,
-    row_counts,
-    spec_for_kind,
-    top_s_into,
-)
+from .selectors import Select, resolve_selector, row_counts, select_row, spec_for_kind
 
 # Most replications one run accepts, 2^27 = 134,217,728: estimate_risk's
 # int64 loss array stays within 1 GiB, and the 2^40-wide stream ranges of
@@ -165,7 +154,7 @@ def generate_family(
     independent Poissons is Poisson, so a support count is Poisson(a1)
     (to the rounding of a1 - a0).
     """
-    _check_interval(family, a0, a1)
+    family = _check_interval(family, a0, a1)
     if family is Family.GAUSSIAN:
         raise ValueError("generate_family covers the Bernoulli and Poisson families")
     if family is Family.BERNOULLI:
@@ -180,62 +169,9 @@ def generate_family(
 # ---------------------------------------------------------------------------
 
 
-# select(x, out): writes the selection of an (m, d) block of observations
-# x into the bool block out of the same shape, and may overwrite x.
-Select = Callable[[np.ndarray, np.ndarray], object]
-
-
-def _top_s_select(spec: TopS, part: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """The top-s rule's Select, with part a worker's partition buffer."""
-    key = x if spec.one_sided else np.abs(x, out=x)
-    top_s_into(key, spec.s, out, part[: len(x)])
-
-
-def resolve_selector(
-    spec: SelectorSpec, d: int, family: Family = Family.GAUSSIAN, sigma: float = 1.0
-) -> Callable[[int], Select]:
-    """Check spec against observations of length d from family, and return
-    it as a maker of selection functions: make(rows) gives a Select for
-    blocks of up to ``rows`` replications, with the buffers it needs (the
-    top-s rule's partitioned copy of a block) made once, so that each
-    worker makes its own.
-
-    Rejects a top-s spec with s > d, and a two-sided threshold or the
-    adaptive rule outside the Gaussian family.  Checking allocates no
-    array.  Everything that depends only on (spec, d, sigma), such as the
-    adaptive grid, is computed here, once.  A Select takes |x| in place
-    for the two-sided rules, so only a caller that owns x may pass it.
-    """
-    if isinstance(spec, TopS):
-        if spec.s > d:
-            raise ValueError(f"top-s selector needs s <= d, got s={spec.s}, d={d}")
-        return lambda rows: partial(_top_s_select, spec, np.empty((rows, d)))
-    if not isinstance(spec, (Threshold, Adaptive)):
-        raise TypeError(f"unknown selector spec {type(spec).__name__}")
-    if isinstance(spec, Threshold) and not spec.two_sided:
-        return lambda rows: lambda x, out: np.greater_equal(x, spec.t, out=out)
-    if family is not Family.GAUSSIAN:
-        name = "two-sided threshold" if isinstance(spec, Threshold) else "adaptive"
-        raise ValueError(f"{name} selector requires the Gaussian family")
-    if isinstance(spec, Threshold):
-        return lambda rows: lambda x, out: np.greater_equal(np.abs(x, out=x), spec.t, out=out)
-    plan = adaptive_plan(d, spec.s_star, sigma)
-    return lambda rows: lambda x, out: adaptive_into(np.abs(x, out=x), plan, out)
-
-
-def select_row(
-    spec: SelectorSpec, x, d: int, family: Family = Family.GAUSSIAN, sigma: float = 1.0
-) -> np.ndarray:
-    """spec's bool selection on one vector x of d observations from family,
-    checked first; x itself is not written."""
-    block = check_observations(x, d, family)[None].copy()
-    bits = np.empty(block.shape, dtype=bool)
-    resolve_selector(spec, d, family, sigma)(1)(block, bits)
-    return bits[0]
-
-
 def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
-    """Run a selector spec on observations from instance p."""
+    """Run a selector spec on observations from instance p: select_row at
+    p's d, family and sigma."""
     return SupportVector(select_row(spec, x, p.d, p.family, p.sigma))
 
 
@@ -261,15 +197,17 @@ DRAW_BYTES = 640 * 1024
 ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
 # Smallest d at which replications are spread over threads: a row's fills
-# release the interpreter lock and grow with d.  Speedup of 2 workers over
-# 1 on 2 CPUs (s = 10; median of 9 alternated runs in each of two sweeps,
-# 2 winning at least 8 of 9 at every point):
-#   d         1,024      1,280      1,536      1,792      2,048
-#   plus      1.13/1.18  1.21/1.34  1.25/1.43  1.48/1.48  1.50/1.52
-#   top-s     1.29/1.17  1.52/1.39  1.54/1.46  1.56/1.45  1.69/1.54
-#   adaptive  1.29/1.13  1.17/1.24  1.50/1.33  1.13/1.11  1.47/1.23
-#   Poisson   1.54/1.38  1.29/1.43  1.63/1.30  1.62/1.47  1.33/1.44
-PARALLEL_MIN_D = 1024
+# release the interpreter lock and grow with d.  Median speedup of 2 workers
+# over 1 on 2 CPUs in each of two sweeps, then the runs of 9 that 2 won in
+# each (s = 10, 4,000 replications, 9 alternated runs).  768 is the smallest
+# d where 2 won at least 8 of 9 for every rule, as from 1,024 to 2,048 in an
+# earlier sweep.
+#   d         512            640            768            896
+#   plus      1.26/0.93 9,1  0.99/1.37 3,7  1.33/1.46 9,9  1.39/1.59 9,9
+#   top-s     1.16/1.23 9,9  1.48/1.14 9,9  1.61/1.40 9,9  1.40/1.47 9,9
+#   adaptive  1.10/1.10 7,6  1.16/1.16 7,8  1.38/1.10 9,9  1.30/1.46 9,9
+#   Poisson   1.34/1.28 8,8  1.23/1.51 7,9  1.09/1.53 9,9  1.56/1.55 9,9
+PARALLEL_MIN_D = 768
 
 
 def _block_layout(d: int, n: int) -> int:

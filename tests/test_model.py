@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hamsel.model import (
+    Adaptive,
     CrowdInstance,
     DataFormatError,
     Family,
@@ -19,6 +20,7 @@ from hamsel.model import (
     ProblemInstance,
     RiskReport,
     SupportVector,
+    TopS,
     TwoSided,
     floyd_resolve,
     fresh_seed,
@@ -96,6 +98,31 @@ class TestProblemInstance:
             ProblemInstance(d=4, s=1, signal=Interval(0.0, 2.0), family=Family.POISSON)
         # Gaussian intervals may sit anywhere
         ProblemInstance(d=4, s=1, signal=Interval(-3.0, -1.0))
+
+    def test_family_given_by_name_is_stored_as_the_member(self):
+        p = ProblemInstance(200, 10, Interval(1.0, 3.0), family="poisson")
+        assert p.family is Family.POISSON
+        q = ProblemInstance(200, 10, LowerBound(3.0), family="gaussian")
+        assert q.family is Family.GAUSSIAN
+        with pytest.raises(ValueError, match="requires the Gaussian family"):
+            ProblemInstance(200, 10, LowerBound(3.0), family="poisson")
+        with pytest.raises(ValueError):
+            ProblemInstance(200, 10, Interval(1.0, 3.0), family="cauchy")
+
+    def test_integer_fields_are_ints_at_construction(self):
+        p = ProblemInstance(np.int64(200), np.int32(10), LowerBound(3.0))
+        assert (type(p.d), type(p.s)) == (int, int) and (p.d, p.s) == (200, 10)
+        assert type(TopS(np.int64(3)).s) is int
+        assert type(Adaptive(np.int64(4)).s_star) is int
+        for build in (
+            lambda: ProblemInstance(200.0, 10, LowerBound(3.0)),
+            lambda: ProblemInstance(200, 10.0, LowerBound(3.0)),
+            lambda: TopS(2.5),
+            lambda: TopS(2.0),
+            lambda: Adaptive(4.5),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
 
 class TestSupportVector:

@@ -454,6 +454,10 @@ class TestAdaptive:
             adaptive_selector(np.zeros(64), 1)
         with pytest.raises(ValueError):
             adaptive_selector(np.zeros(30), 8)
+        with pytest.raises(TypeError):  # s_star is an integer, as in Adaptive
+            adaptive_selector(np.zeros(64), 4.5)
+        x = np.linspace(-4.0, 4.0, 64)
+        assert adaptive_selector(x, np.int64(16)) == adaptive_selector(x, 16)
 
 
 class TestThresholdMonotonicity:

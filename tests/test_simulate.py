@@ -41,7 +41,15 @@ from hamsel.model import (
 )
 from hamsel.numkit import gaussian_cdf
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus, threshold_risk
-from hamsel.selectors import cosh_threshold, minimax_threshold, spec_for_kind
+from hamsel.selectors import (
+    check_observations,
+    cosh_threshold,
+    llr_threshold,
+    minimax_threshold,
+    resolve_selector,
+    select_row,
+    spec_for_kind,
+)
 from hamsel.simulate import (
     MAX_REPLICATIONS,
     PARALLEL_MIN_D,
@@ -363,6 +371,82 @@ class TestEstimateRiskCompat:
         p = ProblemInstance(d=10, s=1, signal=TwoSided(1.0))
         with pytest.raises(ValueError):
             estimate_risk(p, Adaptive(4), MCConfig(replications=5, seed=1))
+
+
+def _by_family(f, family: Family) -> list:
+    """What each public entry that takes a family returns for family f
+    (the member or its name) on fixed inputs, as bytes where it is an array."""
+    a0, a1 = (0.2, 0.6) if family is Family.BERNOULLI else (1.0, 3.0)
+    x = generate_family(uniform_support(200, 10, rng_stream(5, 0)), Family.POISSON, a0, a1,
+                        rng_stream(5, 1))
+    if family is Family.BERNOULLI:
+        x = (x > 1.0).astype(float)
+    p = ProblemInstance(200, 10, Interval(a0, a1), family=f)
+    spec = spec_for_kind("llr", p)
+    out = [
+        p.family,
+        llr_threshold(f, 200, 10, a0, a1),
+        psi_general(f, 200, 10, a0, a1),
+        check_observations(x, 200, f).tobytes(),
+        select_row(spec, x, 200, f).tobytes(),
+        estimate_risk(p, spec, MCConfig(replications=50, seed=3)).mc_estimate,
+    ]
+    if family is Family.GAUSSIAN:
+        for spec in (Threshold(1.0, two_sided=True), Adaptive(16), TopS(10, one_sided=False)):
+            out.append(select_row(spec, x, 200, f).tobytes())
+            block, bits = x[None].copy(), np.empty((1, 200), dtype=bool)
+            resolve_selector(spec, 200, f)(1)(block, bits)
+            out.append(bits.tobytes())
+        q = ProblemInstance(200, 10, LowerBound(3.0), family=f)
+        out.append(estimate_risk(q, spec_for_kind("plus", q), MCConfig(50, seed=3)).mc_estimate)
+    else:
+        eta = uniform_support(200, 10, rng_stream(5, 2))
+        out.append(generate_family(eta, f, a0, a1, rng_stream(5, 3)).tobytes())
+    return out
+
+
+class TestFamilyByName:
+    """Family is a str enum: every public entry that takes a family takes
+    its name ("poisson") too, once, through Family(...)."""
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_name_gives_the_members_bits(self, family):
+        assert _by_family(family.value, family) == _by_family(family, family)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: ProblemInstance(200, 10, Interval(1.0, 3.0), family="cauchy"),
+            lambda: llr_threshold("cauchy", 200, 10, 1.0, 3.0),
+            lambda: psi_general("cauchy", 200, 10, 1.0, 3.0),
+            lambda: generate_family(uniform_support(20, 2, rng_stream(1, 0)), "cauchy", 1.0,
+                                    3.0, rng_stream(1, 1)),
+            lambda: check_observations([0.0, 1.0], 2, "cauchy"),
+            lambda: resolve_selector(Threshold(1.0), 2, "cauchy"),
+            lambda: select_row(Threshold(1.0), [0.0, 1.0], 2, "cauchy"),
+        ],
+        ids=["ProblemInstance", "llr_threshold", "psi_general", "generate_family",
+             "check_observations", "resolve_selector", "select_row"],
+    )
+    def test_unknown_name_raises(self, entry):
+        with pytest.raises(ValueError, match="cauchy"):
+            entry()
+
+
+class TestIntegerFields:
+    """d, s, TopS.s and Adaptive.s_star go through operator.index: a numpy
+    integer runs as the int it holds (a float fails at construction, see
+    test_model)."""
+
+    @pytest.mark.parametrize("kind", ["plus", "tops", "adaptive"])
+    def test_numpy_integers_give_the_int_estimate(self, kind):
+        def run(n):
+            p = ProblemInstance(n(200), n(10), TwoSided(3.0) if kind != "plus" else LowerBound(3.0))
+            spec = {"plus": Threshold(2.0), "tops": TopS(n(10)), "adaptive": Adaptive(n(16))}[kind]
+            r = estimate_risk(p, spec, MCConfig(replications=300, seed=11))
+            return r.mc_estimate.hex(), r.mc_stderr.hex()
+
+        assert run(np.int64) == run(int)
 
 
 class TestStress:

@@ -1,15 +1,19 @@
 """Source hygiene: no import a module never uses, no module-level private
 function that nothing in the package references, no module-level assigned
 name that nothing in the package reads, no public name that nothing uses,
-no keyword option that no caller passes, no numpy in the command-line
-layer, and no scipy anywhere in the package.
+no keyword option that no caller passes, no import cycle between the
+package's modules, no numpy in the command-line layer or under
+``import hamsel.numkit``, and no scipy anywhere in the package.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -55,11 +59,8 @@ def test_package_modules_found():
     assert {"__init__.py", "selectors.py", "simulate.py"} <= {m.name for m in MODULES}
 
 
-@pytest.mark.parametrize(
-    "path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda m: m.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
 def test_no_unused_imports(path):
-    """__init__.py is exempt: its imports are the package's re-exports."""
     tree = _tree(path)
     used = _used_names(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
@@ -125,12 +126,18 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
+def _readme_code_words() -> set[str]:
+    """Every word inside a backtick code span of README.md, fenced code
+    blocks included."""
+    spans = re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text())
+    return set(re.findall(r"\w+", " ".join(spans)))
+
+
 def test_no_dead_public_surface():
     """Every public function, class, method and property in src/hamsel is
-    used by name in src/ outside its own definition or used by name in
-    bench/; a name exported in hamsel.__all__ may instead be used by name in
-    README.md.  Being exported is not a use: a name only the tests call is a
-    test oracle, and lives in tests/.
+    used by name in src/ outside its own definition, used by name in bench/,
+    or written in a code span of README.md.  Being public is not a use: a
+    name only the tests call is a test oracle, and lives in tests/.
 
     Names are matched, not bindings: a property whose name a local or
     another attribute shares (a ``ratio`` property beside ``ratio`` locals,
@@ -142,13 +149,7 @@ def test_no_dead_public_surface():
     for path in sorted((ROOT / "bench").glob("*.py")):
         tree = _tree(path)
         bench_names |= _used_names(tree) | {name for name, _ in _imported(tree)}
-    exported = next(
-        ast.literal_eval(node.value)
-        for node in trees["__init__.py"].body
-        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
-    )
-    readme_words = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    documented = set(exported) & readme_words
+    documented = _readme_code_words()
     dead = [
         f"{module}: {qualified}"
         for module, tree in trees.items()
@@ -197,6 +198,58 @@ def _imported_packages(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module or "")
     return {m.split(".")[0] for m in modules}
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The hamsel modules the tree imports, at any level: ``from . import
+    risk``, ``from .model import X`` and ``import hamsel.model`` alike."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["hamsel" if node.level else "", node.module]))
+            targets = [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        modules |= {t.split(".")[1] for t in targets if t.startswith("hamsel.")}
+    return modules
+
+
+def test_package_import_graph_is_acyclic():
+    """No module in src/hamsel imports, at any level (a deferred import
+    inside a function counts), a module that imports it, directly or
+    through others: the modules form one chain of layers."""
+    graph = {m.stem: _package_imports(_tree(m)) for m in MODULES}
+    assert graph["cli"] >= {"risk", "simulate"}  # the walk sees intra-package imports
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> None:
+        if module in path:
+            pytest.fail(f"import cycle: {' -> '.join(path[path.index(module):] + [module])}")
+        if module not in done:
+            for dep in sorted(graph.get(module, ())):
+                visit(dep, path + [module])
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+
+
+def test_numkit_imports_without_numpy():
+    """The scalar kernels load no numpy: ``import hamsel.numkit`` in a fresh
+    interpreter leaves numpy out of sys.modules, so the package namespace
+    imports none of the array modules."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, hamsel.numkit; "
+        "print(*(m for m in sys.modules if m.split('.')[0] in ('numpy', 'hamsel')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert sorted(result.stdout.split()) == ["hamsel", "hamsel.numkit"]
 
 
 def test_cli_imports_no_numpy():
