@@ -28,6 +28,7 @@ from .model import (
     Threshold,
     TopS,
     TwoSided,
+    _check_d_s,
     fresh_seed,
     read_observations_csv,
     read_rates_csv,
@@ -151,7 +152,10 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
 def _power_s(d: int, beta: float) -> int:
     """ceil(d^(1-beta)), except that a power within a relative 1e-9 of an
     integer is that integer: 32^0.8 evaluates to 16.000000000000004."""
-    value = d ** (1.0 - beta)
+    try:
+        value = d ** (1.0 - beta)
+    except OverflowError:
+        raise ValueError(f"--s-rule: d^(1-beta) is above the largest float at d={d}") from None
     nearest = round(value)
     if abs(value - nearest) <= 1e-9 * nearest:
         return nearest
@@ -232,7 +236,7 @@ def _select_crowd(args) -> dict:
     sv = crowd_selector(crowd, s)
     weights, intercept = crowd_weights(crowd.rates)
     out = support_summary(sv)
-    out["threshold_used"] = math.log((crowd.d - s) / s)
+    out["threshold_used"] = math.log(_check_d_s(crowd.d, s))
     out["diagnostics"] = {"weights": list(weights), "intercept": intercept}
     return out
 

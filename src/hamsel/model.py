@@ -35,12 +35,19 @@ class LossKind(str, Enum):
     WRONG_RECOVERY = "wrong-recovery"
 
 
-def _check_d_s(d: int, s: int, sparse: bool = False) -> None:
-    """1 <= s < d, and 2s < d as well when sparse."""
+def _check_d_s(d: int, s: int, sparse: bool = False) -> float:
+    """(d - s)/s, the ratio every cut and Psi weight reads, for integers
+    1 <= s < d (a float is a TypeError), with 2s < d as well when sparse;
+    a ratio above the largest float is a ValueError."""
+    d, s = operator.index(d), operator.index(s)
     if not 1 <= s < d:
         raise ValueError(f"need 1 <= s < d, got s={s}, d={d}")
     if sparse and 2 * s >= d:
         raise ValueError(f"need 2s < d, got s={s}, d={d}")
+    try:
+        return (d - s) / s
+    except OverflowError:
+        raise ValueError(f"(d - s)/s is above the largest float at s={s}, d={d}") from None
 
 
 def _check_positive(

@@ -30,15 +30,9 @@ from .model import (
     _check_positive,
     _check_rates,
 )
-from .selectors import _cosh_cut, crowd_weights, llr_threshold, spec_for_kind
+from .selectors import _cosh_cut, _llr_cut, crowd_weights, spec_for_kind
 
 _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
-
-
-def _ratio_and_r(d: int, s: int, a: float, sigma: float) -> tuple[float, float]:
-    """(d-s)/s and r = a/sigma, each input checked once."""
-    _check_d_s(d, s)
-    return (d - s) / s, _check_positive(a, sigma)
 
 
 def _psi_cut(ratio: float, r: float) -> tuple[float, float]:
@@ -72,12 +66,12 @@ def psi_plus(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     the false-positive and miss probabilities of the threshold
     a/2 + sigma^2 log((d-s)/s)/a, the first weighted by (d-s)/s.
     """
-    return _psi_cut(*_ratio_and_r(d, s, a, sigma))[0]
+    return _psi_cut(_check_d_s(d, s), _check_positive(a, sigma))[0]
 
 
 def psi_two_sided(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     """Two-sided lower-bound rate: Psi+ with the miss argument clipped at 0."""
-    return _psi_cut(*_ratio_and_r(d, s, a, sigma))[1]
+    return _psi_cut(_check_d_s(d, s), _check_positive(a, sigma))[1]
 
 
 def _two_sided_cut(ratio: float, q: float, r: float) -> float:
@@ -100,7 +94,7 @@ def psi_bar(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     For u <= 1 the selector keeps every coordinate, so the value is exactly
     (d-s)/s: no misses, all d-s off-support coordinates wrong.
     """
-    ratio, r = _ratio_and_r(d, s, a, sigma)
+    ratio, r = _check_d_s(d, s), _check_positive(a, sigma)
     return _two_sided_cut(ratio, _cosh_cut(r, math.log(ratio)), r)
 
 
@@ -124,8 +118,8 @@ def psi_general(
     if family is Family.GAUSSIAN:
         _check_interval(family, a0, a1)
         return psi_plus(d, s, a1 - a0, sigma)
-    t = llr_threshold(family, d, s, a0, a1, sigma)
-    ratio = (d - s) / s
+    ratio = _check_d_s(d, s)
+    t = _llr_cut(family, ratio, a0, a1, sigma)
     if family is Family.BERNOULLI:
         if t <= 0.0:
             return ratio
@@ -157,7 +151,7 @@ def threshold_risk(p: ProblemInstance, kind: str) -> float | None:
         if sig.a0 != 0.0 or p.family is not Family.GAUSSIAN:
             return None
         sig = LowerBound(sig.a1)
-    ratio, r = (d - s) / s, sig.a / p.sigma
+    ratio, r = _check_d_s(d, s), sig.a / p.sigma
     if kind in ("plus", "llr"):
         if isinstance(sig, LowerBound):
             return s * _psi_cut(ratio, r)[0]
@@ -183,12 +177,11 @@ def psi_crowd(rates, d: int, s: int) -> float:
     bit.
     """
     rates = _check_rates(rates)
-    _check_d_s(d, s)
+    ratio = _check_d_s(d, s)
     m = len(rates)
     if m > 20:
         raise ValueError(f"enumeration caps at 20 workers, got {m}")
-    ratio = (d - s) / s
-    cut = math.log((d - s) / s)
+    cut = math.log(ratio)
     weights, intercept = crowd_weights(rates)
     a0 = np.array([r[0] for r in rates])
     a1 = np.array([r[1] for r in rates])
@@ -228,7 +221,7 @@ def wrong_recovery_bounds(
     r/(1+r) come from the Hamming risk being concentrated on one-coordinate
     errors at the minimax point.
     """
-    ratio, r = _ratio_and_r(d, s, a, sigma)
+    ratio, r = _check_d_s(d, s), _check_positive(a, sigma)
     plus, two_sided = _psi_cut(ratio, r)
     sp = s * plus
     sb = s * _two_sided_cut(ratio, _cosh_cut(r, math.log(ratio)), r)
@@ -250,9 +243,8 @@ def delta_bounds(d: int, s: int, a: float, sigma: float = 1.0) -> RecoveryBounds
     0 and the upper keeps its W = 0 value; Delta is reported as 0 in both
     degenerate regimes.  Requires 2s < d.
     """
-    _check_d_s(d, s, sparse=True)
-    r = _check_positive(a, sigma)
-    w = r * r - 2.0 * math.log((d - s) / s)
+    ratio, r = _check_d_s(d, s, sparse=True), _check_positive(a, sigma)
+    w = r * r - 2.0 * math.log(ratio)
     if w >= 0.0:
         delta = w / (2.0 * r)
         tail = numkit._phi(-delta)
@@ -284,9 +276,8 @@ def phase_point(d: int, s: int, sigma: float = 1.0) -> PhasePoint:
     """
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
-    _check_d_s(d, s, sparse=True)
+    log_ratio = math.log(_check_d_s(d, s, sparse=True))
     _check_positive(sigma=sigma)
-    log_ratio = math.log((d - s) / s)
     a_almost_full = sigma * math.sqrt(2.0 * log_ratio)
     t_star = sigma * math.sqrt(2.0 * math.log(d - s))
     # a_almost_full <= t_star <= a_exact, so one check covers all three
@@ -299,19 +290,17 @@ def phase_point(d: int, s: int, sigma: float = 1.0) -> PhasePoint:
 
 def a0_adaptive(d: int, s: int, A: float, sigma: float = 1.0) -> float:
     """Signal level sigma sqrt(2 L + A sqrt(L)), L = log((d-s)/s); needs 2s < d."""
-    _check_d_s(d, s, sparse=True)
+    log_ratio = math.log(_check_d_s(d, s, sparse=True))
     if not (A >= 0.0 and math.isfinite(A)):
         raise ValueError(f"need A >= 0, got {A}")
     _check_positive(sigma=sigma)
-    log_ratio = math.log((d - s) / s)
     return _check_finite(sigma * math.sqrt(2.0 * log_ratio + A * math.sqrt(log_ratio)), "a0")
 
 
 def adaptive_A_min(d: int, s_star: int) -> float:
     """Smallest planner constant 16 sqrt(log log((d-s*)/s*)) the adaptive
     selector's guarantee asks for; requires (d-s*)/s* > e."""
-    _check_d_s(d, s_star)
-    log_ratio = math.log((d - s_star) / s_star)
+    log_ratio = math.log(_check_d_s(d, s_star))
     if log_ratio <= 1.0:
         raise ValueError(
             f"need (d - s_star)/s_star > e for a positive double log, "

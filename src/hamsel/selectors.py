@@ -16,6 +16,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -58,9 +59,9 @@ def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     s > d/2; it is returned as-is (callers needing an |x| threshold clamp
     at zero themselves).
     """
-    _check_d_s(d, s)
+    log_ratio = math.log(_check_d_s(d, s))
     r = _check_positive(a, sigma)
-    return _check_finite(a / 2.0 + sigma * ((1.0 / r) * math.log((d - s) / s)), "threshold")
+    return _check_finite(a / 2.0 + sigma * ((1.0 / r) * log_ratio), "threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +86,8 @@ def cosh_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     |x| >= (sigma^2/a) arccosh(u) when u > 1 and always true otherwise;
     that case is reported as a zero threshold.
     """
-    _check_d_s(d, s)
-    q = _cosh_cut(_check_positive(a, sigma), math.log((d - s) / s))
+    log_ratio = math.log(_check_d_s(d, s))
+    q = _cosh_cut(_check_positive(a, sigma), log_ratio)
     return _check_finite(sigma * q, "cosh threshold")
 
 
@@ -99,8 +100,8 @@ def cosh_selector(
     :func:`cosh_threshold`, run by select_row; tests assert agreement with
     the literal log-cosh comparison.
     """
-    p = ProblemInstance(d, s, TwoSided(a), sigma=sigma)
-    return SupportVector(select_row(spec_for_kind("cosh", p), x, d, sigma=sigma))
+    spec = Threshold(cosh_threshold(d, s, a, sigma), two_sided=True)
+    return SupportVector(select_row(spec, x, d, sigma=sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +122,13 @@ def llr_threshold(
                        / log((a1/(1-a1)) ((1-a0)/a0))
         Poisson:  t = (log((d-s)/s) + a1 - a0) / log(a1/a0)
     """
-    _check_d_s(d, s)
+    return _llr_cut(family, _check_d_s(d, s), a0, a1, sigma)
+
+
+def _llr_cut(family: Family, ratio: float, a0: float, a1: float, sigma: float) -> float:
+    """llr_threshold at a checked ratio = (d-s)/s; checks the rest."""
     family = _check_interval(family, a0, a1)
-    log_ratio = math.log((d - s) / s)
+    log_ratio = math.log(ratio)
     if family is Family.GAUSSIAN:
         r = _check_positive(a1 - a0, sigma, name="a1 - a0")
         # grouped exactly like minimax_threshold so a0 = 0 reproduces it bitwise
@@ -142,7 +147,7 @@ def check_observations(x, d: int, family: Family = Family.GAUSSIAN) -> np.ndarra
     Bernoulli and Poisson families."""
     family = _check_family(family)
     arr = _as_observations(x)
-    if arr.size != d:
+    if arr.size != operator.index(d):
         raise ValueError(f"expected {d} observations, got {arr.size}")
     if family is Family.BERNOULLI:
         if not np.isin(arr, (0.0, 1.0)).all():
@@ -169,10 +174,9 @@ def crowd_weights(rates) -> tuple[np.ndarray, float]:
 
 def crowd_selector(c: CrowdInstance, s: int) -> SupportVector:
     """Aggregate m workers' votes by likelihood ratio against log((d-s)/s)."""
-    _check_d_s(c.d, s)
+    cut = math.log(_check_d_s(c.d, s))
     weights, intercept = crowd_weights(c.rates)
     llr = c.votes.astype(float).T @ weights + intercept
-    cut = math.log((c.d - s) / s)
     return SupportVector(llr >= cut)
 
 
@@ -217,6 +221,7 @@ def top_s_into(key: np.ndarray, s: int, out: np.ndarray, part: np.ndarray) -> No
 
 
 def universal_threshold(d: int, sigma: float = 1.0) -> float:
+    d = operator.index(d)
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     _check_positive(sigma=sigma)
@@ -246,18 +251,9 @@ def adaptive_plan(d: int, s_star: int, sigma: float = 1.0) -> AdaptivePlan:
     grid = [2 ** (k - 1) for k in range(1, s_star.bit_length() + 1)]
     if 4 * s_star > d:
         raise ValueError(f"need s_star <= d/4, got s_star={s_star}, d={d}")
-    w = [sigma * math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]
-    tau = math.log((d - s_star) / s_star) ** (-1.0 / 7.0)
+    tau = math.log(_check_d_s(d, s_star)) ** (-1.0 / 7.0)
+    w = [sigma * math.sqrt(2.0 * math.log(_check_d_s(d, g))) for g in grid]
     return AdaptivePlan(grid, w, tau)
-
-
-def adaptive_bits(x: np.ndarray, plan: AdaptivePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The adaptive rule on a (rows, d) block of validated observations
-    (see adaptive_into): the selection, each row's chosen m and its band
-    counts.  x itself is not written."""
-    bits = np.empty(x.shape, dtype=bool)
-    chosen, counts = adaptive_into(np.abs(x), plan, bits)
-    return bits, chosen, counts
 
 
 def adaptive_into(
@@ -306,7 +302,8 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
     """
     arr = _as_observations(x)
     plan = adaptive_plan(arr.size, s_star, sigma)
-    bits, chosen, counts = adaptive_bits(arr[None], plan)
+    bits = np.empty((1, arr.size), dtype=bool)
+    chosen, counts = adaptive_into(np.abs(arr[None]), plan, bits)
     m_hat = int(chosen[0])
     diagnostics = {
         "grid": plan.grid,
@@ -348,7 +345,7 @@ def resolve_selector(
     here, once.  A Select takes |x| in place for the two-sided rules, so
     only a caller that owns x may pass it.
     """
-    family = _check_family(family)
+    d, family = operator.index(d), _check_family(family)
     if isinstance(spec, TopS):
         if spec.s > d:
             raise ValueError(f"top-s selector needs s <= d, got s={spec.s}, d={d}")

@@ -459,7 +459,7 @@ def phase_sweep(
         raise ValueError("d_list, a_multipliers, and kinds must be nonempty")
     cells: list[tuple[dict, ProblemInstance, SelectorSpec]] = []
     for d in d_list:
-        s = int(s_rule(d)) if callable(s_rule) else int(s_rule)
+        s = s_rule(d) if callable(s_rule) else s_rule
         point = risk.phase_point(d, s, sigma)
         a_base = point.a_almost_full if a_ref == "almost-full" else point.a_exact
         for mult in a_multipliers:

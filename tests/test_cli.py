@@ -1059,11 +1059,18 @@ class TestUsageErrors:
             (["risk", "--class", "bogus", "--d", "3", "--s", "1"], "--class"),
             (["mc", "--class", "plus", "--d", "3", "--s", "1", "--a", "1",
               "--selector", "plus"], "--reps"),
+            (["risk", "--class", "plus", "--d", str(10**400), "--s", "10", "--a", "3"],
+             "(d - s)/s"),
+            (["mc", "--class", "plus", "--d", str(10**400), "--s", "10", "--a", "3",
+              "--selector", "plus", "--reps", "5", "--seed", "1"], "(d - s)/s"),
+            (_phase_argv(d_list=str(10**400), s_rule="fixed:10"), "(d - s)/s"),
+            (_phase_argv(d_list=str(10**400), s_rule="power:0.5"), "--s-rule"),
         ],
         ids=[
             "which-psi-plus-interval", "d-list-not-int", "d-list-empty", "s-rule-fixed",
             "s-rule-power", "s-rule-power-range", "selectors-unknown", "sweep-array",
-            "d-not-int", "class-unknown", "mc-reps-missing",
+            "d-not-int", "class-unknown", "mc-reps-missing", "risk-ratio-overflows",
+            "mc-ratio-overflows", "phase-ratio-overflows", "s-rule-power-overflows",
         ],
     )
     def test_exit_2_with_one_error_line_naming_the_input(self, capsys, tmp_path, argv, named):
@@ -1076,7 +1083,7 @@ class TestUsageErrors:
         assert named in err
 
 
-_EDGE_INTS = [-1, 0, 1, 2, 3, 5, 10, 200, 10**6, 10**18, 2**70]
+_EDGE_INTS = [-1, 0, 1, 2, 3, 5, 10, 200, 10**6, 10**18, 2**70, 10**400]
 _ARGV_INTS = st.sampled_from(_EDGE_INTS)
 _ARGV_FLOATS = st.sampled_from(
     [0.0, -0.0, 1e-300, 1e-170, 0.5, 1.0, 3.0, 1e8, 1e170, 1e300, 1.7e308,

@@ -19,11 +19,17 @@ from numpy.testing import assert_allclose
 from hamsel import numkit
 from hamsel.model import (
     POISSON_RATE_MAX,
+    Adaptive,
+    CrowdInstance,
     Family,
     Interval,
     LowerBound,
     ProblemInstance,
+    Threshold,
+    TopS,
     TwoSided,
+    rng_stream,
+    uniform_support,
 )
 from hamsel.risk import (
     PhasePoint,
@@ -43,12 +49,20 @@ from hamsel.risk import (
 )
 from hamsel.selectors import (
     SELECTOR_KINDS,
+    adaptive_plan,
+    adaptive_selector,
+    check_observations,
+    cosh_selector,
     cosh_threshold,
+    crowd_selector,
     llr_threshold,
     minimax_threshold,
+    resolve_selector,
+    select_row,
     spec_for_kind,
     universal_threshold,
 )
+from hamsel.simulate import MCConfig, phase_sweep
 from oracles import poisson_tail_exact, psi_crowd_mc
 
 mp.mp.dps = 60
@@ -802,7 +816,7 @@ _NON_FINITE_AT = {
     "psi_general": (psi_general, (Family.POISSON, 10**18, 5, 1e20, 1.7e308)),
 }
 
-_EDGE_INTS = [-1, 0, 1, 2, 3, 5, 10, 200, 10**6, 10**18, 2**70]
+_EDGE_INTS = [-1, 0, 1, 2, 3, 5, 10, 200, 10**6, 10**18, 2**70, 10**400]
 _INTS = st.sampled_from(_EDGE_INTS)
 # (d, s) as one draw: drawn apart, Hypothesis makes them equal far more often
 _D_S = st.sampled_from([(d, s) for d in _EDGE_INTS for s in _EDGE_INTS])
@@ -935,3 +949,106 @@ class TestFiniteOrRejected:
         value = threshold_risk(p, kind)
         event(f"{kind} {'None' if value is None else 'returned'}")
         assert value is None or 0.0 <= value <= d, (p, kind, value)
+
+
+# Every public entry that takes a dimension d or a sparsity s (or s_star),
+# called at d = 200 and s = 10 with its other arguments fixed.  The array
+# kernels (floyd_resolve, top_s_into, adaptive_into) are left out: they read
+# d and s from the shapes of blocks that a checked entry built.
+_X = np.linspace(-3.0, 4.0, 200)
+_RATES3 = ((0.2, 0.7), (0.1, 0.6), (0.3, 0.9))
+_CROWD = CrowdInstance((np.arange(600).reshape(3, 200) * 7 % 5 < 2).astype(int), _RATES3)
+
+
+def _resolved_top_s(d):
+    bits = np.empty((1, 200), dtype=bool)
+    resolve_selector(TopS(10), d)(1)(_X[None].copy(), bits)
+    return bits
+
+
+def _adaptive_result(s_star):
+    result = adaptive_selector(_X, s_star)
+    return result.support.bits, result.chosen_m, result.diagnostics
+
+
+_TAKES_D_AND_S = {
+    "ProblemInstance": lambda d, s: ProblemInstance(d, s, LowerBound(3.0)),
+    "uniform_support": lambda d, s: uniform_support(d, s, rng_stream(7, 0)).bits,
+    "minimax_threshold": lambda d, s: minimax_threshold(d, s, 3.0),
+    "cosh_threshold": lambda d, s: cosh_threshold(d, s, 3.0),
+    "cosh_selector": lambda d, s: cosh_selector(_X, d, s, 3.0).bits,
+    **{
+        f"llr_threshold-{f.value}": (lambda d, s, f=f: llr_threshold(f, d, s, 0.2, 0.7))
+        for f in Family
+    },
+    "adaptive_plan": lambda d, s: adaptive_plan(d, s),
+    "psi_plus": lambda d, s: psi_plus(d, s, 3.0),
+    "psi_two_sided": lambda d, s: psi_two_sided(d, s, 3.0),
+    "psi_bar": lambda d, s: psi_bar(d, s, 3.0),
+    **{
+        f"psi_general-{f.value}": (lambda d, s, f=f: psi_general(f, d, s, 0.2, 0.7))
+        for f in Family
+    },
+    "psi_crowd": lambda d, s: psi_crowd(_RATES3, d, s),
+    "wrong_recovery_bounds": lambda d, s: wrong_recovery_bounds(d, s, 3.0),
+    "delta_bounds": lambda d, s: delta_bounds(d, s, 3.0),
+    "phase_point": lambda d, s: phase_point(d, s),
+    "a0_adaptive": lambda d, s: a0_adaptive(d, s, 1.0),
+    "adaptive_A_min": lambda d, s: adaptive_A_min(d, s),
+    "phase_sweep": lambda d, s: phase_sweep([d], s, [1.0], ["plus"], MCConfig(4, seed=5)),
+}
+_TAKES_D = {
+    "universal_threshold": universal_threshold,
+    "check_observations": lambda d: check_observations(_X, d),
+    "resolve_selector": _resolved_top_s,
+    "select_row": lambda d: select_row(Threshold(0.5), _X, d),
+}
+_TAKES_S = {
+    "TopS": TopS,
+    "Adaptive": Adaptive,
+    "crowd_selector": lambda s: crowd_selector(_CROWD, s).bits,
+    "adaptive_selector": _adaptive_result,
+}
+_INTEGER_ENTRIES = {
+    **{name: (f, ("d", "s")) for name, f in _TAKES_D_AND_S.items()},
+    **{name: (f, ("d",)) for name, f in _TAKES_D.items()},
+    **{name: (f, ("s",)) for name, f in _TAKES_S.items()},
+}
+
+
+def _exact(value):
+    """value with each float as float.hex and each array as a list, so that
+    == compares bit for bit."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, np.ndarray):
+        return _exact(value.tolist())
+    if isinstance(value, (tuple, list)):
+        return [_exact(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _exact(v) for k, v in value.items()}
+    return value
+
+
+class TestIntegerDS:
+    """d and s are integers at every public entry: 200.0 and 10.5 are a
+    TypeError, and numpy integers give the ints' results bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [(name, bad) for name, (_, params) in _INTEGER_ENTRIES.items()
+         for bad in ("d", "s") if bad in params],
+    )
+    def test_float_is_a_type_error(self, name, bad):
+        f, params = _INTEGER_ENTRIES[name]
+        values = {"d": 200, "s": 10, bad: {"d": 200.0, "s": 10.5}[bad]}
+        with pytest.raises(TypeError):
+            f(*(values[p] for p in params))
+
+    @pytest.mark.parametrize("name", list(_INTEGER_ENTRIES))
+    def test_numpy_integers_match_ints(self, name):
+        f, params = _INTEGER_ENTRIES[name]
+        ints = {"d": 200, "s": 10}
+        want = f(*(ints[p] for p in params))
+        got = f(*(np.int64(ints[p]) for p in params))
+        assert _exact(got) == _exact(want)

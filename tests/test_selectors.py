@@ -28,7 +28,6 @@ from hamsel.model import (
 )
 from hamsel.selectors import (
     SELECTOR_KINDS,
-    adaptive_bits,
     adaptive_into,
     adaptive_plan,
     adaptive_selector,
@@ -705,7 +704,6 @@ class TestSelectionCores:
         cosh_selector(x, d, s, 2.0)
         adaptive_selector(x, s_star)
         plan = adaptive_plan(d, s_star)
-        adaptive_bits(block, plan)
         adaptive_into(block, plan, np.empty(block.shape, dtype=bool))
         _top_s(block, s)
         assert_array_equal(x, want)
@@ -734,7 +732,8 @@ class TestSelectionCores:
         # the engine's blocks are views with a leading column dropped
         blocks = [full[:1], full, np.hstack([np.zeros((len(full), 1)), full])[:, 1:]]
         for block in blocks:
-            bits, got_m, got_counts = adaptive_bits(block, plan)
+            bits = np.empty(block.shape, dtype=bool)
+            got_m, got_counts = adaptive_into(np.abs(block), plan, bits)
             assert bits.shape == block.shape
             assert got_m.shape == (len(block),)
             assert got_counts.shape == (len(block), len(w) - 1)
@@ -805,7 +804,8 @@ class TestAdaptiveBlockProperty:
     def test_block_core_matches_the_rule(self, case):
         block, s_star = case
         plan = adaptive_plan(block.shape[1], s_star)
-        bits, chosen, counts = adaptive_bits(block, plan)
+        bits = np.empty(block.shape, dtype=bool)
+        chosen, counts = adaptive_into(np.abs(block), plan, bits)
         for r, row in enumerate(block):
             want_bits, want_m, want_counts = _adaptive_rule(row, plan)
             assert bits[r].tolist() == want_bits

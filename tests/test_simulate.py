@@ -587,7 +587,7 @@ class TestPhaseSweep:
         assert rows[0]["a"] == 1.0 * pp.a_exact
         assert rows[0]["a_exact"] == pp.a_exact
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         cfg = MCConfig(replications=30, seed=38)
         with pytest.raises(ValueError):
             phase_sweep([100], 4, [1.0], ["plus"], cfg, a_ref="critical")
@@ -599,6 +599,10 @@ class TestPhaseSweep:
             phase_sweep([100], 4, [1.0], ["argmax"], cfg)
         with pytest.raises(ValueError):
             phase_sweep([100], 4, [1.0], ["adaptive"], cfg)  # s_star missing
+        # a fractional s from the rule is refused, not truncated, before any cell runs
+        monkeypatch.setattr(simulate, "estimate_risk", lambda *a, **k: pytest.fail("a cell ran"))
+        with pytest.raises(TypeError):
+            phase_sweep([100, 200], lambda d: 4 if d == 100 else 10.7, [1.0], ["plus"], cfg)
 
 
 class TestPsiBarPrintedMc:

@@ -3,7 +3,8 @@ function that nothing in the package references, no module-level assigned
 name that nothing in the package reads, no public name that nothing uses,
 no keyword option that no caller passes, no import cycle between the
 package's modules, no numpy in the command-line layer or under
-``import hamsel.numkit``, and no scipy anywhere in the package.
+``import hamsel.numkit``, no scipy anywhere in the package, and the ratio
+(d - s)/s formed in one function only.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
@@ -263,3 +264,31 @@ def test_no_module_imports_scipy():
     dependency only, and an import of it anywhere in src/hamsel, even inside
     a function, would bring it back at run time."""
     assert not [m.name for m in MODULES if "scipy" in _imported_packages(_tree(m))]
+
+
+def _ratio_sites(tree: ast.AST):
+    """(enclosing function, line) of each division of a subtraction by its
+    own right operand, (x - y) / y, whatever the names; a constant x, as in
+    a rate's odds (1 - a)/a, is not a ratio of counts."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Div)
+                and isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, ast.Sub)
+                and not isinstance(node.left.left, ast.Constant)
+                and ast.dump(node.left.right) == ast.dump(node.right)
+            ):
+                yield func.name, node.lineno
+
+
+def test_ratio_is_formed_only_by_check_d_s():
+    """(d - s)/s is formed once, in model._check_d_s, which checks the pair
+    first; every cut and Psi weight reads the ratio it returns."""
+    sites = {
+        (path.name, name) for path in MODULES for name, _ in _ratio_sites(_tree(path))
+    }
+    assert sites == {("model.py", "_check_d_s")}
