@@ -4,7 +4,9 @@ Every Psi function returns the maximal risk per signal coordinate: the
 worst-case expected Hamming loss of the corresponding selector over its
 class is s * Psi.  All formulas follow the closed ``>= t`` selection
 convention of :mod:`hamsel.selectors`; for the discrete families this
-matters at atoms and the two modules are kept consistent bit for bit.
+matters at atoms and the two modules are kept consistent bit for bit, the
+crowd rule included: psi_crowd decides each vote pattern with the
+log-likelihood sum crowd_selector runs.
 The Gaussian forms read a and sigma only through r = a/sigma, so
 f(d, s, a, sigma) = f(d, s, a/sigma, 1) exactly.  threshold_risk gives every
 named threshold rule's risk from _psi_cut (a cut on x) or _two_sided_cut (|x|).
@@ -30,7 +32,7 @@ from .model import (
     _check_positive,
     _check_rates,
 )
-from .selectors import _cosh_cut, _llr_cut, crowd_weights, spec_for_kind
+from .selectors import _cosh_cut, _crowd_llr, _llr_cut, spec_for_kind
 
 _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
 
@@ -171,33 +173,23 @@ def threshold_risk(p: ProblemInstance, kind: str) -> float | None:
 def psi_crowd(rates, d: int, s: int) -> float:
     """Per-signal-item risk of the m-worker vote aggregator.
 
-    Sums the exact pattern masses over {0,1}^m (m <= 20).  Masses are
-    accumulated as direct products and direct sums, which keeps the m = 1
-    case identical to the single-worker Bernoulli formula down to the last
-    bit.
+    Sums the exact pattern masses over {0,1}^m (m <= 20), each pattern
+    decided by the log-likelihood sum crowd_selector runs, so this is the
+    exact risk of its decisions.  Masses are accumulated as direct products
+    and direct sums, which keeps the m = 1 case identical to the
+    single-worker Bernoulli formula down to the last bit.
     """
     rates = _check_rates(rates)
     ratio = _check_d_s(d, s)
     m = len(rates)
     if m > 20:
         raise ValueError(f"enumeration caps at 20 workers, got {m}")
-    cut = math.log(ratio)
-    weights, intercept = crowd_weights(rates)
-    a0 = np.array([r[0] for r in rates])
-    a1 = np.array([r[1] for r in rates])
-    n = 1 << m
-    idx = np.arange(n)
-    llr = np.full(n, intercept)
-    mass1 = np.ones(n)
-    mass0 = np.ones(n)
-    for i in range(m):
-        on = ((idx >> i) & 1) == 1
-        llr[on] += weights[i]
-        mass1[on] *= a1[i]
-        mass1[~on] *= 1.0 - a1[i]
-        mass0[on] *= a0[i]
-        mass0[~on] *= 1.0 - a0[i]
-    selected = llr >= cut
+    idx = np.arange(1 << m)
+    selected = _crowd_llr(((idx >> i) & 1 for i in range(m)), rates) >= math.log(ratio)
+    mass0 = mass1 = np.ones(1)
+    for a0, a1 in rates:  # worker i is bit i of the pattern index
+        mass0 = np.concatenate((mass0 * (1.0 - a0), mass0 * a0))
+        mass1 = np.concatenate((mass1 * (1.0 - a1), mass1 * a1))
     miss = float(np.sum(mass1[~selected]))
     false_pos = float(np.sum(mass0[selected]))
     return miss + ratio * false_pos

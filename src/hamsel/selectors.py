@@ -43,15 +43,6 @@ from .model import (
 )
 
 
-def _as_observations(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("observations must be a nonempty 1-d vector")
-    if not np.isfinite(arr).all():
-        raise ValueError("observations must be finite")
-    return arr
-
-
 def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     """t = a/2 + (sigma^2/a) log((d-s)/s).
 
@@ -146,7 +137,11 @@ def check_observations(x, d: int, family: Family = Family.GAUSSIAN) -> np.ndarra
     """d finite observations as a float array; 0/1 or counts for the
     Bernoulli and Poisson families."""
     family = _check_family(family)
-    arr = _as_observations(x)
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("observations must be a nonempty 1-d vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("observations must be finite")
     if arr.size != operator.index(d):
         raise ValueError(f"expected {d} observations, got {arr.size}")
     if family is Family.BERNOULLI:
@@ -172,12 +167,21 @@ def crowd_weights(rates) -> tuple[np.ndarray, float]:
     return weights, intercept
 
 
+def _crowd_llr(votes, rates) -> np.ndarray:
+    """Each item's log-likelihood ratio: crowd_weights' intercept, then each
+    worker's weight added in worker order wherever that worker voted 1.
+    votes is any iterable of the m workers' 0/1 vote arrays.  crowd_selector
+    and risk.psi_crowd both sum here, so they decide every pattern alike."""
+    weights, llr = crowd_weights(rates)
+    for w, row in zip(weights, votes, strict=True):
+        llr = np.where(row == 1, llr + w, llr)
+    return llr
+
+
 def crowd_selector(c: CrowdInstance, s: int) -> SupportVector:
     """Aggregate m workers' votes by likelihood ratio against log((d-s)/s)."""
     cut = math.log(_check_d_s(c.d, s))
-    weights, intercept = crowd_weights(c.rates)
-    llr = c.votes.astype(float).T @ weights + intercept
-    return SupportVector(llr >= cut)
+    return SupportVector(_crowd_llr(c.votes, c.rates) >= cut)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +304,7 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
     threshold at w(g_m_hat).  Requires 2 <= s_star <= d/4 so every band
     threshold is real and positive.
     """
-    arr = _as_observations(x)
+    arr = check_observations(x, np.size(x))
     plan = adaptive_plan(arr.size, s_star, sigma)
     bits = np.empty((1, arr.size), dtype=bool)
     chosen, counts = adaptive_into(np.abs(arr[None]), plan, bits)

@@ -26,13 +26,13 @@ from numpy.testing import assert_allclose
 
 from hamsel import cli, simulate
 from hamsel.model import (
-    POISSON_RATE_MAX,
     Family,
     Interval,
     LowerBound,
     ProblemInstance,
     TwoSided,
 )
+from hamsel.numkit import POISSON_RATE_MAX
 from hamsel.risk import (
     psi_bar,
     psi_general,

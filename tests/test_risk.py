@@ -7,6 +7,7 @@ the discrete families, and scipy CDFs where a second implementation exists.
 
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,6 @@ from numpy.testing import assert_allclose
 
 from hamsel import numkit
 from hamsel.model import (
-    POISSON_RATE_MAX,
     Adaptive,
     CrowdInstance,
     Family,
@@ -31,6 +31,7 @@ from hamsel.model import (
     rng_stream,
     uniform_support,
 )
+from hamsel.numkit import POISSON_RATE_MAX
 from hamsel.risk import (
     PhasePoint,
     RecoveryBounds,
@@ -634,6 +635,51 @@ class TestPsiCrowd:
             psi_crowd([(0.1, 0.9)] * 21, 4, 1)
         with pytest.raises(ValueError):
             psi_crowd([(0.5, 0.5)], 4, 1)
+
+    @staticmethod
+    def _selector_risk(rates, s):
+        """Risk of crowd_selector's own decisions on the instance whose
+        d = 2^m items are all the vote patterns, worker i voting bit i of the
+        item's index: the miss and false-positive masses over its decisions,
+        each summed in pattern order with np.sum as psi_crowd sums them."""
+        m = len(rates)
+        d = 1 << m
+        votes = (np.arange(d) >> np.arange(m)[:, None]) & 1
+        selected = crowd_selector(CrowdInstance(votes, tuple(rates)), s).bits
+        mass0, mass1 = (
+            np.array([math.prod(r[k] if v else 1.0 - r[k] for r, v in zip(rates, col))
+                      for col in votes.T])
+            for k in (0, 1)
+        )
+        return float(np.sum(mass1[~selected])) + ((d - s) / s) * float(np.sum(mass0[selected]))
+
+    def test_enumeration_decides_as_crowd_selector(self):
+        """At d = 16, s = 1 the first rate set puts pattern (0, 1, 1, 0) at
+        log-likelihood ratio log 15, exactly the cut; the seeded sets draw
+        from a grid of round rates, whose weights often sum to a cut too."""
+        grid = (0.1, 0.2, 0.25, 0.3, 0.4, 0.6, 0.7, 0.75, 0.8, 0.9)
+        rng = np.random.default_rng(2026)
+        rate_sets = [[(0.8, 0.75), (0.25, 0.9), (0.3, 0.4), (0.7, 0.25)]] + [
+            [tuple(float(a) for a in rng.choice(grid, 2, replace=False))
+             for _ in range(int(rng.integers(1, 6)))]
+            for _ in range(200)
+        ]
+        for rates in rate_sets:
+            d = 1 << len(rates)
+            for s in range(1, d):
+                assert self._selector_risk(rates, s) == psi_crowd(rates, d, s), (rates, s)
+
+    def test_enumeration_memory_is_linear_in_patterns(self):
+        """At m = 16 each of the enumeration's float arrays takes 512 KiB; an
+        (m, 2^m) int64 pattern matrix alone would take 8 MiB."""
+        rates = [(0.05 + 0.02 * i, 0.9 - 0.015 * i) for i in range(16)]
+        tracemalloc.start()
+        try:
+            psi_crowd(rates, 100, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_anti_informative_worker_supported(self):
         # a flipped worker carries the same information as its mirror image

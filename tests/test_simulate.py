@@ -23,7 +23,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from hamsel import simulate
 from hamsel.model import (
-    POISSON_RATE_MAX,
     Adaptive,
     Family,
     Interval,
@@ -39,7 +38,7 @@ from hamsel.model import (
     rng_stream,
     uniform_support,
 )
-from hamsel.numkit import gaussian_cdf
+from hamsel.numkit import POISSON_RATE_MAX, gaussian_cdf
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus, threshold_risk
 from hamsel.selectors import (
     check_observations,

@@ -3,8 +3,8 @@ function that nothing in the package references, no module-level assigned
 name that nothing in the package reads, no public name that nothing uses,
 no keyword option that no caller passes, no import cycle between the
 package's modules, no numpy in the command-line layer or under
-``import hamsel.numkit``, no scipy anywhere in the package, and the ratio
-(d - s)/s formed in one function only.
+``import hamsel.numkit``, no scipy anywhere in the package, no BLAS product,
+and the ratio (d - s)/s formed in one function only.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
@@ -292,3 +292,30 @@ def test_ratio_is_formed_only_by_check_d_s():
         (path.name, name) for path in MODULES for name, _ in _ratio_sites(_tree(path))
     }
     assert sites == {("model.py", "_check_d_s")}
+
+
+_BLAS_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot"}
+
+
+def _blas_product_sites(tree: ast.AST):
+    """(line, what) of each ``@``, and each attribute or imported name
+    naming a numpy product that may run through BLAS (``np.dot``, ``x.dot``,
+    ``from numpy import dot``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_PRODUCTS:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, a.name) for a in node.names if a.name in _BLAS_PRODUCTS)
+
+
+def test_no_blas_products():
+    """No module sums through a BLAS product: numpy's OpenBLAS may pick its
+    kernel from the CPU at run time, so such a product fixes no summation
+    order, and a sum that decides a selection at a cut must round the same
+    way wherever it runs."""
+    sites = [
+        f"{path.name}:{line} {what}" for path in MODULES for line, what in _blas_product_sites(_tree(path))
+    ]
+    assert not sites, f"BLAS products in src/hamsel: {sites}"
