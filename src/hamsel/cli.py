@@ -16,7 +16,7 @@ import re
 import sys
 import traceback
 
-from . import risk, simulate
+from . import risk
 from .model import (
     CrowdInstance,
     Family,
@@ -228,17 +228,15 @@ def cmd_risk(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _select_crowd(args) -> dict:
+def _select_crowd(args):
     if not (args.votes and args.rates):
         raise ValueError("crowd selection needs both --votes and --rates")
     s = _require(args.s, "--s", "crowd selection")
     crowd = CrowdInstance(read_votes_csv(args.votes), tuple(read_rates_csv(args.rates)))
-    sv = crowd_selector(crowd, s)
+    support = crowd_selector(crowd, s)
     weights, intercept = crowd_weights(crowd.rates)
-    out = support_summary(sv)
-    out["threshold_used"] = math.log(_check_d_s(crowd.d, s))
-    out["diagnostics"] = {"weights": list(weights), "intercept": intercept}
-    return out
+    diagnostics = {"weights": list(weights), "intercept": intercept}
+    return support, math.log(_check_d_s(crowd.d, s)), diagnostics
 
 
 def _select_spec(args, d: int, family: Family):
@@ -260,32 +258,30 @@ def _select_spec(args, d: int, family: Family):
     return spec_for_kind(method, ProblemInstance(d, s, signal, family, args.sigma))
 
 
-def _select_file(args) -> dict:
+def _select_file(args):
     x = read_observations_csv(_require(args.input, "--input", "selection"))
     if args.method == "adaptive":
         s_star = _require(args.s_star, "--s-star", "--method adaptive")
         result = adaptive_selector(x, s_star, args.sigma)
-        out = support_summary(result.support)
-        out["threshold_used"] = result.diagnostics.pop("threshold_used")
-        out["diagnostics"] = {"chosen_m": result.chosen_m, **result.diagnostics}
-        return out
+        t = result.diagnostics.pop("threshold_used")
+        return result.support, t, {"chosen_m": result.chosen_m, **result.diagnostics}
     d = int(x.size)
     family = Family(args.family) if args.method == "llr" else Family.GAUSSIAN
     spec = _select_spec(args, d, family)
-    out = support_summary(SupportVector(select_row(spec, x, d, family, args.sigma)))
-    out["threshold_used"] = spec.t if isinstance(spec, Threshold) else None
-    out["diagnostics"] = {}
-    return out
+    support = SupportVector(select_row(spec, x, d, family, args.sigma))
+    return support, spec.t if isinstance(spec, Threshold) else None, {}
 
 
 def cmd_select(args) -> int:
+    """Print the one record {selected, bits, threshold_used, diagnostics} of
+    every route; each route returns (support, threshold_used, diagnostics)."""
     if args.votes or args.rates:
-        out = _select_crowd(args)
+        support, t, diagnostics = _select_crowd(args)
     else:
         if args.method is None:
             raise ValueError("--method is required (or --votes/--rates for crowd data)")
-        out = _select_file(args)
-    print(_json_text(out))
+        support, t, diagnostics = _select_file(args)
+    print(_json_text({**support_summary(support), "threshold_used": t, "diagnostics": diagnostics}))
     return 0
 
 
@@ -300,9 +296,10 @@ def _mc_closed_form(p: ProblemInstance, kind: str, loss: LossKind) -> float | No
     return base if base is None or loss is LossKind.HAMMING else base / p.s
 
 
-def _mc_config(args) -> simulate.MCConfig:
-    """The run flags of mc and phase; a fresh seed, echoed in the output,
-    when --seed is omitted."""
+def _mc_config(args):
+    """The MCConfig of mc's and phase's run flags; a fresh seed, echoed in
+    the output, when --seed is omitted."""
+    from . import simulate
     return simulate.MCConfig(
         replications=args.reps,
         seed=args.seed if args.seed is not None else fresh_seed(),
@@ -312,6 +309,7 @@ def _mc_config(args) -> simulate.MCConfig:
 
 
 def cmd_mc(args) -> int:
+    from . import simulate
     p = _build_instance(args)
     spec = spec_for_kind(args.selector, p, s_star=args.s_star)
     cfg = _mc_config(args)
@@ -344,6 +342,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    from . import simulate
     rows = simulate.phase_sweep(
         _parse_list(args.d_list, "--d-list", int),
         _parse_s_rule(args.s_rule),

@@ -154,20 +154,18 @@ def threshold_risk(p: ProblemInstance, kind: str) -> float | None:
             return None
         sig = LowerBound(sig.a1)
     ratio, r = _check_d_s(d, s), sig.a / p.sigma
-    if kind in ("plus", "llr"):
-        if isinstance(sig, LowerBound):
-            return s * _psi_cut(ratio, r)[0]
-        # the signal at +-a; not _psi_cut, whose gain branch needs a mean above the cut
-        c = r / 2.0 + math.log(ratio) / r
-        on = numkit._phi(c - r) + numkit._phi(c + r)
-        return s * (numkit._phi(-c, ratio) + 0.5 * on)
+    if kind in ("plus", "llr") and isinstance(sig, LowerBound):
+        return s * _psi_cut(ratio, r)[0]
     if kind == "cosh":
-        q = _cosh_cut(r, math.log(ratio))
-    elif kind == "universal":
-        q = math.sqrt(2.0 * math.log(d))
-    else:
-        q = max(r / 2.0 + math.log(ratio) / r, 0.0)
-    return s * _two_sided_cut(ratio, q, r)
+        return s * _two_sided_cut(ratio, _cosh_cut(r, math.log(ratio)), r)
+    if kind == "universal":
+        return s * _two_sided_cut(ratio, math.sqrt(2.0 * math.log(d)), r)
+    c = r / 2.0 + math.log(ratio) / r  # the minimax cut, for plus and two-sided alike
+    if kind == "two-sided":
+        return s * _two_sided_cut(ratio, max(c, 0.0), r)
+    # plus with the signal at +-a; not _psi_cut, whose gain branch needs a mean above the cut
+    on = numkit._phi(c - r) + numkit._phi(c + r)
+    return s * (numkit._phi(-c, ratio) + 0.5 * on)
 
 
 def psi_crowd(rates, d: int, s: int) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -329,12 +328,6 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
 Select = Callable[[np.ndarray, np.ndarray], object]
 
 
-def _top_s_select(spec: TopS, part: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """The top-s rule's Select, with part a worker's partition buffer."""
-    key = x if spec.one_sided else np.abs(x, out=x)
-    top_s_into(key, spec.s, out, part[: len(x)])
-
-
 def resolve_selector(
     spec: SelectorSpec, d: int, family: Family = Family.GAUSSIAN, sigma: float = 1.0
 ) -> Callable[[int], Select]:
@@ -353,7 +346,14 @@ def resolve_selector(
     if isinstance(spec, TopS):
         if spec.s > d:
             raise ValueError(f"top-s selector needs s <= d, got s={spec.s}, d={d}")
-        return lambda rows: partial(_top_s_select, spec, np.empty((rows, d)))
+
+        def make_top_s(rows: int) -> Select:
+            part = np.empty((rows, d))
+            return lambda x, out: top_s_into(
+                x if spec.one_sided else np.abs(x, out=x), spec.s, out, part[: len(x)]
+            )
+
+        return make_top_s
     if not isinstance(spec, (Threshold, Adaptive)):
         raise TypeError(f"unknown selector spec {type(spec).__name__}")
     if isinstance(spec, Threshold) and not spec.two_sided:

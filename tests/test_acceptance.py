@@ -20,11 +20,12 @@ from hamsel.model import (
     LossKind,
     LowerBound,
     ProblemInstance,
-    Threshold,
     TwoSided,
+    _check_d_s,
 )
 from hamsel.numkit import gaussian_cdf
 from hamsel.risk import (
+    _two_sided_cut,
     a0_adaptive,
     adaptive_A_min,
     phase_point,
@@ -241,7 +242,8 @@ def test_criterion_09_exact_recovery_trend():
 def test_criterion_10_adaptive_almost_full_recovery():
     # The data-driven threshold must track the oracle two-sided threshold
     # that knows s (within a constant factor and additive slack), and its
-    # normalized risk must improve as d grows under the same s rule.
+    # normalized risk must improve as d grows under the same s rule.  The
+    # oracle's normalized risk is exact: Psi of |x| >= a0_adaptive(d, s, 0).
     results = []
     for s in (4, 16, 64):
         a_big = a0_adaptive(10_000, s, adaptive_A_min(10_000, 64))
@@ -250,15 +252,13 @@ def test_criterion_10_adaptive_almost_full_recovery():
         adaptive = estimate_risk(
             p_big, spec_for_kind("adaptive", p_big, s_star=64), mc
         )
-        oracle = estimate_risk(
-            p_big, Threshold(a0_adaptive(10_000, s, 0.0), two_sided=True), mc
-        )
+        oracle = _two_sided_cut(_check_d_s(10_000, s), a0_adaptive(10_000, s, 0.0), a_big)
         a_small = a0_adaptive(1_000, s, adaptive_A_min(1_000, 64))
         p_small = ProblemInstance(d=1_000, s=s, signal=TwoSided(a_small))
         smaller = estimate_risk(
             p_small, spec_for_kind("adaptive", p_small, s_star=64), mc
         )
-        results.append((s, adaptive.mc_estimate, oracle.mc_estimate, smaller.mc_estimate))
+        results.append((s, adaptive.mc_estimate, oracle, smaller.mc_estimate))
 
     tracks = all(ad <= 3.0 * orc + 0.05 for _, ad, orc, _ in results)
     improves = all(ad <= small for _, ad, _, small in results)

@@ -378,6 +378,52 @@ class TestSelectCommand:
         assert payload["threshold_used"] == math.log(3.0)
         assert len(payload["diagnostics"]["weights"]) == 3
 
+    @pytest.mark.parametrize(
+        "route",
+        [
+            ["--method", "threshold", "--t", "1"],
+            ["--method", "threshold-abs", "--t", "1"],
+            ["--method", "universal"],
+            ["--method", "tops", "--s", "1"],
+            ["--method", "tops", "--s", "1", "--by-abs"],
+            ["--method", "cosh", "--s", "2", "--a", "1.5"],
+            ["--method", "llr", "--s", "1", "--a0", "0", "--a1", "2"],
+            ["--method", "llr", "--family", "bernoulli", "--s", "1", "--a0", "0.1", "--a1", "0.9"],
+            ["--method", "llr", "--family", "poisson", "--s", "1", "--a0", "0.5", "--a1", "3"],
+            ["--method", "adaptive", "--s-star", "2"],
+            ["--votes", "VOTES", "--rates", "RATES", "--s", "1"],
+        ],
+        ids=["threshold", "threshold-abs", "universal", "tops", "tops-by-abs", "cosh",
+             "llr-gaussian", "llr-bernoulli", "llr-poisson", "adaptive", "crowd"],
+    )
+    def test_one_record_shape_for_every_route(self, capsys, tmp_path, route):
+        """Every route prints {selected, bits, threshold_used, diagnostics} in
+        that order: threshold_used null only for tops, and diagnostics empty
+        but for adaptive (chosen_m first) and crowd voting (its weights and
+        intercept)."""
+        files = {
+            "VOTES": "1,0,1,1,0,0,0,0,0,0\n0,0,1,0,0,0,0,1,0,0\n1,1,1,0,0,0,0,0,0,0\n",
+            "RATES": "0.2,0.9\n0.1,0.6\n0.3,0.8\n",
+            "OBSERVATIONS": "0\n1\n1\n0\n0\n0\n0\n0\n1\n0\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / part) if part in files else part for part in route]
+        if "--votes" not in route:
+            argv = ["--input", str(tmp_path / "OBSERVATIONS"), *argv]
+        code, out, err = run_cli(capsys, "select", *argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert list(payload) == ["selected", "bits", "threshold_used", "diagnostics"]
+        assert (payload["threshold_used"] is None) == ("tops" in route)
+        diagnostics = list(payload["diagnostics"])
+        if "adaptive" in route:
+            assert diagnostics[0] == "chosen_m"
+        elif "--votes" in route:
+            assert sorted(diagnostics) == ["intercept", "weights"]
+        else:
+            assert diagnostics == []
+
     def test_crowd_needs_both_files(self, capsys, tmp_path):
         votes = tmp_path / "v.csv"
         votes.write_text("1,0\n")
@@ -1246,6 +1292,28 @@ class TestSubprocess:
         ]
         assert "hamsel.risk" in imported
         assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+    def test_only_mc_loads_the_engine(self, tmp_path):
+        """risk and select never import hamsel.simulate; mc does. One fresh
+        interpreter runs the three commands in turn through main."""
+        f = tmp_path / "x.csv"
+        f.write_text("0.1\n2.3\n-1.5\n")
+        runs = [
+            ["risk", "--class", "plus", "--d", "200", "--s", "10", "--a", "3"],
+            ["select", "--input", str(f), "--method", "tops", "--s", "1"],
+            ["mc", "--class", "plus", "--d", "20", "--s", "2", "--a", "3", "--selector", "plus",
+             "--reps", "2", "--seed", "1"],
+        ]
+        code = (
+            "import contextlib, io, sys; from hamsel.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    print(argv[0], code, 'hamsel.simulate' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "risk 0 False\nselect 0 False\nmc 0 True\n"
 
     @pytest.mark.skipif(shutil.which("hamsel") is None, reason="script not on PATH")
     def test_console_script(self):
