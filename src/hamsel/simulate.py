@@ -20,8 +20,8 @@ those uniforms (model.uniform_supports), O(s) whatever d.
 Replications run in blocks of B rows, as many as a DRAW_BYTES draw
 buffer holds (see _block_layout).  One row loop serves every family: it
 re-keys the worker's generator and draws each row's uniforms and noise
-(see _block_sampler).  The block's supports, the family's finish, the
-selector and the loss then run once on the whole block.  The spec is
+(see _block_sampler).  The block's supports, the placement of its signal,
+the selector and the loss then run once on the whole block.  The spec is
 resolved once per run (selectors.resolve_selector); each worker makes its
 own selection function from it, which writes a block's selection into the
 worker's (B, d) bool buffer and may overwrite the block's observations,
@@ -252,66 +252,41 @@ def _stream_rekeyer(seed: int) -> tuple[np.random.Generator, Callable[[int], Non
 
 def _block_sampler(
     p: ProblemInstance, rho: float, seed: int, rows: int
-) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+) -> Callable[[int, int], tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
     """One worker's generator and draw buffers for blocks of up to ``rows``
-    replications: draw(first, m) -> (observations, supports), an (m, d) and
-    an (m, s) array for replications first .. first + m - 1, valid until
-    the next call.  Row i re-keys the generator to (seed, first + i), draws
-    the support's s uniforms (s + 1 with a TwoSided sign) into a row of u,
-    then the family's row fill into a row of z: Z0 and the noise, d
+    replications: draw(first, m) -> (x, on) for replications first ..
+    first + m - 1, valid until the next call: the (m, d) observations and
+    the (row, column) index pair of the supports, so x[on] is (m, s).  Row
+    i re-keys the generator to (seed, first + i), draws the support's s
+    uniforms (s + 1 with a TwoSided sign) into a row of u, then the
+    family's row fill into a row of z, which x views: Z0 and the noise, d
     uniforms, or d Poisson(a0) counts then s Poisson(a1 - a0) ones.  The
-    block's supports and the family's finish, which turns z into
-    observations, draw nothing and run once per block.
+    supports and the signal's placement draw nothing and run once per block.
     """
     rng, rekey = _stream_rekeyer(seed)
-    d, s, sig = p.d, p.s, p.signal
+    d, s, sig, family = p.d, p.s, p.signal, p.family
     signs = isinstance(sig, TwoSided)
     u = np.empty((rows, s + signs))  # TwoSided: the sign's uniform follows the support's
     row_index = np.arange(rows)[:, None]
 
-    if p.family is Family.BERNOULLI:
-        z = np.empty((rows, d))
+    if family is Family.BERNOULLI:
+        z = x = np.empty((rows, d))
         fill = rng.random
-
-        def finish(m, idx):
-            on = row_index[:m], idx
-            hits = z[on] < sig.a1
-            z[:m] = z[:m] < sig.a0
-            z[on] = hits
-            return z[:m]
-
-    elif p.family is Family.POISSON:
+    elif family is Family.POISSON:
         z = np.empty((rows, d + s))
+        x = z[:, :d]
         a0, rate, poisson = sig.a0, sig.a1 - sig.a0, rng.poisson
 
         def fill(out):
             out[:d] = poisson(a0, d)
             out[d:] = poisson(rate, s)
 
-        def finish(m, idx):
-            idx.sort(axis=1)  # generate_family adds the support counts in ascending index order
-            z[row_index[:m], idx] += z[:m, d:]
-            return z[:m, :d]
-
     else:
         sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
         base, level = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
         z = np.empty((rows, d + 1))
-        z_flat = z.reshape(-1)
-        x_starts = np.arange(1, rows * (d + 1), d + 1)[:, None]  # flat index of x[i, 0] in z
+        x = z[:, 1:]
         fill = rng.standard_normal
-
-        def finish(m, idx):
-            levels = np.where(u[:m, s, None] < 0.5, -level, level) if signs else level
-            x = _scale_noise(z[:m], sigma, common, own)
-            at = idx + x_starts[:m]
-            # x = theta + noise with theta = base off the support and a row's level on it
-            on_support = z_flat[at] + levels
-            if base:
-                x += base
-            z_flat[at] = on_support
-            return x
-
     u_rows, z_rows = list(u), list(z)  # row views made once, not once per row per block
 
     def draw(first, m):
@@ -320,7 +295,22 @@ def _block_sampler(
             rng.random(out=u_row)
             fill(out=z_row)
         idx = uniform_supports(u[:m, :s], d)
-        return finish(m, idx), idx
+        on, xm = (row_index[:m], idx), x[:m]
+        if family is Family.BERNOULLI:
+            hits = xm[on] < sig.a1
+            xm[...] = xm < sig.a0
+            xm[on] = hits
+        elif family is Family.POISSON:
+            idx.sort(axis=1)  # in place (on too), as generate_family adds counts in index order
+            xm[on] += z[:m, d:]
+        else:
+            # x = theta + noise with theta = base off the support and a row's level on it
+            _scale_noise(z[:m], sigma, common, own)
+            hits = xm[on] + (np.where(u[:m, s:] < 0.5, -level, level) if signs else level)
+            if base:
+                xm += base
+            xm[on] = hits
+        return xm, on
 
     return draw
 
@@ -374,7 +364,6 @@ def estimate_risk(
     rows = _block_layout(p.d, n)
     blocks = -(-n // rows)
     errors = np.empty(n, dtype=np.int64)
-    row_index = np.arange(rows)[:, None]
 
     def fill(first_block: int, end_block: int) -> None:
         draw = _block_sampler(p, cfg.rho, cfg.seed, rows)
@@ -382,12 +371,12 @@ def estimate_risk(
         selected = np.empty((rows, p.d), dtype=bool)
         for b in range(first_block, end_block):
             lo, hi = b * rows, min(n, (b + 1) * rows)
-            x, idx = draw(stream_offset + lo, hi - lo)
+            x, on = draw(stream_offset + lo, hi - lo)
             sel = selected[: hi - lo]
             select(x, sel)  # may overwrite x, the block's own draws
             # flipping the support turns each row into selection XOR truth,
             # whose count is the Hamming loss
-            sel[row_index[: hi - lo], idx] ^= True
+            sel[on] ^= True
             errors[lo:hi] = row_counts(sel)
 
     workers = _worker_count(p.d, blocks)

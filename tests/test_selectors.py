@@ -439,6 +439,8 @@ class TestAdaptive:
             x = rng.normal(0.0, 2.0, size=128)
             res = adaptive_selector(x, 32)
             assert res.diagnostics["threshold_used"] in res.diagnostics["thresholds"]
+            # bench/workloads.py checks the cli workload's adaptive select against this key
+            assert res.diagnostics["threshold_used"] == res.diagnostics["thresholds"][res.chosen_m - 1]
 
     def test_diagnostics_content(self):
         res = adaptive_selector(np.zeros(40), 10)

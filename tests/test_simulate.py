@@ -773,6 +773,7 @@ class TestStreamContract:
         s, a = 10, 2.5
         lower = ProblemInstance(d, s, LowerBound(a))
         two = ProblemInstance(d, s, TwoSided(a))
+        two_wide = ProblemInstance(d, s, TwoSided(a), sigma=1.7)
         bernoulli = ProblemInstance(d, s, Interval(0.2, 0.7), family=Family.BERNOULLI)
         poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
         cases = [
@@ -785,6 +786,7 @@ class TestStreamContract:
             (two, TopS(s, one_sided=False), 0.5),
             (two, spec_for_kind("universal", two), 0.0),
             (two, Adaptive(16), 0.0),
+            (two_wide, spec_for_kind("two-sided", two_wide), 0.5),
             (bernoulli, spec_for_kind("llr", bernoulli), 0.0),
             (poisson, spec_for_kind("llr", poisson), 0.0),
         ]
@@ -994,8 +996,9 @@ class TestEngineLimits:
 @st.composite
 def _engine_cases(draw):
     """(instance, spec, rho, loss kind, seed, offset, reps) over every
-    spec kind and family; reps up to 40 span several blocks for d >= 2,048,
-    and the examples of TestBlockEngineProperty span them at d = 200 and 400."""
+    spec kind and family, the Gaussian classes at sigma 0.5, 1 or 1.7; reps
+    up to 40 span several blocks for d >= 2,048, and the examples of
+    TestBlockEngineProperty span them at d = 200 and 400."""
     d = draw(st.integers(2, 3000))
     s = draw(st.integers(1, min(d - 1, 40)))
     a = draw(st.floats(0.25, 6.0))
@@ -1008,7 +1011,7 @@ def _engine_cases(draw):
         kinds = ["llr", "tops", "plus"]
     else:
         signal = {"lower": LowerBound(a), "two": TwoSided(a), "interval": Interval(-0.5, a)}[cls]
-        p = ProblemInstance(d, s, signal)
+        p = ProblemInstance(d, s, signal, sigma=draw(st.sampled_from([0.5, 1.0, 1.7])))
         kinds = ["plus", "two-sided", "cosh", "tops", "tops-abs", "universal"]
         kinds += ["adaptive"] if d >= 8 else []
         kinds += ["llr"] if cls != "two" else []

@@ -4,13 +4,15 @@ name that nothing in the package reads, no public name that nothing uses,
 no keyword option that no caller passes, no import cycle between the
 package's modules, no numpy in the command-line layer or under
 ``import hamsel.numkit``, no scipy anywhere in the package, no BLAS product,
-and the ratio (d - s)/s formed in one function only.
+the ratio (d - s)/s formed in one function only, and every library name
+the benchmark in bench/ reads still defined.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -167,6 +169,38 @@ def _keywords_passed(tree: ast.AST) -> set[str]:
     return {
         kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call) for kw in node.keywords
     }
+
+
+def test_bench_library_names_resolve():
+    """Every name bench/*.py imports from a hamsel module, and every
+    attribute it reads of a module it imports with ``from hamsel import``
+    (``risk.psi_plus``, ``numkit.poisson_cdf``), exists: a src/ change that
+    drops one would otherwise fail only a benchmark run."""
+    read, missing = set(), []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = _tree(path)
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "hamsel":
+                        importlib.import_module(alias.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "hamsel":
+                for alias in node.names:
+                    modules[alias.asname or alias.name] = importlib.import_module(f"hamsel.{alias.name}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hamsel."):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    read.add(f"{node.module}.{alias.name}")
+                    if not hasattr(module, alias.name):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                read.add(f"{node.value.id}.{node.attr}")
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert {"hamsel.simulate.estimate_risk", "risk.psi_plus", "numkit.poisson_cdf"} <= read
+    assert not missing, f"library names bench/ reads that hamsel does not define: {missing}"
 
 
 def test_every_keyword_option_is_passed():
