@@ -18,6 +18,7 @@ import traceback
 
 from . import risk
 from .model import (
+    Adaptive,
     CrowdInstance,
     Family,
     Interval,
@@ -28,7 +29,6 @@ from .model import (
     Threshold,
     TopS,
     TwoSided,
-    _check_d_s,
     fresh_seed,
     read_observations_csv,
     read_rates_csv,
@@ -39,8 +39,8 @@ from .selectors import (
     SELECTOR_KINDS,
     adaptive_selector,
     crowd_selector,
-    crowd_weights,
     llr_threshold,
+    resolve_selector,
     select_row,
     spec_for_kind,
     universal_threshold,
@@ -233,20 +233,19 @@ def _select_crowd(args):
         raise ValueError("crowd selection needs both --votes and --rates")
     s = _require(args.s, "--s", "crowd selection")
     crowd = CrowdInstance(read_votes_csv(args.votes), tuple(read_rates_csv(args.rates)))
-    support = crowd_selector(crowd, s)
-    weights, intercept = crowd_weights(crowd.rates)
-    diagnostics = {"weights": list(weights), "intercept": intercept}
-    return support, math.log(_check_d_s(crowd.d, s)), diagnostics
+    return crowd_selector(crowd, s)
 
 
 def _select_spec(args, d: int, family: Family):
-    """The spec of a non-adaptive --method for d observations from family."""
+    """The spec of --method for d observations from family."""
     method = args.method
     if method in ("threshold", "threshold-abs"):
         t = _require(args.t, "--t", f"--method {method}")
         return Threshold(t, two_sided=method == "threshold-abs")
     if method == "universal":
         return Threshold(universal_threshold(d, args.sigma), two_sided=True)
+    if method == "adaptive":
+        return Adaptive(_require(args.s_star, "--s-star", "--method adaptive"))
     s = _require(args.s, "--s", f"--method {method}")
     if method == "tops":
         return TopS(s, one_sided=not args.by_abs)
@@ -259,29 +258,27 @@ def _select_spec(args, d: int, family: Family):
 
 
 def _select_file(args):
+    """--method run on the --input observations, which are from --family."""
+    if args.method is None:
+        raise ValueError("--method is required (or --votes/--rates for crowd data)")
     x = read_observations_csv(_require(args.input, "--input", "selection"))
-    if args.method == "adaptive":
-        s_star = _require(args.s_star, "--s-star", "--method adaptive")
-        result = adaptive_selector(x, s_star, args.sigma)
-        t = result.diagnostics.pop("threshold_used")
-        return result.support, t, {"chosen_m": result.chosen_m, **result.diagnostics}
-    d = int(x.size)
-    family = Family(args.family) if args.method == "llr" else Family.GAUSSIAN
+    d, family = int(x.size), Family(args.family)
     spec = _select_spec(args, d, family)
+    if isinstance(spec, Adaptive):
+        resolve_selector(spec, d, family, args.sigma)  # rejects every family but the Gaussian
+        return adaptive_selector(x, spec.s_star, args.sigma)
     support = SupportVector(select_row(spec, x, d, family, args.sigma))
-    return support, spec.t if isinstance(spec, Threshold) else None, {}
+    return support, {"threshold_used": spec.t if isinstance(spec, Threshold) else None}
 
 
 def cmd_select(args) -> int:
     """Print the one record {selected, bits, threshold_used, diagnostics} of
-    every route; each route returns (support, threshold_used, diagnostics)."""
-    if args.votes or args.rates:
-        support, t, diagnostics = _select_crowd(args)
-    else:
-        if args.method is None:
-            raise ValueError("--method is required (or --votes/--rates for crowd data)")
-        support, t, diagnostics = _select_file(args)
-    print(_json_text({**support_summary(support), "threshold_used": t, "diagnostics": diagnostics}))
+    every route.  Each returns (support, diagnostics), whose threshold_used
+    is the cut applied: it is printed on its own, ahead of the rest."""
+    support, diagnostics = (_select_crowd if args.votes or args.rates else _select_file)(args)
+    shown = dict(diagnostics)
+    t = shown.pop("threshold_used")
+    print(_json_text({**support_summary(support), "threshold_used": t, "diagnostics": shown}))
     return 0
 
 
@@ -504,16 +501,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--family",
         choices=[f.value for f in Family],
         default="gaussian",
-        help="family for --method llr",
+        help="family of the observations, for every --method (default gaussian)",
     )
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--s-star", dest="s_star", type=int, help="adaptive sparsity budget")
-    p.add_argument(
-        "--by-abs",
-        dest="by_abs",
-        action="store_true",
-        help="rank --method tops by |value|",
-    )
+    p.add_argument("--by-abs", action="store_true", help="rank --method tops by |value|")
     p.add_argument("--votes", help="crowd votes file (m rows of d 0/1 entries)")
     p.add_argument("--rates", help="crowd rates file (m rows of 'a0,a1')")
     p.set_defaults(func=cmd_select)

@@ -32,7 +32,7 @@ from .model import (
     _check_positive,
     _check_rates,
 )
-from .selectors import _cosh_cut, _crowd_llr, _llr_cut, spec_for_kind
+from .selectors import _cosh_cut, _crowd_llr, _llr_cut, crowd_weights, spec_for_kind
 
 _UPPER_CONST = 2.0 + math.sqrt(2.0 * math.pi)
 
@@ -183,7 +183,8 @@ def psi_crowd(rates, d: int, s: int) -> float:
     if m > 20:
         raise ValueError(f"enumeration caps at 20 workers, got {m}")
     idx = np.arange(1 << m)
-    selected = _crowd_llr(((idx >> i) & 1 for i in range(m)), rates) >= math.log(ratio)
+    weights, intercept = crowd_weights(rates)
+    selected = _crowd_llr(((idx >> i) & 1 for i in range(m)), weights, intercept) >= math.log(ratio)
     mass0 = mass1 = np.ones(1)
     for a0, a1 in rates:  # worker i is bit i of the pattern index
         mass0 = np.concatenate((mass0 * (1.0 - a0), mass0 * a0))

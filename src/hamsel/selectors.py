@@ -42,6 +42,14 @@ from .model import (
 )
 
 
+class SelectResult(NamedTuple):
+    """A rule's selection on one instance and what it computed on the way;
+    diagnostics["threshold_used"] is the cut the rule applied."""
+
+    support: SupportVector
+    diagnostics: dict
+
+
 def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     """t = a/2 + (sigma^2/a) log((d-s)/s).
 
@@ -166,21 +174,26 @@ def crowd_weights(rates) -> tuple[np.ndarray, float]:
     return weights, intercept
 
 
-def _crowd_llr(votes, rates) -> np.ndarray:
+def _crowd_llr(votes, weights, intercept: float) -> np.ndarray:
     """Each item's log-likelihood ratio: crowd_weights' intercept, then each
     worker's weight added in worker order wherever that worker voted 1.
     votes is any iterable of the m workers' 0/1 vote arrays.  crowd_selector
     and risk.psi_crowd both sum here, so they decide every pattern alike."""
-    weights, llr = crowd_weights(rates)
+    llr = intercept
     for w, row in zip(weights, votes, strict=True):
         llr = np.where(row == 1, llr + w, llr)
     return llr
 
 
-def crowd_selector(c: CrowdInstance, s: int) -> SupportVector:
-    """Aggregate m workers' votes by likelihood ratio against log((d-s)/s)."""
+def crowd_selector(c: CrowdInstance, s: int) -> SelectResult:
+    """Aggregate m workers' votes by likelihood ratio against the cut
+    log((d-s)/s); the diagnostics give the workers' weights, the intercept
+    and the cut."""
     cut = math.log(_check_d_s(c.d, s))
-    return SupportVector(_crowd_llr(c.votes, c.rates) >= cut)
+    weights, intercept = crowd_weights(c.rates)
+    support = SupportVector(_crowd_llr(c.votes, weights, intercept) >= cut)
+    diagnostics = {"weights": weights.tolist(), "intercept": intercept, "threshold_used": cut}
+    return SelectResult(support, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +242,6 @@ def universal_threshold(d: int, sigma: float = 1.0) -> float:
         raise ValueError(f"need d >= 2, got {d}")
     _check_positive(sigma=sigma)
     return _check_finite(sigma * math.sqrt(2.0 * math.log(d)), "universal threshold")
-
-
-class AdaptiveResult(NamedTuple):
-    support: SupportVector
-    chosen_m: int
-    diagnostics: dict
 
 
 class AdaptivePlan(NamedTuple):
@@ -290,7 +297,7 @@ def adaptive_into(
     return chosen, counts
 
 
-def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
+def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> SelectResult:
     """Data-driven two-sided threshold over the dyadic sparsity grid.
 
     With w(s) = sigma sqrt(2 log((d-s)/s)) and tau = (log(d/s_star - 1))^(-1/7),
@@ -300,8 +307,8 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
         m_hat = min{m in {2..M} : N_k <= tau g_k for all k in {m..M}},
 
     falling back to M when no m qualifies.  The selection is the two-sided
-    threshold at w(g_m_hat).  Requires 2 <= s_star <= d/4 so every band
-    threshold is real and positive.
+    threshold at w(g_m_hat); the diagnostics give m_hat first, as chosen_m.
+    Requires 2 <= s_star <= d/4 so every band threshold is real and positive.
     """
     arr = check_observations(x, np.size(x))
     plan = adaptive_plan(arr.size, s_star, sigma)
@@ -309,13 +316,12 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> AdaptiveResult:
     chosen, counts = adaptive_into(np.abs(arr[None]), plan, bits)
     m_hat = int(chosen[0])
     diagnostics = {
-        "grid": plan.grid,
-        "thresholds": plan.thresholds,
-        "tau": plan.tau,
+        "chosen_m": m_hat,
+        **plan._asdict(),  # grid, thresholds, tau
         "block_counts": {k: int(n) for k, n in enumerate(counts[0], start=2)},
         "threshold_used": plan.thresholds[m_hat - 1],
     }
-    return AdaptiveResult(SupportVector(bits[0]), m_hat, diagnostics)
+    return SelectResult(SupportVector(bits[0]), diagnostics)
 
 
 # ---------------------------------------------------------------------------

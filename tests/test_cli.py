@@ -26,10 +26,12 @@ from numpy.testing import assert_allclose
 
 from hamsel import cli, simulate
 from hamsel.model import (
+    Adaptive,
     Family,
     Interval,
     LowerBound,
     ProblemInstance,
+    Threshold,
     TwoSided,
 )
 from hamsel.numkit import POISSON_RATE_MAX
@@ -44,8 +46,10 @@ from hamsel.risk import (
 from hamsel.selectors import (
     SELECTOR_KINDS,
     adaptive_selector,
+    check_observations,
     crowd_selector,
     minimax_threshold,
+    resolve_selector,
     spec_for_kind,
     universal_threshold,
 )
@@ -352,7 +356,7 @@ class TestSelectCommand:
         payload = json.loads(out)
         res = adaptive_selector(values, 8)
         assert payload["selected"] == res.support.indices()
-        assert payload["diagnostics"]["chosen_m"] == res.chosen_m
+        assert payload["diagnostics"]["chosen_m"] == res.diagnostics["chosen_m"]
         assert payload["diagnostics"]["grid"] == res.diagnostics["grid"]
         assert payload["diagnostics"]["block_counts"] == {
             str(k): v for k, v in res.diagnostics["block_counts"].items()
@@ -373,7 +377,7 @@ class TestSelectCommand:
         from hamsel.model import read_rates_csv, read_votes_csv
 
         crowd = CrowdInstance(read_votes_csv(votes), tuple(read_rates_csv(rates)))
-        want = crowd_selector(crowd, 1)
+        want = crowd_selector(crowd, 1).support
         assert payload["selected"] == want.indices()
         assert payload["threshold_used"] == math.log(3.0)
         assert len(payload["diagnostics"]["weights"]) == 3
@@ -437,6 +441,96 @@ class TestSelectCommand:
         code, _, err = run_cli(capsys, "select", "--input", str(f))
         assert code == 2
         assert "--method" in err
+
+    _COUNTS = "0\n3\n1\n0\n7\n2\n0\n0\n1\n0\n"
+
+    @staticmethod
+    def _library_error(check):
+        """The error line main prints for the ValueError check raises."""
+        with pytest.raises(ValueError) as exc:
+            check()
+        return f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize(
+        "route, check",
+        [
+            (["--method", "cosh", "--s", "2", "--a", "1.5"],
+             lambda: ProblemInstance(10, 2, TwoSided(1.5), Family.POISSON)),
+            (["--method", "universal"],
+             lambda: resolve_selector(Threshold(1.0, two_sided=True), 10, Family.POISSON)),
+            (["--method", "threshold-abs", "--t", "1"],
+             lambda: resolve_selector(Threshold(1.0, two_sided=True), 10, Family.POISSON)),
+            (["--method", "adaptive", "--s-star", "2"],
+             lambda: resolve_selector(Adaptive(2), 10, Family.POISSON)),
+        ],
+        ids=["cosh", "universal", "threshold-abs", "adaptive"],
+    )
+    def test_gaussian_only_methods_reject_another_family(self, capsys, tmp_path, route, check):
+        """--family is the observations' family for every method, and the
+        library's own check rejects a Gaussian-only rule on counts."""
+        f = tmp_path / "x.csv"
+        f.write_text(self._COUNTS)
+        got = run_cli(capsys, "select", "--input", str(f), *route, "--family", "poisson")
+        assert got == (2, "", self._library_error(check))
+
+    @pytest.mark.parametrize(
+        "route",
+        [["--method", "threshold", "--t", "1"], ["--method", "tops", "--s", "1"],
+         ["--method", "tops", "--s", "1", "--by-abs"]],
+        ids=["threshold", "tops", "tops-by-abs"],
+    )
+    @pytest.mark.parametrize("family", ["poisson", "bernoulli"])
+    def test_family_checks_the_observations(self, capsys, tmp_path, route, family):
+        f = tmp_path / "x.csv"
+        f.write_text("0.5\n-1.0\n2.0\n")
+        got = run_cli(capsys, "select", "--input", str(f), *route, "--family", family)
+        want = self._library_error(lambda: check_observations([0.5, -1.0, 2.0], 3, family))
+        assert got == (2, "", want)
+
+    @pytest.mark.parametrize(
+        "route",
+        [["--method", "threshold", "--t", "1"], ["--method", "threshold", "--t", "2.5"],
+         ["--method", "tops", "--s", "3"], ["--method", "tops", "--s", "3", "--by-abs"]],
+        ids=["threshold-1", "threshold-2.5", "tops", "tops-by-abs"],
+    )
+    def test_count_data_selects_as_under_gaussian(self, capsys, tmp_path, route):
+        f = tmp_path / "x.csv"
+        f.write_text(self._COUNTS)
+        poisson = run_cli(capsys, "select", "--input", str(f), *route, "--family", "poisson")
+        gaussian = run_cli(capsys, "select", "--input", str(f), *route, "--family", "gaussian")
+        assert poisson[0] == 0
+        assert poisson == gaussian
+
+    @pytest.mark.parametrize(
+        "files, argv, line",
+        [
+            (
+                {"x.csv": "".join(f"{v!r}\n" for v in (0.3, -2.1, 4.4, 0.0, -0.7, 1.9, 5.2, -3.3,
+                                                        0.1, 0.2, 0.4, -0.5, 0.6, 2.2, -0.05, 3.1))},
+                ["--input", "x.csv", "--method", "adaptive", "--s-star", "4"],
+                '{"selected": [2, 3, 6, 7, 8, 14, 16], "bits": "0110011100000101", '
+                '"threshold_used": 1.4823038073675112, "diagnostics": {"chosen_m": 3, '
+                '"grid": [1, 2, 4], "thresholds": [2.3272516843273356, 1.9727697022487511, '
+                '1.4823038073675112], "tau": 0.98665444824406023, "block_counts": {"2": 2, "3": 1}}}\n',
+            ),
+            (
+                {"v.csv": "1,0,1,1,0,0,0,0,0,0\n0,0,1,0,0,0,0,1,0,0\n1,1,1,0,0,0,0,0,0,0\n",
+                 "r.csv": "0.2,0.9\n0.1,0.6\n0.3,0.8\n"},
+                ["--votes", "v.csv", "--rates", "r.csv", "--s", "3"],
+                '{"selected": [1, 3], "bits": "1010000000", "threshold_used": 0.84729786038720367, '
+                '"diagnostics": {"weights": [3.5835189384561104, 2.6026896854443837, '
+                '2.2335922215070947], "intercept": -4.1431347263915335}}\n',
+            ),
+        ],
+        ids=["adaptive", "crowd"],
+    )
+    def test_record_bytes(self, capsys, tmp_path, files, argv, line):
+        """The adaptive and crowd records, byte for byte, as the README's
+        threshold example is pinned."""
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / part) if part in files else part for part in argv]
+        assert run_cli(capsys, "select", *argv) == (0, line, "")
 
 
 class TestMcCommand:

@@ -645,7 +645,7 @@ class TestPsiCrowd:
         m = len(rates)
         d = 1 << m
         votes = (np.arange(d) >> np.arange(m)[:, None]) & 1
-        selected = crowd_selector(CrowdInstance(votes, tuple(rates)), s).bits
+        selected = crowd_selector(CrowdInstance(votes, tuple(rates)), s).support.bits
         mass0, mass1 = (
             np.array([math.prod(r[k] if v else 1.0 - r[k] for r, v in zip(rates, col))
                       for col in votes.T])
@@ -1014,7 +1014,7 @@ def _resolved_top_s(d):
 
 def _adaptive_result(s_star):
     result = adaptive_selector(_X, s_star)
-    return result.support.bits, result.chosen_m, result.diagnostics
+    return result.support.bits, result.diagnostics
 
 
 _TAKES_D_AND_S = {
@@ -1052,7 +1052,7 @@ _TAKES_D = {
 _TAKES_S = {
     "TopS": TopS,
     "Adaptive": Adaptive,
-    "crowd_selector": lambda s: crowd_selector(_CROWD, s).bits,
+    "crowd_selector": lambda s: crowd_selector(_CROWD, s).support.bits,
     "adaptive_selector": _adaptive_result,
 }
 _INTEGER_ENTRIES = {

@@ -270,7 +270,7 @@ class TestCrowdSelector:
         d, s, a0, a1 = 9, 2, 0.15, 0.85
         votes = rng_stream(46, 0).integers(0, 2, size=(1, d))
         c = CrowdInstance(votes=votes, rates=[(a0, a1)])
-        got = crowd_selector(c, s)
+        got = crowd_selector(c, s).support
         want = _llr_select(votes[0].astype(float), Family.BERNOULLI, d, s, a0, a1)
         assert got == want
 
@@ -285,7 +285,7 @@ class TestCrowdSelector:
         c_min = math.ceil((m + L / logit) / 2.0 - 1e-12)
         counts = votes.sum(axis=0)
         want = counts >= c_min
-        assert_array_equal(crowd_selector(c, s).bits, want)
+        assert_array_equal(crowd_selector(c, s).support.bits, want)
 
     def test_three_workers_against_bayes_enumeration(self):
         """Posterior-odds oracle computed with raw probability products."""
@@ -294,7 +294,7 @@ class TestCrowdSelector:
         rates = [(0.05 + 0.3 * rng.random(), 0.6 + 0.35 * rng.random()) for _ in range(m)]
         votes = rng.integers(0, 2, size=(m, d))
         c = CrowdInstance(votes=votes, rates=rates)
-        got = crowd_selector(c, s)
+        got = crowd_selector(c, s).support
         want = []
         for j in range(d):
             f1 = f0 = 1.0
@@ -380,7 +380,7 @@ class TestAdaptive:
 
     def test_quiet_data_picks_smallest_block(self):
         res = adaptive_selector(np.zeros(64), 16)
-        assert res.chosen_m == 2
+        assert res.diagnostics["chosen_m"] == 2
         assert res.support.weight == 0
         w2 = math.sqrt(2.0 * math.log((64 - 2) / 2))
         assert res.diagnostics["threshold_used"] == w2
@@ -398,7 +398,7 @@ class TestAdaptive:
         x = np.zeros(d)
         x[: len(values)] = values
         res = adaptive_selector(x, s_star)
-        assert res.chosen_m == m_cap
+        assert res.diagnostics["chosen_m"] == m_cap
 
     def test_random_data_against_direct_rescan(self):
         """Recount the bands with searchsorted and rescan the quantifier."""
@@ -428,19 +428,19 @@ class TestAdaptive:
                 if counts[k] > tau * grid[k - 1]:
                     m_hat = m_cap if k == m_cap else k + 1
                     break
-            assert res.chosen_m == m_hat
+            assert res.diagnostics["chosen_m"] == m_hat
 
-            want = _select(Threshold(w[res.chosen_m - 1], two_sided=True), x)
+            want = _select(Threshold(w[res.diagnostics["chosen_m"] - 1], two_sided=True), x)
             assert res.support == want
 
     def test_threshold_always_on_grid(self):
         rng = rng_stream(53, 0)
         for _ in range(10):
             x = rng.normal(0.0, 2.0, size=128)
-            res = adaptive_selector(x, 32)
-            assert res.diagnostics["threshold_used"] in res.diagnostics["thresholds"]
+            diag = adaptive_selector(x, 32).diagnostics
+            assert diag["threshold_used"] in diag["thresholds"]
             # bench/workloads.py checks the cli workload's adaptive select against this key
-            assert res.diagnostics["threshold_used"] == res.diagnostics["thresholds"][res.chosen_m - 1]
+            assert diag["threshold_used"] == diag["thresholds"][diag["chosen_m"] - 1]
 
     def test_diagnostics_content(self):
         res = adaptive_selector(np.zeros(40), 10)

@@ -293,6 +293,28 @@ def test_cli_imports_no_numpy():
     assert "numpy" not in _imported_packages(_tree(SRC / "cli.py"))
 
 
+def test_cli_reads_no_private_library_name():
+    """cli.py is a thin wrapper over the library's public names: a private
+    one it imports (``from .model import _check_d_s``) or reads off a module
+    (``risk._psi_cut``) is a check or a number worked out a second time."""
+    tree = _tree(SRC / "cli.py")
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hamsel"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{node.module or '.'}.{alias.name}")
+                elif not node.module:
+                    modules.add(alias.asname or alias.name)
+    private += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert {"risk", "simulate"} <= modules  # the walk sees the module imports
+    assert not private, f"private library names cli.py reads: {private}"
+
 def test_no_module_imports_scipy():
     """The package runs on numpy and the standard library: scipy is a test
     dependency only, and an import of it anywhere in src/hamsel, even inside
