@@ -25,7 +25,6 @@ from .model import (
     LossKind,
     LowerBound,
     ProblemInstance,
-    SupportVector,
     Threshold,
     TopS,
     TwoSided,
@@ -37,10 +36,8 @@ from .model import (
 )
 from .selectors import (
     SELECTOR_KINDS,
-    adaptive_selector,
     crowd_selector,
     llr_threshold,
-    resolve_selector,
     select_row,
     spec_for_kind,
     universal_threshold,
@@ -228,6 +225,31 @@ def cmd_risk(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The flags each select route reads: every file route reads --input, --method
+# and --family and then its method's own flags, and crowd voting reads only
+# _CROWD_FLAGS.  Any other flag given is an error that names it and the route;
+# every select flag defaults to None, so that "given" can be seen.
+_METHOD_FLAGS = {
+    "threshold": ("--t",),
+    "threshold-abs": ("--t",),
+    "cosh": ("--s", "--a", "--sigma"),
+    "llr": ("--s", "--a0", "--a1", "--sigma"),
+    "tops": ("--s", "--by-abs"),
+    "universal": ("--sigma",),
+    "adaptive": ("--s-star", "--sigma"),
+}
+_FILE_FLAGS = ("--input", "--method", "--family")
+_CROWD_FLAGS = ("--votes", "--rates", "--s")
+
+
+def _check_select_flags(args, reads: tuple, route: str) -> None:
+    """Reject any select flag given that the route does not read."""
+    every = dict.fromkeys(_FILE_FLAGS + _CROWD_FLAGS + sum(_METHOD_FLAGS.values(), ()))
+    for flag in every:
+        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} is not read by {route}")
+
+
 def _select_crowd(args):
     if not (args.votes and args.rates):
         raise ValueError("crowd selection needs both --votes and --rates")
@@ -236,14 +258,14 @@ def _select_crowd(args):
     return crowd_selector(crowd, s)
 
 
-def _select_spec(args, d: int, family: Family):
+def _select_spec(args, d: int, family: str, sigma: float):
     """The spec of --method for d observations from family."""
     method = args.method
     if method in ("threshold", "threshold-abs"):
         t = _require(args.t, "--t", f"--method {method}")
         return Threshold(t, two_sided=method == "threshold-abs")
     if method == "universal":
-        return Threshold(universal_threshold(d, args.sigma), two_sided=True)
+        return Threshold(universal_threshold(d, sigma), two_sided=True)
     if method == "adaptive":
         return Adaptive(_require(args.s_star, "--s-star", "--method adaptive"))
     s = _require(args.s, "--s", f"--method {method}")
@@ -254,28 +276,30 @@ def _select_spec(args, d: int, family: Family):
     else:
         a0 = _require(args.a0, "--a0", "--method llr")
         signal = Interval(a0, _require(args.a1, "--a1", "--method llr"))
-    return spec_for_kind(method, ProblemInstance(d, s, signal, family, args.sigma))
+    return spec_for_kind(method, ProblemInstance(d, s, signal, family, sigma))
 
 
 def _select_file(args):
     """--method run on the --input observations, which are from --family."""
-    if args.method is None:
-        raise ValueError("--method is required (or --votes/--rates for crowd data)")
     x = read_observations_csv(_require(args.input, "--input", "selection"))
-    d, family = int(x.size), Family(args.family)
-    spec = _select_spec(args, d, family)
-    if isinstance(spec, Adaptive):
-        resolve_selector(spec, d, family, args.sigma)  # rejects every family but the Gaussian
-        return adaptive_selector(x, spec.s_star, args.sigma)
-    support = SupportVector(select_row(spec, x, d, family, args.sigma))
-    return support, {"threshold_used": spec.t if isinstance(spec, Threshold) else None}
+    family = args.family or "gaussian"
+    sigma = 1.0 if args.sigma is None else args.sigma
+    return select_row(_select_spec(args, x.size, family, sigma), x, x.size, family, sigma)
 
 
 def cmd_select(args) -> int:
     """Print the one record {selected, bits, threshold_used, diagnostics} of
-    every route.  Each returns (support, diagnostics), whose threshold_used
-    is the cut applied: it is printed on its own, ahead of the rest."""
-    support, diagnostics = (_select_crowd if args.votes or args.rates else _select_file)(args)
+    every route.  Each returns a SelectResult, whose threshold_used is the
+    cut applied: it is printed on its own, ahead of the rest."""
+    if args.votes or args.rates:
+        route, reads, run = "crowd selection", _CROWD_FLAGS, _select_crowd
+    elif args.method is None:
+        raise ValueError("--method is required (or --votes/--rates for crowd data)")
+    else:
+        route, reads = f"--method {args.method}", _FILE_FLAGS + _METHOD_FLAGS[args.method]
+        run = _select_file
+    _check_select_flags(args, reads, route)
+    support, diagnostics = run(args)
     shown = dict(diagnostics)
     t = shown.pop("threshold_used")
     print(_json_text({**support_summary(support), "threshold_used": t, "diagnostics": shown}))
@@ -488,10 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="run a selector on a data file")
     p.add_argument("--input", help="observations file, one value per line")
-    p.add_argument(
-        "--method",
-        choices=["threshold", "threshold-abs", "cosh", "llr", "tops", "universal", "adaptive"],
-    )
+    p.add_argument("--method", choices=list(_METHOD_FLAGS))
     p.add_argument("--t", type=float, help="threshold value")
     p.add_argument("--s", type=int, help="sparsity")
     p.add_argument("--a", type=float, help="signal level")
@@ -500,12 +521,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         choices=[f.value for f in Family],
-        default="gaussian",
         help="family of the observations, for every --method (default gaussian)",
     )
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, help="noise level (default 1)")
     p.add_argument("--s-star", dest="s_star", type=int, help="adaptive sparsity budget")
-    p.add_argument("--by-abs", action="store_true", help="rank --method tops by |value|")
+    p.add_argument(
+        "--by-abs", action="store_true", default=None, help="rank --method tops by |value|"
+    )
     p.add_argument("--votes", help="crowd votes file (m rows of d 0/1 entries)")
     p.add_argument("--rates", help="crowd rates file (m rows of 'a0,a1')")
     p.set_defaults(func=cmd_select)

@@ -1,9 +1,10 @@
 """Selection rules: each threshold rule's cut, the spec of each named rule
 (spec_for_kind), the top-s and adaptive cores, and the selection layer that
 runs any spec: resolve_selector checks a spec once and makes the block
-selection functions the MC engine calls, and select_row runs a spec on one
-vector.  The cores write the selection of a (rows, d) block of observations
-into a bool block and never write the observations.
+selection functions the MC engine calls (the adaptive one hands back its plan
+and counts), and select_row runs a spec on one vector into a SelectResult.
+The cores write the selection of a (rows, d) block of observations into a
+bool block and never write the observations.
 
 Boundary conventions are normative, not cosmetic: selection events use the
 closed inequality ``>= t`` exactly as defined, and the adaptive procedure's
@@ -99,7 +100,7 @@ def cosh_selector(
     the literal log-cosh comparison.
     """
     spec = Threshold(cosh_threshold(d, s, a, sigma), two_sided=True)
-    return SupportVector(select_row(spec, x, d, sigma=sigma))
+    return select_row(spec, x, d, sigma=sigma).support
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +311,7 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> SelectResult:
     threshold at w(g_m_hat); the diagnostics give m_hat first, as chosen_m.
     Requires 2 <= s_star <= d/4 so every band threshold is real and positive.
     """
-    arr = check_observations(x, np.size(x))
-    plan = adaptive_plan(arr.size, s_star, sigma)
-    bits = np.empty((1, arr.size), dtype=bool)
-    chosen, counts = adaptive_into(np.abs(arr[None]), plan, bits)
-    m_hat = int(chosen[0])
-    diagnostics = {
-        "chosen_m": m_hat,
-        **plan._asdict(),  # grid, thresholds, tau
-        "block_counts": {k: int(n) for k, n in enumerate(counts[0], start=2)},
-        "threshold_used": plan.thresholds[m_hat - 1],
-    }
-    return SelectResult(SupportVector(bits[0]), diagnostics)
+    return select_row(Adaptive(s_star), x, np.size(x), sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +320,8 @@ def adaptive_selector(x, s_star: int, sigma: float = 1.0) -> SelectResult:
 
 
 # select(x, out): writes the selection of an (m, d) block of observations
-# x into the bool block out of the same shape, and may overwrite x.
+# x into the bool block out of the same shape, and may overwrite x.  The
+# adaptive one hands back its plan and each row's chosen m and band counts.
 Select = Callable[[np.ndarray, np.ndarray], object]
 
 
@@ -370,18 +361,30 @@ def resolve_selector(
     if isinstance(spec, Threshold):
         return lambda rows: lambda x, out: np.greater_equal(np.abs(x, out=x), spec.t, out=out)
     plan = adaptive_plan(d, spec.s_star, sigma)
-    return lambda rows: lambda x, out: adaptive_into(np.abs(x, out=x), plan, out)
+    return lambda rows: lambda x, out: (plan, *adaptive_into(np.abs(x, out=x), plan, out))
 
 
 def select_row(
     spec: SelectorSpec, x, d: int, family: Family = Family.GAUSSIAN, sigma: float = 1.0
-) -> np.ndarray:
-    """spec's bool selection on one vector x of d observations from family,
-    checked first; x itself is not written."""
+) -> SelectResult:
+    """spec's SelectResult on one vector x of d observations from family,
+    checked first; x itself is not written.  The diagnostics are threshold_used
+    alone (a Threshold's t, None for TopS) but for Adaptive (adaptive_selector)."""
     block = check_observations(x, d, family)[None].copy()
     bits = np.empty(block.shape, dtype=bool)
-    resolve_selector(spec, d, family, sigma)(1)(block, bits)
-    return bits[0]
+    handed = resolve_selector(spec, d, family, sigma)(1)(block, bits)
+    if not isinstance(spec, Adaptive):
+        t = spec.t if isinstance(spec, Threshold) else None
+        return SelectResult(SupportVector(bits[0]), {"threshold_used": t})
+    plan, chosen, counts = handed
+    m_hat = int(chosen[0])
+    diagnostics = {
+        "chosen_m": m_hat,
+        **plan._asdict(),  # grid, thresholds, tau
+        "block_counts": {k: int(n) for k, n in enumerate(counts[0], start=2)},
+        "threshold_used": plan.thresholds[m_hat - 1],
+    }
+    return SelectResult(SupportVector(bits[0]), diagnostics)
 
 
 # ---------------------------------------------------------------------------

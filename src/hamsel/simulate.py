@@ -172,7 +172,7 @@ def generate_family(
 def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
     """Run a selector spec on observations from instance p: select_row at
     p's d, family and sigma."""
-    return SupportVector(select_row(spec, x, p.d, p.family, p.sigma))
+    return select_row(spec, x, p.d, p.family, p.sigma).support
 
 
 # ---------------------------------------------------------------------------

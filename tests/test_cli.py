@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hamsel import cli, simulate
+from hamsel import cli, selectors, simulate
 from hamsel.model import (
     Adaptive,
     Family,
@@ -32,6 +32,7 @@ from hamsel.model import (
     LowerBound,
     ProblemInstance,
     Threshold,
+    TopS,
     TwoSided,
 )
 from hamsel.numkit import POISSON_RATE_MAX
@@ -45,11 +46,15 @@ from hamsel.risk import (
 )
 from hamsel.selectors import (
     SELECTOR_KINDS,
+    adaptive_plan,
     adaptive_selector,
     check_observations,
+    cosh_threshold,
     crowd_selector,
+    llr_threshold,
     minimax_threshold,
     resolve_selector,
+    select_row,
     spec_for_kind,
     universal_threshold,
 )
@@ -363,6 +368,22 @@ class TestSelectCommand:
         }
         assert payload["threshold_used"] == res.diagnostics["threshold_used"]
 
+    def test_adaptive_plan_is_formed_once(self, capsys, tmp_path, monkeypatch):
+        """select --method adaptive forms its plan once, in resolve_selector,
+        and reports what that plan's selection computed."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return adaptive_plan(*args)
+
+        monkeypatch.setattr(selectors, "adaptive_plan", counted)
+        f = tmp_path / "x.csv"
+        f.write_text("".join(f"{v!r}\n" for v in (0.3, -2.1, 4.4, 0.0, -0.7, 1.9, 5.2, -3.3)))
+        code, _, _ = run_cli(capsys, "select", "--input", str(f), "--method", "adaptive",
+                             "--s-star", "2")
+        assert (code, len(calls)) == (0, 1)
+
     def test_crowd_selection(self, capsys, tmp_path):
         votes = tmp_path / "v.csv"
         votes.write_text("1,0,1,1\n0,0,1,0\n1,1,1,0\n")
@@ -383,28 +404,34 @@ class TestSelectCommand:
         assert len(payload["diagnostics"]["weights"]) == 3
 
     @pytest.mark.parametrize(
-        "route",
+        "route, spec",
         [
-            ["--method", "threshold", "--t", "1"],
-            ["--method", "threshold-abs", "--t", "1"],
-            ["--method", "universal"],
-            ["--method", "tops", "--s", "1"],
-            ["--method", "tops", "--s", "1", "--by-abs"],
-            ["--method", "cosh", "--s", "2", "--a", "1.5"],
-            ["--method", "llr", "--s", "1", "--a0", "0", "--a1", "2"],
-            ["--method", "llr", "--family", "bernoulli", "--s", "1", "--a0", "0.1", "--a1", "0.9"],
-            ["--method", "llr", "--family", "poisson", "--s", "1", "--a0", "0.5", "--a1", "3"],
-            ["--method", "adaptive", "--s-star", "2"],
-            ["--votes", "VOTES", "--rates", "RATES", "--s", "1"],
+            (["--method", "threshold", "--t", "1"], Threshold(1.0)),
+            (["--method", "threshold-abs", "--t", "1"], Threshold(1.0, two_sided=True)),
+            (["--method", "universal"], Threshold(universal_threshold(10), two_sided=True)),
+            (["--method", "tops", "--s", "1"], TopS(1)),
+            (["--method", "tops", "--s", "1", "--by-abs"], TopS(1, one_sided=False)),
+            (["--method", "cosh", "--s", "2", "--a", "1.5"],
+             Threshold(cosh_threshold(10, 2, 1.5), two_sided=True)),
+            (["--method", "llr", "--s", "1", "--a0", "0", "--a1", "2"],
+             Threshold(llr_threshold(Family.GAUSSIAN, 10, 1, 0.0, 2.0))),
+            (["--method", "llr", "--family", "bernoulli", "--s", "1", "--a0", "0.1", "--a1", "0.9"],
+             Threshold(llr_threshold(Family.BERNOULLI, 10, 1, 0.1, 0.9))),
+            (["--method", "llr", "--family", "poisson", "--s", "1", "--a0", "0.5", "--a1", "3"],
+             Threshold(llr_threshold(Family.POISSON, 10, 1, 0.5, 3.0))),
+            (["--method", "adaptive", "--s-star", "2"], Adaptive(2)),
+            (["--votes", "VOTES", "--rates", "RATES", "--s", "1"], None),
         ],
         ids=["threshold", "threshold-abs", "universal", "tops", "tops-by-abs", "cosh",
              "llr-gaussian", "llr-bernoulli", "llr-poisson", "adaptive", "crowd"],
     )
-    def test_one_record_shape_for_every_route(self, capsys, tmp_path, route):
+    def test_one_record_shape_for_every_route(self, capsys, tmp_path, route, spec):
         """Every route prints {selected, bits, threshold_used, diagnostics} in
         that order: threshold_used null only for tops, and diagnostics empty
         but for adaptive (chosen_m first) and crowd voting (its weights and
-        intercept)."""
+        intercept).  A file route prints select_row's SelectResult for its
+        spec, whose diagnostics are threshold_used alone (t, or None for
+        TopS) but for Adaptive's."""
         files = {
             "VOTES": "1,0,1,1,0,0,0,0,0,0\n0,0,1,0,0,0,0,1,0,0\n1,1,1,0,0,0,0,0,0,0\n",
             "RATES": "0.2,0.9\n0.1,0.6\n0.3,0.8\n",
@@ -427,6 +454,19 @@ class TestSelectCommand:
             assert sorted(diagnostics) == ["intercept", "weights"]
         else:
             assert diagnostics == []
+        if spec is None:
+            return
+        family = route[route.index("--family") + 1] if "--family" in route else "gaussian"
+        result = select_row(spec, [0, 1, 1, 0, 0, 0, 0, 0, 1, 0], 10, family)
+        if isinstance(spec, Adaptive):
+            assert list(result.diagnostics) == [
+                "chosen_m", "grid", "thresholds", "tau", "block_counts", "threshold_used"
+            ]
+        else:
+            assert result.diagnostics == {"threshold_used": getattr(spec, "t", None)}
+        assert payload["selected"] == result.support.indices()
+        assert payload["threshold_used"] == result.diagnostics["threshold_used"]
+        assert diagnostics == list(result.diagnostics)[:-1]
 
     def test_crowd_needs_both_files(self, capsys, tmp_path):
         votes = tmp_path / "v.csv"
@@ -1205,12 +1245,26 @@ class TestUsageErrors:
               "--selector", "plus", "--reps", "5", "--seed", "1"], "(d - s)/s"),
             (_phase_argv(d_list=str(10**400), s_rule="fixed:10"), "(d - s)/s"),
             (_phase_argv(d_list=str(10**400), s_rule="power:0.5"), "--s-rule"),
+            (["select", "--votes", "v", "--rates", "r", "--s", "1", "--method", "cosh",
+              "--input", "missing.csv"], "--input is not read by crowd selection"),
+            (["select", "--votes", "v", "--rates", "r", "--s", "1", "--family", "poisson"],
+             "--family is not read by crowd selection"),
+            (["select", "--votes", "v", "--rates", "r", "--s", "1", "--sigma", "2"],
+             "--sigma is not read by crowd selection"),
+            (["select", "--votes", "v", "--rates", "r", "--s", "1", "--method", "tops"],
+             "--method is not read by crowd selection"),
+            (["select", "--input", "x.csv", "--method", "threshold", "--t", "1", "--by-abs"],
+             "--by-abs is not read by --method threshold"),
+            (["select", "--input", "x.csv", "--method", "tops", "--s", "1", "--t", "1"],
+             "--t is not read by --method tops"),
         ],
         ids=[
             "which-psi-plus-interval", "d-list-not-int", "d-list-empty", "s-rule-fixed",
             "s-rule-power", "s-rule-power-range", "selectors-unknown", "sweep-array",
             "d-not-int", "class-unknown", "mc-reps-missing", "risk-ratio-overflows",
             "mc-ratio-overflows", "phase-ratio-overflows", "s-rule-power-overflows",
+            "select-crowd-input", "select-crowd-family", "select-crowd-sigma",
+            "select-crowd-method", "select-by-abs-off-tops", "select-t-off-threshold",
         ],
     )
     def test_exit_2_with_one_error_line_naming_the_input(self, capsys, tmp_path, argv, named):
@@ -1273,12 +1327,32 @@ def _risk_or_mc_argv(draw):
     return argv
 
 
-_SELECT_METHODS = ["threshold", "threshold-abs", "cosh", "llr", "tops", "universal", "adaptive"]
+# The flags each select method reads past --input and --method, written out
+# here apart from the CLI's own table; a file route given any other select
+# flag exits 2 naming it.
+_SELECT_READS = {
+    "threshold": ("--family", "--t"),
+    "threshold-abs": ("--family", "--t"),
+    "cosh": ("--family", "--s", "--a", "--sigma"),
+    "llr": ("--family", "--s", "--a0", "--a1", "--sigma"),
+    "tops": ("--family", "--s", "--by-abs"),
+    "universal": ("--family", "--sigma"),
+    "adaptive": ("--family", "--s-star", "--sigma"),
+}
+
+
+def _flag_parts(flag, values):
+    """The argv parts of flag=value for each value drawn."""
+    return values.map(lambda v: [f"{flag}={v!r}" if isinstance(v, float) else f"{flag}={v}"])
+
+
+# Each select file-route flag past --input and --method, as its drawn argv parts
 _SELECT_FLAGS = {
-    **{flag: st.none() | _ARGV_FLOATS for flag in ("--t", "--a", "--a0", "--a1", "--sigma")},
-    "--s": st.none() | _ARGV_INTS,
-    "--s-star": st.none() | _ARGV_INTS,
-    "--family": st.none() | st.sampled_from(["gaussian", "bernoulli", "poisson"]),
+    **{flag: _flag_parts(flag, _ARGV_FLOATS) for flag in ("--t", "--a", "--a0", "--a1", "--sigma")},
+    "--s": _flag_parts("--s", _ARGV_INTS),
+    "--s-star": _flag_parts("--s-star", _ARGV_INTS),
+    "--family": _flag_parts("--family", st.sampled_from(["gaussian", "bernoulli", "poisson"])),
+    "--by-abs": st.just(["--by-abs"]),
 }
 # Observation files of up to 6 lines (none is the empty-file case)
 _SELECT_OBSERVATIONS = st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, 5e-324]), max_size=6)
@@ -1286,17 +1360,19 @@ _SELECT_OBSERVATIONS = st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, 
 
 @st.composite
 def _select_argv(draw):
-    """(observations, argv) for select on a data file: every --method, with
-    each flag drawn from the edge values or left out, and --by-abs on or off.
-    The argv names the file as OBSERVATIONS."""
-    argv = ["select", "--input=OBSERVATIONS", f"--method={draw(st.sampled_from(_SELECT_METHODS))}"]
-    for flag, values in _SELECT_FLAGS.items():
-        value = draw(values)
-        if value is not None:
-            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
-    if draw(st.booleans()):
-        argv.append("--by-abs")
-    return draw(_SELECT_OBSERVATIONS), argv
+    """(observations, argv, foreign) for select on a data file: every
+    --method, each flag it reads drawn from the edge values or left out, and
+    on some examples one flag it does not read, named as foreign (None when
+    there is none).  The argv names the file as OBSERVATIONS."""
+    method = draw(st.sampled_from(list(_SELECT_READS)))
+    argv = ["select", "--input=OBSERVATIONS", f"--method={method}"]
+    for flag in _SELECT_READS[method]:
+        argv += draw(st.just([]) | _SELECT_FLAGS[flag])
+    others = [flag for flag in _SELECT_FLAGS if flag not in _SELECT_READS[method]]
+    foreign = draw(st.none() | st.sampled_from(others))
+    if foreign is not None:
+        argv += draw(_SELECT_FLAGS[foreign])
+    return draw(_SELECT_OBSERVATIONS), argv, foreign
 
 
 def _reject_constant(name):
@@ -1307,7 +1383,8 @@ class TestNeverInvalidOutput:
     @staticmethod
     def _check(argv):
         """Exit 0 with one line of strict JSON (no NaN or Infinity), or exit 2
-        with nothing on stdout; never the internal-error exit 1."""
+        with nothing on stdout; never the internal-error exit 1.  Returns the
+        exit code and stderr."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -1315,10 +1392,11 @@ class TestNeverInvalidOutput:
         assert code in (0, 2), (argv, err.getvalue())
         if code == 2:
             assert out.getvalue() == ""
-            return
-        lines = out.getvalue().splitlines()
-        assert len(lines) == 1
-        json.loads(lines[0], parse_constant=_reject_constant)
+        else:
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1
+            json.loads(lines[0], parse_constant=_reject_constant)
+        return code, err.getvalue()
 
     @settings(max_examples=500)
     @given(argv=_risk_or_mc_argv())
@@ -1332,12 +1410,22 @@ class TestNeverInvalidOutput:
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=_select_argv())
     @example(case=([1e308, -1e308, 5e-324], ["select", "--input=OBSERVATIONS", "--method=tops",
-                                              "--s=2", "--by-abs"]))
+                                              "--s=2", "--by-abs"], None))
+    @example(case=([], ["select", "--input=OBSERVATIONS", "--method=threshold", "--a=0.0"], "--a"))
     def test_select_one_json_line_or_exit_2(self, tmp_path, case):
-        observations, argv = case
+        """As above, and exit 2 naming the flag exactly when the argv holds
+        a flag its method does not read, whatever else it holds."""
+        observations, argv, foreign = case
         path = tmp_path / "x.csv"
         path.write_text("".join(f"{v!r}\n" for v in observations))
-        self._check([f"--input={path}" if part == "--input=OBSERVATIONS" else part for part in argv])
+        got = self._check(
+            [f"--input={path}" if part == "--input=OBSERVATIONS" else part for part in argv]
+        )
+        if foreign is None:
+            assert "is not read by" not in got[1]
+        else:
+            method = argv[2].removeprefix("--method=")
+            assert got == (2, f"error: {foreign} is not read by --method {method}\n")
 
 
 class TestSubprocess:

@@ -1047,7 +1047,7 @@ _TAKES_D = {
     "universal_threshold": universal_threshold,
     "check_observations": lambda d: check_observations(_X, d),
     "resolve_selector": _resolved_top_s,
-    "select_row": lambda d: select_row(Threshold(0.5), _X, d),
+    "select_row": lambda d: select_row(Threshold(0.5), _X, d).support.bits,
 }
 _TAKES_S = {
     "TopS": TopS,

@@ -387,12 +387,12 @@ def _by_family(f, family: Family) -> list:
         llr_threshold(f, 200, 10, a0, a1),
         psi_general(f, 200, 10, a0, a1),
         check_observations(x, 200, f).tobytes(),
-        select_row(spec, x, 200, f).tobytes(),
+        select_row(spec, x, 200, f).support.bits.tobytes(),
         estimate_risk(p, spec, MCConfig(replications=50, seed=3)).mc_estimate,
     ]
     if family is Family.GAUSSIAN:
         for spec in (Threshold(1.0, two_sided=True), Adaptive(16), TopS(10, one_sided=False)):
-            out.append(select_row(spec, x, 200, f).tobytes())
+            out.append(select_row(spec, x, 200, f).support.bits.tobytes())
             block, bits = x[None].copy(), np.empty((1, 200), dtype=bool)
             resolve_selector(spec, 200, f)(1)(block, bits)
             out.append(bits.tobytes())

@@ -375,3 +375,31 @@ def test_no_blas_products():
         f"{path.name}:{line} {what}" for path in MODULES for line, what in _blas_product_sites(_tree(path))
     ]
     assert not sites, f"BLAS products in src/hamsel: {sites}"
+
+
+def _call_sites(name: str) -> set[tuple[str, str | None]]:
+    """(module, enclosing module-level function, None outside one) of each
+    call of name in src/hamsel, as a bare name or as an attribute."""
+    sites = set()
+    for path in MODULES:
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    sites.add((path.name, getattr(top, "name", None)))
+    return sites
+
+
+def test_one_selection_path():
+    """Every rule runs through one path: the adaptive plan is formed and run
+    only in resolve_selector, observations are checked only in select_row,
+    and cli.py runs a rule on a file only through select_row, so a second
+    hand-rolled selection path cannot come back."""
+    assert _call_sites("adaptive_plan") | _call_sites("adaptive_into") == {
+        ("selectors.py", "resolve_selector")
+    }
+    assert _call_sites("check_observations") == {("selectors.py", "select_row")}
+    assert _call_sites("select_row") >= {("cli.py", "_select_file")}  # the walk sees cli.py
+    cli_calls = _call_sites("resolve_selector") | _call_sites("adaptive_selector")
+    assert not {site for site in cli_calls if site[0] == "cli.py"}
