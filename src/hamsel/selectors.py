@@ -161,17 +161,18 @@ def check_observations(x, d: int, family: Family = Family.GAUSSIAN) -> np.ndarra
     return arr
 
 
-def crowd_weights(rates) -> tuple[np.ndarray, float]:
+def crowd_weights(rates) -> tuple[list[float], float]:
     """Per-worker log-likelihood weights and the shared intercept.
 
     Item j's log-likelihood ratio is sum_i votes[i,j] * w_i + b with
     w_i = log((a_i1/(1-a_i1)) ((1-a_i0)/a_i0)) and
-    b = sum_i log((1-a_i1)/(1-a_i0)).
+    b = sum_i log((1-a_i1)/(1-a_i0)), summed in worker order as _crowd_llr
+    adds.  math.log, not numpy's log, whose kernel numpy picks by CPU.
     """
-    a0 = np.array([r[0] for r in rates], dtype=float)
-    a1 = np.array([r[1] for r in rates], dtype=float)
-    weights = np.log((a1 / (1.0 - a1)) * ((1.0 - a0) / a0))
-    intercept = float(np.sum(np.log((1.0 - a1) / (1.0 - a0))))
+    weights, intercept = [], 0.0
+    for a0, a1 in rates:
+        weights.append(math.log((a1 / (1.0 - a1)) * ((1.0 - a0) / a0)))
+        intercept += math.log((1.0 - a1) / (1.0 - a0))
     return weights, intercept
 
 
@@ -193,7 +194,7 @@ def crowd_selector(c: CrowdInstance, s: int) -> SelectResult:
     cut = math.log(_check_d_s(c.d, s))
     weights, intercept = crowd_weights(c.rates)
     support = SupportVector(_crowd_llr(c.votes, weights, intercept) >= cut)
-    diagnostics = {"weights": weights.tolist(), "intercept": intercept, "threshold_used": cut}
+    diagnostics = {"weights": weights, "intercept": intercept, "threshold_used": cut}
     return SelectResult(support, diagnostics)
 
 

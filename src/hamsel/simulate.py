@@ -68,7 +68,7 @@ from .model import (
 from .selectors import Select, resolve_selector, row_counts, select_row, spec_for_kind
 
 # Most replications one run accepts, 2^27 = 134,217,728: estimate_risk's
-# int64 loss array stays within 1 GiB, and the 2^40-wide stream ranges of
+# float64 loss array stays within 1 GiB, and the 2^40-wide stream ranges of
 # phase_sweep's cells stay apart.
 MAX_REPLICATIONS = 2**27
 
@@ -363,7 +363,7 @@ def estimate_risk(
     n = cfg.replications
     rows = _block_layout(p.d, n)
     blocks = -(-n // rows)
-    errors = np.empty(n, dtype=np.int64)
+    losses = np.empty(n)  # each row's error count, at most d < 2^53, so exact
 
     def fill(first_block: int, end_block: int) -> None:
         draw = _block_sampler(p, cfg.rho, cfg.seed, rows)
@@ -377,7 +377,7 @@ def estimate_risk(
             # flipping the support turns each row into selection XOR truth,
             # whose count is the Hamming loss
             sel[on] ^= True
-            errors[lo:hi] = row_counts(sel)
+            losses[lo:hi] = row_counts(sel)
 
     workers = _worker_count(p.d, blocks)
     if workers == 1:
@@ -394,12 +394,10 @@ def estimate_risk(
             for fut in futures:
                 fut.result()
 
-    if cfg.loss_kind is LossKind.HAMMING:
-        losses = errors.astype(float)
-    elif cfg.loss_kind is LossKind.NORMALIZED_HAMMING:
-        losses = errors / p.s
-    else:
-        losses = (errors != 0).astype(float)
+    if cfg.loss_kind is LossKind.NORMALIZED_HAMMING:
+        losses /= p.s
+    elif cfg.loss_kind is LossKind.WRONG_RECOVERY:
+        np.minimum(losses, 1.0, out=losses)
     estimate = float(losses.mean())
     stderr = float(losses.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return RiskReport(

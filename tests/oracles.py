@@ -1,6 +1,7 @@
 """Independent references shared by the test modules: mpmath values, Monte
-Carlo evaluations of the printed forms, an elementary Gaussian tail bracket
-and a quadrature value of the top-s risk.  None of them is library code;
+Carlo evaluations of the printed forms, an elementary Gaussian tail bracket,
+a quadrature value of the top-s risk and the reduction of replayed MC error
+counts.  None of them is library code;
 each checks a closed form or an estimate of :mod:`hamsel` by another route.
 """
 
@@ -12,7 +13,7 @@ import scipy.integrate
 import scipy.special
 
 from hamsel import numkit
-from hamsel.model import _check_d_s, _check_positive, rng_stream
+from hamsel.model import LossKind, _check_d_s, _check_positive, rng_stream
 from hamsel.selectors import crowd_weights
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -108,6 +109,22 @@ def psi_bar_printed_mc(
     mean = total / draws
     var = max(total_sq - draws * mean * mean, 0.0) / (draws - 1)
     return mean, math.sqrt(var / draws)
+
+
+def replay_reduction(errors, s: int, loss_kind: LossKind) -> tuple[float, float]:
+    """(estimate, stderr) of replayed per-replication Hamming error counts
+    under loss_kind, reduced as estimate_risk reports them: numpy's mean and
+    std(ddof=1) / sqrt(n) of the float losses, and stderr 0.0 at n = 1."""
+    errors = np.asarray(errors, dtype=float)
+    if loss_kind is LossKind.NORMALIZED_HAMMING:
+        losses = errors / s
+    elif loss_kind is LossKind.WRONG_RECOVERY:
+        losses = (errors != 0).astype(float)
+    else:
+        losses = errors
+    n = len(losses)
+    stderr = float(losses.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(losses.mean()), stderr
 
 
 def psi_crowd_mc(rates, d: int, s: int, replications: int, seed: int) -> tuple[float, float]:

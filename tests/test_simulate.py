@@ -61,7 +61,7 @@ from hamsel.simulate import (
     generate_gaussian,
     phase_sweep,
 )
-from oracles import psi_bar_printed_mc, top_s_risk
+from oracles import psi_bar_printed_mc, replay_reduction, top_s_risk
 
 
 @contextmanager
@@ -698,18 +698,12 @@ class TestStreamContract:
         for rho in rhos:
             errors = _replayed_errors(p, spec, seed, offset, reps, rho)
             for kind in LossKind:
-                if kind is LossKind.HAMMING:
-                    losses = np.array([float(e) for e in errors])
-                elif kind is LossKind.NORMALIZED_HAMMING:
-                    losses = np.array([e / p.s for e in errors])
-                else:
-                    losses = np.array([1.0 if e else 0.0 for e in errors])
+                want = replay_reduction(errors, p.s, kind)
                 cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=kind)
                 for workers in (1, 2):
                     with _workers(workers):
                         report = estimate_risk(p, spec, cfg, stream_offset=offset)
-                    assert report.mc_estimate == float(losses.mean())
-                    assert report.mc_stderr == float(losses.std(ddof=1) / math.sqrt(reps))
+                    assert (report.mc_estimate, report.mc_stderr) == want
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_rekeyed_generator_state(self, seed):
@@ -792,22 +786,22 @@ class TestStreamContract:
         ]
         seed, offset = 20261018, 3 << 40
         for p, spec, rho in cases:
-            errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho), dtype=float)
+            errors = _replayed_errors(p, spec, seed, offset, reps, rho)
+            want = replay_reduction(errors, p.s, LossKind.HAMMING)
             cfg = MCConfig(replications=reps, seed=seed, rho=rho)
             for workers in (1, 2):
                 with _workers(workers):
                     report = estimate_risk(p, spec, cfg, stream_offset=offset)
-                assert report.mc_estimate == float(errors.mean())
-                assert report.mc_stderr == float(errors.std(ddof=1) / math.sqrt(reps))
+                assert (report.mc_estimate, report.mc_stderr) == want
 
 
-def _one_worker_peak(p, spec, reps):
+def _one_worker_peak(p, spec, reps, loss_kind=LossKind.HAMMING):
     """Bytes tracemalloc sees at the peak of a one-worker estimate_risk run."""
     with _workers(1):
         estimate_risk(p, spec, MCConfig(replications=2, seed=1))  # lazy imports
         tracemalloc.start()
         try:
-            estimate_risk(p, spec, MCConfig(replications=reps, seed=1))
+            estimate_risk(p, spec, MCConfig(replications=reps, seed=1, loss_kind=loss_kind))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -966,6 +960,18 @@ class TestEngineLimits:
             spec = spec_for_kind(kind, p)
         assert _one_worker_peak(p, spec, 2000) < 5 << 18
 
+    def test_one_loss_array_per_run(self):
+        """Each replication's loss is kept once, as one float64, for every
+        loss kind: from 10^3 to 10^5 replications at d = 200 the peak grows
+        by under 1.25 x 8 bytes per added replication.  An int64 count array
+        beside a float loss array would grow it by 16 bytes and more."""
+        p = _plus_instance()
+        spec = _plus_spec(p)
+        small, large = (
+            _one_worker_peak(p, spec, n, LossKind.WRONG_RECOVERY) for n in (10**3, 10**5)
+        )
+        assert large - small < 1.25 * 8 * (10**5 - 10**3)
+
     def test_oversized_replication_count_rejected_before_allocating(self):
         """MCConfig takes up to MAX_REPLICATIONS = 2^27 replications and
         refuses the next count, naming it, before a run allocates anything."""
@@ -1071,17 +1077,10 @@ class TestBlockEngineProperty:
         p, spec, rho, loss_kind, seed, offset, reps = case
         rows = _block_layout(p.d, reps)
         event("one block" if reps == rows else f"several blocks, last {'partial' if reps % rows else 'full'}")
-        errors = np.array(_replayed_errors(p, spec, seed, offset, reps, rho), dtype=float)
-        if loss_kind is LossKind.NORMALIZED_HAMMING:
-            losses = errors / p.s
-        elif loss_kind is LossKind.WRONG_RECOVERY:
-            losses = (errors != 0).astype(float)
-        else:
-            losses = errors
+        errors = _replayed_errors(p, spec, seed, offset, reps, rho)
+        want = replay_reduction(errors, p.s, loss_kind)
         cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=loss_kind)
-        stderr = float(losses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         for workers in (1, 2):
             with _workers(workers):
                 report = estimate_risk(p, spec, cfg, stream_offset=offset)
-            assert report.mc_estimate == float(losses.mean())
-            assert report.mc_stderr == stderr
+            assert (report.mc_estimate, report.mc_stderr) == want

@@ -4,7 +4,7 @@ name that nothing in the package reads, no public name that nothing uses,
 no keyword option that no caller passes, no import cycle between the
 package's modules, no numpy in the command-line layer or under
 ``import hamsel.numkit``, no scipy anywhere in the package, no BLAS product,
-the ratio (d - s)/s formed in one function only, and every library name
+no numpy transcendental function, the ratio (d - s)/s formed in one function only, and every library name
 the benchmark in bench/ reads still defined.
 
 The package has no linter; these checks catch what a refactor most often
@@ -375,6 +375,45 @@ def test_no_blas_products():
         f"{path.name}:{line} {what}" for path in MODULES for line, what in _blas_product_sites(_tree(path))
     ]
     assert not sites, f"BLAS products in src/hamsel: {sites}"
+
+
+_TRANSCENDENTAL_UFUNCS = {
+    "log", "exp", "log1p", "expm1", "log2", "log10", "exp2", "power", "float_power",
+    "logaddexp", "logaddexp2", "sin", "cos", "tan", "arcsin", "arccos", "arctan",
+    "arctan2", "hypot", "sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh",
+}
+
+
+def _numpy_transcendental_sites(tree: ast.AST):
+    """(line, name) of each numpy transcendental ufunc the module names:
+    ``np.log``, ``np.emath.log`` or ``from numpy import log``."""
+    aliases = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _TRANSCENDENTAL_UFUNCS:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            yield from ((node.lineno, a.name) for a in node.names if a.name in _TRANSCENDENTAL_UFUNCS)
+
+
+def test_no_numpy_transcendental_functions():
+    """No module calls numpy's log, exp, power or a trigonometric or
+    hyperbolic ufunc: numpy picks their float64 kernels by CPU feature
+    (AVX-512 ones among them), so a value that decides a selection at a cut
+    could round differently from one machine to the next.  The package
+    takes these functions from math, one scalar at a time."""
+    sites = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for line, name in _numpy_transcendental_sites(_tree(path))
+    ]
+    assert not sites, f"numpy transcendental functions in src/hamsel: {sites}"
 
 
 def _call_sites(name: str) -> set[tuple[str, str | None]]:
