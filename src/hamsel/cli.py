@@ -370,7 +370,6 @@ def cmd_phase(args) -> int:
         _parse_list(args.a_mult, "--a-mult", float),
         _parse_selectors(args.selectors),
         _mc_config(args),
-        sigma=args.sigma,
         a_ref=args.a_ref,
         s_star=args.s_star,
     )
@@ -393,7 +392,6 @@ _SWEEP_KEYS = {
     "replications": ("--reps", int),
     "seed": ("--seed", int),
     "rho": ("--rho", float),
-    "sigma": ("--sigma", float),
     "loss": ("--loss", str),
     "a_ref": ("--a-ref", str),
     "s_star": ("--s-star", int),
@@ -548,7 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--a-mult", dest="a_mult", required=True, help="e.g. 0.8,1,1.2")
     p.add_argument("--selectors", required=True, help=f"comma list from {','.join(SELECTOR_KINDS)}")
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--a-ref", dest="a_ref", choices=["almost-full", "exact"], default="almost-full")
     p.add_argument("--out", help="CSV output path (default stdout)")
     _add_run_flags(p)

@@ -50,19 +50,18 @@ def _check_d_s(d: int, s: int, sparse: bool = False) -> float:
         raise ValueError(f"(d - s)/s is above the largest float at s={s}, d={d}") from None
 
 
-def _check_positive(
-    a: float | None = None, sigma: float | None = None, name: str = "a"
-) -> float | None:
-    """A level and a noise scale, each positive and finite; name labels a.
-    Given both, returns r = a/sigma, which must square to a finite nonzero
-    value: the Gaussian formulas read a and sigma only through r."""
-    if a is not None and not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"need {name} > 0, got {a}")
-    if sigma is not None and not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"need sigma > 0, got {sigma}")
-    if a is None or sigma is None:
-        return None
-    r = a / sigma
+def _check_positive(value: float, name: str) -> float:
+    """value, positive and finite (None is neither); name labels it."""
+    if value is None or not 0.0 < value < math.inf:
+        raise ValueError(f"need {name} > 0, got {value}")
+    return value
+
+
+def _check_snr(a: float, sigma: float, name: str = "a") -> float:
+    """r = a/sigma for a level and a noise scale, each _check_positive
+    (name labels a); r must square to a finite nonzero value: the Gaussian
+    formulas read a and sigma only through r."""
+    r = _check_positive(a, name) / _check_positive(sigma, "sigma")
     if not 0.0 < r * r < math.inf:
         raise ValueError(f"need (a/sigma)^2 finite and nonzero, got a={a}, sigma={sigma}")
     return r
@@ -187,14 +186,14 @@ class ProblemInstance:
         object.__setattr__(self, "s", operator.index(self.s))
         object.__setattr__(self, "family", _check_family(self.family))
         _check_d_s(self.d, self.s)
-        _check_positive(sigma=self.sigma)
+        _check_positive(self.sigma, "sigma")
         sig = self.signal
         if isinstance(sig, (LowerBound, TwoSided)):
             if self.family is not Family.GAUSSIAN:
                 raise ValueError(
                     f"{type(sig).__name__} signal requires the Gaussian family"
                 )
-            _check_positive(sig.a, name="signal level a")
+            _check_positive(sig.a, "signal level a")
         elif isinstance(sig, Interval):
             _check_interval(self.family, sig.a0, sig.a1)
         else:

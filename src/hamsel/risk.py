@@ -31,6 +31,7 @@ from .model import (
     _check_interval,
     _check_positive,
     _check_rates,
+    _check_snr,
 )
 from .selectors import _cosh_cut, _crowd_llr, _llr_cut, crowd_weights, spec_for_kind
 
@@ -68,12 +69,12 @@ def psi_plus(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     the false-positive and miss probabilities of the threshold
     a/2 + sigma^2 log((d-s)/s)/a, the first weighted by (d-s)/s.
     """
-    return _psi_cut(_check_d_s(d, s), _check_positive(a, sigma))[0]
+    return _psi_cut(_check_d_s(d, s), _check_snr(a, sigma))[0]
 
 
 def psi_two_sided(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     """Two-sided lower-bound rate: Psi+ with the miss argument clipped at 0."""
-    return _psi_cut(_check_d_s(d, s), _check_positive(a, sigma))[1]
+    return _psi_cut(_check_d_s(d, s), _check_snr(a, sigma))[1]
 
 
 def _two_sided_cut(ratio: float, q: float, r: float) -> float:
@@ -96,7 +97,7 @@ def psi_bar(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     For u <= 1 the selector keeps every coordinate, so the value is exactly
     (d-s)/s: no misses, all d-s off-support coordinates wrong.
     """
-    ratio, r = _check_d_s(d, s), _check_positive(a, sigma)
+    ratio, r = _check_d_s(d, s), _check_snr(a, sigma)
     return _two_sided_cut(ratio, _cosh_cut(r, math.log(ratio)), r)
 
 
@@ -212,7 +213,7 @@ def wrong_recovery_bounds(
     r/(1+r) come from the Hamming risk being concentrated on one-coordinate
     errors at the minimax point.
     """
-    ratio, r = _check_d_s(d, s), _check_positive(a, sigma)
+    ratio, r = _check_d_s(d, s), _check_snr(a, sigma)
     plus, two_sided = _psi_cut(ratio, r)
     sp = s * plus
     sb = s * _two_sided_cut(ratio, _cosh_cut(r, math.log(ratio)), r)
@@ -234,7 +235,7 @@ def delta_bounds(d: int, s: int, a: float, sigma: float = 1.0) -> RecoveryBounds
     0 and the upper keeps its W = 0 value; Delta is reported as 0 in both
     degenerate regimes.  Requires 2s < d.
     """
-    ratio, r = _check_d_s(d, s, sparse=True), _check_positive(a, sigma)
+    ratio, r = _check_d_s(d, s, sparse=True), _check_snr(a, sigma)
     w = r * r - 2.0 * math.log(ratio)
     if w >= 0.0:
         delta = w / (2.0 * r)
@@ -268,7 +269,7 @@ def phase_point(d: int, s: int, sigma: float = 1.0) -> PhasePoint:
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
     log_ratio = math.log(_check_d_s(d, s, sparse=True))
-    _check_positive(sigma=sigma)
+    _check_positive(sigma, "sigma")
     a_almost_full = sigma * math.sqrt(2.0 * log_ratio)
     t_star = sigma * math.sqrt(2.0 * math.log(d - s))
     # a_almost_full <= t_star <= a_exact, so one check covers all three
@@ -284,7 +285,7 @@ def a0_adaptive(d: int, s: int, A: float, sigma: float = 1.0) -> float:
     log_ratio = math.log(_check_d_s(d, s, sparse=True))
     if not (A >= 0.0 and math.isfinite(A)):
         raise ValueError(f"need A >= 0, got {A}")
-    _check_positive(sigma=sigma)
+    _check_positive(sigma, "sigma")
     return _check_finite(sigma * math.sqrt(2.0 * log_ratio + A * math.sqrt(log_ratio)), "a0")
 
 

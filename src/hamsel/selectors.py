@@ -40,6 +40,7 @@ from .model import (
     _check_finite,
     _check_interval,
     _check_positive,
+    _check_snr,
 )
 
 
@@ -54,13 +55,13 @@ class SelectResult(NamedTuple):
 def minimax_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     """t = a/2 + (sigma^2/a) log((d-s)/s).
 
-    The minimax threshold of the one-sided problem.  May be negative when
-    s > d/2; it is returned as-is (callers needing an |x| threshold clamp
-    at zero themselves).
+    The minimax threshold of the one-sided problem, the Gaussian llr cut at
+    a0 = 0.  May be negative when s > d/2; it is returned as-is (callers
+    needing an |x| threshold clamp at zero themselves).
     """
-    log_ratio = math.log(_check_d_s(d, s))
-    r = _check_positive(a, sigma)
-    return _check_finite(a / 2.0 + sigma * ((1.0 / r) * log_ratio), "threshold")
+    ratio = _check_d_s(d, s)
+    _check_snr(a, sigma)
+    return _llr_cut(Family.GAUSSIAN, ratio, 0.0, a, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ def cosh_threshold(d: int, s: int, a: float, sigma: float = 1.0) -> float:
     that case is reported as a zero threshold.
     """
     log_ratio = math.log(_check_d_s(d, s))
-    q = _cosh_cut(_check_positive(a, sigma), log_ratio)
+    q = _cosh_cut(_check_snr(a, sigma), log_ratio)
     return _check_finite(sigma * q, "cosh threshold")
 
 
@@ -129,8 +130,7 @@ def _llr_cut(family: Family, ratio: float, a0: float, a1: float, sigma: float) -
     family = _check_interval(family, a0, a1)
     log_ratio = math.log(ratio)
     if family is Family.GAUSSIAN:
-        r = _check_positive(a1 - a0, sigma, name="a1 - a0")
-        # grouped exactly like minimax_threshold so a0 = 0 reproduces it bitwise
+        r = _check_snr(a1 - a0, sigma, name="a1 - a0")
         return _check_finite((a1 + a0) / 2.0 + sigma * ((1.0 / r) * log_ratio), "llr threshold")
     if family is Family.BERNOULLI:
         slope = math.log((a1 / (1.0 - a1)) * ((1.0 - a0) / a0))
@@ -242,7 +242,7 @@ def universal_threshold(d: int, sigma: float = 1.0) -> float:
     d = operator.index(d)
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    _check_positive(sigma=sigma)
+    _check_positive(sigma, "sigma")
     return _check_finite(sigma * math.sqrt(2.0 * math.log(d)), "universal threshold")
 
 
@@ -258,7 +258,7 @@ def adaptive_plan(d: int, s_star: int, sigma: float = 1.0) -> AdaptivePlan:
     """Dyadic grid g_k = 2^(k-1), k = 1..M, M = max{m : 2^(m-1) <= s_star},
     band thresholds w(g_k) and tolerance tau (see adaptive_selector).
     s_star is checked as the Adaptive spec checks it."""
-    _check_positive(sigma=sigma)
+    _check_positive(sigma, "sigma")
     s_star = Adaptive(s_star).s_star
     grid = [2 ** (k - 1) for k in range(1, s_star.bit_length() + 1)]
     if 4 * s_star > d:

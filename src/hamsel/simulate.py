@@ -113,7 +113,7 @@ def generate_gaussian(
         raise ValueError("theta must be a nonempty 1-d vector")
     if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
-    _check_positive(sigma=sigma)
+    _check_positive(sigma, "sigma")
     _check_rho(rho)
     common, own = math.sqrt(rho), math.sqrt(1.0 - rho)
     z = rng.standard_normal(theta.size + 1)
@@ -425,7 +425,6 @@ def phase_sweep(
     kinds: Sequence[str],
     cfg: MCConfig,
     *,
-    sigma: float = 1.0,
     a_ref: str = "almost-full",
     s_star: int | None = None,
 ) -> list[dict]:
@@ -433,10 +432,12 @@ def phase_sweep(
 
     s_rule is a constant or a callable d -> s.  Each cell's signal level is
     multiplier times the reference boundary of phase_point(d, s):
-    a_almost_full ("almost-full") or a_exact ("exact").  Cell c uses streams
-    (seed, c * 2^40 + r), so every cell is reproducible in isolation and
-    rows do not depend on grid order.  Every cell is built and checked
-    before the first one runs, so an invalid cell fails the sweep at once.
+    a_almost_full ("almost-full") or a_exact ("exact"), at sigma = 1: every
+    risk reads a only as a/sigma, so levels are in units of sigma.  Cell c
+    uses streams (seed, c * 2^40 + r), so every cell is reproducible in
+    isolation and rows do not depend on grid order.  Every cell is built
+    and checked before the first one runs, so an invalid cell fails the
+    sweep at once.
 
     Returns long-format row dicts (one per cell) ready for CSV emission.
     """
@@ -447,21 +448,21 @@ def phase_sweep(
     cells: list[tuple[dict, ProblemInstance, SelectorSpec]] = []
     for d in d_list:
         s = s_rule(d) if callable(s_rule) else s_rule
-        point = risk.phase_point(d, s, sigma)
+        point = risk.phase_point(d, s)
         a_base = point.a_almost_full if a_ref == "almost-full" else point.a_exact
         for mult in a_multipliers:
-            _check_positive(mult, name="multiplier")
+            _check_positive(mult, "multiplier")
             a = mult * a_base
             for kind in kinds:
                 signal = LowerBound(a) if kind in _ONE_SIDED_KINDS else TwoSided(a)
-                p = ProblemInstance(d, s, signal, sigma=sigma)
+                p = ProblemInstance(d, s, signal)
                 spec = spec_for_kind(kind, p, s_star=s_star)
                 _check_run(p, spec, cfg, len(cells) << 40)
                 row = {
                     "d": d,
                     "s": s,
                     "a": a,
-                    "sigma": sigma,
+                    "sigma": 1.0,
                     "rho": cfg.rho,
                     "family": "gaussian",
                     "selector": kind,

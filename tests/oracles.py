@@ -1,7 +1,7 @@
 """Independent references shared by the test modules: mpmath values, Monte
 Carlo evaluations of the printed forms, an elementary Gaussian tail bracket,
-a quadrature value of the top-s risk and the reduction of replayed MC error
-counts.  None of them is library code;
+quadrature values of the top-s risk and of a threshold rule's loss moments,
+and the reduction of replayed MC error counts.  None of them is library code;
 each checks a closed form or an estimate of :mod:`hamsel` by another route.
 """
 
@@ -13,8 +13,8 @@ import scipy.integrate
 import scipy.special
 
 from hamsel import numkit
-from hamsel.model import LossKind, _check_d_s, _check_positive, rng_stream
-from hamsel.selectors import crowd_weights
+from hamsel.model import LossKind, LowerBound, _check_d_s, _check_snr, rng_stream
+from hamsel.selectors import _crowd_llr, crowd_weights
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -81,7 +81,7 @@ def psi_bar_printed_mc(
     Returns (mean, stderr).
     """
     _check_d_s(d, s)
-    _check_positive(a, sigma)
+    _check_snr(a, sigma)
     if draws < 2:
         raise ValueError(f"need draws >= 2, got {draws}")
     ratio = (d - s) / s
@@ -127,10 +127,47 @@ def replay_reduction(errors, s: int, loss_kind: LossKind) -> tuple[float, float]
     return float(losses.mean()), stderr
 
 
+def threshold_loss_moments(p, t: float, rho: float) -> tuple[float, float, float]:
+    """Mean, variance and fourth central moment of the Hamming error count
+    of the one-sided cut x >= t on a Gaussian LowerBound instance p, its
+    noise equicorrelated at rho as the MC engine draws it.
+
+    Given Z0 = z the coordinates are independent: a support coordinate
+    a + sigma (sqrt(rho) z + sqrt(1-rho) Z_j) is missed with probability
+    P_miss(z) = Phi((t - a - c z)/u) and an off-support one selected with
+    P_fp(z) = Phi((c z - t)/u), c = sigma sqrt(rho), u = sigma sqrt(1-rho),
+    so the count is Bin(s, P_miss) + Bin(d - s, P_fp).  Its conditional
+    cumulants are the two binomials' summed; the moments over Z0 combine
+    them on an 801-node trapezoid on [-9, 9], its weights summed to 1.
+    """
+    if not isinstance(p.signal, LowerBound):
+        raise ValueError("threshold_loss_moments covers a LowerBound signal only")
+    d, s, a, sigma = p.d, p.s, p.signal.a, p.sigma
+    z = np.linspace(-9.0, 9.0, 801)
+    w = np.exp(-0.5 * z * z)
+    w[[0, -1]] *= 0.5
+    w /= w.sum()
+    c, u = sigma * math.sqrt(rho), sigma * math.sqrt(1.0 - rho)
+    k1 = k2 = k3 = k4 = 0.0
+    for n, q in (
+        (s, 0.5 * scipy.special.erfc(-(t - a - c * z) / (u * math.sqrt(2.0)))),
+        (d - s, 0.5 * scipy.special.erfc(-(c * z - t) / (u * math.sqrt(2.0)))),
+    ):
+        var = n * q * (1.0 - q)
+        k1, k2 = k1 + n * q, k2 + var
+        k3, k4 = k3 + var * (1.0 - 2.0 * q), k4 + var * (1.0 - 6.0 * q * (1.0 - q))
+    mean = float(w @ k1)
+    delta = k1 - mean
+    variance = float(w @ (k2 + delta**2))
+    fourth = float(w @ (k4 + 3.0 * k2**2 + 4.0 * k3 * delta + 6.0 * k2 * delta**2 + delta**4))
+    return mean, variance, fourth
+
+
 def psi_crowd_mc(rates, d: int, s: int, replications: int, seed: int) -> tuple[float, float]:
     """MC evaluation of the crowd aggregator's per-item risk, the quantity
     risk.psi_crowd enumerates: vote vectors drawn under both hypotheses
-    from stream (seed, 0), the on-support ones first.
+    from stream (seed, 0), the on-support ones first, each decided by the
+    library's own sum (selectors._crowd_llr), in the same order.
 
     Returns (mean, stderr) of miss + ((d-s)/s) false positive.
     """
@@ -146,8 +183,8 @@ def psi_crowd_mc(rates, d: int, s: int, replications: int, seed: int) -> tuple[f
     rng = rng_stream(seed, 0)
     votes_on = (rng.random((replications, m)) < a1).astype(float)
     votes_off = (rng.random((replications, m)) < a0).astype(float)
-    miss_ind = (votes_on @ weights + intercept < cut).astype(float)
-    fp_ind = (votes_off @ weights + intercept >= cut).astype(float)
+    miss_ind = (_crowd_llr(votes_on.T, weights, intercept) < cut).astype(float)
+    fp_ind = (_crowd_llr(votes_off.T, weights, intercept) >= cut).astype(float)
     estimate = float(miss_ind.mean() + ratio * fp_ind.mean())
     stderr = math.sqrt(
         (miss_ind.var(ddof=1) + ratio * ratio * fp_ind.var(ddof=1)) / replications

@@ -925,6 +925,12 @@ class TestSweepCommand:
         assert "'replicas'" in err
         assert "unknown" in err
 
+    def test_sigma_is_not_a_key(self, capsys, tmp_path):
+        """The grid is in units of sigma, so neither phase nor sweep sets it."""
+        code, out, err = run_cli(capsys, "sweep", str(self._config(tmp_path, sigma=2.0)))
+        assert (code, out) == (2, "")
+        assert err == "error: config key 'sigma': unknown\n"
+
     def test_missing_key_is_named(self, capsys, tmp_path):
         cfg = self._config(tmp_path)
         data = json.loads(cfg.read_text())
@@ -960,7 +966,6 @@ class TestSweepCommand:
         "overrides, flags",
         [
             ({"rho": 0.3}, ["--rho", "0.3"]),
-            ({"sigma": 2.5}, ["--sigma", "2.5"]),
             ({"loss": "normalized"}, ["--loss", "normalized"]),
             ({"loss": "wrong-recovery"}, ["--loss", "wrong-recovery"]),
             ({"a_ref": "exact"}, ["--a-ref", "exact"]),
@@ -973,7 +978,7 @@ class TestSweepCommand:
             ({"out": None}, []),
         ],
         ids=[
-            "rho", "sigma", "loss-normalized", "loss-wrong-recovery", "a_ref-exact",
+            "rho", "loss-normalized", "loss-wrong-recovery", "a_ref-exact",
             "s_star", "out", "s_star-null", "out-null",
         ],
     )
@@ -1183,6 +1188,25 @@ class TestExitCodes:
             with pytest.raises(ValueError, match="non-finite"):
                 cli._json_text({"t": value})
 
+    def test_unserializable_value_is_a_type_error(self):
+        with pytest.raises(TypeError, match="cannot serialize tuple"):
+            cli._json_text({"t": (1, 2)})
+
+    def test_internal_error_exits_1_with_its_traceback(self, capsys, monkeypatch):
+        """A fault that is no usage error prints its traceback to stderr,
+        nothing to stdout, and exits 1."""
+
+        def fault(*args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli.risk, "psi_plus", fault)
+        code, out, err = run_cli(
+            capsys, "risk", "--class", "plus", "--d", "200", "--s", "10", "--a", "3",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: injected fault\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1234,6 +1258,7 @@ class TestUsageErrors:
             (_phase_argv(s_rule="power:x"), "--s-rule"),
             (_phase_argv(s_rule="power:1.5"), "--s-rule"),
             (_phase_argv(selectors="plus,bogus"), "--selectors"),
+            ([*_phase_argv(), "--sigma", "2"], "--sigma"),
             (["sweep", "ARRAY_CONFIG"], "config must be a JSON object"),
             (["risk", "--class", "plus", "--d", "x", "--s", "1", "--a", "1"], "--d"),
             (["risk", "--class", "bogus", "--d", "3", "--s", "1"], "--class"),
@@ -1260,9 +1285,10 @@ class TestUsageErrors:
         ],
         ids=[
             "which-psi-plus-interval", "d-list-not-int", "d-list-empty", "s-rule-fixed",
-            "s-rule-power", "s-rule-power-range", "selectors-unknown", "sweep-array",
-            "d-not-int", "class-unknown", "mc-reps-missing", "risk-ratio-overflows",
-            "mc-ratio-overflows", "phase-ratio-overflows", "s-rule-power-overflows",
+            "s-rule-power", "s-rule-power-range", "selectors-unknown", "phase-sigma",
+            "sweep-array", "d-not-int", "class-unknown", "mc-reps-missing",
+            "risk-ratio-overflows", "mc-ratio-overflows", "phase-ratio-overflows",
+            "s-rule-power-overflows",
             "select-crowd-input", "select-crowd-family", "select-crowd-sigma",
             "select-crowd-method", "select-by-abs-off-tops", "select-t-off-threshold",
         ],

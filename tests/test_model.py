@@ -34,6 +34,7 @@ from hamsel.model import (
     uniform_support,
     uniform_supports,
 )
+from hamsel.risk import psi_plus
 
 
 class TestSignalClasses:
@@ -77,6 +78,21 @@ class TestProblemInstance:
             ProblemInstance(d=4, s=1, signal=LowerBound(1.0), sigma=0.0)
         with pytest.raises(ValueError):
             ProblemInstance(d=4, s=1, signal=LowerBound(1.0), sigma=-1.0)
+
+    def test_none_is_neither_a_level_nor_a_noise_scale(self):
+        """None is an invalid value like any other, caught by the check; no
+        argument value stands for "not given"."""
+        for build, named in (
+            (lambda: ProblemInstance(200, 10, LowerBound(None)), "signal level a"),
+            (lambda: ProblemInstance(200, 10, LowerBound(3.0), sigma=None), "sigma"),
+            (lambda: psi_plus(200, 10, None), "a"),
+        ):
+            with pytest.raises(ValueError, match=f"^need {named} > 0, got None$"):
+                build()
+
+    def test_unknown_signal_type(self):
+        with pytest.raises(TypeError, match="unknown signal type str"):
+            ProblemInstance(200, 10, "strong")
 
     def test_threshold_classes_are_gaussian_only(self):
         for family in (Family.BERNOULLI, Family.POISSON):
@@ -381,6 +397,15 @@ class TestCrowdInstance:
     def test_non_binary_votes(self):
         with pytest.raises(ValueError):
             CrowdInstance(votes=[[1, 2]], rates=[(0.1, 0.9)])
+
+    def test_votes_must_be_a_nonempty_matrix(self):
+        for votes in ([1, 0, 1], np.zeros((1, 0)), np.zeros((0, 3))):
+            with pytest.raises(ValueError, match="nonempty m x d matrix"):
+                CrowdInstance(votes=votes, rates=[(0.1, 0.9)])
+
+    def test_no_workers(self):
+        with pytest.raises(ValueError, match="need at least one worker"):
+            CrowdInstance(votes=[[1, 0, 1]], rates=[])
 
     def test_rate_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ microseconds.  Along s = ceil(d^(1 - beta)) the one-sided minimax risk Psi+
 shows both transitions: almost full recovery (Psi+ -> 0) above
 a_almost_full = sqrt(2 log((d-s)/s)) and not below it, and exact recovery
 (s Psi+ -> 0) above a_exact = sqrt(2 log(d-s)) + sqrt(2 log s) and not
-below it.
+below it.  The symmetric rule's PsiBar shows the same four, and so does the
+two-sided lower-bound rate Psi, except below a_almost_full: its miss term
+is clipped at Phi(0), so there Psi tends to 1/2, not 1.
 """
 
 import math
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamsel.risk import delta_bounds, phase_point, psi_bar, psi_plus
+from hamsel.risk import delta_bounds, phase_point, psi_bar, psi_plus, psi_two_sided
 
 _BETAS = (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5))
 _EXPONENTS = (2, 3, 4, 6, 8, 12, 16, 25, 50, 100, 150, 200, 250)
@@ -40,16 +42,21 @@ def _envelope_grid():
                     yield d, s, a
 
 
-def _along_sparsity(beta, boundary, multiplier, scaled, exponents=_EXPONENTS):
-    """Psi+ (times s if scaled) at multiplier times phase_point's boundary,
+def _along_sparsity(beta, boundary, multiplier, scaled, exponents=_EXPONENTS, psi=psi_plus):
+    """psi (times s if scaled) at multiplier times phase_point's boundary,
     along d = 10^k, s = ceil(d^(1 - beta))."""
     values = []
     for k in exponents:
         d = 10**k
         s = _power_of_ten(k * (1 - beta))
         a = multiplier * getattr(phase_point(d, s), boundary)
-        values.append((s if scaled else 1) * psi_plus(d, s, a))
+        values.append((s if scaled else 1) * psi(d, s, a))
     return values
+
+
+_symmetric_rates = pytest.mark.parametrize(
+    "psi", (psi_bar, psi_two_sided), ids=lambda psi: psi.__name__
+)
 
 
 def _strictly_decreasing(values) -> bool:
@@ -115,5 +122,69 @@ def test_no_exact_recovery_below_the_boundary(beta):
     """Claim: at a = 0.9 a_exact, s Psi+ -> infinity, so exact recovery
     fails: it grows at every step of d = 10^2 .. 10^250, past 10^18."""
     values = _along_sparsity(beta, "a_exact", 0.9, scaled=True)
+    assert _strictly_decreasing(values[::-1]), values
+    assert values[-1] > 1e18
+
+
+@_symmetric_rates
+@pytest.mark.parametrize("beta", _BETAS, ids=str)
+def test_symmetric_almost_full_recovery_above_the_boundary(psi, beta):
+    """Claim: at a = 1.1 a_almost_full, PsiBar -> 0 and Psi -> 0: each falls
+    at every step of d = 10^2 .. 10^250, to under 0.05."""
+    values = _along_sparsity(beta, "a_almost_full", 1.1, scaled=False, psi=psi)
+    assert _strictly_decreasing(values), values
+    assert values[-1] < 0.05
+
+
+@pytest.mark.parametrize("beta", _BETAS, ids=str)
+def test_no_symmetric_almost_full_recovery_below_the_boundary(beta):
+    """Claim: at a = 0.9 a_almost_full, PsiBar -> 1.  It dips first, longest
+    at beta = 0.3, so the claim is eventual: from d = 10^12 on at beta =
+    0.3 and from d = 10^8 on otherwise it rises at every step, to above 0.97."""
+    first = 12 if beta == Fraction(3, 10) else 8
+    exponents = [k for k in _EXPONENTS if k >= first]
+    values = _along_sparsity(
+        beta, "a_almost_full", 0.9, scaled=False, exponents=exponents, psi=psi_bar
+    )
+    assert _strictly_decreasing(values[::-1]), values
+    assert values[-1] > 0.97
+
+
+@pytest.mark.parametrize("beta", _BETAS, ids=str)
+def test_two_sided_rate_below_the_boundary_stays_above_one_half(beta):
+    """Claim: at a = 0.9 a_almost_full, Psi stays above 1/2.  Its miss term
+    is clipped at Phi(0), so it does not tend to 1: it falls at every step
+    of d = 10^2 .. 10^250 toward 1/2 and never reaches it."""
+    values = _along_sparsity(beta, "a_almost_full", 0.9, scaled=False, psi=psi_two_sided)
+    assert _strictly_decreasing(values), values
+    assert min(values) > 0.5
+
+
+@_symmetric_rates
+@pytest.mark.parametrize("beta", _BETAS, ids=str)
+def test_symmetric_risk_at_the_almost_full_boundary_tends_to_one_half(psi, beta):
+    """Claim: at a = a_almost_full itself PsiBar and Psi fall toward 1/2
+    from above, to within 0.04 of it at d = 10^250."""
+    values = _along_sparsity(beta, "a_almost_full", 1.0, scaled=False, psi=psi)
+    assert _strictly_decreasing(values), values
+    assert 0.5 < values[-1] < 0.54
+
+
+@_symmetric_rates
+@pytest.mark.parametrize("beta", _BETAS, ids=str)
+def test_symmetric_exact_recovery_above_the_boundary(psi, beta):
+    """Claim: at a = 1.1 a_exact, s PsiBar -> 0 and s Psi -> 0: each falls at
+    every step of d = 10^2 .. 10^250, to under 1e-25."""
+    values = _along_sparsity(beta, "a_exact", 1.1, scaled=True, psi=psi)
+    assert _strictly_decreasing(values), values
+    assert values[-1] < 1e-25
+
+
+@_symmetric_rates
+@pytest.mark.parametrize("beta", _BETAS, ids=str)
+def test_no_symmetric_exact_recovery_below_the_boundary(psi, beta):
+    """Claim: at a = 0.9 a_exact, s PsiBar and s Psi -> infinity: each grows
+    at every step of d = 10^2 .. 10^250, past 10^18."""
+    values = _along_sparsity(beta, "a_exact", 0.9, scaled=True, psi=psi)
     assert _strictly_decreasing(values[::-1]), values
     assert values[-1] > 1e18

@@ -37,6 +37,7 @@ from hamsel.selectors import (
     crowd_weights,
     llr_threshold,
     minimax_threshold,
+    resolve_selector,
     row_counts,
     spec_for_kind,
     top_s_into,
@@ -139,12 +140,18 @@ class TestMinimaxThreshold:
         assert_allclose(t2, 2.0 * t1, rtol=1e-15)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            minimax_threshold(5, 5, 1.0)
-        with pytest.raises(ValueError):
-            minimax_threshold(5, 1, 0.0)
-        with pytest.raises(ValueError):
-            minimax_threshold(5, 1, 1.0, 0.0)
+        """The cut is the Gaussian llr cut at a0 = 0, but its checks name the
+        one-sided level a, not a1 - a0."""
+        for args, message in (
+            ((5, 5, 1.0), "need 1 <= s < d"),
+            ((5, 1, 0.0), "need a > 0, got 0.0"),
+            ((5, 1, math.inf), "need a > 0, got inf"),
+            ((5, 1, 1.0, 0.0), "need sigma > 0, got 0.0"),
+            ((5, 1, 1e-200, 1e200), "need (a/sigma)^2 finite and nonzero"),
+        ):
+            with pytest.raises(ValueError) as info:
+                minimax_threshold(*args)
+            assert str(info.value).startswith(message)
 
 
 class TestCoshSelector:
@@ -566,6 +573,11 @@ class TestSpecForKind:
         p = ProblemInstance(d=20, s=4, signal=LowerBound(2.0))
         with pytest.raises(ValueError):
             spec_for_kind("argmax", p)
+
+    def test_unknown_spec_type_is_rejected(self):
+        for spec in ("plus", LowerBound(2.0), None):
+            with pytest.raises(TypeError, match="unknown selector spec"):
+                resolve_selector(spec, 20)
 
     def test_threshold_kinds_need_threshold_signal(self):
         p = ProblemInstance(d=20, s=4, signal=Interval(1.0, 2.0))

@@ -61,7 +61,7 @@ from hamsel.simulate import (
     generate_gaussian,
     phase_sweep,
 )
-from oracles import psi_bar_printed_mc, replay_reduction, top_s_risk
+from oracles import psi_bar_printed_mc, replay_reduction, threshold_loss_moments, top_s_risk
 
 
 @contextmanager
@@ -251,6 +251,22 @@ class TestEstimateRisk:
         r8 = estimate_risk(p, spec, MCConfig(replications=20_000, seed=31, rho=0.8))
         joint = math.hypot(r0.mc_stderr, r8.mc_stderr)
         assert abs(r0.mc_estimate - r8.mc_estimate) <= 3.0 * joint
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_reported_stderr_follows_the_loss_law(self, rho):
+        """n stderr^2, the losses' sample variance, is within 4 of its own
+        sds (from the law's fourth moment) of the variance of the error
+        count's law (oracles.threshold_loss_moments).  Hamming risk does not
+        depend on rho but its variance does, so an engine that dropped the
+        common factor Z0 would pass every mean gate and fail this one."""
+        p = _plus_instance()
+        spec = _plus_spec(p)
+        n = 20_000
+        report = estimate_risk(p, spec, MCConfig(replications=n, seed=2024, rho=rho))
+        mean, variance, fourth = threshold_loss_moments(p, spec.t, rho)
+        assert mean == pytest.approx(10.0 * psi_plus(200, 10, 3.0), rel=1e-12)
+        sd = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
+        assert abs(n * report.mc_stderr**2 - variance) <= 4.0 * sd
 
     def test_loss_kind_relations(self):
         """Same seed: wrong-recovery <= Hamming pathwise, normalized = /s."""
