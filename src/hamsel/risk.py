@@ -253,14 +253,15 @@ class PhasePoint(NamedTuple):
     w_star: float
 
 
-def phase_point(d: int, s: int, sigma: float = 1.0) -> PhasePoint:
-    """Signal levels of the almost-full and exact recovery boundaries.
+def phase_point(d: int, s: int) -> PhasePoint:
+    """Signal levels of the almost-full and exact recovery boundaries, in
+    units of sigma (every risk reads a only as a/sigma).
 
-    a_almost_full = sigma sqrt(2 log((d-s)/s)) is where the lower-bound rate
-    Psi stops vanishing; a_exact = sigma (sqrt(2 log(d-s)) + sqrt(2 log s))
-    is the exact-recovery boundary, where the one-sided minimax threshold
-    collapses to t_star = sigma sqrt(2 log(d-s)).  w_star is the matching
-    value of the margin W of :func:`delta_bounds`:
+    a_almost_full = sqrt(2 log((d-s)/s)) is where the lower-bound rate Psi
+    stops vanishing; a_exact = sqrt(2 log(d-s)) + sqrt(2 log s) is the
+    exact-recovery boundary, where the one-sided minimax threshold collapses
+    to t_star = sqrt(2 log(d-s)).  w_star is the matching value of the
+    margin W of :func:`delta_bounds`:
 
         2 log((d-s)/s) + w_star = 2 (sqrt(log(d-s)) + sqrt(log s))^2.
 
@@ -269,11 +270,9 @@ def phase_point(d: int, s: int, sigma: float = 1.0) -> PhasePoint:
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
     log_ratio = math.log(_check_d_s(d, s, sparse=True))
-    _check_positive(sigma, "sigma")
-    a_almost_full = sigma * math.sqrt(2.0 * log_ratio)
-    t_star = sigma * math.sqrt(2.0 * math.log(d - s))
-    # a_almost_full <= t_star <= a_exact, so one check covers all three
-    a_exact = _check_finite(t_star + sigma * math.sqrt(2.0 * math.log(s)), "a_exact")
+    a_almost_full = math.sqrt(2.0 * log_ratio)
+    t_star = math.sqrt(2.0 * math.log(d - s))
+    a_exact = t_star + math.sqrt(2.0 * math.log(s))
     w_star = 4.0 * (
         math.log(s) + math.sqrt(math.log(s) * math.log(d - s))
     )

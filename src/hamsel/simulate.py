@@ -4,10 +4,10 @@ Reproducibility contract
 ------------------------
 Replication r of a run with seed S consumes exactly the counter-based
 stream (S, stream_offset + r), so results are bit-identical no matter how
-replications are grouped into blocks or spread over threads.  Each
-worker keeps one Philox generator and re-keys it to (S, stream_offset + r)
-before replication r, which leaves it in the same state as a fresh
-``rng_stream(S, stream_offset + r)``.
+replications are grouped into blocks or shares, or which process runs
+them.  Each process keeps one Philox generator per share and re-keys it to
+(S, stream_offset + r) before replication r, which leaves it in the same
+state as a fresh ``rng_stream(S, stream_offset + r)``.
 
 Within one replication the draw order is fixed: the support's s
 uniforms, global sign (TwoSided only; the s uniforms and the sign come
@@ -19,30 +19,36 @@ those uniforms (model.uniform_supports), O(s) whatever d.
 
 Replications run in blocks of B rows, as many as a DRAW_BYTES draw
 buffer holds (see _block_layout).  One row loop serves every family: it
-re-keys the worker's generator and draws each row's uniforms and noise
-(see _block_sampler).  The block's supports, the placement of its signal,
-the selector and the loss then run once on the whole block.  The spec is
-resolved once per run (selectors.resolve_selector); each worker makes its
-own selection function from it, which writes a block's selection into the
-worker's (B, d) bool buffer and may overwrite the block's observations,
-which are not read again.  A replication's loss is the count of the
-selection XOR its support, without building ``SupportVector`` objects.
-Losses land in a positional array and are reduced with numpy's pairwise
-summation, so the aggregate is independent of B and completion order.
+re-keys the generator and draws each row's uniforms and noise (see
+_block_sampler).  The block's supports, the placement of its signal, the
+selector and the loss then run once on the whole block.  The spec is
+resolved once per run and process (selectors.resolve_selector) into a
+selection function, which writes a block's selection into the share's
+(B, d) bool buffer and may overwrite the block's observations, which are
+not read again.  A replication's loss is the count of the selection XOR
+its support, without building ``SupportVector`` objects.  Losses land in
+a positional array and are reduced with numpy's pairwise summation, so
+the aggregate is independent of B, of the shares and of completion order.
 
-The engine picks its own worker count from d (see PARALLEL_MIN_D): one
-thread below it, where the per-row draw loop, the selector and the
-once-per-block loss hold the interpreter lock long enough that a second
-thread gains little or loses, and min(blocks, usable CPUs) at or above
-it, where the d-length Philox fills release the lock.  Results never
-depend on the count.
+The engine picks its own worker count from the run's size n d (see
+SHARE_MIN_WORK): one process below 2 SHARE_MIN_WORK, where a worker's
+start-up and round trip cost more than it saves, otherwise up to the
+usable CPUs.  A run is cut into that many shares of equal replication
+counts, at any replication: the calling process runs the first, and
+persistent worker processes, forked by the first run that needs them and
+reused by later ones, run the others, each with its own generator and
+buffers.  A worker sends back each block's error counts, which land in
+their slice of the caller's loss array.  Results never depend on the
+worker count.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -196,40 +202,10 @@ DRAW_BYTES = 640 * 1024
 # up to about 4.2 million.  The support and selection rows are smaller.
 ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
-# Smallest d at which replications are spread over threads: a row's fills
-# release the interpreter lock and grow with d.  Median speedup of 2 workers
-# over 1 on 2 CPUs in each of two sweeps, then the runs of 9 that 2 won in
-# each (s = 10, 4,000 replications, 9 alternated runs).  768 is the smallest
-# d where 2 won at least 8 of 9 for every rule, as from 1,024 to 2,048 in an
-# earlier sweep.
-#   d         512            640            768            896
-#   plus      1.26/0.93 9,1  0.99/1.37 3,7  1.33/1.46 9,9  1.39/1.59 9,9
-#   top-s     1.16/1.23 9,9  1.48/1.14 9,9  1.61/1.40 9,9  1.40/1.47 9,9
-#   adaptive  1.10/1.10 7,6  1.16/1.16 7,8  1.38/1.10 9,9  1.30/1.46 9,9
-#   Poisson   1.34/1.28 8,8  1.23/1.51 7,9  1.09/1.53 9,9  1.56/1.55 9,9
-PARALLEL_MIN_D = 768
-
-
 def _block_layout(d: int, n: int) -> int:
     """Block rows B for n replications at dimension d: 1 <= B <= n (see
     DRAW_BYTES)."""
     return min(n, max(1, DRAW_BYTES // (8 * (d + 1))))
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the platform
-    has one), not the CPUs installed."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _worker_count(d: int, blocks: int) -> int:
-    """Threads for a run of the given number of blocks at dimension d."""
-    if d < PARALLEL_MIN_D:
-        return 1
-    return min(blocks, _usable_cpus())
 
 
 def _stream_rekeyer(seed: int) -> tuple[np.random.Generator, Callable[[int], None]]:
@@ -259,9 +235,10 @@ def _block_sampler(
     the (row, column) index pair of the supports, so x[on] is (m, s).  Row
     i re-keys the generator to (seed, first + i), draws the support's s
     uniforms (s + 1 with a TwoSided sign) into a row of u, then the
-    family's row fill into a row of z, which x views: Z0 and the noise, d
-    uniforms, or d Poisson(a0) counts then s Poisson(a1 - a0) ones.  The
-    supports and the signal's placement draw nothing and run once per block.
+    family's row fill: Z0 and the noise into a row of z, which x views; d
+    uniforms into x; or d Poisson(a0) counts into x, then s Poisson(a1 -
+    a0) ones into a row of their own.  The supports and the signal's
+    placement draw nothing and run once per block.
     """
     rng, rekey = _stream_rekeyer(seed)
     d, s, sig, family = p.d, p.s, p.signal, p.family
@@ -273,13 +250,15 @@ def _block_sampler(
         z = x = np.empty((rows, d))
         fill = rng.random
     elif family is Family.POISSON:
-        z = np.empty((rows, d + s))
-        x = z[:, :d]
+        # the support counts get their own buffer, so that x is contiguous
+        z = x = np.empty((rows, d))
+        counts = np.empty((rows, s))
+        count_rows = [iter(counts)]  # the block's rows of counts, taken in row order
         a0, rate, poisson = sig.a0, sig.a1 - sig.a0, rng.poisson
 
         def fill(out):
-            out[:d] = poisson(a0, d)
-            out[d:] = poisson(rate, s)
+            out[...] = poisson(a0, d)
+            next(count_rows[0])[...] = poisson(rate, s)
 
     else:
         sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
@@ -302,7 +281,8 @@ def _block_sampler(
             xm[on] = hits
         elif family is Family.POISSON:
             idx.sort(axis=1)  # in place (on too), as generate_family adds counts in index order
-            xm[on] += z[:m, d:]
+            xm[on] += counts[:m]
+            count_rows[0] = iter(counts)  # for the next block
         else:
             # x = theta + noise with theta = base off the support and a row's level on it
             _scale_noise(z[:m], sigma, common, own)
@@ -337,6 +317,227 @@ def _check_run(
     return make_select, offset
 
 
+def _share(
+    p: ProblemInstance, make_select: Callable[[int], Select], rho: float, seed: int,
+    start: int, n: int,
+):
+    """Run replications start .. start + n - 1 (stream indices) in blocks;
+    yield (lo, counts) per block: the Hamming error counts of the share's
+    replications lo .. lo + len(counts) - 1, valid until the next block."""
+    rows = _block_layout(p.d, n)
+    draw = _block_sampler(p, rho, seed, rows)
+    select = make_select(rows)
+    selected = np.empty((rows, p.d), dtype=bool)
+    for lo in range(0, n, rows):
+        m = min(rows, n - lo)
+        x, on = draw(start + lo, m)
+        sel = selected[:m]
+        select(x, sel)  # may overwrite x, the block's own draws
+        # flipping the support turns each row into selection XOR truth,
+        # whose count is the Hamming loss
+        sel[on] ^= True
+        yield lo, row_counts(sel)
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+# Least work, in replications times d, of each share when a run is split:
+# a run takes min(usable CPUs, n, n d // SHARE_MIN_WORK) processes, so one
+# below n d = 2^18.  Median speedup of 2 processes over 1 on a 2-vCPU VM,
+# then how many of 9 alternated runs 2 won (s = 10; plus on LowerBound,
+# top-s on TwoSided, llr on Poisson Interval(1, 3)).  From 2^16 on, 2 won
+# nearly every run; at 2^18 a share takes 2-4 ms, so a worker's round trip,
+# about 0.3 ms, costs about a tenth of it.
+#   n d              2^16      2^17      2^18      2^19
+#   d = 200 plus     1.54 9    1.65 9    1.77 8    1.81 9
+#           top-s    1.58 9    1.53 9    1.61 9    1.78 9
+#           Poisson  1.55 8    1.54 9    1.63 9    1.95 9
+#   d = 2,000 plus   1.30 9    1.18 9    1.34 9    1.83 9
+#           top-s    1.53 9    1.58 9    1.71 9    1.73 9
+#           Poisson  1.48 9    1.76 9    1.72 9    1.85 9
+#   d = 10^4 plus    1.20 9    1.44 9    1.61 9    1.37 8
+#           top-s    1.03 8    1.21 9    1.22 9    1.30 9
+#           Poisson  1.22 9    1.31 9    1.41 9    1.43 9
+SHARE_MIN_WORK = 2**17
+
+# The started worker processes, which later runs reuse, one run at a time.
+_pool: list = []
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one), not the CPUs installed."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_count(d: int, n: int) -> int:
+    """Processes, the calling one included, for n replications at dimension d."""
+    return max(1, min(_usable_cpus(), n, n * d // SHARE_MIN_WORK))
+
+
+def _serve(conn) -> None:
+    """A worker's loop: run each share that arrives on conn and send back
+    each block's error counts as float64 bytes, until the caller closes its
+    end or exits."""
+    try:
+        while True:
+            p, spec, rho, seed, start, n = conn.recv()
+            make_select = resolve_selector(spec, p.d, p.family, p.sigma)
+            for _, counts in _share(p, make_select, rho, seed, start, n):
+                conn.send_bytes(counts.astype(np.float64))
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        return
+
+
+class _Worker:
+    """A forked worker process: the caller's end of its connection, its
+    pid, and its exit code once it has been reaped."""
+
+    def __init__(self) -> None:
+        import signal
+        from multiprocessing import Pipe
+
+        self.conn, child = Pipe()
+        self.alive, self.exitcode = True, None
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                self.conn.close()
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # the caller's to handle
+                _serve(child)
+                code = 0
+            except BaseException:
+                import traceback
+
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(code)  # not the caller's exit handlers, nor its buffered output
+        child.close()
+
+    def exited(self, wait: bool = False) -> bool:
+        """Whether the process has exited, reaping it if so (with wait,
+        once it has)."""
+        if self.alive:
+            try:
+                pid, status = os.waitpid(self.pid, 0 if wait else os.WNOHANG)
+            except ChildProcessError:  # reaped elsewhere: its exit code is lost
+                pid, status = self.pid, None
+            if pid:
+                self.alive = False
+                self.exitcode = None if status is None else os.waitstatus_to_exitcode(status)
+        return not self.alive
+
+    def stop(self) -> None:
+        import signal
+
+        self.conn.close()
+        if not self.exited():
+            os.kill(self.pid, signal.SIGKILL)
+            self.exited(wait=True)
+
+    def lost(self) -> RuntimeError:
+        """The error of a run this worker stopped in (its connection failed,
+        so it has exited or is exiting)."""
+        self.exited(wait=True)
+        return RuntimeError(
+            f"MC worker process {self.pid} stopped during the run "
+            f"(exit code {self.exitcode}); no estimate was made"
+        )
+
+
+def _stop_workers(workers: list) -> None:
+    """Stop the given workers and drop them from the pool."""
+    for worker in workers:
+        worker.stop()
+        if worker in _pool:
+            _pool.remove(worker)
+
+
+def _forget_workers() -> None:
+    """In a process forked from one with workers: they and the pool lock's
+    holder belong to the parent, so start afresh."""
+    global _pool, _pool_lock
+    for worker in _pool:
+        worker.conn.close()  # this process's copy
+    _pool, _pool_lock = [], threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_workers)
+atexit.register(lambda: _stop_workers(list(_pool)))
+
+
+def _ready_workers(k: int) -> list:
+    """k live workers, reusing the pool's and starting the rest; a worker
+    that has exited since the last run (its connection is at EOF) is
+    dropped first."""
+    _stop_workers([w for w in _pool if w.conn.poll() or w.exited()])
+    while len(_pool) < k:
+        _pool.append(_Worker())
+    return _pool[:k]
+
+
+def _receive(shares: list, losses: np.ndarray, wait: bool) -> None:
+    """Copy the blocks the workers have sent into their slices of losses;
+    with wait, until every share is in.  shares holds [worker, lo, hi]
+    items, lo advancing as blocks arrive."""
+    from multiprocessing.connection import wait as readable
+
+    pending = shares
+    while pending:
+        for share in pending:
+            worker, lo, hi = share
+            try:
+                while lo < hi and worker.conn.poll():
+                    lo += worker.conn.recv_bytes_into(losses[lo:hi]) // 8
+            except (EOFError, OSError) as exc:
+                raise worker.lost() from exc
+            share[1] = lo
+        pending = [share for share in pending if share[1] < share[2]]
+        if not (wait and pending):
+            return
+        readable([worker.conn for worker, _, _ in pending])
+
+
+def _run_shares(
+    losses: np.ndarray, p: ProblemInstance, spec: SelectorSpec,
+    make_select: Callable[[int], Select], cfg: MCConfig, offset: int, workers: int,
+) -> None:
+    """Fill losses with each replication's error count: the calling process
+    runs the first of ``workers`` equal shares, worker processes the others,
+    whose blocks are copied into their slices of losses as they arrive."""
+    n = len(losses)
+    cuts = [k * n // workers for k in range(workers + 1)]
+    own = _share(p, make_select, cfg.rho, cfg.seed, offset, cuts[1])
+    if workers == 1:
+        for lo, counts in own:
+            losses[lo : lo + len(counts)] = counts
+        return
+    with _pool_lock:
+        pool = _ready_workers(workers - 1)
+        try:
+            shares = []
+            for worker, lo, hi in zip(pool, cuts[1:], cuts[2:]):
+                try:
+                    worker.conn.send((p, spec, cfg.rho, cfg.seed, offset + lo, hi - lo))
+                except OSError as exc:
+                    raise worker.lost() from exc
+                shares.append([worker, lo, hi])
+            for lo, counts in own:
+                losses[lo : lo + len(counts)] = counts
+                _receive(shares, losses, wait=False)  # a worker blocks once its buffer is full
+            _receive(shares, losses, wait=True)
+        except BaseException:
+            _stop_workers(pool)  # they may hold blocks of this run unsent or unread
+            raise
+
+
 def estimate_risk(
     p: ProblemInstance,
     spec: SelectorSpec,
@@ -351,9 +552,9 @@ def estimate_risk(
     support with the two-point signal.  The report carries the mean loss and
     stderr = sample sd / sqrt(R) for cfg.loss_kind.
 
-    Replications run in blocks of B rows (_block_layout), spread over the
-    workers the module docstring describes, the calling thread taking the
-    first share; neither B nor the worker count changes the results.
+    Replications run in blocks of B rows (_block_layout), in shares spread
+    over the processes the module docstring describes, the calling one
+    taking the first; neither B nor the worker count changes the results.
     MCConfig bounds R, ProblemInstance a Poisson class's rates, and
     _check_run refuses a non-integer stream_offset, or a d whose
     per-replication buffers exceed ROW_BYTES_LIMIT, before anything is
@@ -361,38 +562,9 @@ def estimate_risk(
     """
     make_select, stream_offset = _check_run(p, spec, cfg, stream_offset)
     n = cfg.replications
-    rows = _block_layout(p.d, n)
-    blocks = -(-n // rows)
     losses = np.empty(n)  # each row's error count, at most d < 2^53, so exact
-
-    def fill(first_block: int, end_block: int) -> None:
-        draw = _block_sampler(p, cfg.rho, cfg.seed, rows)
-        select = make_select(rows)
-        selected = np.empty((rows, p.d), dtype=bool)
-        for b in range(first_block, end_block):
-            lo, hi = b * rows, min(n, (b + 1) * rows)
-            x, on = draw(stream_offset + lo, hi - lo)
-            sel = selected[: hi - lo]
-            select(x, sel)  # may overwrite x, the block's own draws
-            # flipping the support turns each row into selection XOR truth,
-            # whose count is the Hamming loss
-            sel[on] ^= True
-            losses[lo:hi] = row_counts(sel)
-
-    workers = _worker_count(p.d, blocks)
-    if workers == 1:
-        fill(0, blocks)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        cuts = [k * blocks // workers for k in range(workers + 1)]
-        # The calling thread runs the first share itself, so the pool holds
-        # one thread, and one set of block buffers, fewer than there are shares.
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [pool.submit(fill, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-            fill(cuts[0], cuts[1])
-            for fut in futures:
-                fut.result()
+    workers = _worker_count(p.d, n)
+    _run_shares(losses, p, spec, make_select, cfg, stream_offset, workers)
 
     if cfg.loss_kind is LossKind.NORMALIZED_HAMMING:
         losses /= p.s

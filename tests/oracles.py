@@ -13,7 +13,7 @@ import scipy.integrate
 import scipy.special
 
 from hamsel import numkit
-from hamsel.model import LossKind, LowerBound, _check_d_s, _check_snr, rng_stream
+from hamsel.model import LossKind, LowerBound, TwoSided, _check_d_s, _check_snr, rng_stream
 from hamsel.selectors import _crowd_llr, crowd_weights
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -127,32 +127,52 @@ def replay_reduction(errors, s: int, loss_kind: LossKind) -> tuple[float, float]
     return float(losses.mean()), stderr
 
 
-def threshold_loss_moments(p, t: float, rho: float) -> tuple[float, float, float]:
+def threshold_loss_moments(p, spec, rho: float) -> tuple[float, float, float]:
     """Mean, variance and fourth central moment of the Hamming error count
-    of the one-sided cut x >= t on a Gaussian LowerBound instance p, its
-    noise equicorrelated at rho as the MC engine draws it.
+    of the cut of Threshold spec (x >= t, or |x| >= t when two-sided) on a
+    Gaussian LowerBound or TwoSided instance p, its noise equicorrelated at
+    rho as the MC engine draws it.
 
-    Given Z0 = z the coordinates are independent: a support coordinate
-    a + sigma (sqrt(rho) z + sqrt(1-rho) Z_j) is missed with probability
-    P_miss(z) = Phi((t - a - c z)/u) and an off-support one selected with
-    P_fp(z) = Phi((c z - t)/u), c = sigma sqrt(rho), u = sigma sqrt(1-rho),
-    so the count is Bin(s, P_miss) + Bin(d - s, P_fp).  Its conditional
-    cumulants are the two binomials' summed; the moments over Z0 combine
-    them on an 801-node trapezoid on [-9, 9], its weights summed to 1.
+    A TwoSided replication puts one sign on its whole support, each with
+    probability 1/2.  Given the sign and Z0 = z the coordinates are
+    independent: a support coordinate has mean m = +-a + c z and an
+    off-support one m = c z, c = sigma sqrt(rho), with noise sd u = sigma
+    sqrt(1-rho).  One with mean m is selected with probability
+    P_sel(m) = Phi((m - t)/u), plus Phi((-m - t)/u) when two-sided, and
+    missed with 1 - P_sel(m), formed as Phi((t - m)/u), less Phi((-t -
+    m)/u) when two-sided.  So the count is Bin(s, P_miss) + Bin(d - s,
+    P_sel(c z)), whose conditional cumulants are the two binomials' summed;
+    the moments over the sign, mixed outside, and Z0 combine them on an
+    801-node trapezoid on [-9, 9] per sign, its weights summed to 1.
     """
-    if not isinstance(p.signal, LowerBound):
-        raise ValueError("threshold_loss_moments covers a LowerBound signal only")
-    d, s, a, sigma = p.d, p.s, p.signal.a, p.sigma
+    sig = p.signal
+    if isinstance(sig, LowerBound):
+        levels = (sig.a,)
+    elif isinstance(sig, TwoSided):
+        levels = (sig.a, -sig.a)
+    else:
+        raise ValueError("threshold_loss_moments covers LowerBound and TwoSided signals only")
+    d, s, sigma, t = p.d, p.s, p.sigma, spec.t
     z = np.linspace(-9.0, 9.0, 801)
     w = np.exp(-0.5 * z * z)
     w[[0, -1]] *= 0.5
-    w /= w.sum()
+    w = np.tile(w / (w.sum() * len(levels)), len(levels))
     c, u = sigma * math.sqrt(rho), sigma * math.sqrt(1.0 - rho)
+
+    def phi(x):
+        return 0.5 * scipy.special.erfc(-x / (u * math.sqrt(2.0)))
+
+    def miss_and_select(m):
+        miss, select = phi(t - m), phi(m - t)
+        if spec.two_sided:
+            low = phi(-t - m)
+            miss, select = miss - low, select + low
+        return miss, select
+
+    cz = np.tile(c * z, len(levels))
+    level = np.repeat(levels, z.size)
     k1 = k2 = k3 = k4 = 0.0
-    for n, q in (
-        (s, 0.5 * scipy.special.erfc(-(t - a - c * z) / (u * math.sqrt(2.0)))),
-        (d - s, 0.5 * scipy.special.erfc(-(c * z - t) / (u * math.sqrt(2.0)))),
-    ):
+    for n, q in ((s, miss_and_select(level + cz)[0]), (d - s, miss_and_select(cz)[1])):
         var = n * q * (1.0 - q)
         k1, k2 = k1 + n * q, k2 + var
         k3, k4 = k3 + var * (1.0 - 2.0 * q), k4 + var * (1.0 - 6.0 * q * (1.0 - q))

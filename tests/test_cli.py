@@ -1149,7 +1149,7 @@ class TestReadmeExamples:
             for name, value in re.findall(r"`(?:\w+\.)?([A-Z_]+)` = ([\d,.e]+\d)", text)
         }
         assert stated == {
-            "PARALLEL_MIN_D": simulate.PARALLEL_MIN_D,
+            "SHARE_MIN_WORK": simulate.SHARE_MIN_WORK,
             "POISSON_RATE_MAX": POISSON_RATE_MAX,
             "MAX_REPLICATIONS": simulate.MAX_REPLICATIONS,
         }

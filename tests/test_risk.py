@@ -776,11 +776,13 @@ class TestPhasePoint:
             assert_allclose(left, right, rtol=1e-12)
 
     def test_threshold_collapse_at_exact_boundary(self):
-        """At a_exact the minimax cut equals sigma sqrt(2 log(d-s))."""
+        """At a_exact the minimax cut equals sqrt(2 log(d-s)); the point is in
+        units of sigma, so at noise scale sigma the level sigma a_exact has
+        the cut sigma t_star."""
         for d, s, sigma in ((1000, 30, 1.0), (500, 5, 1.0), (2048, 64, 2.0)):
-            pp = phase_point(d, s, sigma)
+            pp = phase_point(d, s)
             assert_allclose(
-                minimax_threshold(d, s, pp.a_exact, sigma), pp.t_star, rtol=1e-10
+                minimax_threshold(d, s, sigma * pp.a_exact, sigma), sigma * pp.t_star, rtol=1e-10
             )
 
     def test_boundary_ordering(self):
@@ -858,7 +860,6 @@ _NON_FINITE_AT = {
     "llr_threshold": (llr_threshold, (Family.GAUSSIAN, 200, 10, 0.0, 1e308, 1.7e308)),
     "universal_threshold": (universal_threshold, (3, 1.7e308)),
     "a0_adaptive": (a0_adaptive, (200, 10, 1.0, 1.7e308)),
-    "phase_point": (phase_point, (200, 10, 1.7e308)),
     "psi_general": (psi_general, (Family.POISSON, 10**18, 5, 1e20, 1.7e308)),
 }
 
@@ -900,7 +901,7 @@ _CLOSED_FORMS = [
      (_FAMILIES, _VALID_D_S, _RATE_PAIRS, _L)),
     (llr_threshold, (_FAMILIES, _D_S, _FLOATS, _FLOATS, _FLOATS),
      (_FAMILIES, _VALID_D_S, _RATE_PAIRS, _L)),
-    (phase_point, (_D_S, _FLOATS), (_VALID_D_S, _L)),
+    (phase_point, (_D_S,), (_VALID_D_S,)),
     (a0_adaptive, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),
     (adaptive_A_min, (_D_S,), (_VALID_D_S,)),
     (minimax_threshold, (_D_S, _FLOATS, _FLOATS), (_VALID_D_S, _L, _L)),

@@ -5,14 +5,14 @@ Determinism is the backbone: every estimate is a pure function of
 and each replication can be reproduced in isolation from its stream index.
 """
 
-import concurrent.futures
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future
 from contextlib import contextmanager
 
 import numpy as np
@@ -51,7 +51,6 @@ from hamsel.selectors import (
 )
 from hamsel.simulate import (
     MAX_REPLICATIONS,
-    PARALLEL_MIN_D,
     MCConfig,
     _block_layout,
     _stream_rekeyer,
@@ -66,11 +65,61 @@ from oracles import psi_bar_printed_mc, replay_reduction, threshold_loss_moments
 
 @contextmanager
 def _workers(n):
-    """estimate_risk spreads its blocks over up to n threads at every d."""
+    """estimate_risk splits every run of n or more replications over n
+    processes, the calling one and n - 1 workers, whatever its size."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "PARALLEL_MIN_D", 2)
+        mp.setattr(simulate, "SHARE_MIN_WORK", 1)
         mp.setattr(simulate, "_usable_cpus", lambda: n)
         yield
+
+
+class _ThreadWorker(simulate._Worker):
+    """Stands in for a worker process: serves its connection from a thread,
+    which ends when the caller's end closes."""
+
+    pid = None
+
+    def __init__(self):
+        self.conn, child = multiprocessing.Pipe()
+        self.alive, self.exitcode = True, None
+        self.thread = threading.Thread(target=lambda: (simulate._serve(child), child.close()))
+        self.thread.start()
+
+    def exited(self, wait=False):
+        if wait:
+            self.thread.join()
+        return not self.thread.is_alive()
+
+    def stop(self):
+        self.conn.close()
+        self.thread.join()
+
+
+@pytest.fixture
+def thread_workers(monkeypatch):
+    """Workers are threads running simulate._serve, started in a pool of
+    their own; returns the list of those started.  The usable CPU count can
+    then be faked as high as a test needs without starting a process."""
+    started = []
+
+    class Started(_ThreadWorker):
+        def __init__(self):
+            super().__init__()
+            started.append(self)
+
+    monkeypatch.setattr(simulate, "_pool", [])
+    monkeypatch.setattr(simulate, "_Worker", Started)
+    yield started
+    simulate._stop_workers(list(simulate._pool))
+
+
+@pytest.fixture
+def no_pooled_workers():
+    """Stops the worker processes earlier runs left, so that a test forks
+    its own and at most one is alive at a time."""
+    simulate._stop_workers(list(simulate._pool))
+    yield
+    simulate._stop_workers(list(simulate._pool))
 
 
 def _plus_instance(d=200, s=10, a=3.0):
@@ -205,15 +254,20 @@ class TestEstimateRisk:
         assert r1.mc_estimate == r2.mc_estimate
         assert r1.mc_stderr == r2.mc_stderr
 
-    def test_thread_count_invariance(self):
+    def test_worker_count_invariance(self, thread_workers):
+        """One process, two, and three (shares of 66, 67 and 67
+        replications) give the same bits."""
         p = _plus_instance(d=40, s=4)
         cfg = MCConfig(replications=200, seed=777)
         with _workers(1):
             r1 = estimate_risk(p, _plus_spec(p), cfg)
-        with _workers(4):
-            r4 = estimate_risk(p, _plus_spec(p), cfg)
-        assert r1.mc_estimate == r4.mc_estimate
-        assert r1.mc_stderr == r4.mc_stderr
+        reports = []
+        for n in (2, 3):
+            with _workers(n):
+                reports.append(estimate_risk(p, _plus_spec(p), cfg))
+        assert len(thread_workers) == 2
+        for r in reports:
+            assert (r.mc_estimate, r.mc_stderr) == (r1.mc_estimate, r1.mc_stderr)
 
     def test_stream_offset_shifts_draws(self):
         p = _plus_instance(d=40, s=4)
@@ -263,8 +317,25 @@ class TestEstimateRisk:
         spec = _plus_spec(p)
         n = 20_000
         report = estimate_risk(p, spec, MCConfig(replications=n, seed=2024, rho=rho))
-        mean, variance, fourth = threshold_loss_moments(p, spec.t, rho)
+        mean, variance, fourth = threshold_loss_moments(p, spec, rho)
         assert mean == pytest.approx(10.0 * psi_plus(200, 10, 3.0), rel=1e-12)
+        sd = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
+        assert abs(n * report.mc_stderr**2 - variance) <= 4.0 * sd
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", ["cosh", "universal"])
+    def test_two_sided_stderr_follows_the_loss_law(self, kind, rho):
+        """The same gate for cuts on |x| on TwoSided (200, 10, 3), whose
+        law mixes the global sign outside Z0.  n d = 4 10^6 splits each run
+        over the worker processes wherever there are two usable CPUs, so
+        their shares are checked against the law, not only against a
+        one-process run."""
+        p = ProblemInstance(200, 10, TwoSided(3.0))
+        spec = spec_for_kind(kind, p)
+        n = 20_000
+        report = estimate_risk(p, spec, MCConfig(replications=n, seed=2025, rho=rho))
+        mean, variance, fourth = threshold_loss_moments(p, spec, rho)
+        assert mean == pytest.approx(threshold_risk(p, kind), rel=1e-12)
         sd = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
         assert abs(n * report.mc_stderr**2 - variance) <= 4.0 * sd
 
@@ -823,72 +894,172 @@ def _one_worker_peak(p, spec, reps, loss_kind=LossKind.HAMMING):
             tracemalloc.stop()
 
 
-class _InlinePool:
-    """Stands in for ThreadPoolExecutor: runs each task at submit, records
-    the worker count asked for, starts no thread."""
-
-    requested: list = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
-
-
 class TestEngineLimits:
-    def test_workers_capped_at_blocks_and_cpus(self, monkeypatch):
-        """One worker below PARALLEL_MIN_D; at or above it min(blocks, CPUs),
-        the calling thread running one share and the pool the others."""
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
-        monkeypatch.setattr(_InlinePool, "requested", [])
-        before = threading.active_count()
-        small = _plus_instance(d=PARALLEL_MIN_D - 1, s=10)
+    def test_workers_capped_at_cpus_replications_and_work(self, monkeypatch, thread_workers):
+        """min(usable CPUs, n, n d // SHARE_MIN_WORK) processes, at least
+        one: the calling process runs the first share and starts the
+        workers it lacks, which later runs reuse."""
+        work = simulate.SHARE_MIN_WORK
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
-        estimate_risk(small, _plus_spec(small), MCConfig(replications=200, seed=3))
-        assert _InlinePool.requested == []
-        p = _plus_instance(d=PARALLEL_MIN_D, s=10)
-        rows = _block_layout(p.d, 10**6)
-        cfg = MCConfig(replications=5 * rows - 2, seed=3)  # 5 blocks, the last partial
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
-        want = estimate_risk(p, _plus_spec(p), cfg)
-        assert _InlinePool.requested == []
-        for cpus, pool in ((10**6, 4), (64, 4), (3, 2), (2, 1)):
+        assert simulate._worker_count(256, 1) == 1
+        assert simulate._worker_count(256, 2 * work // 256 - 1) == 1
+        assert simulate._worker_count(256, 2 * work // 256) == 2
+        assert simulate._worker_count(10**6, 5) == 5
+        assert simulate._worker_count(4, 10**8) == 64
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        assert simulate._worker_count(10**6, 5) == 3
+        p = _plus_instance(d=1000, s=10)
+        spec = _plus_spec(p)
+        cfg = MCConfig(replications=5 * 81 - 2, seed=3)  # in one share, 5 blocks, the last partial
+        with _workers(1):
+            want = estimate_risk(p, spec, cfg)
+        assert thread_workers == []
+        monkeypatch.setattr(simulate, "SHARE_MIN_WORK", 60_000)  # n d // work = 6
+        for cpus, started in ((3, 2), (64, 5), (10**6, 5), (1, 5)):
             monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-            _InlinePool.requested.clear()
-            got = estimate_risk(p, _plus_spec(p), cfg)
-            assert _InlinePool.requested == [pool]
+            got = estimate_risk(p, spec, cfg)
             assert (got.mc_estimate, got.mc_stderr) == (want.mc_estimate, want.mc_stderr)
-        assert threading.active_count() == before
+            assert len(thread_workers) == started
+        assert len(simulate._pool) == 5
+        tiny = MCConfig(replications=3, seed=3)
+        want = estimate_risk(p, spec, tiny)  # n d // work = 0: one process
+        with _workers(10**6):
+            assert simulate._worker_count(p.d, 3) == 3  # n caps it
+            got = estimate_risk(p, spec, tiny)
+        assert (got.mc_estimate, got.mc_stderr) == (want.mc_estimate, want.mc_stderr)
+        assert len(thread_workers) == 5
 
-    def test_workers_capped_at_usable_cpus(self, monkeypatch):
-        """A process pinned to 2 of 64 CPUs runs on at most 2 threads."""
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
-        monkeypatch.setattr(_InlinePool, "requested", [])
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, thread_workers):
+        """A process pinned to 2 of 64 CPUs runs on at most 2 processes."""
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 9}, raising=False)
         assert simulate._usable_cpus() == 2
-        p = _plus_instance(d=PARALLEL_MIN_D, s=10)
-        rows = _block_layout(p.d, 10**6)
-        estimate_risk(p, _plus_spec(p), MCConfig(replications=5 * rows, seed=3))
-        assert _InlinePool.requested == [1]
+        p = _plus_instance(d=1000, s=10)
+        estimate_risk(p, _plus_spec(p), MCConfig(replications=10**4, seed=3))
+        assert len(thread_workers) == 1
         # without an affinity call the installed count is the cap
         monkeypatch.delattr(os, "sched_getaffinity")
         assert simulate._usable_cpus() == 64
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert simulate._usable_cpus() == 1
 
-    def test_oversized_d_rejected_before_allocating(self):
+    def test_concurrent_callers_get_the_same_bits(self, no_pooled_workers):
+        """Two threads running split runs at once share the worker pool one
+        run at a time, and each gets the bits of its run alone."""
+        p = _plus_instance()
+        spec = _plus_spec(p)
+        cfgs = [MCConfig(replications=3000, seed=seed, rho=rho) for seed, rho in ((5, 0.0), (6, 0.5))]
+        with _workers(2):
+            want = [estimate_risk(p, spec, cfg) for cfg in cfgs]
+            got = [None, None]
+
+            def run(k):
+                for _ in range(5):
+                    report = estimate_risk(p, spec, cfgs[k])
+                    got[k] = report if got[k] in (None, report) else "differs"
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+        assert len(simulate._pool) == 1
+
+    def test_worker_killed_between_runs_is_replaced(self, no_pooled_workers):
+        p = _plus_instance()
+        spec = _plus_spec(p)
+        cfg = MCConfig(replications=3000, seed=8)
+        with _workers(1):
+            want = estimate_risk(p, spec, cfg)
+        with _workers(2):
+            assert estimate_risk(p, spec, cfg) == want
+            (worker,) = simulate._pool
+            os.kill(worker.pid, signal.SIGKILL)
+            assert worker.conn.poll(10)  # at EOF once the process has gone
+            assert estimate_risk(p, spec, cfg) == want
+            (fresh,) = simulate._pool
+        assert fresh.pid != worker.pid and not fresh.exited()
+        assert (worker.alive, worker.exitcode) == (False, -signal.SIGKILL)
+
+    def test_worker_killed_mid_run_raises(self, monkeypatch, no_pooled_workers):
+        """A worker that dies in its share makes the run raise, naming the
+        process and its exit signal, without waiting on it or returning a
+        number; the pool drops it and the next run forks a sound one."""
+        p = _plus_instance()
+        spec = _plus_spec(p)
+        cfg = MCConfig(replications=3000, seed=9)
+        with _workers(1):
+            want = estimate_risk(p, spec, cfg)
+        caller, counts = os.getpid(), simulate.row_counts
+
+        def dies_in_a_worker(bits):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return counts(bits)
+
+        monkeypatch.setattr(simulate, "row_counts", dies_in_a_worker)
+        with _workers(2):
+            with pytest.raises(RuntimeError, match=r"worker process \d+ stopped during the run \(exit code -9\)"):
+                estimate_risk(p, spec, cfg)
+            assert simulate._pool == []
+            monkeypatch.setattr(simulate, "row_counts", counts)
+            assert estimate_risk(p, spec, cfg) == want
+
+    def test_forked_process_does_not_share_the_workers(self, thread_workers):
+        """A process forked while the pool has a worker and its lock is held
+        starts with an empty pool and a free lock, so it never talks to its
+        parent's workers or waits on a lock no thread of its own holds."""
+        p = _plus_instance()
+        with _workers(2):
+            estimate_risk(p, _plus_spec(p), MCConfig(replications=100, seed=1))
+        assert len(simulate._pool) == 1
+        read, write = os.pipe()
+        with simulate._pool_lock:
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.write(write, b"%d" % (simulate._pool == [] and not simulate._pool_lock.locked()))
+                finally:
+                    os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as fh:
+            assert fh.read() == b"1"
+        assert os.waitpid(pid, 0)[1] == 0
+        assert len(simulate._pool) == 1 and not simulate._pool[0].exited()
+
+    def test_no_worker_outlives_its_process(self, no_pooled_workers):
+        """A process that ran split runs and exits leaves no worker behind."""
+        code = """if True:
+            from hamsel import simulate
+            from hamsel.model import ProblemInstance, LowerBound
+            from hamsel.selectors import spec_for_kind
+            simulate._usable_cpus = lambda: 2
+            p = ProblemInstance(200, 10, LowerBound(3.0))
+            spec = spec_for_kind("plus", p)
+            for seed in (1, 2):
+                simulate.estimate_risk(p, spec, simulate.MCConfig(replications=5000, seed=seed))
+            print(*(worker.pid for worker in simulate._pool))
+        """
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        pids = [int(pid) for pid in result.stdout.split()]
+        assert len(pids) == 1
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_oversized_d_rejected_before_allocating(self, monkeypatch):
         """Checking a selector spec makes none of its buffers: top-s's
-        partition block is made per worker, after the checks."""
+        partition block is made per worker, after the checks, and no worker
+        starts."""
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(simulate, "_Worker", lambda: pytest.fail("a worker started"))
         p = ProblemInstance(10**9, 10, LowerBound(3.0))
         cfg = MCConfig(replications=10, seed=1)
         tracemalloc.start()

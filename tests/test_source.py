@@ -3,7 +3,8 @@ function that nothing in the package references, no module-level assigned
 name that nothing in the package reads, no public name that nothing uses,
 no keyword option that no caller passes, no import cycle between the
 package's modules, no numpy in the command-line layer or under
-``import hamsel.numkit``, no scipy anywhere in the package, no BLAS product,
+``import hamsel.numkit``, no multiprocessing under ``import hamsel.cli`` or
+``import hamsel.simulate``, no scipy anywhere in the package, no BLAS product,
 no numpy transcendental function, the ratio (d - s)/s formed in one function only, and every library name
 the benchmark in bench/ reads still defined.
 
@@ -285,6 +286,24 @@ def test_numkit_imports_without_numpy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert sorted(result.stdout.split()) == ["hamsel", "hamsel.numkit"]
+
+
+def test_worker_machinery_is_imported_lazily():
+    """``import hamsel.cli`` and ``import hamsel.simulate`` in a fresh
+    interpreter load neither multiprocessing nor concurrent.futures: only
+    a run big enough to start worker processes imports them, so start-up
+    and the small runs do not pay for them."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    for module in ("hamsel.cli", "hamsel.simulate"):
+        code = (
+            f"import sys, {module}; "
+            "print(*(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.stdout.split() == [], module
 
 
 def test_cli_imports_no_numpy():
