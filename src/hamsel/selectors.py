@@ -332,7 +332,7 @@ def resolve_selector(
     """Check spec against observations of length d from family, and return
     a maker of selection functions: make(rows) gives a Select for blocks of
     up to ``rows`` replications with its own buffers (top-s's partitioned
-    copy of a block), so that each worker makes its own.
+    copy of a block), so that each share of a run makes its own.
 
     Rejects a top-s spec with s > d, and a two-sided threshold or the
     adaptive rule outside the Gaussian family, allocating no array.  What

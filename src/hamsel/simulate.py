@@ -20,10 +20,10 @@ those uniforms (model.uniform_supports), O(s) whatever d.
 Replications run in blocks of B rows, as many as a DRAW_BYTES draw
 buffer holds (see _block_layout).  One row loop serves every family: it
 re-keys the generator and draws each row's uniforms and noise (see
-_block_sampler).  The block's supports, the placement of its signal, the
+_share).  The block's supports, the placement of its signal, the
 selector and the loss then run once on the whole block.  The spec is
-resolved once per run and process (selectors.resolve_selector) into a
-selection function, which writes a block's selection into the share's
+resolved once per share (selectors.resolve_selector) into a selection
+function, which writes a block's selection into the share's
 (B, d) bool buffer and may overwrite the block's observations, which are
 not read again.  A replication's loss is the count of the selection XOR
 its support, without building ``SupportVector`` objects.  Losses land in
@@ -71,7 +71,7 @@ from .model import (
     _check_seed,
     uniform_supports,
 )
-from .selectors import Select, resolve_selector, row_counts, select_row, spec_for_kind
+from .selectors import resolve_selector, row_counts, select_row, spec_for_kind
 
 # Most replications one run accepts, 2^27 = 134,217,728: estimate_risk's
 # float64 loss array stays within 1 GiB, and the 2^40-wide stream ranges of
@@ -188,9 +188,9 @@ def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
 # A block holds as many rows as its (B, d + 1) float64 draw buffer fits in
 # DRAW_BYTES, and at least one: B = 407 at d = 200, 39 at d = 2,048, 8 at
 # d = 10^4 and 1 from d = 40,960.  The draw buffer, the (B, d) selection
-# and top-s's (B, d) partition buffer are allocated once per worker, so the
-# selector runs once per block with no block-sized temporary, which at
-# 128 KiB or more (glibc's default mmap threshold) would be a fresh mapping
+# and top-s's (B, d) partition buffer are allocated once per share, that
+# is, once per run in each process, so the selector runs once per block
+# with no block-sized temporary, which at 128 KiB or more (glibc's default mmap threshold) would be a fresh mapping
 # whose pages fault in on every call.  640 KiB is the largest budget that
 # keeps d = 10^4 at 8-row blocks: 1 MiB was no faster at d = 200, and its
 # 13-row blocks at d = 10^4 held more memory.
@@ -226,85 +226,14 @@ def _stream_rekeyer(seed: int) -> tuple[np.random.Generator, Callable[[int], Non
     return np.random.Generator(bitgen), rekey
 
 
-def _block_sampler(
-    p: ProblemInstance, rho: float, seed: int, rows: int
-) -> Callable[[int, int], tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
-    """One worker's generator and draw buffers for blocks of up to ``rows``
-    replications: draw(first, m) -> (x, on) for replications first ..
-    first + m - 1, valid until the next call: the (m, d) observations and
-    the (row, column) index pair of the supports, so x[on] is (m, s).  Row
-    i re-keys the generator to (seed, first + i), draws the support's s
-    uniforms (s + 1 with a TwoSided sign) into a row of u, then the
-    family's row fill: Z0 and the noise into a row of z, which x views; d
-    uniforms into x; or d Poisson(a0) counts into x, then s Poisson(a1 -
-    a0) ones into a row of their own.  The supports and the signal's
-    placement draw nothing and run once per block.
-    """
-    rng, rekey = _stream_rekeyer(seed)
-    d, s, sig, family = p.d, p.s, p.signal, p.family
-    signs = isinstance(sig, TwoSided)
-    u = np.empty((rows, s + signs))  # TwoSided: the sign's uniform follows the support's
-    row_index = np.arange(rows)[:, None]
-
-    if family is Family.BERNOULLI:
-        z = x = np.empty((rows, d))
-        fill = rng.random
-    elif family is Family.POISSON:
-        # the support counts get their own buffer, so that x is contiguous
-        z = x = np.empty((rows, d))
-        counts = np.empty((rows, s))
-        count_rows = [iter(counts)]  # the block's rows of counts, taken in row order
-        a0, rate, poisson = sig.a0, sig.a1 - sig.a0, rng.poisson
-
-        def fill(out):
-            out[...] = poisson(a0, d)
-            next(count_rows[0])[...] = poisson(rate, s)
-
-    else:
-        sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
-        base, level = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
-        z = np.empty((rows, d + 1))
-        x = z[:, 1:]
-        fill = rng.standard_normal
-    u_rows, z_rows = list(u), list(z)  # row views made once, not once per row per block
-
-    def draw(first, m):
-        for index, u_row, z_row in zip(range(first, first + m), u_rows, z_rows):
-            rekey(index)
-            rng.random(out=u_row)
-            fill(out=z_row)
-        idx = uniform_supports(u[:m, :s], d)
-        on, xm = (row_index[:m], idx), x[:m]
-        if family is Family.BERNOULLI:
-            hits = xm[on] < sig.a1
-            xm[...] = xm < sig.a0
-            xm[on] = hits
-        elif family is Family.POISSON:
-            idx.sort(axis=1)  # in place (on too), as generate_family adds counts in index order
-            xm[on] += counts[:m]
-            count_rows[0] = iter(counts)  # for the next block
-        else:
-            # x = theta + noise with theta = base off the support and a row's level on it
-            _scale_noise(z[:m], sigma, common, own)
-            hits = xm[on] + (np.where(u[:m, s:] < 0.5, -level, level) if signs else level)
-            if base:
-                xm += base
-            xm[on] = hits
-        return xm, on
-
-    return draw
-
-
-def _check_run(
-    p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig, stream_offset: int
-) -> tuple[Callable[[int], Select], int]:
+def _check_run(p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig, stream_offset: int) -> int:
     """Raise on a run of estimate_risk that cannot go ahead, before
-    anything is drawn or allocated; return the run's selector maker
-    (resolve_selector) and its stream offset as an int."""
+    anything is drawn or allocated (resolve_selector checks the spec);
+    return the run's stream offset as an int."""
     offset = operator.index(stream_offset)
     if cfg.rho != 0.0 and p.family is not Family.GAUSSIAN:
         raise ValueError("correlated noise is defined for the Gaussian family only")
-    make_select = resolve_selector(spec, p.d, p.family, p.sigma)
+    resolve_selector(spec, p.d, p.family, p.sigma)
     n = cfg.replications
     if not (0 <= offset and offset + n <= 2**64):
         raise ValueError(f"stream indices {offset}..{offset + n - 1} out of range")
@@ -314,25 +243,81 @@ def _check_run(
             f"d={p.d} needs {row_bytes} bytes of buffers per replication, "
             f"over the limit of {ROW_BYTES_LIMIT}"
         )
-    return make_select, offset
+    return offset
 
 
-def _share(
-    p: ProblemInstance, make_select: Callable[[int], Select], rho: float, seed: int,
-    start: int, n: int,
-):
+def _share(p: ProblemInstance, spec: SelectorSpec, rho: float, seed: int, start: int, n: int):
     """Run replications start .. start + n - 1 (stream indices) in blocks;
     yield (lo, counts) per block: the Hamming error counts of the share's
-    replications lo .. lo + len(counts) - 1, valid until the next block."""
-    rows = _block_layout(p.d, n)
-    draw = _block_sampler(p, rho, seed, rows)
-    select = make_select(rows)
-    selected = np.empty((rows, p.d), dtype=bool)
+    replications lo .. lo + len(counts) - 1, valid until the next block.
+
+    A share is the unit of work the calling process and each worker run,
+    with its own generator, selection function and buffers for blocks of
+    up to B rows (_block_layout).  Row i of the block at lo re-keys the
+    generator to (seed, start + lo + i), draws the support's s uniforms
+    (s + 1 with a TwoSided sign) into a row of u, then the family's row
+    fill: Z0 and the noise into a row of z, which x views; d uniforms into
+    a row of x; or, through an (x row, counts row) pair, d Poisson(a0)
+    counts into the first and s Poisson(a1 - a0) ones into the second.
+    The supports, the signal's placement, the selection and the loss draw
+    nothing and run once per block.
+    """
+    d, s, sig, family = p.d, p.s, p.signal, p.family
+    rows = _block_layout(d, n)
+    select = resolve_selector(spec, d, family, p.sigma)(rows)
+    rng, rekey = _stream_rekeyer(seed)
+    signs = isinstance(sig, TwoSided)
+    u = np.empty((rows, s + signs))  # TwoSided: the sign's uniform follows the support's
+    row_index = np.arange(rows)[:, None]
+    selected = np.empty((rows, d), dtype=bool)
+
+    if family is Family.BERNOULLI:
+        x = np.empty((rows, d))
+        fill, out_rows = rng.random, list(x)
+    elif family is Family.POISSON:
+        # the support counts get their own buffer, so that x is contiguous
+        x = np.empty((rows, d))
+        counts = np.empty((rows, s))
+        a0, rate, poisson = sig.a0, sig.a1 - sig.a0, rng.poisson
+
+        def fill(out):
+            x_row, counts_row = out
+            x_row[...] = poisson(a0, d)
+            counts_row[...] = poisson(rate, s)
+
+        out_rows = list(zip(x, counts))
+    else:
+        sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
+        base, level = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
+        z = np.empty((rows, d + 1))
+        x = z[:, 1:]
+        fill, out_rows = rng.standard_normal, list(z)
+    u_rows = list(u)  # row views made once, not once per row per block
+
     for lo in range(0, n, rows):
         m = min(rows, n - lo)
-        x, on = draw(start + lo, m)
+        for index, u_row, out in zip(range(start + lo, start + lo + m), u_rows, out_rows):
+            rekey(index)
+            rng.random(out=u_row)
+            fill(out=out)
+        idx = uniform_supports(u[:m, :s], d)
+        on, xm = (row_index[:m], idx), x[:m]
+        if family is Family.BERNOULLI:
+            hits = xm[on] < sig.a1
+            xm[...] = xm < sig.a0
+            xm[on] = hits
+        elif family is Family.POISSON:
+            idx.sort(axis=1)  # in place (on too), as generate_family adds counts in index order
+            xm[on] += counts[:m]
+        else:
+            # x = theta + noise with theta = base off the support and a row's level on it
+            _scale_noise(z[:m], sigma, common, own)
+            hits = xm[on] + (np.where(u[:m, s:] < 0.5, -level, level) if signs else level)
+            if base:
+                xm += base
+            xm[on] = hits
         sel = selected[:m]
-        select(x, sel)  # may overwrite x, the block's own draws
+        select(xm, sel)  # may overwrite x, the block's own draws
         # flipping the support turns each row into selection XOR truth,
         # whose count is the Hamming loss
         sel[on] ^= True
@@ -387,9 +372,7 @@ def _serve(conn) -> None:
     end or exits."""
     try:
         while True:
-            p, spec, rho, seed, start, n = conn.recv()
-            make_select = resolve_selector(spec, p.d, p.family, p.sigma)
-            for _, counts in _share(p, make_select, rho, seed, start, n):
+            for _, counts in _share(*conn.recv()):
                 conn.send_bytes(counts.astype(np.float64))
     except (EOFError, BrokenPipeError, ConnectionResetError):
         return
@@ -506,15 +489,16 @@ def _receive(shares: list, losses: np.ndarray, wait: bool) -> None:
 
 
 def _run_shares(
-    losses: np.ndarray, p: ProblemInstance, spec: SelectorSpec,
-    make_select: Callable[[int], Select], cfg: MCConfig, offset: int, workers: int,
+    losses: np.ndarray, p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig,
+    offset: int, workers: int,
 ) -> None:
     """Fill losses with each replication's error count: the calling process
     runs the first of ``workers`` equal shares, worker processes the others,
     whose blocks are copied into their slices of losses as they arrive."""
     n = len(losses)
     cuts = [k * n // workers for k in range(workers + 1)]
-    own = _share(p, make_select, cfg.rho, cfg.seed, offset, cuts[1])
+    run = (p, spec, cfg.rho, cfg.seed)
+    own = _share(*run, offset, cuts[1])
     if workers == 1:
         for lo, counts in own:
             losses[lo : lo + len(counts)] = counts
@@ -525,7 +509,7 @@ def _run_shares(
             shares = []
             for worker, lo, hi in zip(pool, cuts[1:], cuts[2:]):
                 try:
-                    worker.conn.send((p, spec, cfg.rho, cfg.seed, offset + lo, hi - lo))
+                    worker.conn.send((*run, offset + lo, hi - lo))
                 except OSError as exc:
                     raise worker.lost() from exc
                 shares.append([worker, lo, hi])
@@ -560,11 +544,11 @@ def estimate_risk(
     per-replication buffers exceed ROW_BYTES_LIMIT, before anything is
     allocated.
     """
-    make_select, stream_offset = _check_run(p, spec, cfg, stream_offset)
+    stream_offset = _check_run(p, spec, cfg, stream_offset)
     n = cfg.replications
     losses = np.empty(n)  # each row's error count, at most d < 2^53, so exact
     workers = _worker_count(p.d, n)
-    _run_shares(losses, p, spec, make_select, cfg, stream_offset, workers)
+    _run_shares(losses, p, spec, cfg, stream_offset, workers)
 
     if cfg.loss_kind is LossKind.NORMALIZED_HAMMING:
         losses /= p.s

@@ -1,8 +1,9 @@
 """Independent references shared by the test modules: mpmath values, Monte
 Carlo evaluations of the printed forms, an elementary Gaussian tail bracket,
-quadrature values of the top-s risk and of a threshold rule's loss moments,
-and the reduction of replayed MC error counts.  None of them is library code;
-each checks a closed form or an estimate of :mod:`hamsel` by another route.
+quadrature values of the top-s risk and of a threshold rule's loss moments
+and law, and the reduction of replayed MC error counts.  None of them is
+library code; each checks a closed form or an estimate of :mod:`hamsel` by
+another route.
 """
 
 import math
@@ -11,9 +12,10 @@ import mpmath as mp
 import numpy as np
 import scipy.integrate
 import scipy.special
+import scipy.stats
 
 from hamsel import numkit
-from hamsel.model import LossKind, LowerBound, TwoSided, _check_d_s, _check_snr, rng_stream
+from hamsel.model import Family, LossKind, LowerBound, TwoSided, _check_d_s, _check_snr, rng_stream
 from hamsel.selectors import _crowd_llr, crowd_weights
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -127,32 +129,46 @@ def replay_reduction(errors, s: int, loss_kind: LossKind) -> tuple[float, float]
     return float(losses.mean()), stderr
 
 
-def threshold_loss_moments(p, spec, rho: float) -> tuple[float, float, float]:
-    """Mean, variance and fourth central moment of the Hamming error count
-    of the cut of Threshold spec (x >= t, or |x| >= t when two-sided) on a
-    Gaussian LowerBound or TwoSided instance p, its noise equicorrelated at
-    rho as the MC engine draws it.
+def _threshold_error_rates(p, spec, rho: float):
+    """Mixture weights w and, at each node, the probabilities that a
+    support coordinate is missed and that an off-support one is selected
+    by the cut of Threshold spec on instance p, given the node.
 
-    A TwoSided replication puts one sign on its whole support, each with
-    probability 1/2.  Given the sign and Z0 = z the coordinates are
-    independent: a support coordinate has mean m = +-a + c z and an
-    off-support one m = c z, c = sigma sqrt(rho), with noise sd u = sigma
-    sqrt(1-rho).  One with mean m is selected with probability
-    P_sel(m) = Phi((m - t)/u), plus Phi((-m - t)/u) when two-sided, and
-    missed with 1 - P_sel(m), formed as Phi((t - m)/u), less Phi((-t -
-    m)/u) when two-sided.  So the count is Bin(s, P_miss) + Bin(d - s,
-    P_sel(c z)), whose conditional cumulants are the two binomials' summed;
-    the moments over the sign, mixed outside, and Z0 combine them on an
-    801-node trapezoid on [-9, 9] per sign, its weights summed to 1.
+    Gaussian: a node is a global sign and a value z of the common factor
+    Z0.  A TwoSided replication puts one sign on its whole support, each
+    with probability 1/2, the sign mixed outside Z0.  Given the sign and
+    Z0 = z the coordinates are independent: a support coordinate has mean
+    m = level + c z (level = a, +-a or a1) and an off-support one m = base
+    + c z (base = a0 on an Interval, else 0), c = sigma sqrt(rho), with
+    noise sd u = sigma sqrt(1-rho).  One with mean m is selected with
+    probability P_sel(m) = Phi((m - t)/u), plus Phi((-m - t)/u) when
+    two-sided, and missed with 1 - P_sel(m), formed as Phi((t - m)/u), less
+    Phi((-t - m)/u) when two-sided.  Z0 runs over an 801-node trapezoid
+    on [-9, 9] per sign, its weights summed to 1.
+
+    Bernoulli and Poisson (rho = 0, a cut x >= t on an Interval(a0, a1)
+    class): one node, P_miss = P_a1(X < t) and P_sel = P_a0(X >= t), the
+    Poisson tails at k = ceil(t) from poisson_tail_exact.
     """
-    sig = p.signal
+    sig, t = p.signal, spec.t
+    if p.family is not Family.GAUSSIAN:
+        if rho != 0.0 or spec.two_sided:
+            raise ValueError("Bernoulli and Poisson laws cover a one-sided cut at rho = 0 only")
+        if p.family is Family.BERNOULLI:
+            miss = 0.0 if t <= 0.0 else (1.0 - sig.a1 if t <= 1.0 else 1.0)
+            select = 1.0 if t <= 0.0 else (sig.a0 if t <= 1.0 else 0.0)
+        else:
+            k = math.ceil(t)
+            miss = float(poisson_tail_exact(k - 1, sig.a1, upper=False)) if k >= 1 else 0.0
+            select = float(poisson_tail_exact(k, sig.a0, upper=True))
+        return np.ones(1), np.array([miss]), np.array([select])
     if isinstance(sig, LowerBound):
-        levels = (sig.a,)
+        base, levels = 0.0, (sig.a,)
     elif isinstance(sig, TwoSided):
-        levels = (sig.a, -sig.a)
+        base, levels = 0.0, (sig.a, -sig.a)
     else:
-        raise ValueError("threshold_loss_moments covers LowerBound and TwoSided signals only")
-    d, s, sigma, t = p.d, p.s, p.sigma, spec.t
+        base, levels = sig.a0, (sig.a1,)
+    sigma = p.sigma
     z = np.linspace(-9.0, 9.0, 801)
     w = np.exp(-0.5 * z * z)
     w[[0, -1]] *= 0.5
@@ -171,8 +187,24 @@ def threshold_loss_moments(p, spec, rho: float) -> tuple[float, float, float]:
 
     cz = np.tile(c * z, len(levels))
     level = np.repeat(levels, z.size)
+    return w, miss_and_select(level + cz)[0], miss_and_select(base + cz)[1]
+
+
+def threshold_loss_moments(p, spec, rho: float) -> tuple[float, float, float]:
+    """Mean, variance and fourth central moment of the Hamming error count
+    of the cut of Threshold spec (x >= t, or |x| >= t when two-sided) on a
+    Gaussian LowerBound, TwoSided or Interval instance p, its noise
+    equicorrelated at rho as the MC engine draws it, or on a Bernoulli or
+    Poisson Interval instance at rho = 0.
+
+    Given a node of _threshold_error_rates the count is Bin(s, P_miss) +
+    Bin(d - s, P_sel), whose conditional cumulants are the two binomials'
+    summed; the moments over the nodes combine them.
+    """
+    d, s = p.d, p.s
+    w, miss, select = _threshold_error_rates(p, spec, rho)
     k1 = k2 = k3 = k4 = 0.0
-    for n, q in ((s, miss_and_select(level + cz)[0]), (d - s, miss_and_select(cz)[1])):
+    for n, q in ((s, miss), (d - s, select)):
         var = n * q * (1.0 - q)
         k1, k2 = k1 + n * q, k2 + var
         k3, k4 = k3 + var * (1.0 - 2.0 * q), k4 + var * (1.0 - 6.0 * q * (1.0 - q))
@@ -181,6 +213,18 @@ def threshold_loss_moments(p, spec, rho: float) -> tuple[float, float, float]:
     variance = float(w @ (k2 + delta**2))
     fourth = float(w @ (k4 + 3.0 * k2**2 + 4.0 * k3 * delta + 6.0 * k2 * delta**2 + delta**4))
     return mean, variance, fourth
+
+
+def threshold_loss_pmf(p, spec) -> np.ndarray:
+    """pmf over 0..d of the Hamming error count of the cut of Threshold
+    spec on instance p at rho = 0: at each node of _threshold_error_rates
+    the convolution of Bin(s, P_miss) and Bin(d - s, P_sel), mixed over
+    the nodes (a TwoSided class's two signs)."""
+    d, s = p.d, p.s
+    w, miss, select = _threshold_error_rates(p, spec, 0.0)
+    on = scipy.stats.binom.pmf(np.arange(s + 1)[:, None], s, miss)
+    off = scipy.stats.binom.pmf(np.arange(d - s + 1)[:, None], d - s, select)
+    return sum(weight * np.convolve(a, b) for weight, a, b in zip(w, on.T, off.T))
 
 
 def psi_crowd_mc(rates, d: int, s: int, replications: int, seed: int) -> tuple[float, float]:

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -60,7 +61,13 @@ from hamsel.simulate import (
     generate_gaussian,
     phase_sweep,
 )
-from oracles import psi_bar_printed_mc, replay_reduction, threshold_loss_moments, top_s_risk
+from oracles import (
+    psi_bar_printed_mc,
+    replay_reduction,
+    threshold_loss_moments,
+    threshold_loss_pmf,
+    top_s_risk,
+)
 
 
 @contextmanager
@@ -336,6 +343,32 @@ class TestEstimateRisk:
         report = estimate_risk(p, spec, MCConfig(replications=n, seed=2025, rho=rho))
         mean, variance, fourth = threshold_loss_moments(p, spec, rho)
         assert mean == pytest.approx(threshold_risk(p, kind), rel=1e-12)
+        sd = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
+        assert abs(n * report.mc_stderr**2 - variance) <= 4.0 * sd
+
+    @pytest.mark.parametrize(
+        "p, rho",
+        [
+            (ProblemInstance(200, 10, Interval(-0.5, 2.5)), 0.0),
+            (ProblemInstance(200, 10, Interval(-0.5, 2.5)), 0.5),
+            (ProblemInstance(200, 10, Interval(0.02, 0.7), family=Family.BERNOULLI), 0.0),
+            (ProblemInstance(200, 10, Interval(1.0, 3.0), family=Family.POISSON), 0.0),
+        ],
+        ids=["interval-rho0", "interval-rho0.5", "bernoulli", "poisson"],
+    )
+    def test_llr_stderr_follows_the_loss_law(self, p, rho):
+        """The same gate for the llr rule's cut on x: on a Gaussian
+        Interval class with a0 != 0, and on Bernoulli and Poisson classes
+        at rho = 0, whose count is exactly Bin(s, P_miss) + Bin(d - s,
+        P_fp).  The Bernoulli rates give a1/a0 > (d - s)/s, so the cut
+        keeps x = 1 and the count varies.  n d = 4 10^6 splits each run
+        over the worker processes wherever there are two usable CPUs."""
+        spec = spec_for_kind("llr", p)
+        n = 20_000
+        report = estimate_risk(p, spec, MCConfig(replications=n, seed=2026, rho=rho))
+        mean, variance, fourth = threshold_loss_moments(p, spec, rho)
+        assert mean == pytest.approx(threshold_risk(p, "llr"), rel=1e-12)
+        assert variance > 0.0
         sd = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
         assert abs(n * report.mc_stderr**2 - variance) <= 4.0 * sd
 
@@ -772,6 +805,45 @@ def _replayed_errors(p, spec, seed, offset, reps, rho):
     return errors
 
 
+
+def _share_counts(p, spec, rho, seed, start, n):
+    """Each replication's error count from one simulate._share run, its
+    blocks checked to arrive in order."""
+    pieces, at = [], 0
+    for lo, counts in simulate._share(p, spec, rho, seed, start, n):
+        assert lo == at
+        pieces.append(counts.copy())
+        at += len(counts)
+    assert at == n
+    return np.concatenate(pieces)
+
+
+def _share_cases():
+    """(id, instance, spec, rho) over every family at d = 1,000, whose
+    blocks hold 81 rows."""
+    d, s = 1000, 10
+    lower = ProblemInstance(d, s, LowerBound(3.0))
+    two = ProblemInstance(d, s, TwoSided(3.0))
+    interval = ProblemInstance(d, s, Interval(-0.5, 2.5))
+    bernoulli = ProblemInstance(d, s, Interval(0.02, 0.7), family=Family.BERNOULLI)
+    poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
+    cases = []
+    for rho in (0.0, 0.5):
+        cases += [
+            (f"lower-plus-{rho}", lower, _plus_spec(lower), rho),
+            (f"two-tops-abs-{rho}", two, TopS(s, one_sided=False), rho),
+            (f"interval-llr-{rho}", interval, spec_for_kind("llr", interval), rho),
+        ]
+    cases += [
+        ("bernoulli-llr", bernoulli, spec_for_kind("llr", bernoulli), 0.0),
+        ("poisson-llr", poisson, spec_for_kind("llr", poisson), 0.0),
+    ]
+    return cases
+
+
+_SHARE_CASES = _share_cases()
+
+
 class TestStreamContract:
     """estimate_risk is the loop of public calls, one stream per replication."""
 
@@ -880,6 +952,72 @@ class TestStreamContract:
                 with _workers(workers):
                     report = estimate_risk(p, spec, cfg, stream_offset=offset)
                 assert (report.mc_estimate, report.mc_stderr) == want
+
+
+    @pytest.mark.parametrize(
+        "p, spec, rho", [case[1:] for case in _SHARE_CASES], ids=[case[0] for case in _SHARE_CASES]
+    )
+    def test_share_started_anywhere_gives_the_same_counts(self, p, spec, rho):
+        """A share is the unit the calling process and each worker run:
+        one started mid-block, or a run cut into shares anywhere, yields,
+        replication by replication, the counts of the same replications in
+        one share started at 0, which are the public replay's.  The later
+        shares' 81-row blocks straddle the first one's block ends."""
+        seed, offset, n = 20261020, 7 << 40, 200
+        assert _block_layout(p.d, n) == 81
+        whole = _share_counts(p, spec, rho, seed, offset, n)
+        assert_array_equal(whole, _replayed_errors(p, spec, seed, offset, n, rho))
+        for start in (50, 84, 199):
+            got = _share_counts(p, spec, rho, seed, offset + start, n - start)
+            assert_array_equal(got, whole[start:])
+        cuts = [0, 37, 137, 200]
+        pieces = [_share_counts(p, spec, rho, seed, offset + lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+        assert_array_equal(np.concatenate(pieces), whole)
+
+
+def _pooled(observed, expected, least=5.0):
+    """Adjacent bins pooled from the left until each expects at least
+    least; what is left at the right end joins the last pool."""
+    pools_observed, pools_expected, o, e = [], [], 0.0, 0.0
+    for oi, ei in zip(observed, expected):
+        o, e = o + oi, e + ei
+        if e >= least:
+            pools_observed.append(o)
+            pools_expected.append(e)
+            o = e = 0.0
+    pools_observed[-1] += o
+    pools_expected[-1] += e
+    return np.array(pools_observed), np.array(pools_expected)
+
+
+_LAW_CELLS = [
+    ("lower-plus", ProblemInstance(200, 10, LowerBound(3.0)), "plus"),
+    ("two-cosh", ProblemInstance(200, 10, TwoSided(3.0)), "cosh"),
+    ("bernoulli-llr", ProblemInstance(200, 10, Interval(0.02, 0.7), family=Family.BERNOULLI), "llr"),
+    ("poisson-llr", ProblemInstance(200, 10, Interval(1.0, 3.0), family=Family.POISSON), "llr"),
+]
+
+
+class TestErrorCountLaw:
+    @pytest.mark.parametrize(
+        "p, kind", [cell[1:] for cell in _LAW_CELLS], ids=[cell[0] for cell in _LAW_CELLS]
+    )
+    def test_histogram_matches_the_law(self, p, kind):
+        """At rho = 0 a cut's error count is exactly Bin(s, P_miss) +
+        Bin(d - s, P_fp) (oracles.threshold_loss_pmf).  The counts of one
+        share of 20,000 replications, bins pooled to an expected 5 or
+        more, pass a chi-square test at 0.001 over the cells (Bonferroni).
+        An engine that placed the signal on s - 1 support coordinates
+        would shift every cell's law."""
+        spec = spec_for_kind(kind, p)
+        n = 20_000
+        counts = _share_counts(p, spec, 0.0, 2027, 0, n)
+        observed = np.bincount(counts, minlength=p.d + 1)
+        pmf = threshold_loss_pmf(p, spec)
+        observed, expected = _pooled(observed, n * pmf / pmf.sum())
+        assert len(expected) >= 5
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert scipy.stats.chi2.sf(stat, len(expected) - 1) >= 0.001 / len(_LAW_CELLS)
 
 
 def _one_worker_peak(p, spec, reps, loss_kind=LossKind.HAMMING):
@@ -1056,7 +1194,7 @@ class TestEngineLimits:
 
     def test_oversized_d_rejected_before_allocating(self, monkeypatch):
         """Checking a selector spec makes none of its buffers: top-s's
-        partition block is made per worker, after the checks, and no worker
+        partition block is made per share, after the checks, and no worker
         starts."""
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
         monkeypatch.setattr(simulate, "_Worker", lambda: pytest.fail("a worker started"))
