@@ -49,13 +49,8 @@ _LOSS_FLAGS = {
     "wrong-recovery": LossKind.WRONG_RECOVERY,
 }
 
-_DEFAULT_WHICH = {
-    "plus": "psi-plus",
-    "two-sided": "psi-bar",
-    "interval": "general",
-    "bernoulli": "general",
-    "poisson": "general",
-}
+# The default --which: the class's own closed form, "general" on the other classes
+_DEFAULT_WHICH = {"plus": "psi-plus", "two-sided": "psi-bar"}
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +99,60 @@ def _write_table(rows: list[dict], stream) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require(value, flag: str, context: str):
-    if value is None:
-        raise ValueError(f"{flag} is required for {context}")
-    return value
+# kind of choice -> route -> (required, optional) flags it reads past its command's own
+_FILE = ("--input", "--method")  # what every select --method route requires
+_ROUTES = {
+    "class": {  # risk's and mc's
+        "--class plus": (("--a",), ("--sigma",)),
+        "--class two-sided": (("--a",), ("--sigma",)),
+        "--class interval": (("--a0", "--a1"), ("--sigma",)),
+        "--class bernoulli": (("--a0", "--a1"), ()),
+        "--class poisson": (("--a0", "--a1"), ()),
+    },
+    "noise": {f"--class {k}": ((), ("--rho",)) for k in ("plus", "two-sided", "interval")},  # mc's
+    "selector": {"--selector adaptive": ((), ("--s-star",))},  # mc's, and phase's
+    "family": {"--family gaussian": ((), ("--sigma",))},  # select's: no --sigma on counts
+    "select": {
+        "--method threshold": ((*_FILE, "--t"), ("--family",)),
+        "--method threshold-abs": ((*_FILE, "--t"), ("--family",)),
+        "--method cosh": ((*_FILE, "--s", "--a"), ("--family", "--sigma")),
+        "--method llr": ((*_FILE, "--s", "--a0", "--a1"), ("--family", "--sigma")),
+        "--method tops": ((*_FILE, "--s"), ("--family", "--by-abs")),
+        "--method universal": (_FILE, ("--family", "--sigma")),
+        "--method adaptive": ((*_FILE, "--s-star"), ("--family", "--sigma")),
+        "crowd selection": (("--votes", "--rates", "--s"), ()),
+    },
+}
+
+
+def _check_routes(args, routes: dict) -> None:
+    """Refuse each flag given that the route taken of its kind does not read
+    (a route _ROUTES leaves out reads none), then each one a route requires
+    that is missing; routes maps kind -> route.  Every flag in _ROUTES
+    defaults to None, so that "given" can be seen."""
+    given = {f"--{dest.replace('_', '-')}" for dest, value in vars(args).items() if value is not None}
+    for kind, route in routes.items():
+        reads = sum(_ROUTES[kind].get(route, ()), ())
+        for flag in dict.fromkeys(f for both in _ROUTES[kind].values() for f in sum(both, ())):
+            if flag in given and flag not in reads:
+                raise ValueError(f"{flag} is not read by {route}")
+    for kind, route in routes.items():
+        for flag in _ROUTES[kind].get(route, ((),))[0]:
+            if flag not in given:
+                raise ValueError(f"{flag} is required for {route}")
 
 
 def _build_instance(args) -> ProblemInstance:
-    klass = args.klass
-    if klass == "plus":
-        signal = LowerBound(_require(args.a, "--a", "--class plus"))
-    elif klass == "two-sided":
-        signal = TwoSided(_require(args.a, "--a", "--class two-sided"))
+    if args.klass == "plus":
+        signal = LowerBound(args.a)
+    elif args.klass == "two-sided":
+        signal = TwoSided(args.a)
     else:
-        a0 = _require(args.a0, "--a0", f"--class {klass}")
-        a1 = _require(args.a1, "--a1", f"--class {klass}")
-        signal = Interval(a0, a1)
+        signal = Interval(args.a0, args.a1)
     # the bernoulli and poisson classes are named after their family
-    family = klass if klass in ("bernoulli", "poisson") else Family.GAUSSIAN
-    return ProblemInstance(args.d, args.s, signal, family, args.sigma)
+    family = args.klass if args.klass in ("bernoulli", "poisson") else Family.GAUSSIAN
+    sigma = 1.0 if args.sigma is None else args.sigma
+    return ProblemInstance(args.d, args.s, signal, family, sigma)
 
 
 # How messages name a value of each type a flag list or sweep key takes: (one, several)
@@ -194,8 +224,9 @@ def _parse_selectors(text: str) -> list[str]:
 
 
 def cmd_risk(args) -> int:
+    _check_routes(args, {"class": f"--class {args.klass}"})
     p = _build_instance(args)
-    which = args.which or _DEFAULT_WHICH[args.klass]
+    which = args.which or _DEFAULT_WHICH.get(args.klass, "general")
     d, s, sig, sigma = p.d, p.s, p.signal, p.sigma
     if isinstance(sig, Interval):
         if which != "general":
@@ -225,66 +256,23 @@ def cmd_risk(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The flags each select route reads: every file route reads --input, --method
-# and --family and then its method's own flags, and crowd voting reads only
-# _CROWD_FLAGS.  Any other flag given is an error that names it and the route;
-# every select flag defaults to None, so that "given" can be seen.
-_METHOD_FLAGS = {
-    "threshold": ("--t",),
-    "threshold-abs": ("--t",),
-    "cosh": ("--s", "--a", "--sigma"),
-    "llr": ("--s", "--a0", "--a1", "--sigma"),
-    "tops": ("--s", "--by-abs"),
-    "universal": ("--sigma",),
-    "adaptive": ("--s-star", "--sigma"),
-}
-_FILE_FLAGS = ("--input", "--method", "--family")
-_CROWD_FLAGS = ("--votes", "--rates", "--s")
-
-
-def _check_select_flags(args, reads: tuple, route: str) -> None:
-    """Reject any select flag given that the route does not read."""
-    every = dict.fromkeys(_FILE_FLAGS + _CROWD_FLAGS + sum(_METHOD_FLAGS.values(), ()))
-    for flag in every:
-        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ValueError(f"{flag} is not read by {route}")
-
-
-def _select_crowd(args):
-    if not (args.votes and args.rates):
-        raise ValueError("crowd selection needs both --votes and --rates")
-    s = _require(args.s, "--s", "crowd selection")
-    crowd = CrowdInstance(read_votes_csv(args.votes), tuple(read_rates_csv(args.rates)))
-    return crowd_selector(crowd, s)
-
-
-def _select_spec(args, d: int, family: str, sigma: float):
-    """The spec of --method for d observations from family."""
-    method = args.method
-    if method in ("threshold", "threshold-abs"):
-        t = _require(args.t, "--t", f"--method {method}")
-        return Threshold(t, two_sided=method == "threshold-abs")
-    if method == "universal":
-        return Threshold(universal_threshold(d, sigma), two_sided=True)
-    if method == "adaptive":
-        return Adaptive(_require(args.s_star, "--s-star", "--method adaptive"))
-    s = _require(args.s, "--s", f"--method {method}")
-    if method == "tops":
-        return TopS(s, one_sided=not args.by_abs)
-    if method == "cosh":
-        signal = TwoSided(_require(args.a, "--a", "--method cosh"))
-    else:
-        a0 = _require(args.a0, "--a0", "--method llr")
-        signal = Interval(a0, _require(args.a1, "--a1", "--method llr"))
-    return spec_for_kind(method, ProblemInstance(d, s, signal, family, sigma))
-
-
 def _select_file(args):
     """--method run on the --input observations, which are from --family."""
-    x = read_observations_csv(_require(args.input, "--input", "selection"))
-    family = args.family or "gaussian"
+    x = read_observations_csv(args.input)
+    d, method, family = x.size, args.method, args.family or "gaussian"
     sigma = 1.0 if args.sigma is None else args.sigma
-    return select_row(_select_spec(args, x.size, family, sigma), x, x.size, family, sigma)
+    if method in ("threshold", "threshold-abs"):
+        spec = Threshold(args.t, two_sided=method == "threshold-abs")
+    elif method == "universal":
+        spec = Threshold(universal_threshold(d, sigma), two_sided=True)
+    elif method == "adaptive":
+        spec = Adaptive(args.s_star)
+    elif method == "tops":
+        spec = TopS(args.s, one_sided=not args.by_abs)
+    else:
+        signal = TwoSided(args.a) if method == "cosh" else Interval(args.a0, args.a1)
+        spec = spec_for_kind(method, ProblemInstance(d, args.s, signal, family, sigma))
+    return select_row(spec, x, d, family, sigma)
 
 
 def cmd_select(args) -> int:
@@ -292,14 +280,17 @@ def cmd_select(args) -> int:
     every route.  Each returns a SelectResult, whose threshold_used is the
     cut applied: it is printed on its own, ahead of the rest."""
     if args.votes or args.rates:
-        route, reads, run = "crowd selection", _CROWD_FLAGS, _select_crowd
+        route = "crowd selection"
     elif args.method is None:
         raise ValueError("--method is required (or --votes/--rates for crowd data)")
     else:
-        route, reads = f"--method {args.method}", _FILE_FLAGS + _METHOD_FLAGS[args.method]
-        run = _select_file
-    _check_select_flags(args, reads, route)
-    support, diagnostics = run(args)
+        route = f"--method {args.method}"
+    _check_routes(args, {"select": route, "family": f"--family {args.family or 'gaussian'}"})
+    if route == "crowd selection":
+        crowd = CrowdInstance(read_votes_csv(args.votes), tuple(read_rates_csv(args.rates)))
+        support, diagnostics = crowd_selector(crowd, args.s)
+    else:
+        support, diagnostics = _select_file(args)
     shown = dict(diagnostics)
     t = shown.pop("threshold_used")
     print(_json_text({**support_summary(support), "threshold_used": t, "diagnostics": shown}))
@@ -324,13 +315,15 @@ def _mc_config(args):
     return simulate.MCConfig(
         replications=args.reps,
         seed=args.seed if args.seed is not None else fresh_seed(),
-        rho=args.rho,
+        rho=0.0 if args.rho is None else args.rho,
         loss_kind=_LOSS_FLAGS[args.loss],
     )
 
 
 def cmd_mc(args) -> int:
     from . import simulate
+    route = f"--class {args.klass}"
+    _check_routes(args, {"class": route, "noise": route, "selector": f"--selector {args.selector}"})
     p = _build_instance(args)
     spec = spec_for_kind(args.selector, p, s_star=args.s_star)
     cfg = _mc_config(args)
@@ -364,11 +357,14 @@ def cmd_mc(args) -> int:
 
 def cmd_phase(args) -> int:
     from . import simulate
+    kinds = _parse_selectors(args.selectors)
+    route = "--selector adaptive" if "adaptive" in kinds else f"--selectors {','.join(kinds)}"
+    _check_routes(args, {"selector": route})
     rows = simulate.phase_sweep(
         _parse_list(args.d_list, "--d-list", int),
         _parse_s_rule(args.s_rule),
         _parse_list(args.a_mult, "--a-mult", float),
-        _parse_selectors(args.selectors),
+        kinds,
         _mc_config(args),
         a_ref=args.a_ref,
         s_star=args.s_star,
@@ -478,15 +474,15 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, help="signal level (plus/two-sided)")
     p.add_argument("--a0", type=float, help="null level or rate")
     p.add_argument("--a1", type=float, help="signal level or rate")
-    p.add_argument("--sigma", type=float, default=1.0, help="noise level (default 1)")
+    p.add_argument("--sigma", type=float, help="noise level, Gaussian classes only (default 1)")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     """The Monte Carlo run flags of mc and phase (see _mc_config)."""
-    p.add_argument("--s-star", dest="s_star", type=int, help="adaptive sparsity budget")
+    p.add_argument("--s-star", dest="s_star", type=int, help="sparsity budget, adaptive only")
     p.add_argument("--reps", type=int, required=True, help="replications")
     p.add_argument("--seed", type=int, help="64-bit seed (auto-chosen and echoed if omitted)")
-    p.add_argument("--rho", type=float, default=0.0, help="equicorrelation in [0,1)")
+    p.add_argument("--rho", type=float, help="equicorrelation in [0,1), Gaussian only (default 0)")
     p.add_argument("--loss", choices=list(_LOSS_FLAGS), default="hamming")
 
 
@@ -510,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="run a selector on a data file")
     p.add_argument("--input", help="observations file, one value per line")
-    p.add_argument("--method", choices=list(_METHOD_FLAGS))
+    p.add_argument("--method", choices=[r.split()[1] for r in _ROUTES["select"] if "--method" in r])
     p.add_argument("--t", type=float, help="threshold value")
     p.add_argument("--s", type=int, help="sparsity")
     p.add_argument("--a", type=float, help="signal level")
@@ -521,8 +517,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[f.value for f in Family],
         help="family of the observations, for every --method (default gaussian)",
     )
-    p.add_argument("--sigma", type=float, help="noise level (default 1)")
-    p.add_argument("--s-star", dest="s_star", type=int, help="adaptive sparsity budget")
+    p.add_argument("--sigma", type=float, help="noise level, Gaussian --family only (default 1)")
+    p.add_argument("--s-star", dest="s_star", type=int, help="sparsity budget, adaptive only")
     p.add_argument(
         "--by-abs", action="store_true", default=None, help="rank --method tops by |value|"
     )

@@ -215,16 +215,20 @@ def threshold_loss_moments(p, spec, rho: float) -> tuple[float, float, float]:
     return mean, variance, fourth
 
 
-def threshold_loss_pmf(p, spec) -> np.ndarray:
+def threshold_loss_pmf(p, spec, rho: float = 0.0) -> np.ndarray:
     """pmf over 0..d of the Hamming error count of the cut of Threshold
-    spec on instance p at rho = 0: at each node of _threshold_error_rates
-    the convolution of Bin(s, P_miss) and Bin(d - s, P_sel), mixed over
-    the nodes (a TwoSided class's two signs)."""
+    spec on instance p, its noise equicorrelated at rho as the MC engine
+    draws it: at each node of _threshold_error_rates the convolution of
+    Bin(s, P_miss) and Bin(d - s, P_sel), mixed over the nodes (a TwoSided
+    class's two signs and, at rho > 0, the common factor Z0)."""
     d, s = p.d, p.s
-    w, miss, select = _threshold_error_rates(p, spec, 0.0)
+    w, miss, select = _threshold_error_rates(p, spec, rho)
     on = scipy.stats.binom.pmf(np.arange(s + 1)[:, None], s, miss)
     off = scipy.stats.binom.pmf(np.arange(d - s + 1)[:, None], d - s, select)
-    return sum(weight * np.convolve(a, b) for weight, a, b in zip(w, on.T, off.T))
+    pmf = np.zeros(d + 1)
+    for k in range(s + 1):  # k misses: the mixture of k + Bin(d - s, P_sel)
+        pmf[k : k + d - s + 1] += off @ (w * on[k])
+    return pmf
 
 
 def psi_crowd_mc(rates, d: int, s: int, replications: int, seed: int) -> tuple[float, float]:

@@ -5,6 +5,7 @@ codes are checked exactly as a shell user would see them; one smoke test
 goes through a real subprocess.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -181,9 +182,10 @@ class TestRiskCommand:
 
     @pytest.mark.parametrize("klass, a0, a1", [("bernoulli", "0.1", "0.9"), ("poisson", "1", "2")])
     @pytest.mark.parametrize("sigma", ["0", "-1"])
-    def test_non_positive_sigma_rejected_as_by_mc(self, capsys, klass, a0, a1, sigma):
-        """risk and mc build the same ProblemInstance, which needs sigma > 0
-        for every family, although Bernoulli and Poisson risks ignore it."""
+    def test_sigma_on_a_discrete_class_is_not_read_as_by_mc(self, capsys, klass, a0, a1, sigma):
+        """risk and mc take the same class route, which reads --sigma only on
+        a Gaussian class: a Bernoulli or Poisson run refuses any value of it,
+        with the same line from both commands."""
         head = ("--class", klass, "--d", "10", "--s", "1", "--a0", a0, "--a1", a1, f"--sigma={sigma}")
         code, out, err = run_cli(capsys, "risk", *head)
         assert (code, out) == (2, "")
@@ -962,6 +964,16 @@ class TestSweepCommand:
         assert out == ""
         assert len(_parse_csv(dest.read_text())) == 1
 
+    def test_s_star_without_adaptive_is_not_read(self, capsys, tmp_path):
+        """--s-star, or the s_star key, on a grid without adaptive exits 2
+        naming it and the --selectors route, as mc does for its --selector."""
+        phase = run_cli(
+            capsys, "phase", "--d-list", "30,60", "--s-rule", "fixed:3", "--a-mult", "1.0",
+            "--selectors", "plus", "--reps", "30", "--seed", "7", "--s-star", "4",
+        )
+        sweep = run_cli(capsys, "sweep", str(self._config(tmp_path, s_star=4)))
+        assert phase == sweep == (2, "", "error: --s-star is not read by --selectors plus\n")
+
     @pytest.mark.parametrize(
         "overrides, flags",
         [
@@ -1303,6 +1315,134 @@ class TestUsageErrors:
         assert named in err
 
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["risk", "--class", "bernoulli", "--d", "10", "--s", "1", "--a0", "0.1", "--a1", "0.9",
+              "--sigma", "5", "--a", "3"], "--a is not read by --class bernoulli"),
+            (["risk", "--class", "plus", "--d", "200", "--s", "10", "--a", "3", "--a0", "1",
+              "--a1", "7"], "--a0 is not read by --class plus"),
+            (["mc", "--class", "poisson", "--d", "200", "--s", "10", "--a0", "1", "--a1", "3",
+              "--selector", "llr", "--reps", "5", "--seed", "1", "--sigma", "3", "--s-star", "4"],
+             "--sigma is not read by --class poisson"),
+            (["mc", "--class", "poisson", "--d", "200", "--s", "10", "--a0", "1", "--a1", "3",
+              "--selector", "llr", "--reps", "5", "--seed", "1", "--s-star", "4"],
+             "--s-star is not read by --selector llr"),
+            (["mc", "--class", "bernoulli", "--d", "200", "--s", "10", "--a0", "0.1", "--a1", "0.9",
+              "--selector", "llr", "--reps", "5", "--seed", "1", "--rho", "0"],
+             "--rho is not read by --class bernoulli"),
+            ([*_phase_argv(), "--s-star", "16"], "--s-star is not read by --selectors plus"),
+            (["select", "--input", "x.csv", "--method", "llr", "--family", "poisson", "--s", "1",
+              "--a0", "1", "--a1", "2", "--sigma", "7"], "--sigma is not read by --family poisson"),
+            (["select", "--input", "x.csv", "--method", "threshold", "--s", "1", "--t", "1",
+              "--family", "bernoulli", "--sigma", "7"], "--s is not read by --method threshold"),
+        ],
+        ids=["risk-bernoulli-a", "risk-plus-a0", "mc-poisson-sigma", "mc-llr-s-star",
+             "mc-bernoulli-rho", "phase-s-star", "select-llr-poisson-sigma", "select-first-foreign"],
+    )
+    def test_flag_its_route_does_not_read(self, capsys, argv, line):
+        """A flag the command's route does not read exits 2 before any file
+        is opened, naming the flag and the route: the first such flag in the
+        route table's order when there are several."""
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["risk", "--class", "interval", "--d", "200", "--s", "10", "--a0", "0"],
+             "--a1 is required for --class interval"),
+            (["select", "--method", "tops", "--s", "1"], "--input is required for --method tops"),
+            (["select", "--input", "x.csv", "--method", "cosh", "--s", "1"],
+             "--a is required for --method cosh"),
+            (["select", "--votes", "v.csv", "--s", "1"], "--rates is required for crowd selection"),
+            (["select", "--rates", "r.csv", "--votes", "v.csv"], "--s is required for crowd selection"),
+            (["select", "--votes", "v.csv", "--t", "1"], "--t is not read by crowd selection"),
+        ],
+        ids=["risk-interval-a1", "select-input", "select-cosh-a", "crowd-rates", "crowd-s",
+             "crowd-foreign-before-missing"],
+    )
+    def test_flag_its_route_requires(self, capsys, argv, line):
+        """A missing flag the route requires is named with the route, after
+        every flag it does not read."""
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+# The kinds of route each command takes, in the order its check sees them
+_COMMAND_KINDS = {
+    "risk": ("class",),
+    "mc": ("class", "noise", "selector"),
+    "phase": ("selector",),
+    "select": ("select", "family"),
+}
+# Flags a command reads on every route, though some route of another command
+# reads them only there: risk's and mc's --s (argparse requires it), phase's --rho
+_READ_ON_EVERY_ROUTE = {"risk": {"--s"}, "mc": {"--s"}, "phase": {"--rho"}}
+
+
+def _route_flags(kinds):
+    """Every flag a route of these kinds names."""
+    return {f for kind in kinds for both in cli._ROUTES[kind].values() for f in sum(both, ())}
+
+
+class TestRouteTable:
+    """The route table and the parser agree, so a flag cannot be declared
+    where no route reads it, nor named by a route where it is not declared."""
+
+    @staticmethod
+    def _subparsers() -> dict:
+        parser = cli._build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["risk", "--class", "plus", "--d", "200", "--s", "10", "--a", "3"],
+            ["mc", "--class", "plus", "--d", "200", "--s", "10", "--a", "3", "--selector", "plus",
+             "--reps", "5", "--seed", "1"],
+            _phase_argv(),
+            ["select", "--input", "x.csv", "--method", "tops", "--s", "1"],
+            ["sweep", "missing.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_command_checks_the_kinds_listed(self, capsys, monkeypatch, argv):
+        seen = []
+
+        def spy(args, routes):
+            seen.append(tuple(routes))
+            raise ValueError("checked")
+
+        monkeypatch.setattr(cli, "_check_routes", spy)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert seen == ([_COMMAND_KINDS[argv[0]]] if argv[0] in _COMMAND_KINDS else [])
+
+    def test_every_flag_a_route_names_is_declared_where_it_is_taken(self):
+        parsers = self._subparsers()
+        for command, kinds in _COMMAND_KINDS.items():
+            missing = _route_flags(kinds) - set(parsers[command]._option_string_actions)
+            assert not missing, (command, missing)
+
+    def test_every_route_flag_declared_is_read_by_a_route_and_defaults_to_none(self):
+        """A flag some route names, declared on a command, is read by one of
+        that command's routes and defaults to None, so the check sees it
+        given; a command that re-declared, say, phase --sigma would fail here."""
+        named = _route_flags(cli._ROUTES)
+        for command, parser in self._subparsers().items():
+            reads = _route_flags(_COMMAND_KINDS.get(command, ()))
+            for action in parser._actions:
+                own = set(action.option_strings) & named - _READ_ON_EVERY_ROUTE.get(command, set())
+                for flag in own:
+                    assert flag in reads, (command, flag)
+                    assert action.default is None, (command, flag)
+
+    def test_select_methods_are_the_table_routes(self):
+        methods = self._subparsers()["select"]._option_string_actions["--method"].choices
+        assert sorted(f"--method {m}" for m in methods) == sorted(
+            route for route in cli._ROUTES["select"] if route != "crowd selection"
+        )
+
+
 _EDGE_INTS = [-1, 0, 1, 2, 3, 5, 10, 200, 10**6, 10**18, 2**70, 10**400]
 _ARGV_INTS = st.sampled_from(_EDGE_INTS)
 _ARGV_FLOATS = st.sampled_from(
@@ -1313,49 +1453,69 @@ _ARGV_FLOATS = st.sampled_from(
 # (d, s) as one draw: drawn apart, Hypothesis makes them equal far more often
 _ARGV_D_S = st.sampled_from([(d, s) for d in _EDGE_INTS for s in _EDGE_INTS])
 _ARGV_CLASSES = st.sampled_from(["plus", "two-sided", "interval", "bernoulli", "poisson"])
-_ARGV_SHARED = {flag: st.none() | _ARGV_FLOATS for flag in ("--a", "--a0", "--a1", "--sigma")}
-# Each command's flags past --class, --d and --s, with None to leave one out
-_ARGV_FLAGS = {
-    "risk": {
-        **_ARGV_SHARED,
-        "--which": st.none() | st.sampled_from(
-            ["psi-plus", "psi", "psi-bar", "general", "bounds", "wrong-recovery"]
-        ),
-    },
-    "mc": {
-        **_ARGV_SHARED,
-        "--s-star": st.none() | _ARGV_INTS,
-        "--rho": st.none() | _ARGV_FLOATS,
-        "--loss": st.none() | st.sampled_from(list(cli._LOSS_FLAGS)),
-    },
-}
 _MC_RUN = st.tuples(st.sampled_from(SELECTOR_KINDS), st.integers(1, 3), _ARGV_INTS)
+
+
+def _flag_parts(flag, values):
+    """The argv parts of flag=value for each value drawn."""
+    return values.map(lambda v: [f"{flag}={v!r}" if isinstance(v, float) else f"{flag}={v}"])
+
+
+# Each risk and mc flag past --class, --d, --s and mc's run flags, as its drawn argv parts
+_RISK_MC_FLAGS = {
+    **{flag: _flag_parts(flag, _ARGV_FLOATS) for flag in ("--a", "--a0", "--a1", "--sigma", "--rho")},
+    "--s-star": _flag_parts("--s-star", _ARGV_INTS),
+    "--which": _flag_parts("--which", st.sampled_from(
+        ["psi-plus", "psi", "psi-bar", "general", "bounds", "wrong-recovery"]
+    )),
+    "--loss": _flag_parts("--loss", st.sampled_from(list(cli._LOSS_FLAGS))),
+}
+# The flags whose reading depends on the route, by command, written out here
+# apart from the CLI's own table: the class's levels, --sigma (and mc's --rho)
+# on a Gaussian class, and --s-star on mc's adaptive selector
+_RISK_MC_ROUTE_FLAGS = {
+    "risk": ("--a", "--a0", "--a1", "--sigma"),
+    "mc": ("--a", "--a0", "--a1", "--sigma", "--rho", "--s-star"),
+}
 
 
 @st.composite
 def _risk_or_mc_argv(draw):
-    """risk and mc argv over every class: the class's levels drawn from edge
-    values, every other flag drawn from them or left out; mc runs 1 to 3
-    replications."""
+    """(argv, foreign, route) for risk and mc over every class: the class's
+    levels drawn from edge values, every other flag the class and selector
+    read drawn from them or left out, and on some examples one flag neither
+    reads, named as foreign with the route that refuses it (None, None when
+    there is none).  mc runs 1 to 3 replications."""
     command = draw(st.sampled_from(["risk", "mc"]))
     klass = draw(_ARGV_CLASSES)
     d, s = draw(_ARGV_D_S)
     argv = [command, f"--class={klass}", f"--d={d}", f"--s={s}"]
     levels = ("--a",) if klass in ("plus", "two-sided") else ("--a0", "--a1")
-    argv += [f"{flag}={draw(_ARGV_FLOATS)!r}" for flag in levels]
-    if command == "mc":
+    gaussian = klass not in ("bernoulli", "poisson")
+    optional = ("--sigma",) * gaussian
+    selector = None
+    if command == "risk":
+        optional += ("--which",)
+    else:
         selector, reps, seed = draw(_MC_RUN)
         argv += [f"--selector={selector}", f"--reps={reps}", f"--seed={seed}"]
-    for flag, values in _ARGV_FLAGS[command].items():
-        value = None if flag in levels else draw(values)
-        if value is not None:
-            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
-    return argv
+        optional += ("--rho",) * gaussian + ("--s-star",) * (selector == "adaptive") + ("--loss",)
+    for flag in levels:
+        argv += draw(_RISK_MC_FLAGS[flag])
+    for flag in optional:
+        argv += draw(st.just([]) | _RISK_MC_FLAGS[flag])
+    others = [f for f in _RISK_MC_ROUTE_FLAGS[command] if f not in levels + optional]
+    foreign = draw(st.none() | st.sampled_from(others))
+    if foreign is None:
+        return argv, None, None
+    argv += draw(_RISK_MC_FLAGS[foreign])
+    route = f"--selector {selector}" if foreign == "--s-star" else f"--class {klass}"
+    return argv, foreign, route
 
 
 # The flags each select method reads past --input and --method, written out
 # here apart from the CLI's own table; a file route given any other select
-# flag exits 2 naming it.
+# flag exits 2 naming it, as does one given --sigma on non-Gaussian data.
 _SELECT_READS = {
     "threshold": ("--family", "--t"),
     "threshold-abs": ("--family", "--t"),
@@ -1365,11 +1525,6 @@ _SELECT_READS = {
     "universal": ("--family", "--sigma"),
     "adaptive": ("--family", "--s-star", "--sigma"),
 }
-
-
-def _flag_parts(flag, values):
-    """The argv parts of flag=value for each value drawn."""
-    return values.map(lambda v: [f"{flag}={v!r}" if isinstance(v, float) else f"{flag}={v}"])
 
 
 # Each select file-route flag past --input and --method, as its drawn argv parts
@@ -1386,19 +1541,27 @@ _SELECT_OBSERVATIONS = st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, 
 
 @st.composite
 def _select_argv(draw):
-    """(observations, argv, foreign) for select on a data file: every
+    """(observations, argv, foreign, route) for select on a data file: every
     --method, each flag it reads drawn from the edge values or left out, and
-    on some examples one flag it does not read, named as foreign (None when
-    there is none).  The argv names the file as OBSERVATIONS."""
+    on some examples one flag it does not read, named as foreign with the
+    route that refuses it (None, None when there is none); --sigma drawn on
+    Bernoulli or Poisson data is foreign to that --family.  The argv names
+    the file as OBSERVATIONS."""
     method = draw(st.sampled_from(list(_SELECT_READS)))
     argv = ["select", "--input=OBSERVATIONS", f"--method={method}"]
     for flag in _SELECT_READS[method]:
         argv += draw(st.just([]) | _SELECT_FLAGS[flag])
+    observations = draw(_SELECT_OBSERVATIONS)
+    family = next((part[9:] for part in argv if part.startswith("--family=")), "gaussian")
+    if family != "gaussian" and any(part.startswith("--sigma=") for part in argv):
+        event("--sigma on counts")
+        return observations, argv, "--sigma", f"--family {family}"
     others = [flag for flag in _SELECT_FLAGS if flag not in _SELECT_READS[method]]
     foreign = draw(st.none() | st.sampled_from(others))
-    if foreign is not None:
-        argv += draw(_SELECT_FLAGS[foreign])
-    return draw(_SELECT_OBSERVATIONS), argv, foreign
+    if foreign is None:
+        return observations, argv, None, None
+    argv += draw(_SELECT_FLAGS[foreign])
+    return observations, argv, foreign, f"--method {method}"
 
 
 def _reject_constant(name):
@@ -1424,34 +1587,46 @@ class TestNeverInvalidOutput:
             json.loads(lines[0], parse_constant=_reject_constant)
         return code, err.getvalue()
 
+    @staticmethod
+    def _check_foreign(got, foreign, route):
+        """Exit 2 with exactly the line naming foreign and its route when
+        the argv holds a flag its route does not read, whatever else it
+        holds; no such line otherwise."""
+        if foreign is None:
+            assert "is not read by" not in got[1]
+        else:
+            assert got == (2, f"error: {foreign} is not read by {route}\n")
+
     @settings(max_examples=500)
-    @given(argv=_risk_or_mc_argv())
-    @example(argv=["risk", "--class=two-sided", "--d=200", "--s=10", "--a=1.0", "--which=psi"])
-    @example(argv=["mc", "--class=plus", "--d=200", "--s=10", "--a=3.0", "--selector=plus",
-                   "--reps=3", "--seed=1"])
-    def test_one_json_line_or_exit_2(self, argv):
-        self._check(argv)
+    @given(case=_risk_or_mc_argv())
+    @example(case=(["risk", "--class=two-sided", "--d=200", "--s=10", "--a=1.0", "--which=psi"],
+                   None, None))
+    @example(case=(["mc", "--class=plus", "--d=200", "--s=10", "--a=3.0", "--selector=plus",
+                    "--reps=3", "--seed=1"], None, None))
+    @example(case=(["mc", "--class=poisson", "--d=200", "--s=10", "--a0=1.0", "--a1=3.0",
+                    "--selector=adaptive", "--reps=3", "--seed=1", "--s-star=4", "--rho=0.0"],
+                   "--rho", "--class poisson"))
+    def test_one_json_line_or_exit_2(self, case):
+        argv, foreign, route = case
+        self._check_foreign(self._check(argv), foreign, route)
 
     # one file per test, rewritten by each example
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=_select_argv())
     @example(case=([1e308, -1e308, 5e-324], ["select", "--input=OBSERVATIONS", "--method=tops",
-                                              "--s=2", "--by-abs"], None))
-    @example(case=([], ["select", "--input=OBSERVATIONS", "--method=threshold", "--a=0.0"], "--a"))
+                                              "--s=2", "--by-abs"], None, None))
+    @example(case=([], ["select", "--input=OBSERVATIONS", "--method=threshold", "--a=0.0"], "--a",
+                   "--method threshold"))
+    @example(case=([0.0, 1.0], ["select", "--input=OBSERVATIONS", "--method=llr", "--s=1",
+                                "--family=bernoulli", "--sigma=1.0"], "--sigma", "--family bernoulli"))
     def test_select_one_json_line_or_exit_2(self, tmp_path, case):
-        """As above, and exit 2 naming the flag exactly when the argv holds
-        a flag its method does not read, whatever else it holds."""
-        observations, argv, foreign = case
+        observations, argv, foreign, route = case
         path = tmp_path / "x.csv"
         path.write_text("".join(f"{v!r}\n" for v in observations))
         got = self._check(
             [f"--input={path}" if part == "--input=OBSERVATIONS" else part for part in argv]
         )
-        if foreign is None:
-            assert "is not read by" not in got[1]
-        else:
-            method = argv[2].removeprefix("--method=")
-            assert got == (2, f"error: {foreign} is not read by --method {method}\n")
+        self._check_foreign(got, foreign, route)
 
 
 class TestSubprocess:

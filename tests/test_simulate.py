@@ -774,8 +774,11 @@ def _contract_cases():
             specs["llr"] = spec_for_kind("llr", p)
         for kind, spec in specs.items():
             cases.append((f"gaussian-{name}-{kind}", p, spec, (0.0, 0.5)))
-    for family, a0, a1 in ((Family.BERNOULLI, 0.2, 0.7), (Family.POISSON, 1.0, 3.0)):
+    # Bernoulli rates at which the llr cut, 0.713, lies in (0, 1): a 1 is selected
+    for family, a0, a1 in ((Family.BERNOULLI, 0.02, 0.7), (Family.POISSON, 1.0, 3.0)):
         p = ProblemInstance(d, s, Interval(a0, a1), family=family)
+        if family is Family.BERNOULLI:
+            assert 0.0 < spec_for_kind("llr", p).t < 1.0
         for kind, spec in (("llr", spec_for_kind("llr", p)), ("tops", TopS(s)), ("plus", Threshold(1.0))):
             cases.append((f"{family.value}-{kind}", p, spec, (0.0,)))
     return cases
@@ -927,7 +930,9 @@ class TestStreamContract:
         lower = ProblemInstance(d, s, LowerBound(a))
         two = ProblemInstance(d, s, TwoSided(a))
         two_wide = ProblemInstance(d, s, TwoSided(a), sigma=1.7)
-        bernoulli = ProblemInstance(d, s, Interval(0.2, 0.7), family=Family.BERNOULLI)
+        # rates whose llr cut (0.54 to 0.94 here) lies in (0, 1), so the rule selects the 1s
+        bernoulli = ProblemInstance(d, s, Interval(0.0005, 0.9), family=Family.BERNOULLI)
+        assert 0.0 < spec_for_kind("llr", bernoulli).t < 1.0
         poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
         cases = [
             (lower, _plus_spec(lower), 0.0),
@@ -991,29 +996,32 @@ def _pooled(observed, expected, least=5.0):
 
 
 _LAW_CELLS = [
-    ("lower-plus", ProblemInstance(200, 10, LowerBound(3.0)), "plus"),
-    ("two-cosh", ProblemInstance(200, 10, TwoSided(3.0)), "cosh"),
-    ("bernoulli-llr", ProblemInstance(200, 10, Interval(0.02, 0.7), family=Family.BERNOULLI), "llr"),
-    ("poisson-llr", ProblemInstance(200, 10, Interval(1.0, 3.0), family=Family.POISSON), "llr"),
+    ("lower-plus", ProblemInstance(200, 10, LowerBound(3.0)), "plus", 0.0),
+    ("two-cosh", ProblemInstance(200, 10, TwoSided(3.0)), "cosh", 0.0),
+    ("bernoulli-llr", ProblemInstance(200, 10, Interval(0.02, 0.7), family=Family.BERNOULLI), "llr", 0.0),
+    ("poisson-llr", ProblemInstance(200, 10, Interval(1.0, 3.0), family=Family.POISSON), "llr", 0.0),
+    ("lower-plus-rho0.5", ProblemInstance(200, 10, LowerBound(3.0)), "plus", 0.5),
+    ("two-cosh-rho0.5", ProblemInstance(200, 10, TwoSided(3.0)), "cosh", 0.5),
 ]
 
 
 class TestErrorCountLaw:
     @pytest.mark.parametrize(
-        "p, kind", [cell[1:] for cell in _LAW_CELLS], ids=[cell[0] for cell in _LAW_CELLS]
+        "p, kind, rho", [cell[1:] for cell in _LAW_CELLS], ids=[cell[0] for cell in _LAW_CELLS]
     )
-    def test_histogram_matches_the_law(self, p, kind):
+    def test_histogram_matches_the_law(self, p, kind, rho):
         """At rho = 0 a cut's error count is exactly Bin(s, P_miss) +
-        Bin(d - s, P_fp) (oracles.threshold_loss_pmf).  The counts of one
-        share of 20,000 replications, bins pooled to an expected 5 or
-        more, pass a chi-square test at 0.001 over the cells (Bonferroni).
-        An engine that placed the signal on s - 1 support coordinates
-        would shift every cell's law."""
+        Bin(d - s, P_fp), and at rho > 0 that law mixed over the common
+        factor Z0 (oracles.threshold_loss_pmf).  The counts of one share of
+        20,000 replications, bins pooled to an expected 5 or more, pass a
+        chi-square test at 0.001 over the cells (Bonferroni).  An engine
+        that placed the signal on s - 1 support coordinates would shift
+        every cell's law, and one that ignored rho the rho = 0.5 cells'."""
         spec = spec_for_kind(kind, p)
         n = 20_000
-        counts = _share_counts(p, spec, 0.0, 2027, 0, n)
+        counts = _share_counts(p, spec, rho, 2027, 0, n)
         observed = np.bincount(counts, minlength=p.d + 1)
-        pmf = threshold_loss_pmf(p, spec)
+        pmf = threshold_loss_pmf(p, spec, rho)
         observed, expected = _pooled(observed, n * pmf / pmf.sum())
         assert len(expected) >= 5
         stat = float(((observed - expected) ** 2 / expected).sum())
@@ -1338,6 +1346,9 @@ def _engine_cases(draw):
     if cls in ("bernoulli", "poisson"):
         family = Family(cls)
         a0, a1 = (0.2, 0.7) if cls == "bernoulli" else (1.0, 1.0 + a)
+        if cls == "bernoulli" and 2 * s <= d and draw(st.booleans()):
+            # with d >= 2s, a0 below a1 s/(d-s) puts the llr cut in (0, 1): it selects the 1s
+            a0, a1 = draw(st.floats(0.01, 0.9)) * 0.9 * s / (d - s), 0.9
         p = ProblemInstance(d, s, Interval(a0, a1), family=family)
         kinds = ["llr", "tops", "plus"]
     else:
@@ -1402,6 +1413,9 @@ class TestBlockEngineProperty:
         p, spec, rho, loss_kind, seed, offset, reps = case
         rows = _block_layout(p.d, reps)
         event("one block" if reps == rows else f"several blocks, last {'partial' if reps % rows else 'full'}")
+        if p.family is Family.BERNOULLI:
+            cut = spec_for_kind("llr", p).t
+            event(f"Bernoulli llr cut {'in' if 0.0 < cut < 1.0 else 'outside'} (0, 1)")
         errors = _replayed_errors(p, spec, seed, offset, reps, rho)
         want = replay_reduction(errors, p.s, loss_kind)
         cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=loss_kind)
