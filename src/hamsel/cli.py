@@ -110,7 +110,7 @@ _ROUTES = {
         "--class poisson": (("--a0", "--a1"), ()),
     },
     "noise": {f"--class {k}": ((), ("--rho",)) for k in ("plus", "two-sided", "interval")},  # mc's
-    "selector": {"--selector adaptive": ((), ("--s-star",))},  # mc's, and phase's
+    "selector": {"--selector adaptive": (("--s-star",), ())},  # mc's, and phase's
     "family": {"--family gaussian": ((), ("--sigma",))},  # select's: no --sigma on counts
     "select": {
         "--method threshold": ((*_FILE, "--t"), ("--family",)),

@@ -1,12 +1,14 @@
 """Independent references shared by the test modules: mpmath values, Monte
 Carlo evaluations of the printed forms, an elementary Gaussian tail bracket,
 quadrature values of the top-s risk and of a threshold rule's loss moments
-and law, and the reduction of replayed MC error counts.  None of them is
+and law, the reduction of replayed MC error counts, and the one table of
+engine test cases, each checked to exercise its rule.  None of them is
 library code; each checks a closed form or an estimate of :mod:`hamsel` by
 another route.
 """
 
 import math
+from collections import namedtuple
 
 import mpmath as mp
 import numpy as np
@@ -15,8 +17,11 @@ import scipy.special
 import scipy.stats
 
 from hamsel import numkit
-from hamsel.model import Family, LossKind, LowerBound, TwoSided, _check_d_s, _check_snr, rng_stream
-from hamsel.selectors import _crowd_llr, crowd_weights
+from hamsel.model import (
+    Adaptive, Family, Interval, LossKind, LowerBound, ProblemInstance, Threshold, TopS, TwoSided,
+    _check_d_s, _check_snr, rng_stream,
+)
+from hamsel.selectors import _crowd_llr, adaptive_plan, crowd_weights, spec_for_kind
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -305,3 +310,77 @@ def top_s_risk(d: int, s: int, a: float, one_sided: bool = True) -> float:
         lo, hi = max(0.0, a - 12.0), a + 12.0
     value, _ = scipy.integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
     return 2.0 * s * value
+
+
+# A named MC engine case: instance p, selector spec and the rho values it is checked at, tagged by
+# family, class (lower, two or interval), selector kind and the side ("x" or "|x|") its rule reads
+EngineCase = namedtuple("EngineCase", "name family cls kind side p spec rhos")
+
+
+def check_engine_case(name: str, p, spec, rhos) -> None:
+    """Refuse, naming why, a case whose rule cannot both select and drop a
+    coordinate: at each rho a threshold's error count has a mean
+    (threshold_loss_moments) strictly between 0 and d and a variance above
+    0, which a cut outside the range of the data it cuts, selecting every
+    coordinate or none, fails; top-s keeps 1 to d - 1 coordinates; the
+    adaptive band cuts are positive and finite."""
+    where = f"{name} at (d, s) = ({p.d}, {p.s})"
+    if isinstance(spec, Threshold):
+        for rho in rhos:
+            mean, variance, _ = threshold_loss_moments(p, spec, rho)
+            if not (0.0 < mean < p.d and variance > 0.0):
+                raise ValueError(f"{where}, rho {rho}: error count mean {mean:.3g}, variance {variance:.3g}")
+    elif isinstance(spec, TopS):
+        if not 0 < spec.s < p.d:
+            raise ValueError(f"{where}: top-{spec.s} of {p.d} coordinates cannot both select and drop")
+    elif not all(0.0 < t < math.inf for t in adaptive_plan(p.d, spec.s_star, p.sigma).thresholds):
+        raise ValueError(f"{where}: an adaptive band cut is not positive and finite")
+
+
+def engine_cases(
+    d: int, s: int, a: float = 3.0, sigma: float = 1.0, names=None, rates=None, check=True
+) -> dict:
+    """The engine cases at (d, s) by name, each checked as it is made
+    (check_engine_case) unless check is false; names, if given, picks the
+    ones made, and rates, if given, maps "bernoulli" or "poisson" to the
+    (a0, a1) of that class in place of its own.
+
+    "gaussian-<class>-<kind>" at rho 0, 0.5 and 0.9: LowerBound(a),
+    TwoSided(a) and Interval(-0.5, a - 0.5) at sigma, each run by
+    LowerBound(a)'s plus, two-sided and cosh cuts, top-s on x and on |x|,
+    the universal cut, adaptive (from d = 8, budget min(2s, 16, d/4)) and,
+    but on TwoSided, llr.  "<family>-<kind>" at rho 0: Bernoulli
+    Interval(e, 1 - e), e = min(r, 1) / (2 + 2r), r = (d - s)/s, whose llr
+    cut lies in (0, 1) at every (d, s), and Poisson Interval(1, 3), each
+    run by top-s, x >= 1 (plus) and llr."""
+    r = _check_d_s(d, s)
+    e = 0.5 * min(r, 1.0) / (1.0 + r)
+    rates = {"bernoulli": (e, 1.0 - e), "poisson": (1.0, 3.0), **(rates or {})}
+    lower = ProblemInstance(d, s, LowerBound(a), sigma=sigma)
+    shared = {kind: spec_for_kind(kind, lower) for kind in ("plus", "two-sided", "cosh", "tops", "universal")}
+    shared["tops-abs"] = TopS(s, one_sided=False)
+    if d >= 8:
+        shared["adaptive"] = Adaptive(max(2, min(2 * s, 16, d // 4)))
+    classes = [
+        ("gaussian-lower", lower),
+        ("gaussian-two", ProblemInstance(d, s, TwoSided(a), sigma=sigma)),
+        ("gaussian-interval", ProblemInstance(d, s, Interval(-0.5, a - 0.5), sigma=sigma)),
+        ("bernoulli", ProblemInstance(d, s, Interval(*rates["bernoulli"]), Family.BERNOULLI)),
+        ("poisson", ProblemInstance(d, s, Interval(*rates["poisson"]), Family.POISSON)),
+    ]
+    table = {}
+    for prefix, p in classes:
+        gaussian = p.family is Family.GAUSSIAN
+        specs = dict(shared) if gaussian else {"tops": TopS(s), "plus": Threshold(1.0)}
+        if not isinstance(p.signal, TwoSided):
+            specs["llr"] = spec_for_kind("llr", p)
+        rhos = (0.0, 0.5, 0.9) if gaussian else (0.0,)
+        cls = {LowerBound: "lower", TwoSided: "two", Interval: "interval"}[type(p.signal)]
+        for kind, spec in specs.items():
+            name = f"{prefix}-{kind}"
+            if names is None or name in names:
+                if check:
+                    check_engine_case(name, p, spec, rhos)
+                side = "|x|" if kind in ("two-sided", "cosh", "tops-abs", "universal", "adaptive") else "x"
+                table[name] = EngineCase(name, p.family.value, cls, kind, side, p, spec, rhos)
+    return table

@@ -29,7 +29,6 @@ from hamsel import cli, selectors, simulate
 from hamsel.model import (
     Adaptive,
     Family,
-    Interval,
     LowerBound,
     ProblemInstance,
     Threshold,
@@ -53,7 +52,6 @@ from hamsel.selectors import (
     cosh_threshold,
     crowd_selector,
     llr_threshold,
-    minimax_threshold,
     resolve_selector,
     select_row,
     spec_for_kind,
@@ -872,7 +870,7 @@ class TestPhaseCommand:
         [
             ({"--a-mult": "1,-1"}, "multiplier"),
             ({"--d-list": "200,15"}, "15"),
-            ({"--selectors": "plus,adaptive"}, "s_star"),
+            ({"--selectors": "plus,adaptive"}, "error: --s-star is required for --selector adaptive\n"),
             ({"--d-list": "200,40", "--selectors": "plus,adaptive", "--s-star": "16"}, "d/4"),
         ],
         ids=["negative-multiplier", "s-too-large", "no-s-star", "s-star-above-d/4"],
@@ -1357,13 +1355,18 @@ class TestUsageErrors:
             (["select", "--votes", "v.csv", "--s", "1"], "--rates is required for crowd selection"),
             (["select", "--rates", "r.csv", "--votes", "v.csv"], "--s is required for crowd selection"),
             (["select", "--votes", "v.csv", "--t", "1"], "--t is not read by crowd selection"),
+            (["mc", "--class", "two-sided", "--d", "200", "--s", "10", "--a", "3", "--selector",
+              "adaptive", "--reps", "5", "--seed", "1"], "--s-star is required for --selector adaptive"),
+            (["sweep", "ADAPTIVE_CONFIG"], "--s-star is required for --selector adaptive"),
         ],
         ids=["risk-interval-a1", "select-input", "select-cosh-a", "crowd-rates", "crowd-s",
-             "crowd-foreign-before-missing"],
+             "crowd-foreign-before-missing", "mc-adaptive-s-star", "sweep-adaptive-s-star-null"],
     )
-    def test_flag_its_route_requires(self, capsys, argv, line):
+    def test_flag_its_route_requires(self, capsys, tmp_path, argv, line):
         """A missing flag the route requires is named with the route, after
-        every flag it does not read."""
+        every flag it does not read; a sweep's null key is a missing flag."""
+        config = TestSweepCommand._config(tmp_path, selectors=["plus", "adaptive"], s_star=None)
+        argv = [str(config) if part == "ADAPTIVE_CONFIG" else part for part in argv]
         assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
 
 
@@ -1470,6 +1473,12 @@ _RISK_MC_FLAGS = {
     )),
     "--loss": _flag_parts("--loss", st.sampled_from(list(cli._LOSS_FLAGS))),
 }
+# (d, s), mc run flags and the flags of _RISK_MC_FLAGS from values that make every class valid
+_VALID_D_S = st.sampled_from([(10, 1), (40, 4), (200, 10), (1000, 3)])
+_VALID_MC_RUN = st.tuples(st.sampled_from(SELECTOR_KINDS), st.integers(1, 3), st.sampled_from([1, 2**64 - 1]))
+_RISK_MC_VALID = {**_RISK_MC_FLAGS, **{flag: _flag_parts(flag, st.sampled_from(values)) for flag, values in [
+    ("--a", [0.5, 1.0, 3.0]), ("--a0", [0.1, 0.2]), ("--a1", [0.7, 0.9]), ("--sigma", [0.5, 1.0, 3.0]),
+    ("--rho", [0.0, 0.5]), ("--s-star", [2])]}}
 # The flags whose reading depends on the route, by command, written out here
 # apart from the CLI's own table: the class's levels, --sigma (and mc's --rho)
 # on a Gaussian class, and --s-star on mc's adaptive selector
@@ -1481,34 +1490,39 @@ _RISK_MC_ROUTE_FLAGS = {
 
 @st.composite
 def _risk_or_mc_argv(draw):
-    """(argv, foreign, route) for risk and mc over every class: the class's
-    levels drawn from edge values, every other flag the class and selector
-    read drawn from them or left out, and on some examples one flag neither
-    reads, named as foreign with the route that refuses it (None, None when
-    there is none).  mc runs 1 to 3 replications."""
+    """(argv, foreign, route) for risk and mc over every class: (d, s), the
+    class's levels and every other flag the class and selector read, drawn
+    from valid values on about four examples in five and from edge values on
+    the rest, each flag not required drawn or left out; on about one in three
+    one flag neither reads, named as foreign with the route that refuses it
+    (None, None when there is none).  mc runs 1 to 3 replications."""
+    valid = draw(st.integers(0, 4).map(bool))
+    event("valid instance" if valid else "edge values")
+    flags = _RISK_MC_VALID if valid else _RISK_MC_FLAGS
     command = draw(st.sampled_from(["risk", "mc"]))
     klass = draw(_ARGV_CLASSES)
-    d, s = draw(_ARGV_D_S)
+    d, s = draw(_VALID_D_S if valid else _ARGV_D_S)
     argv = [command, f"--class={klass}", f"--d={d}", f"--s={s}"]
-    levels = ("--a",) if klass in ("plus", "two-sided") else ("--a0", "--a1")
+    required = ("--a",) if klass in ("plus", "two-sided") else ("--a0", "--a1")
     gaussian = klass not in ("bernoulli", "poisson")
     optional = ("--sigma",) * gaussian
     selector = None
     if command == "risk":
         optional += ("--which",)
     else:
-        selector, reps, seed = draw(_MC_RUN)
+        selector, reps, seed = draw(_VALID_MC_RUN if valid else _MC_RUN)
         argv += [f"--selector={selector}", f"--reps={reps}", f"--seed={seed}"]
-        optional += ("--rho",) * gaussian + ("--s-star",) * (selector == "adaptive") + ("--loss",)
-    for flag in levels:
-        argv += draw(_RISK_MC_FLAGS[flag])
+        required += ("--s-star",) * (selector == "adaptive")
+        optional += ("--rho",) * gaussian + ("--loss",)
+    for flag in required:
+        argv += draw(flags[flag])
     for flag in optional:
-        argv += draw(st.just([]) | _RISK_MC_FLAGS[flag])
-    others = [f for f in _RISK_MC_ROUTE_FLAGS[command] if f not in levels + optional]
-    foreign = draw(st.none() | st.sampled_from(others))
-    if foreign is None:
+        argv += draw(st.just([]) | flags[flag])
+    others = [f for f in _RISK_MC_ROUTE_FLAGS[command] if f not in required + optional]
+    if not draw(st.sampled_from([False, False, True])):
         return argv, None, None
-    argv += draw(_RISK_MC_FLAGS[foreign])
+    foreign = draw(st.sampled_from(others))
+    argv += draw(flags[foreign])
     route = f"--selector {selector}" if foreign == "--s-star" else f"--class {klass}"
     return argv, foreign, route
 

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import event, example, given, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -43,7 +43,6 @@ from hamsel.numkit import POISSON_RATE_MAX, gaussian_cdf
 from hamsel.risk import phase_point, psi_bar, psi_general, psi_plus, threshold_risk
 from hamsel.selectors import (
     check_observations,
-    cosh_threshold,
     llr_threshold,
     minimax_threshold,
     resolve_selector,
@@ -62,6 +61,8 @@ from hamsel.simulate import (
     phase_sweep,
 )
 from oracles import (
+    check_engine_case,
+    engine_cases,
     psi_bar_printed_mc,
     replay_reduction,
     threshold_loss_moments,
@@ -135,6 +136,27 @@ def _plus_instance(d=200, s=10, a=3.0):
 
 def _plus_spec(p):
     return Threshold(minimax_threshold(p.d, p.s, p.signal.a, p.sigma))
+
+
+# The cases of the contract replays, the stderr, law and family tests, and the 81-row-block share test
+_CASES_40 = engine_cases(40, 4, a=2.5)
+_CASES_200 = engine_cases(200, 10)
+_CASES_1000 = engine_cases(1000, 10)
+
+
+def _case(d, s, name, **kw):
+    return engine_cases(d, s, names=[name], **kw)[name]
+
+
+def _stderr_follows_the_law(case, rho, seed):
+    """Checks that n stderr^2 of n = 20,000 replications is within 4 of its sds
+    of the variance of the error count's law; returns the law's mean and variance."""
+    n = 20_000
+    report = estimate_risk(case.p, case.spec, MCConfig(replications=n, seed=seed, rho=rho))
+    mean, variance, fourth = threshold_loss_moments(case.p, case.spec, rho)
+    sd = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
+    assert abs(n * report.mc_stderr**2 - variance) <= 4.0 * sd
+    return mean, variance
 
 
 class TestMCConfig:
@@ -320,14 +342,8 @@ class TestEstimateRisk:
         count's law (oracles.threshold_loss_moments).  Hamming risk does not
         depend on rho but its variance does, so an engine that dropped the
         common factor Z0 would pass every mean gate and fail this one."""
-        p = _plus_instance()
-        spec = _plus_spec(p)
-        n = 20_000
-        report = estimate_risk(p, spec, MCConfig(replications=n, seed=2024, rho=rho))
-        mean, variance, fourth = threshold_loss_moments(p, spec, rho)
+        mean, _ = _stderr_follows_the_law(_CASES_200["gaussian-lower-plus"], rho, 2024)
         assert mean == pytest.approx(10.0 * psi_plus(200, 10, 3.0), rel=1e-12)
-        sd = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
-        assert abs(n * report.mc_stderr**2 - variance) <= 4.0 * sd
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     @pytest.mark.parametrize("kind", ["cosh", "universal"])
@@ -337,40 +353,26 @@ class TestEstimateRisk:
         over the worker processes wherever there are two usable CPUs, so
         their shares are checked against the law, not only against a
         one-process run."""
-        p = ProblemInstance(200, 10, TwoSided(3.0))
-        spec = spec_for_kind(kind, p)
-        n = 20_000
-        report = estimate_risk(p, spec, MCConfig(replications=n, seed=2025, rho=rho))
-        mean, variance, fourth = threshold_loss_moments(p, spec, rho)
-        assert mean == pytest.approx(threshold_risk(p, kind), rel=1e-12)
-        sd = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
-        assert abs(n * report.mc_stderr**2 - variance) <= 4.0 * sd
+        case = _CASES_200[f"gaussian-two-{kind}"]
+        mean, _ = _stderr_follows_the_law(case, rho, 2025)
+        assert mean == pytest.approx(threshold_risk(case.p, kind), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "p, rho",
-        [
-            (ProblemInstance(200, 10, Interval(-0.5, 2.5)), 0.0),
-            (ProblemInstance(200, 10, Interval(-0.5, 2.5)), 0.5),
-            (ProblemInstance(200, 10, Interval(0.02, 0.7), family=Family.BERNOULLI), 0.0),
-            (ProblemInstance(200, 10, Interval(1.0, 3.0), family=Family.POISSON), 0.0),
-        ],
+        "name, rho",
+        [("gaussian-interval-llr", 0.0), ("gaussian-interval-llr", 0.5), ("bernoulli-llr", 0.0),
+         ("poisson-llr", 0.0)],
         ids=["interval-rho0", "interval-rho0.5", "bernoulli", "poisson"],
     )
-    def test_llr_stderr_follows_the_loss_law(self, p, rho):
+    def test_llr_stderr_follows_the_loss_law(self, name, rho):
         """The same gate for the llr rule's cut on x: on a Gaussian
         Interval class with a0 != 0, and on Bernoulli and Poisson classes
         at rho = 0, whose count is exactly Bin(s, P_miss) + Bin(d - s,
-        P_fp).  The Bernoulli rates give a1/a0 > (d - s)/s, so the cut
-        keeps x = 1 and the count varies.  n d = 4 10^6 splits each run
-        over the worker processes wherever there are two usable CPUs."""
-        spec = spec_for_kind("llr", p)
-        n = 20_000
-        report = estimate_risk(p, spec, MCConfig(replications=n, seed=2026, rho=rho))
-        mean, variance, fourth = threshold_loss_moments(p, spec, rho)
-        assert mean == pytest.approx(threshold_risk(p, "llr"), rel=1e-12)
+        P_fp).  n d = 4 10^6 splits each run over the worker processes
+        wherever there are two usable CPUs."""
+        case = _CASES_200[name]
+        mean, variance = _stderr_follows_the_law(case, rho, 2026)
+        assert mean == pytest.approx(threshold_risk(case.p, "llr"), rel=1e-12)
         assert variance > 0.0
-        sd = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
-        assert abs(n * report.mc_stderr**2 - variance) <= 4.0 * sd
 
     def test_loss_kind_relations(self):
         """Same seed: wrong-recovery <= Hamming pathwise, normalized = /s."""
@@ -401,51 +403,34 @@ class TestEstimateRisk:
         assert r.mc_stderr == 0.0
 
 
+def _within_3_stderr(p, kind, seed, want):
+    """Checks that kind's estimate on p over 8,000 replications is within 3 stderr of want."""
+    r = estimate_risk(p, spec_for_kind(kind, p), MCConfig(replications=8000, seed=seed))
+    assert abs(r.mc_estimate - want) <= 3.0 * r.mc_stderr
+
+
 class TestEstimateRiskFamilies:
     def test_gaussian_interval_path(self):
         p = ProblemInstance(d=50, s=5, signal=Interval(1.0, 3.0))
-        cfg = MCConfig(replications=8000, seed=17)
-        r = estimate_risk(p, spec_for_kind("llr", p), cfg)
-        want = 5.0 * psi_general(Family.GAUSSIAN, 50, 5, 1.0, 3.0)
-        assert abs(r.mc_estimate - want) <= 3.0 * r.mc_stderr
+        _within_3_stderr(p, "llr", 17, 5.0 * psi_general(Family.GAUSSIAN, 50, 5, 1.0, 3.0))
 
     def test_bernoulli_path(self):
-        p = ProblemInstance(
-            d=10, s=1, signal=Interval(0.1, 0.9), family=Family.BERNOULLI
-        )
-        cfg = MCConfig(replications=8000, seed=18)
-        r = estimate_risk(p, spec_for_kind("llr", p), cfg)
-        want = 1.0 * psi_general(Family.BERNOULLI, 10, 1, 0.1, 0.9)
-        assert abs(r.mc_estimate - want) <= 3.0 * r.mc_stderr
+        p = ProblemInstance(d=10, s=1, signal=Interval(0.1, 0.9), family=Family.BERNOULLI)
+        _within_3_stderr(p, "llr", 18, 1.0 * psi_general(Family.BERNOULLI, 10, 1, 0.1, 0.9))
 
     def test_poisson_path(self):
-        p = ProblemInstance(
-            d=4, s=2, signal=Interval(1.0, math.e), family=Family.POISSON
-        )
-        cfg = MCConfig(replications=8000, seed=19)
-        r = estimate_risk(p, spec_for_kind("llr", p), cfg)
-        want = 2.0 * psi_general(Family.POISSON, 4, 2, 1.0, math.e)
-        assert abs(r.mc_estimate - want) <= 3.0 * r.mc_stderr
+        p = ProblemInstance(d=4, s=2, signal=Interval(1.0, math.e), family=Family.POISSON)
+        _within_3_stderr(p, "llr", 19, 2.0 * psi_general(Family.POISSON, 4, 2, 1.0, math.e))
 
     def test_cosh_matches_symmetric_bayes_risk(self):
         p = ProblemInstance(d=100, s=10, signal=TwoSided(2.0))
-        spec = spec_for_kind("cosh", p)
-        cfg = MCConfig(replications=8000, seed=20)
-        r = estimate_risk(p, spec, cfg)
-        want = 10.0 * psi_bar(100, 10, 2.0)
-        assert abs(r.mc_estimate - want) <= 3.0 * r.mc_stderr
+        _within_3_stderr(p, "cosh", 20, 10.0 * psi_bar(100, 10, 2.0))
 
     def test_remaining_selector_dispatch(self):
-        p = ProblemInstance(d=64, s=4, signal=TwoSided(3.0))
         cfg = MCConfig(replications=50, seed=21)
-        for spec in (
-            Threshold(2.0, two_sided=True),
-            TopS(4, one_sided=False),
-            spec_for_kind("universal", p),
-            Adaptive(16),
-        ):
-            r = estimate_risk(p, spec, cfg)
-            assert 0.0 <= r.mc_estimate
+        for kind in ("two-sided", "tops-abs", "universal", "adaptive"):
+            case = _case(64, 4, f"gaussian-two-{kind}")
+            assert 0.0 <= estimate_risk(case.p, case.spec, cfg).mc_estimate
 
     def test_tops_loss_parity(self):
         # a weight-s selection differs from a weight-s truth on an even count
@@ -494,13 +479,16 @@ class TestEstimateRiskCompat:
 
 def _by_family(f, family: Family) -> list:
     """What each public entry that takes a family returns for family f
-    (the member or its name) on fixed inputs, as bytes where it is an array."""
-    a0, a1 = (0.2, 0.6) if family is Family.BERNOULLI else (1.0, 3.0)
-    x = generate_family(uniform_support(200, 10, rng_stream(5, 0)), Family.POISSON, a0, a1,
+    (the member or its name) on fixed inputs, as bytes where it is an
+    array: the family's llr case on an Interval class, and for the Gaussian
+    family its two-sided, adaptive and top-|x| rules too."""
+    case = _CASES_200[f"{'gaussian-interval' if family is Family.GAUSSIAN else family.value}-llr"]
+    a0, a1 = case.p.signal.a0, case.p.signal.a1
+    x = generate_family(uniform_support(200, 10, rng_stream(5, 0)), Family.POISSON, 1.0, 3.0,
                         rng_stream(5, 1))
     if family is Family.BERNOULLI:
         x = (x > 1.0).astype(float)
-    p = ProblemInstance(200, 10, Interval(a0, a1), family=f)
+    p = ProblemInstance(200, 10, case.p.signal, family=f)
     spec = spec_for_kind("llr", p)
     out = [
         p.family,
@@ -511,12 +499,13 @@ def _by_family(f, family: Family) -> list:
         estimate_risk(p, spec, MCConfig(replications=50, seed=3)).mc_estimate,
     ]
     if family is Family.GAUSSIAN:
-        for spec in (Threshold(1.0, two_sided=True), Adaptive(16), TopS(10, one_sided=False)):
+        for kind in ("two-sided", "adaptive", "tops-abs"):
+            spec = _CASES_200[f"gaussian-two-{kind}"].spec
             out.append(select_row(spec, x, 200, f).support.bits.tobytes())
             block, bits = x[None].copy(), np.empty((1, 200), dtype=bool)
             resolve_selector(spec, 200, f)(1)(block, bits)
             out.append(bits.tobytes())
-        q = ProblemInstance(200, 10, LowerBound(3.0), family=f)
+        q = ProblemInstance(200, 10, _CASES_200["gaussian-lower-plus"].p.signal, family=f)
         out.append(estimate_risk(q, spec_for_kind("plus", q), MCConfig(50, seed=3)).mc_estimate)
     else:
         eta = uniform_support(200, 10, rng_stream(5, 2))
@@ -534,22 +523,23 @@ class TestFamilyByName:
 
     @pytest.mark.parametrize(
         "entry",
-        [
-            lambda: ProblemInstance(200, 10, Interval(1.0, 3.0), family="cauchy"),
-            lambda: llr_threshold("cauchy", 200, 10, 1.0, 3.0),
-            lambda: psi_general("cauchy", 200, 10, 1.0, 3.0),
-            lambda: generate_family(uniform_support(20, 2, rng_stream(1, 0)), "cauchy", 1.0,
-                                    3.0, rng_stream(1, 1)),
-            lambda: check_observations([0.0, 1.0], 2, "cauchy"),
-            lambda: resolve_selector(Threshold(1.0), 2, "cauchy"),
-            lambda: select_row(Threshold(1.0), [0.0, 1.0], 2, "cauchy"),
-        ],
-        ids=["ProblemInstance", "llr_threshold", "psi_general", "generate_family",
-             "check_observations", "resolve_selector", "select_row"],
+        ["ProblemInstance", "llr_threshold", "psi_general", "generate_family",
+         "check_observations", "resolve_selector", "select_row"],
     )
     def test_unknown_name_raises(self, entry):
+        calls = {
+            "ProblemInstance": lambda: ProblemInstance(200, 10, Interval(1.0, 3.0), family="cauchy"),
+            "llr_threshold": lambda: llr_threshold("cauchy", 200, 10, 1.0, 3.0),
+            "psi_general": lambda: psi_general("cauchy", 200, 10, 1.0, 3.0),
+            "generate_family": lambda: generate_family(
+                uniform_support(20, 2, rng_stream(1, 0)), "cauchy", 1.0, 3.0, rng_stream(1, 1)
+            ),
+            "check_observations": lambda: check_observations([0.0, 1.0], 2, "cauchy"),
+            "resolve_selector": lambda: resolve_selector(Threshold(1.0), 2, "cauchy"),
+            "select_row": lambda: select_row(Threshold(1.0), [0.0, 1.0], 2, "cauchy"),
+        }
         with pytest.raises(ValueError, match="cauchy"):
-            entry()
+            calls[entry]()
 
 
 class TestIntegerFields:
@@ -750,47 +740,10 @@ class TestPsiBarPrintedMc:
             psi_bar_printed_mc(10, 10, 2.0)
 
 
-def _contract_cases():
-    """(id, instance, spec, rho values) over every spec kind and family."""
-    d, s = 40, 4
-    lower = ProblemInstance(d, s, LowerBound(2.5))
-    two = ProblemInstance(d, s, TwoSided(2.5))
-    interval = ProblemInstance(d, s, Interval(-0.5, 2.0))
-    t = minimax_threshold(d, s, 2.5)
-    gaussian_specs = {
-        "plus": Threshold(t),
-        "two-sided": Threshold(t, two_sided=True),
-        "cosh": Threshold(cosh_threshold(d, s, 2.5), two_sided=True),
-        "tops": TopS(s),
-        "tops-abs": TopS(s, one_sided=False),
-        "tops-all": TopS(d),
-        "universal": spec_for_kind("universal", two),
-        "adaptive": Adaptive(8),
-    }
-    cases = []
-    for name, p in (("lower", lower), ("two", two), ("interval", interval)):
-        specs = dict(gaussian_specs)
-        if not isinstance(p.signal, TwoSided):
-            specs["llr"] = spec_for_kind("llr", p)
-        for kind, spec in specs.items():
-            cases.append((f"gaussian-{name}-{kind}", p, spec, (0.0, 0.5)))
-    # Bernoulli rates at which the llr cut, 0.713, lies in (0, 1): a 1 is selected
-    for family, a0, a1 in ((Family.BERNOULLI, 0.02, 0.7), (Family.POISSON, 1.0, 3.0)):
-        p = ProblemInstance(d, s, Interval(a0, a1), family=family)
-        if family is Family.BERNOULLI:
-            assert 0.0 < spec_for_kind("llr", p).t < 1.0
-        for kind, spec in (("llr", spec_for_kind("llr", p)), ("tops", TopS(s)), ("plus", Threshold(1.0))):
-            cases.append((f"{family.value}-{kind}", p, spec, (0.0,)))
-    return cases
-
-
-_CONTRACT_CASES = _contract_cases()
-
-
-def _replayed_errors(p, spec, seed, offset, reps, rho):
-    """Per-replication Hamming errors rebuilt from the public calls, one
-    fresh rng_stream per replication."""
-    errors = []
+def _replayed_errors(case, rho, seed, offset, reps):
+    """Per-replication Hamming errors of an engine case rebuilt from the
+    public calls, one fresh rng_stream per replication."""
+    p, errors = case.p, []
     for r in range(reps):
         rng = rng_stream(seed, offset + r)
         sig = p.signal
@@ -804,16 +757,27 @@ def _replayed_errors(p, spec, seed, offset, reps, rho):
         else:
             eta = uniform_support(p.d, p.s, rng)
             x = generate_family(eta, p.family, sig.a0, sig.a1, rng)
-        errors.append(hamming_distance(apply_selector(spec, x, p), eta))
+        errors.append(hamming_distance(apply_selector(case.spec, x, p), eta))
     return errors
 
 
+def _assert_engine_is_the_replay(case, rho, seed, offset, reps, loss_kinds=(LossKind.HAMMING,)):
+    """estimate_risk on one process and on two reports, in each loss kind, the public replay's."""
+    errors = _replayed_errors(case, rho, seed, offset, reps)
+    for kind in loss_kinds:
+        want = replay_reduction(errors, case.p.s, kind)
+        cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=kind)
+        for workers in (1, 2):
+            with _workers(workers):
+                report = estimate_risk(case.p, case.spec, cfg, stream_offset=offset)
+            assert (report.mc_estimate, report.mc_stderr) == want
 
-def _share_counts(p, spec, rho, seed, start, n):
-    """Each replication's error count from one simulate._share run, its
-    blocks checked to arrive in order."""
+
+def _share_counts(case, rho, seed, start, n):
+    """Each replication's error count from one simulate._share run of an
+    engine case, its blocks checked to arrive in order."""
     pieces, at = [], 0
-    for lo, counts in simulate._share(p, spec, rho, seed, start, n):
+    for lo, counts in simulate._share(case.p, case.spec, rho, seed, start, n):
         assert lo == at
         pieces.append(counts.copy())
         at += len(counts)
@@ -821,51 +785,33 @@ def _share_counts(p, spec, rho, seed, start, n):
     return np.concatenate(pieces)
 
 
-def _share_cases():
-    """(id, instance, spec, rho) over every family at d = 1,000, whose
-    blocks hold 81 rows."""
-    d, s = 1000, 10
-    lower = ProblemInstance(d, s, LowerBound(3.0))
-    two = ProblemInstance(d, s, TwoSided(3.0))
-    interval = ProblemInstance(d, s, Interval(-0.5, 2.5))
-    bernoulli = ProblemInstance(d, s, Interval(0.02, 0.7), family=Family.BERNOULLI)
-    poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
-    cases = []
-    for rho in (0.0, 0.5):
-        cases += [
-            (f"lower-plus-{rho}", lower, _plus_spec(lower), rho),
-            (f"two-tops-abs-{rho}", two, TopS(s, one_sided=False), rho),
-            (f"interval-llr-{rho}", interval, spec_for_kind("llr", interval), rho),
+class TestEngineCaseTable:
+    def test_case_that_cannot_exercise_its_rule_is_refused(self):
+        """Every count is s where the llr cut lies above every Bernoulli
+        observation (1.22 and 2.03, as in the share test and TestFamilyByName
+        before the table) or far above the signal, and d - s under top-d or
+        a cut at 0 on |x|: the builder refuses each such case."""
+        rates = ((1000, 0.02, 0.7), (200, 0.2, 0.6))
+        bernoulli = [ProblemInstance(d, 10, Interval(a0, a1), family=Family.BERNOULLI) for d, a0, a1 in rates]
+        two, lower = ProblemInstance(40, 4, TwoSided(2.5)), ProblemInstance(200, 10, LowerBound(3.0))
+        refused = [(p, spec_for_kind("llr", p), "error count mean 10, variance 0") for p in bernoulli] + [
+            (two, TopS(40), "top-40 of 40 coordinates cannot both select and drop"),
+            (two, Threshold(0.0, two_sided=True), "error count mean 36, variance 0"),
+            (lower, Threshold(60.0), "error count mean 10, variance 0"),
         ]
-    cases += [
-        ("bernoulli-llr", bernoulli, spec_for_kind("llr", bernoulli), 0.0),
-        ("poisson-llr", poisson, spec_for_kind("llr", poisson), 0.0),
-    ]
-    return cases
-
-
-_SHARE_CASES = _share_cases()
+        for p, spec, why in refused:
+            where = rf"\(d, s\) = \({p.d}, {p.s}\)(, rho 0.0)?"
+            with pytest.raises(ValueError, match=f"^refused at {where}: {why}$"):
+                check_engine_case("refused", p, spec, (0.0,))
 
 
 class TestStreamContract:
     """estimate_risk is the loop of public calls, one stream per replication."""
 
-    @pytest.mark.parametrize(
-        "p, spec, rhos",
-        [case[1:] for case in _CONTRACT_CASES],
-        ids=[case[0] for case in _CONTRACT_CASES],
-    )
-    def test_engine_equals_public_replay(self, p, spec, rhos):
-        seed, offset, reps = 20261018, 5 << 40, 25
-        for rho in rhos:
-            errors = _replayed_errors(p, spec, seed, offset, reps, rho)
-            for kind in LossKind:
-                want = replay_reduction(errors, p.s, kind)
-                cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=kind)
-                for workers in (1, 2):
-                    with _workers(workers):
-                        report = estimate_risk(p, spec, cfg, stream_offset=offset)
-                    assert (report.mc_estimate, report.mc_stderr) == want
+    @pytest.mark.parametrize("case", _CASES_40.values(), ids=list(_CASES_40))
+    def test_engine_equals_public_replay(self, case):
+        for rho in case.rhos:
+            _assert_engine_is_the_replay(case, rho, 20261018, 5 << 40, 25, LossKind)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_rekeyed_generator_state(self, seed):
@@ -926,57 +872,38 @@ class TestStreamContract:
         assert -(-reps // rows) >= 3 and reps % rows
         layouts = {200: 407, 1000: 81, 2048: 39, 10_000: 8}
         assert layouts[d] == rows
-        s, a = 10, 2.5
-        lower = ProblemInstance(d, s, LowerBound(a))
-        two = ProblemInstance(d, s, TwoSided(a))
-        two_wide = ProblemInstance(d, s, TwoSided(a), sigma=1.7)
-        # rates whose llr cut (0.54 to 0.94 here) lies in (0, 1), so the rule selects the 1s
-        bernoulli = ProblemInstance(d, s, Interval(0.0005, 0.9), family=Family.BERNOULLI)
-        assert 0.0 < spec_for_kind("llr", bernoulli).t < 1.0
-        poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
-        cases = [
-            (lower, _plus_spec(lower), 0.0),
-            (lower, _plus_spec(lower), 0.5),
-            (lower, spec_for_kind("llr", lower), 0.0),
-            (lower, TopS(s), 0.0),
-            (two, spec_for_kind("two-sided", two), 0.0),
-            (two, spec_for_kind("cosh", two), 0.0),
-            (two, TopS(s, one_sided=False), 0.5),
-            (two, spec_for_kind("universal", two), 0.0),
-            (two, Adaptive(16), 0.0),
-            (two_wide, spec_for_kind("two-sided", two_wide), 0.5),
-            (bernoulli, spec_for_kind("llr", bernoulli), 0.0),
-            (poisson, spec_for_kind("llr", poisson), 0.0),
-        ]
-        seed, offset = 20261018, 3 << 40
-        for p, spec, rho in cases:
-            errors = _replayed_errors(p, spec, seed, offset, reps, rho)
-            want = replay_reduction(errors, p.s, LossKind.HAMMING)
-            cfg = MCConfig(replications=reps, seed=seed, rho=rho)
-            for workers in (1, 2):
-                with _workers(workers):
-                    report = estimate_risk(p, spec, cfg, stream_offset=offset)
-                assert (report.mc_estimate, report.mc_stderr) == want
-
+        table = engine_cases(d, 10, a=2.5)
+        wide = _case(d, 10, "gaussian-two-two-sided", a=2.5, sigma=1.7)
+        picks = [("lower-plus", 0.0), ("lower-plus", 0.5), ("lower-llr", 0.0), ("lower-tops", 0.0),
+                 ("two-two-sided", 0.0), ("two-cosh", 0.0), ("two-tops-abs", 0.5), ("two-universal", 0.0),
+                 ("two-adaptive", 0.0)]
+        cases = [(table[f"gaussian-{name}"], rho) for name, rho in picks] + [(wide, 0.5)]
+        for case, rho in cases + [(table["bernoulli-llr"], 0.0), (table["poisson-llr"], 0.0)]:
+            _assert_engine_is_the_replay(case, rho, 20261018, 3 << 40, reps)
 
     @pytest.mark.parametrize(
-        "p, spec, rho", [case[1:] for case in _SHARE_CASES], ids=[case[0] for case in _SHARE_CASES]
+        "name, rho",
+        [("gaussian-lower-plus", 0.0), ("gaussian-lower-plus", 0.5), ("gaussian-two-tops-abs", 0.0),
+         ("gaussian-two-tops-abs", 0.5), ("gaussian-interval-llr", 0.0), ("gaussian-interval-llr", 0.5),
+         ("bernoulli-llr", 0.0), ("poisson-llr", 0.0)],
+        ids=["lower-plus-0.0", "lower-plus-0.5", "two-tops-abs-0.0", "two-tops-abs-0.5", "interval-llr-0.0",
+             "interval-llr-0.5", "bernoulli-llr", "poisson-llr"],
     )
-    def test_share_started_anywhere_gives_the_same_counts(self, p, spec, rho):
+    def test_share_started_anywhere_gives_the_same_counts(self, name, rho):
         """A share is the unit the calling process and each worker run:
         one started mid-block, or a run cut into shares anywhere, yields,
         replication by replication, the counts of the same replications in
         one share started at 0, which are the public replay's.  The later
         shares' 81-row blocks straddle the first one's block ends."""
-        seed, offset, n = 20261020, 7 << 40, 200
-        assert _block_layout(p.d, n) == 81
-        whole = _share_counts(p, spec, rho, seed, offset, n)
-        assert_array_equal(whole, _replayed_errors(p, spec, seed, offset, n, rho))
+        case, seed, offset, n = _CASES_1000[name], 20261020, 7 << 40, 200
+        assert _block_layout(case.p.d, n) == 81
+        whole = _share_counts(case, rho, seed, offset, n)
+        assert_array_equal(whole, _replayed_errors(case, rho, seed, offset, n))
         for start in (50, 84, 199):
-            got = _share_counts(p, spec, rho, seed, offset + start, n - start)
+            got = _share_counts(case, rho, seed, offset + start, n - start)
             assert_array_equal(got, whole[start:])
         cuts = [0, 37, 137, 200]
-        pieces = [_share_counts(p, spec, rho, seed, offset + lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+        pieces = [_share_counts(case, rho, seed, offset + lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
         assert_array_equal(np.concatenate(pieces), whole)
 
 
@@ -995,21 +922,17 @@ def _pooled(observed, expected, least=5.0):
     return np.array(pools_observed), np.array(pools_expected)
 
 
-_LAW_CELLS = [
-    ("lower-plus", ProblemInstance(200, 10, LowerBound(3.0)), "plus", 0.0),
-    ("two-cosh", ProblemInstance(200, 10, TwoSided(3.0)), "cosh", 0.0),
-    ("bernoulli-llr", ProblemInstance(200, 10, Interval(0.02, 0.7), family=Family.BERNOULLI), "llr", 0.0),
-    ("poisson-llr", ProblemInstance(200, 10, Interval(1.0, 3.0), family=Family.POISSON), "llr", 0.0),
-    ("lower-plus-rho0.5", ProblemInstance(200, 10, LowerBound(3.0)), "plus", 0.5),
-    ("two-cosh-rho0.5", ProblemInstance(200, 10, TwoSided(3.0)), "cosh", 0.5),
-]
+_LAW_CELLS = [("gaussian-lower-plus", 0.0), ("gaussian-lower-plus", 0.5), ("gaussian-two-cosh", 0.0),
+              ("gaussian-two-cosh", 0.5), ("bernoulli-llr", 0.0), ("poisson-llr", 0.0)]
 
 
 class TestErrorCountLaw:
     @pytest.mark.parametrize(
-        "p, kind, rho", [cell[1:] for cell in _LAW_CELLS], ids=[cell[0] for cell in _LAW_CELLS]
+        "name, rho", _LAW_CELLS,
+        ids=["lower-plus", "lower-plus-rho0.5", "two-cosh", "two-cosh-rho0.5", "bernoulli-llr",
+             "poisson-llr"],
     )
-    def test_histogram_matches_the_law(self, p, kind, rho):
+    def test_histogram_matches_the_law(self, name, rho):
         """At rho = 0 a cut's error count is exactly Bin(s, P_miss) +
         Bin(d - s, P_fp), and at rho > 0 that law mixed over the common
         factor Z0 (oracles.threshold_loss_pmf).  The counts of one share of
@@ -1017,11 +940,10 @@ class TestErrorCountLaw:
         chi-square test at 0.001 over the cells (Bonferroni).  An engine
         that placed the signal on s - 1 support coordinates would shift
         every cell's law, and one that ignored rho the rho = 0.5 cells'."""
-        spec = spec_for_kind(kind, p)
-        n = 20_000
-        counts = _share_counts(p, spec, rho, 2027, 0, n)
-        observed = np.bincount(counts, minlength=p.d + 1)
-        pmf = threshold_loss_pmf(p, spec, rho)
+        case, n = _CASES_200[name], 20_000
+        counts = _share_counts(case, rho, 2027, 0, n)
+        observed = np.bincount(counts, minlength=case.p.d + 1)
+        pmf = threshold_loss_pmf(case.p, case.spec, rho)
         observed, expected = _pooled(observed, n * pmf / pmf.sum())
         assert len(expected) >= 5
         stat = float(((observed - expected) ** 2 / expected).sum())
@@ -1229,8 +1151,11 @@ class TestEngineLimits:
         with pytest.raises(ValueError, match=f"d={d} needs {8 * (2 * d + s)} bytes"):
             simulate._check_run(poisson, spec_for_kind("llr", poisson), cfg, 0)
 
-    @pytest.mark.parametrize("kind", ["tops", "adaptive", "universal", "poisson"])
-    def test_large_d_blocks_stay_small(self, kind):
+    @pytest.mark.parametrize(
+        "name", ["gaussian-two-tops-abs", "gaussian-two-adaptive", "gaussian-two-universal", "poisson-llr"],
+        ids=["tops", "adaptive", "universal", "poisson"],
+    )
+    def test_large_d_blocks_stay_small(self, name):
         """At d = 10,000 a block holds 8 replications, which the selector
         takes in one call; a one-worker run of 200 replications then peaks
         at the 640 KiB draw budget plus the selector's buffers and the
@@ -1240,13 +1165,9 @@ class TestEngineLimits:
         replication."""
         assert _block_layout(10_000, 200) == 8
         assert _block_layout(40_960, 200) == 1
-        if kind == "poisson":
-            p = ProblemInstance(10_000, 100, Interval(1.0, 3.0), family=Family.POISSON)
-            spec = spec_for_kind("llr", p)
-        else:
-            p = ProblemInstance(10_000, 100, TwoSided(3.0))
-            spec = spec_for_kind(kind, p, s_star=16)
-        assert _one_worker_peak(p, spec, 200) < (3 << 19 if kind == "tops" else 0.9 * 2**20)
+        case = _case(10_000, 100, name)
+        limit = 3 << 19 if case.kind == "tops-abs" else 0.9 * 2**20
+        assert _one_worker_peak(case.p, case.spec, 200) < limit
 
     @pytest.mark.parametrize("kind", ["tops", "adaptive"])
     def test_large_d_blocks_fault_in_no_fresh_pages(self, kind):
@@ -1279,19 +1200,16 @@ class TestEngineLimits:
         )
         assert int(result.stdout) < 8 * 200
 
-    @pytest.mark.parametrize("kind", ["plus", "cosh", "poisson"])
-    def test_d200_blocks_stay_within_budget(self, kind):
+    @pytest.mark.parametrize(
+        "name", ["gaussian-lower-plus", "gaussian-two-cosh", "poisson-llr"], ids=["plus", "cosh", "poisson"]
+    )
+    def test_d200_blocks_stay_within_budget(self, name):
         """At d = 200 a block holds 407 replications; a one-worker run of
         2,000 replications peaks under 1.25 MiB: the 640 KiB draw budget,
         the block's support resolution and its selection."""
         assert _block_layout(200, 2000) == 407
-        if kind == "poisson":
-            p = ProblemInstance(200, 10, Interval(1.0, 3.0), family=Family.POISSON)
-            spec = spec_for_kind("llr", p)
-        else:
-            p = ProblemInstance(200, 10, (LowerBound if kind == "plus" else TwoSided)(3.0))
-            spec = spec_for_kind(kind, p)
-        assert _one_worker_peak(p, spec, 2000) < 5 << 18
+        case = _CASES_200[name]
+        assert _one_worker_peak(case.p, case.spec, 2000) < 5 << 18
 
     def test_one_loss_array_per_run(self):
         """Each replication's loss is kept once, as one float64, for every
@@ -1333,93 +1251,67 @@ class TestEngineLimits:
 
 
 @st.composite
-def _engine_cases(draw):
-    """(instance, spec, rho, loss kind, seed, offset, reps) over every
-    spec kind and family, the Gaussian classes at sigma 0.5, 1 or 1.7; reps
-    up to 40 span several blocks for d >= 2,048, and the examples of
-    TestBlockEngineProperty span them at d = 200 and 400."""
+def _engine_runs(draw):
+    """(case, rho, loss kind, seed, offset, reps): a table case of any class at
+    d <= 3,000, s < min(d, 41), a in [0.25, 6], sigma 0.5, 1 or 1.7 and a rho it
+    is checked at, its free parameters drawn (a plus or two-sided cut in (0, 4),
+    (0, 1) on Bernoulli; top-k, k < d; an adaptive budget up to d/4; Bernoulli
+    rates (0.2, 0.7) or, at d >= 2s, rates whose llr cut is in (0, 1); Poisson
+    rates (1, 1 + a)) and rejected where check_engine_case refuses it.  reps up
+    to 40 span several blocks for d >= 2,048, the examples below at 200 and 400."""
     d = draw(st.integers(2, 3000))
     s = draw(st.integers(1, min(d - 1, 40)))
-    a = draw(st.floats(0.25, 6.0))
-    cls = draw(st.sampled_from(["lower", "two", "interval", "bernoulli", "poisson"]))
-    rho = 0.0
-    if cls in ("bernoulli", "poisson"):
-        family = Family(cls)
-        a0, a1 = (0.2, 0.7) if cls == "bernoulli" else (1.0, 1.0 + a)
-        if cls == "bernoulli" and 2 * s <= d and draw(st.booleans()):
-            # with d >= 2s, a0 below a1 s/(d-s) puts the llr cut in (0, 1): it selects the 1s
-            a0, a1 = draw(st.floats(0.01, 0.9)) * 0.9 * s / (d - s), 0.9
-        p = ProblemInstance(d, s, Interval(a0, a1), family=family)
-        kinds = ["llr", "tops", "plus"]
-    else:
-        signal = {"lower": LowerBound(a), "two": TwoSided(a), "interval": Interval(-0.5, a)}[cls]
-        p = ProblemInstance(d, s, signal, sigma=draw(st.sampled_from([0.5, 1.0, 1.7])))
-        kinds = ["plus", "two-sided", "cosh", "tops", "tops-abs", "universal"]
-        kinds += ["adaptive"] if d >= 8 else []
-        kinds += ["llr"] if cls != "two" else []
-        rho = draw(st.sampled_from([0.0, 0.5, 0.9]))
-    kind = draw(st.sampled_from(kinds))
-    t = draw(st.floats(0.0, 4.0))
+    classes = ["gaussian-lower", "gaussian-two", "gaussian-interval", "bernoulli", "poisson"]
+    prefix = draw(st.sampled_from(classes))
+    names = [n for n in _CASES_40 if n.startswith(f"{prefix}-") and (d >= 8 or not n.endswith("adaptive"))]
+    name = draw(st.sampled_from(names))
+    a, sigma = draw(st.floats(0.25, 6.0)), draw(st.sampled_from([0.5, 1.0, 1.7]))
+    rates = {"bernoulli": (0.2, 0.7), "poisson": (1.0, 1.0 + a)}
+    if name.startswith("bernoulli") and 2 * s <= d and draw(st.booleans()):
+        # with d >= 2s, a0 below a1 s/(d-s) puts the llr cut in (0, 1): it selects the 1s
+        rates["bernoulli"] = (draw(st.floats(0.01, 0.9)) * 0.9 * s / (d - s), 0.9)
+    case = _case(d, s, name, a=a, sigma=sigma, rates=rates, check=False)
+    cuts = st.floats(0.0, 1.0 if case.family == "bernoulli" else 4.0, exclude_min=True, exclude_max=True)
     spec = {
-        "plus": lambda: Threshold(t),
-        "two-sided": lambda: Threshold(t, two_sided=True),
-        "cosh": lambda: Threshold(cosh_threshold(d, s, a), two_sided=True),
-        "tops": lambda: TopS(draw(st.integers(1, d))),
-        "tops-abs": lambda: TopS(draw(st.integers(1, d)), one_sided=False),
-        "universal": lambda: spec_for_kind("universal", p),
+        "plus": lambda: Threshold(draw(cuts)),
+        "two-sided": lambda: Threshold(draw(cuts), two_sided=True),
+        "tops": lambda: TopS(draw(st.integers(1, d - 1))),
+        "tops-abs": lambda: TopS(draw(st.integers(1, d - 1)), one_sided=False),
         "adaptive": lambda: Adaptive(draw(st.integers(2, d // 4))),
-        "llr": lambda: spec_for_kind("llr", p),
-    }[kind]()
+    }.get(case.kind, lambda: case.spec)()
+    rho = draw(st.sampled_from(case.rhos))
+    try:
+        check_engine_case(name, case.p, spec, (rho,))
+    except ValueError:
+        reject()
     loss_kind = draw(st.sampled_from(list(LossKind)))
     seed = draw(st.integers(0, 2**64 - 1))
     reps = draw(st.integers(1, 40))
     offset = draw(st.integers(0, 2**64 - reps))
-    return p, spec, rho, loss_kind, seed, offset, reps
-
-
-_POISSON_1500 = ProblemInstance(1500, 5, Interval(1.0, 2.5), family=Family.POISSON)
-_TWO_200 = ProblemInstance(200, 10, TwoSided(3.0))
-_POISSON_400 = ProblemInstance(400, 10, Interval(1.0, 3.0), family=Family.POISSON)
+    return case._replace(spec=spec), rho, loss_kind, seed, offset, reps
 
 
 class TestBlockEngineProperty:
     @settings(max_examples=60)
-    @given(case=_engine_cases())
+    @given(run=_engine_runs())
+    @example(run=(_case(2000, 20, "gaussian-two-tops-abs"), 0.5, LossKind.HAMMING, 7, 11, 17))
+    @example(run=(_case(2048, 10, "bernoulli-llr"), 0.0, LossKind.HAMMING, 9, 1 << 50, 40))  # two blocks
     @example(
-        case=(
-            ProblemInstance(2000, 20, TwoSided(3.0)), TopS(20, one_sided=False),
-            0.5, LossKind.HAMMING, 7, 11, 17,
-        )
-    )
-    @example(
-        case=(
-            _POISSON_1500, spec_for_kind("llr", _POISSON_1500),
-            0.0, LossKind.WRONG_RECOVERY, 2**64 - 1, 2**64 - 21, 21,
-        )
+        run=(_case(1500, 5, "poisson-llr"), 0.0, LossKind.WRONG_RECOVERY, 2**64 - 1, 2**64 - 21, 21)
     )
     @example(  # two full blocks and one row
-        case=(
-            _TWO_200, spec_for_kind("cosh", _TWO_200),
-            0.5, LossKind.HAMMING, 11, 3 << 40, 2 * _block_layout(200, 10**6) + 1,
-        )
+        run=(_case(200, 10, "gaussian-two-cosh"), 0.5, LossKind.HAMMING, 11, 3 << 40,
+             2 * _block_layout(200, 10**6) + 1)
     )
     @example(  # two full blocks and one row
-        case=(
-            _POISSON_400, spec_for_kind("llr", _POISSON_400),
-            0.0, LossKind.NORMALIZED_HAMMING, 5, 0, 2 * _block_layout(400, 10**6) + 1,
-        )
+        run=(_case(400, 10, "poisson-llr"), 0.0, LossKind.NORMALIZED_HAMMING, 5, 0,
+             2 * _block_layout(400, 10**6) + 1)
     )
-    def test_engine_equals_public_replay(self, case):
-        p, spec, rho, loss_kind, seed, offset, reps = case
-        rows = _block_layout(p.d, reps)
+    def test_engine_equals_public_replay(self, run):
+        case, rho, loss_kind, seed, offset, reps = run
+        rows = _block_layout(case.p.d, reps)
         event("one block" if reps == rows else f"several blocks, last {'partial' if reps % rows else 'full'}")
-        if p.family is Family.BERNOULLI:
-            cut = spec_for_kind("llr", p).t
-            event(f"Bernoulli llr cut {'in' if 0.0 < cut < 1.0 else 'outside'} (0, 1)")
-        errors = _replayed_errors(p, spec, seed, offset, reps, rho)
-        want = replay_reduction(errors, p.s, loss_kind)
-        cfg = MCConfig(replications=reps, seed=seed, rho=rho, loss_kind=loss_kind)
-        for workers in (1, 2):
-            with _workers(workers):
-                report = estimate_risk(p, spec, cfg, stream_offset=offset)
-            assert (report.mc_estimate, report.mc_stderr) == want
+        event(f"{case.family}, {case.side}")
+        if case.family == "bernoulli" and isinstance(case.spec, Threshold):
+            event(f"Bernoulli cut {'in' if 0.0 < case.spec.t < 1.0 else 'outside'} (0, 1)")
+        _assert_engine_is_the_replay(case, rho, seed, offset, reps, (loss_kind,))

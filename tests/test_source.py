@@ -7,7 +7,8 @@ package's modules, no numpy in the command-line layer or under
 ``import hamsel.simulate``, no numpy.random under those imports or the risk
 and select commands, no scipy anywhere in the package, no BLAS product,
 no numpy transcendental function, the ratio (d - s)/s formed in one function only, and every library name
-the benchmark in bench/ reads still defined.
+the benchmark in bench/ reads still defined, and the engine tests' cases
+taken from one table.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
@@ -273,20 +274,24 @@ def test_package_import_graph_is_acyclic():
         visit(module, [])
 
 
+def _fresh_python(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports hamsel from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+
+
 def test_numkit_imports_without_numpy():
     """The scalar kernels load no numpy: ``import hamsel.numkit`` in a fresh
     interpreter leaves numpy out of sys.modules, so the package namespace
     imports none of the array modules."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, hamsel.numkit; "
         "print(*(m for m in sys.modules if m.split('.')[0] in ('numpy', 'hamsel')))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert sorted(result.stdout.split()) == ["hamsel", "hamsel.numkit"]
+    assert sorted(_fresh_python(code).split()) == ["hamsel", "hamsel.numkit"]
 
 
 def test_worker_machinery_is_imported_lazily():
@@ -294,17 +299,12 @@ def test_worker_machinery_is_imported_lazily():
     interpreter load neither multiprocessing nor concurrent.futures: only
     a run big enough to start worker processes imports them, so start-up
     and the small runs do not pay for them."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     for module in ("hamsel.cli", "hamsel.simulate"):
         code = (
             f"import sys, {module}; "
             "print(*(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert result.stdout.split() == [], module
+        assert _fresh_python(code).split() == [], module
 
 
 def test_numpy_random_is_imported_lazily(tmp_path):
@@ -312,7 +312,6 @@ def test_numpy_random_is_imported_lazily(tmp_path):
     ms and 5.5 MB of RSS on a 2-vCPU VM.  ``import hamsel.cli``, ``import
     hamsel.simulate`` and the risk and select commands never touch it, so
     none of them loads it: only a draw does."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     observations = tmp_path / "x.csv"
     observations.write_text("0.1\n2.3\n-1.5\n0.4\n3.3\n0.2\n0.0\n1.1\n")
     runs = [
@@ -331,11 +330,7 @@ def test_numpy_random_is_imported_lazily(tmp_path):
         "        code = main(argv)\n"
         "    print(argv[0], code, *loaded())\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.stdout.splitlines() == ["import"] + ["risk 0"] * 2 + ["select 0"] * 3
+    assert _fresh_python(code).splitlines() == ["import"] + ["risk 0"] * 2 + ["select 0"] * 3
 
 
 def test_cli_imports_no_numpy():
@@ -493,3 +488,22 @@ def test_one_selection_path():
     assert _call_sites("select_row") >= {("cli.py", "_select_file")}  # the walk sees cli.py
     cli_calls = _call_sites("resolve_selector") | _call_sites("adaptive_selector")
     assert not {site for site in cli_calls if site[0] == "cli.py"}
+
+
+def test_engine_cases_come_from_the_table():
+    """tests/test_simulate.py builds no ProblemInstance in a decorator (a
+    parametrize list, a Hypothesis example), outside a function, or in a
+    case function (*_cases, *_cells, a Hypothesis strategy): engine cases
+    come from oracles.engine_cases, which checks each one.  A test may
+    build an instance for itself."""
+    tree = _tree(ROOT / "tests" / "test_simulate.py")
+    calls = {n for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("ProblemInstance")}
+    own = set()  # what the body of a test or helper runs
+    for f in ast.walk(tree):
+        if isinstance(f, ast.FunctionDef) and not f.name.endswith(("_cases", "_cells")):
+            if "composite" not in " ".join(map(ast.unparse, f.decorator_list)):
+                own |= {n for statement in f.body for n in ast.walk(statement)}
+    assert calls & own  # the walk sees the instances tests build for themselves
+    lines = sorted(n.lineno for n in calls - own)
+    assert not lines, f"test_simulate.py builds case lists of ProblemInstance at lines {lines}"
