@@ -1,10 +1,11 @@
-"""Independent references shared by the test modules: mpmath values, Monte
-Carlo evaluations of the printed forms, an elementary Gaussian tail bracket,
-quadrature values of the top-s risk and of a threshold rule's loss moments
-and law, the reduction of replayed MC error counts, and the one table of
-engine test cases, each checked to exercise its rule.  None of them is
-library code; each checks a closed form or an estimate of :mod:`hamsel` by
-another route.
+"""Independent references shared by the test modules: mpmath values, among
+them every threshold rule's error rates read from its selection event,
+Monte Carlo evaluations of the printed forms, an elementary Gaussian tail
+bracket, quadrature values of the top-s risk and of a threshold rule's loss
+moments and law, the reduction of replayed MC error counts, and the one
+table of engine test cases, each checked to exercise its rule.  None of them
+is library code; each checks a closed form or an estimate of :mod:`hamsel`
+by another route.
 """
 
 import math
@@ -44,6 +45,51 @@ def poisson_tail_exact(k: int, lam: float, upper: bool) -> mp.mpf:
             if p > mp.mpf(10) ** (30 - dps):
                 return +p
     return mp.mpf(0)
+
+
+def threshold_rates_exact(p, rule) -> tuple[mp.mpf, mp.mpf]:
+    """(P_miss, P_sel) at rho = 0, at 60 digits, of a threshold rule on
+    instance p: the chances that a support coordinate (at a, +-a with equal
+    weight, or a1) is not selected and that a null one (at 0, or a0) is.
+
+    rule is a Threshold spec, its cut t as given, or a kind whose Gaussian
+    cut is formed here from a0 (0 off an Interval), a1 (a) and sigma: plus
+    and llr x >= c, two-sided |x| >= max(c, 0), c = (a0 + a1)/2 + sigma^2
+    log((d-s)/s)/(a1 - a0); universal |x| >= sigma sqrt(2 log d); cosh |x|
+    >= (sigma^2/a) arccosh(max(u, 1)), u = e^{a^2/(2 sigma^2)} (d-s)/s.  The
+    event is read literally: a Gaussian x of mean m is selected with chance
+    Phi((m - t)/sigma), plus Phi((-t - m)/sigma) on |x|; a Bernoulli one on
+    the atoms 0 and 1 at or above t; a Poisson one on the counts from
+    k = ceil(t), its two tails from poisson_tail_exact.
+    """
+    sig = p.signal
+    a0, a1 = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
+    with mp.workdps(60):
+        if isinstance(rule, Threshold):
+            t, two_sided = mp.mpf(rule.t), rule.two_sided
+        else:
+            sigma, a, ratio = mp.mpf(p.sigma), mp.mpf(a1) - a0, mp.mpf(p.d - p.s) / p.s
+            c = (mp.mpf(a0) + a1) / 2 + sigma**2 * mp.log(ratio) / a
+            u = mp.e ** (a**2 / (2 * sigma**2)) * ratio
+            t, two_sided = {
+                "plus": (c, False), "llr": (c, False), "two-sided": (max(c, 0), True),
+                "universal": (sigma * mp.sqrt(2 * mp.log(p.d)), True),
+                "cosh": (sigma**2 / a * mp.acosh(max(u, 1)), True),
+            }[rule]
+
+        def rates(m):  # (P_m(miss), P_m(select))
+            m = mp.mpf(m)
+            if p.family is Family.GAUSSIAN:
+                low = mp.ncdf((-t - m) / p.sigma) if two_sided else 0
+                return mp.ncdf((t - m) / p.sigma) - low, mp.ncdf((m - t) / p.sigma) + low
+            if p.family is Family.BERNOULLI:
+                return (1 - m) * (t > 0) + m * (t > 1), (1 - m) * (t <= 0) + m * (t <= 1)
+            k = int(mp.ceil(t))
+            miss = poisson_tail_exact(k - 1, m, upper=False) if k >= 1 else mp.mpf(0)
+            return miss, poisson_tail_exact(k, m, upper=True)
+
+        levels = (a1, -a1) if isinstance(sig, TwoSided) else (a1,)
+        return mp.fsum(rates(m)[0] for m in levels) / len(levels), rates(a0)[1]
 
 
 def gaussian_tail_bounds(y: float) -> tuple[float, float]:
@@ -152,21 +198,14 @@ def _threshold_error_rates(p, spec, rho: float):
     on [-9, 9] per sign, its weights summed to 1.
 
     Bernoulli and Poisson (rho = 0, a cut x >= t on an Interval(a0, a1)
-    class): one node, P_miss = P_a1(X < t) and P_sel = P_a0(X >= t), the
-    Poisson tails at k = ceil(t) from poisson_tail_exact.
+    class): one node, P_miss = P_a1(X < t) and P_sel = P_a0(X >= t) from
+    threshold_rates_exact.
     """
     sig, t = p.signal, spec.t
     if p.family is not Family.GAUSSIAN:
         if rho != 0.0 or spec.two_sided:
             raise ValueError("Bernoulli and Poisson laws cover a one-sided cut at rho = 0 only")
-        if p.family is Family.BERNOULLI:
-            miss = 0.0 if t <= 0.0 else (1.0 - sig.a1 if t <= 1.0 else 1.0)
-            select = 1.0 if t <= 0.0 else (sig.a0 if t <= 1.0 else 0.0)
-        else:
-            k = math.ceil(t)
-            miss = float(poisson_tail_exact(k - 1, sig.a1, upper=False)) if k >= 1 else 0.0
-            select = float(poisson_tail_exact(k, sig.a0, upper=True))
-        return np.ones(1), np.array([miss]), np.array([select])
+        return np.ones(1), *(np.array([float(q)]) for q in threshold_rates_exact(p, spec))
     if isinstance(sig, LowerBound):
         base, levels = 0.0, (sig.a,)
     elif isinstance(sig, TwoSided):

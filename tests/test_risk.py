@@ -1,8 +1,9 @@
 """Closed-form risk tests.
 
-Every nontrivial formula is checked against an independent route: mpmath
-evaluations of the defining tail expressions, literal atom enumerations for
-the discrete families, and scipy CDFs where a second implementation exists.
+Every nontrivial formula is checked against an independent route: each
+threshold rule's closed form against its selection event read literally at
+60 digits (oracles.threshold_rates_exact), the Gaussian seams against mpmath,
+and the crowd enumeration against MC and a hand count.
 """
 
 import math
@@ -64,36 +65,16 @@ from hamsel.selectors import (
     universal_threshold,
 )
 from hamsel.simulate import MCConfig, phase_sweep
-from oracles import poisson_tail_exact, psi_crowd_mc
+from oracles import psi_crowd_mc, threshold_rates_exact
 
 mp.mp.dps = 60
 
 
-def _psi_plus_oracle(d, s, a, sigma=1.0):
-    r = mp.mpf(d - s) / s
-    a, sigma = mp.mpf(a), mp.mpf(sigma)
-    half = a / (2 * sigma)
-    shift = sigma * mp.log(r) / a
-    return r * mp.ncdf(-half - shift) + mp.ncdf(-half + shift)
-
-
-def _psi_two_sided_oracle(d, s, a, sigma=1.0):
-    r = mp.mpf(d - s) / s
-    a, sigma = mp.mpf(a), mp.mpf(sigma)
-    half = a / (2 * sigma)
-    shift = sigma * mp.log(r) / a
-    return r * mp.ncdf(-half - shift) + mp.ncdf(min(-half + shift, mp.mpf(0)))
-
-
-def _psi_bar_oracle(d, s, a, sigma=1.0):
-    r = mp.mpf(d - s) / s
-    a, sigma = mp.mpf(a), mp.mpf(sigma)
-    u = mp.e ** (a**2 / (2 * sigma**2)) * r
-    if u <= 1:
-        return r
-    q = (sigma / a) * mp.acosh(u)
-    miss = mp.ncdf(q - a / sigma) - mp.ncdf(-q - a / sigma)
-    return r * 2 * mp.ncdf(-q) + max(miss, mp.mpf(0))
+def _psi_exact(p, rule):
+    """P_miss + ((d-s)/s) P_sel of a threshold rule on p: Psi+ for plus,
+    PsiBar for cosh, psi_general for llr."""
+    miss, select = threshold_rates_exact(p, rule)
+    return float(miss + mp.mpf(p.d - p.s) / p.s * select)
 
 
 class TestPsiPlus:
@@ -114,7 +95,7 @@ class TestPsiPlus:
             (50, 20, 4.0, 2.0),
             (10, 4, 0.2, 1.0),
         ):
-            want = float(_psi_plus_oracle(d, s, a, sigma))
+            want = _psi_exact(ProblemInstance(d, s, LowerBound(a), sigma=sigma), "plus")
             assert_allclose(psi_plus(d, s, a, sigma), want, rtol=1e-13)
 
     def test_huge_signal_vanishes_without_underflow(self):
@@ -124,7 +105,7 @@ class TestPsiPlus:
     def test_product_keeps_precision_through_subnormal_tails(self):
         """ratio * Phi stays accurate even when Phi alone is subnormal."""
         d, s, a = 10**9 + 1, 1, 75.45
-        want = float(_psi_plus_oracle(d, s, a))
+        want = _psi_exact(ProblemInstance(d, s, LowerBound(a)), "plus")
         got = psi_plus(d, s, a)
         assert want > 1e-308  # the product itself is a normal float
         assert_allclose(got, want, rtol=1e-10)
@@ -174,7 +155,9 @@ class TestPsiTwoSided:
     def test_against_mpmath_oracle(self):
         # (200, 10, 2.4): the miss argument -a/2 + log(19)/a = 0.027 is clipped
         for d, s, a in ((101, 1, 1.0), (200, 10, 3.0), (30, 10, 0.7), (200, 10, 2.4)):
-            want = float(_psi_two_sided_oracle(d, s, a))
+            # Psi = ((d-s)/s) P_sel + min(P_miss, 1/2) of the plus cut
+            miss, select = threshold_rates_exact(ProblemInstance(d, s, LowerBound(a)), "plus")
+            want = float(mp.mpf(d - s) / s * select + min(miss, mp.mpf(0.5)))
             assert_allclose(psi_two_sided(d, s, a), want, rtol=1e-13)
 
 
@@ -194,7 +177,7 @@ class TestPsiBar:
             (1000, 7, 1.5, 1.0),
             (64, 16, 2.5, 1.3),
         ):
-            want = float(_psi_bar_oracle(d, s, a, sigma))
+            want = _psi_exact(ProblemInstance(d, s, LowerBound(a), sigma=sigma), "cosh")
             assert_allclose(psi_bar(d, s, a, sigma), want, rtol=1e-13)
 
     def test_scale_invariance(self):
@@ -319,17 +302,13 @@ class TestPsiGeneralGaussian:
         assert psi_general(Family.GAUSSIAN, 50, 5, 10.0, 13.0) == psi_plus(50, 5, 3.0)
 
     def test_against_direct_threshold_integral(self):
-        """Phi((t-a1)/sigma) + ratio Phi((a0-t)/sigma) at the actual cut."""
+        """P_a1(x < t) + ratio P_a0(x >= t) at the llr cut."""
         for d, s, a0, a1, sigma in (
             (50, 5, -1.0, 2.0, 1.0),
             (200, 10, 0.0, 3.0, 1.0),
             (30, 12, 1.0, 1.5, 0.6),
         ):
-            t = llr_threshold(Family.GAUSSIAN, d, s, a0, a1, sigma)
-            ratio = (d - s) / s
-            want = scipy.stats.norm.cdf((t - a1) / sigma) + ratio * scipy.stats.norm.cdf(
-                (a0 - t) / sigma
-            )
+            want = _psi_exact(ProblemInstance(d, s, Interval(a0, a1), sigma=sigma), "llr")
             assert_allclose(psi_general(Family.GAUSSIAN, d, s, a0, a1, sigma), want, rtol=1e-13)
 
     def test_validation(self):
@@ -337,22 +316,10 @@ class TestPsiGeneralGaussian:
             psi_general(Family.GAUSSIAN, 10, 2, 2.0, 1.0)
 
 
-def _bernoulli_atom_risk(d, s, a0, a1):
-    """Literal evaluation of the selector over the two atoms {0, 1}."""
-    t = llr_threshold(Family.BERNOULLI, d, s, a0, a1)
-    ratio = (d - s) / s
-    sel0 = 0.0 >= t
-    sel1 = 1.0 >= t
-    if sel0 and sel1:
-        miss = 0.0
-        fp = (1.0 - a0) + a0
-    elif sel1:
-        miss = 1.0 - a1
-        fp = a0
-    else:
-        miss = (1.0 - a1) + a1
-        fp = 0.0
-    return miss + ratio * fp
+def _llr(family, d, s, a0, a1):
+    """The Interval(a0, a1) instance and the library's llr cut on it."""
+    p = ProblemInstance(d, s, Interval(a0, a1), family)
+    return p, spec_for_kind("llr", p)
 
 
 class TestPsiGeneralBernoulli:
@@ -389,19 +356,17 @@ class TestPsiGeneralBernoulli:
             if t == 1.0:
                 continue
             hits.discard(branch)
-            assert psi_general(Family.BERNOULLI, d, s, a0, a1) == _bernoulli_atom_risk(
-                d, s, a0, a1
-            )
+            miss, select = map(float, threshold_rates_exact(*_llr(Family.BERNOULLI, d, s, a0, a1)))
+            assert psi_general(Family.BERNOULLI, d, s, a0, a1) == miss + (d - s) / s * select
 
 
 class TestPsiGeneralPoisson:
     def test_unit_slope_example(self):
         # a0=1, a1=e, d=2s: cut at e-1, so the selector keeps x >= 2
         val = psi_general(Family.POISSON, 4, 2, 1.0, math.e)
-        want = scipy.stats.poisson.cdf(1, math.e) + 1.0 * scipy.stats.poisson.sf(1, 1.0)
-        assert_allclose(val, want, rtol=1e-13)
+        assert_allclose(val, _psi_exact(*_llr(Family.POISSON, 4, 2, 1.0, math.e)), rtol=1e-13)
 
-    def test_against_scipy_enumeration(self):
+    def test_against_count_enumeration(self):
         rng = np.random.default_rng(11)
         saw_select_all = False
         for _ in range(60):
@@ -409,16 +374,8 @@ class TestPsiGeneralPoisson:
             a1 = a0 + float(rng.uniform(0.3, 5.0))
             d = int(rng.integers(3, 60))
             s = int(rng.integers(1, d))
-            t = llr_threshold(Family.POISSON, d, s, a0, a1)
-            ratio = (d - s) / s
-            k_cut = math.ceil(t)
-            if k_cut <= 0:
-                want = ratio
-                saw_select_all = True
-            else:
-                want = scipy.stats.poisson.cdf(k_cut - 1, a1) + ratio * scipy.stats.poisson.sf(
-                    k_cut - 1, a0
-                )
+            saw_select_all |= llr_threshold(Family.POISSON, d, s, a0, a1) <= 0.0
+            want = _psi_exact(*_llr(Family.POISSON, d, s, a0, a1))
             assert_allclose(psi_general(Family.POISSON, d, s, a0, a1), want, rtol=1e-12)
         assert saw_select_all  # the dense draws must exercise the ratio branch
 
@@ -450,39 +407,10 @@ class TestPsiGeneralPoisson:
     def test_relative_error_against_mpmath(self, d, s, a0, a1):
         """(d-s)/s P_{a0}(X >= k) keeps its digits however large (d-s)/s is:
         within 1e-12 of mpmath up to (d-s)/s = 1e15 and the largest rate."""
-        k = math.ceil(llr_threshold(Family.POISSON, d, s, a0, a1))
-        assert k > 0
-        exact = poisson_tail_exact(k - 1, a1, False) + mp.mpf(d - s) / s * poisson_tail_exact(
-            k, a0, True
-        )
+        assert llr_threshold(Family.POISSON, d, s, a0, a1) > 0.0
+        exact = _psi_exact(*_llr(Family.POISSON, d, s, a0, a1))
         got = psi_general(Family.POISSON, d, s, a0, a1)
         assert abs(got - exact) <= 1e-12 * exact, (got, exact)
-
-
-def _threshold_risk_oracle(d, s, a, sigma, signs, kind):
-    """s P_on(not selected) + (d-s) P_off(selected) at 40 digits, from the
-    literal selection event of kind's cut in observation units: x >= t for
-    plus, |x| >= q for universal and two-sided.  The signal sits at sign a
-    for each sign in signs, equally likely."""
-    with mp.workdps(40):
-        d, s, a, sigma = mp.mpf(d), mp.mpf(s), mp.mpf(a), mp.mpf(sigma)
-        t = a / 2 + sigma**2 * mp.log((d - s) / s) / a
-        if kind == "plus":
-            def miss(mean):  # P(mean + sigma Z < t)
-                return mp.ncdf((t - mean) / sigma)
-
-            def select(mean):
-                return mp.ncdf((mean - t) / sigma)
-        else:
-            q = sigma * mp.sqrt(2 * mp.log(d)) if kind == "universal" else max(t, mp.mpf(0))
-
-            def miss(mean):  # P(|mean + sigma Z| < q)
-                return mp.ncdf((q - mean) / sigma) - mp.ncdf((-q - mean) / sigma)
-
-            def select(mean):
-                return mp.ncdf((mean - q) / sigma) + mp.ncdf((-q - mean) / sigma)
-        on = mp.fsum(miss(sign * a) for sign in signs) / len(signs)
-        return float(s * on + (d - s) * select(0))
 
 
 # (d, s, a, sigma): sparse, dense (s > d/2), and dense with the two-sided
@@ -500,21 +428,22 @@ _THRESHOLD_CELLS = [
 class TestThresholdRisk:
     @pytest.mark.parametrize("cell", _THRESHOLD_CELLS, ids=str)
     @pytest.mark.parametrize(
-        "signal, signs, kind",
+        "signal, kind",
         [
-            (LowerBound, (1,), "universal"),
-            (TwoSided, (1, -1), "universal"),
-            (LowerBound, (1,), "two-sided"),
-            (TwoSided, (1, -1), "two-sided"),
-            (TwoSided, (1, -1), "plus"),
+            (LowerBound, "universal"),
+            (TwoSided, "universal"),
+            (LowerBound, "two-sided"),
+            (TwoSided, "two-sided"),
+            (TwoSided, "plus"),
         ],
         ids=["universal-plus", "universal-two-sided", "two-sided-plus",
              "two-sided-two-sided", "plus-two-sided"],
     )
-    def test_against_the_literal_event(self, cell, signal, signs, kind):
+    def test_against_the_literal_event(self, cell, signal, kind):
         d, s, a, sigma = cell
-        got = threshold_risk(ProblemInstance(d, s, signal(a), sigma=sigma), kind)
-        assert_allclose(got, _threshold_risk_oracle(d, s, a, sigma, signs, kind), rtol=1e-12)
+        p = ProblemInstance(d, s, signal(a), sigma=sigma)
+        miss, select = threshold_rates_exact(p, kind)
+        assert_allclose(threshold_risk(p, kind), float(s * miss + (d - s) * select), rtol=1e-12)
 
     def test_two_sided_cut_clamped_at_zero_selects_everything(self):
         p = ProblemInstance(50, 30, TwoSided(0.5))

@@ -1252,22 +1252,28 @@ class TestEngineLimits:
 
 @st.composite
 def _engine_runs(draw):
-    """(case, rho, loss kind, seed, offset, reps): a table case of any class at
-    d <= 3,000, s < min(d, 41), a in [0.25, 6], sigma 0.5, 1 or 1.7 and a rho it
-    is checked at, its free parameters drawn (a plus or two-sided cut in (0, 4),
-    (0, 1) on Bernoulli; top-k, k < d; an adaptive budget up to d/4; Bernoulli
-    rates (0.2, 0.7) or, at d >= 2s, rates whose llr cut is in (0, 1); Poisson
-    rates (1, 1 + a)) and rejected where check_engine_case refuses it.  reps up
-    to 40 span several blocks for d >= 2,048, the examples below at 200 and 400."""
-    d = draw(st.integers(2, 3000))
+    """(case, rho, loss kind, seed, offset, reps): a table case of any family,
+    the three drawn alike, at d <= 3,000, s < min(d, 41), a in [0.25, 6], sigma
+    0.5, 1 or 1.7 and a rho it is checked at, its free parameters drawn (a plus
+    or two-sided cut in (0, 4), (0, 1) on Bernoulli; top-k, k < d; an adaptive
+    budget up to d/4; Bernoulli rates (0.2, 0.7) or, at d >= 2s, rates whose
+    llr cut is in (0, 1), always where (0.2, 0.7)'s is not; Poisson rates (1,
+    1 + a)) and rejected where check_engine_case refuses it.  Half the runs
+    span two or three blocks (at most 79 rows each at d >= 1,024), the rest
+    one, reps <= 40."""
+    several = draw(st.booleans())
+    d = draw(st.integers(1024 if several else 2, 3000))
     s = draw(st.integers(1, min(d - 1, 40)))
-    classes = ["gaussian-lower", "gaussian-two", "gaussian-interval", "bernoulli", "poisson"]
-    prefix = draw(st.sampled_from(classes))
-    names = [n for n in _CASES_40 if n.startswith(f"{prefix}-") and (d >= 8 or not n.endswith("adaptive"))]
+    family = draw(st.sampled_from(["gaussian", "bernoulli", "poisson"]))
+    if family == "gaussian":
+        family = draw(st.sampled_from(["gaussian-lower", "gaussian-two", "gaussian-interval"]))
+    names = [n for n in _CASES_40 if n.startswith(f"{family}-") and (d >= 8 or not n.endswith("adaptive"))]
     name = draw(st.sampled_from(names))
     a, sigma = draw(st.floats(0.25, 6.0)), draw(st.sampled_from([0.5, 1.0, 1.7]))
     rates = {"bernoulli": (0.2, 0.7), "poisson": (1.0, 1.0 + a)}
-    if name.startswith("bernoulli") and 2 * s <= d and draw(st.booleans()):
+    if family == "bernoulli" and 2 * s <= d and (
+        not 0.0 < llr_threshold(Family.BERNOULLI, d, s, *rates["bernoulli"]) < 1.0 or draw(st.booleans())
+    ):
         # with d >= 2s, a0 below a1 s/(d-s) puts the llr cut in (0, 1): it selects the 1s
         rates["bernoulli"] = (draw(st.floats(0.01, 0.9)) * 0.9 * s / (d - s), 0.9)
     case = _case(d, s, name, a=a, sigma=sigma, rates=rates, check=False)
@@ -1286,7 +1292,8 @@ def _engine_runs(draw):
         reject()
     loss_kind = draw(st.sampled_from(list(LossKind)))
     seed = draw(st.integers(0, 2**64 - 1))
-    reps = draw(st.integers(1, 40))
+    rows = _block_layout(d, 10**6)
+    reps = draw(st.integers(rows + 1, 3 * rows) if several else st.integers(1, min(rows, 40)))
     offset = draw(st.integers(0, 2**64 - reps))
     return case._replace(spec=spec), rho, loss_kind, seed, offset, reps
 

@@ -7,8 +7,8 @@ package's modules, no numpy in the command-line layer or under
 ``import hamsel.simulate``, no numpy.random under those imports or the risk
 and select commands, no scipy anywhere in the package, no BLAS product,
 no numpy transcendental function, the ratio (d - s)/s formed in one function only, and every library name
-the benchmark in bench/ reads still defined, and the engine tests' cases
-taken from one table.
+the benchmark in bench/ reads still defined, the engine tests' cases
+taken from one table, and every test reference in tests/oracles.py.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
@@ -507,3 +507,13 @@ def test_engine_cases_come_from_the_table():
     assert calls & own  # the walk sees the instances tests build for themselves
     lines = sorted(n.lineno for n in calls - own)
     assert not lines, f"test_simulate.py builds case lists of ProblemInstance at lines {lines}"
+
+
+def test_references_live_in_oracles():
+    """No test module defines a reference of its own: a helper whose name
+    says oracle belongs in tests/oracles.py, which every test shares."""
+    found = [f"{path.name}:{f.lineno} {f.name}"
+             for path in sorted((ROOT / "tests").glob("test_*.py"))
+             for f in ast.walk(_tree(path))
+             if isinstance(f, ast.FunctionDef) and "oracle" in f.name and not f.name.startswith("test_")]
+    assert not found, f"references outside tests/oracles.py: {found}"
