@@ -204,16 +204,10 @@ def crowd_selector(c: CrowdInstance, s: int) -> SelectResult:
 
 
 def row_counts(bits: np.ndarray) -> np.ndarray:
-    """Number of True entries in each row of a 2-d bool array.
-
-    One reduction along the rows when there are many short ones; otherwise
-    one count_nonzero per row, which is several times faster on long rows
-    than numpy's axis reduction.
-    """
-    rows, d = bits.shape
-    if rows >= 8 and d < 1024:
-        return np.count_nonzero(bits, axis=1)
-    return np.array([np.count_nonzero(row) for row in bits], dtype=np.intp)
+    """Number of True entries in each row of a 2-d bool array: one byte sum
+    along the rows, in uint16 below d = 2^16 and uint32 from there."""
+    dtype = np.uint16 if bits.shape[1] < 1 << 16 else np.uint32
+    return np.add.reduce(bits.view(np.uint8), axis=1, dtype=dtype).astype(np.intp)
 
 
 def top_s_into(key: np.ndarray, s: int, out: np.ndarray, part: np.ndarray) -> None:

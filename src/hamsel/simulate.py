@@ -25,8 +25,9 @@ selector and the loss then run once on the whole block.  The spec is
 resolved once per share (selectors.resolve_selector) into a selection
 function, which writes a block's selection into the share's
 (B, d) bool buffer and may overwrite the block's observations, which are
-not read again.  A replication's loss is the count of the selection XOR
-its support, without building ``SupportVector`` objects.  Losses land in
+not read again.  A replication's loss is its selection's size plus s
+less twice the selected entries of its support, counted without writing
+into the selection or building ``SupportVector`` objects.  Losses land in
 a positional array and are reduced with numpy's pairwise summation, so
 the aggregate is independent of B, of the shares and of completion order.
 
@@ -318,10 +319,8 @@ def _share(p: ProblemInstance, spec: SelectorSpec, rho: float, seed: int, start:
             xm[on] = hits
         sel = selected[:m]
         select(xm, sel)  # may overwrite x, the block's own draws
-        # flipping the support turns each row into selection XOR truth,
-        # whose count is the Hamming loss
-        sel[on] ^= True
-        yield lo, row_counts(sel)
+        # Hamming loss |sel| + s - 2 |sel on the support|: on holds s distinct indices a row
+        yield lo, row_counts(sel) + (s - 2 * np.count_nonzero(sel[on], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +377,10 @@ def _serve(conn) -> None:
         return
 
 
+# Forked by hand, not as multiprocessing Processes: multiprocessing lets no
+# daemonic process (a Pool worker) start one, and its exit handler, which a
+# child made by os.fork inherits, terminates its process's daemonic ones,
+# so that child's normal exit would kill the caller's workers.
 class _Worker:
     """A forked worker process: the caller's end of its connection, its
     pid, and its exit code once it has been reaped."""

@@ -59,6 +59,8 @@ from hamsel.selectors import (
 )
 from hamsel.simulate import MCConfig, apply_selector, estimate_risk
 
+from checkout import checkout_env
+
 
 def run_cli(capsys, *args):
     code = cli.main(list(args))
@@ -1652,6 +1654,7 @@ class TestSubprocess:
             ],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert result.returncode == 0
         assert result.stdout == '{"psi_plus": 0.31731050786291415}\n'
@@ -1668,6 +1671,7 @@ class TestSubprocess:
              "risk", "--class", "plus", "--d", "2", "--s", "1", "--a", "2", "--which", "psi-plus"],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == '{"psi_plus": 0.31731050786291415}\n'
@@ -1680,6 +1684,7 @@ class TestSubprocess:
              "--d", "200", "--s", "10", "--a0", "40", "--a1", "60"],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert result.returncode == 0
         imported = [
@@ -1708,7 +1713,9 @@ class TestSubprocess:
             "        code = main(argv)\n"
             "    print(argv[0], code, 'hamsel.simulate' in sys.modules)\n"
         )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=checkout_env()
+        )
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "risk 0 False\nselect 0 False\nmc 0 True\n"
 

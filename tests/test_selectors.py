@@ -680,8 +680,8 @@ class TestSelectionCores:
             rng.normal(0.0, 1.0, size=d),
         ]
         rounded = [np.round(rng.normal(0.0, 1.0, size=d)) for _ in range(8)]
-        # few rows and many rows take the two counting routes of row_counts;
-        # the engine's blocks are views with a leading column dropped
+        # blocks of 3 and of 16 rows; the engine's blocks are views with a
+        # leading column dropped
         full = np.array(special + rounded)
         blocks = [full[:3], full, np.hstack([np.zeros((len(full), 1)), full])[:, 1:]]
         for block in blocks:
@@ -726,10 +726,18 @@ class TestSelectionCores:
         assert_array_equal(np.signbit(block), np.signbit(want_block))
 
     def test_row_counts(self):
+        """row_counts equals a count_nonzero per row on random blocks, on
+        all-True rows either side of the switch to a uint32 sum at d = 2^16,
+        on one-row blocks and on column-strided views."""
         rng = rng_stream(58, 0)
-        for rows, d in ((1, 5), (3, 2000), (7, 10), (8, 10), (40, 1023), (9, 1024)):
-            bits = rng.random((rows, d)) < 0.3
-            assert_array_equal(row_counts(bits), [np.count_nonzero(b) for b in bits])
+        blocks = [rng.random((rows, d)) < 0.3 for rows, d in
+                  ((1, 5), (3, 2000), (7, 10), (8, 10), (40, 1023), (9, 1024), (1, 50_000))]
+        blocks += [np.ones((rows, d), dtype=bool) for rows in (1, 2) for d in (2**16 - 1, 2**16)]
+        blocks += [blocks[4][:, ::2], blocks[1][:, 1::3]]
+        for bits in blocks:
+            got = row_counts(bits)
+            assert got.dtype == np.intp
+            assert_array_equal(got, [np.count_nonzero(b) for b in bits])
 
     def test_adaptive_counts_match_per_band_scan(self):
         rng = rng_stream(56, 0)
@@ -742,8 +750,8 @@ class TestSelectionCores:
         edges[: 3 * len(w)] = np.repeat(w, 3) * np.tile([1.0, -1.0, 1.0], len(w))
         samples.append(edges)
         full = np.array(samples)
-        # one row and many rows take the two counting routes of row_counts;
-        # the engine's blocks are views with a leading column dropped
+        # blocks of one row and of 21; the engine's blocks are views with a
+        # leading column dropped
         blocks = [full[:1], full, np.hstack([np.zeros((len(full), 1)), full])[:, 1:]]
         for block in blocks:
             bits = np.empty(block.shape, dtype=bool)

@@ -9,8 +9,6 @@ import math
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -60,6 +58,7 @@ from hamsel.simulate import (
     generate_gaussian,
     phase_sweep,
 )
+from checkout import fresh_python
 from oracles import (
     check_engine_case,
     engine_cases,
@@ -136,6 +135,12 @@ def _plus_instance(d=200, s=10, a=3.0):
 
 def _plus_spec(p):
     return Threshold(minimax_threshold(p.d, p.s, p.signal.a, p.sigma))
+
+
+def _run_and_list_workers(p, spec, cfg):
+    """A pool job: estimate_risk, and the pids of the worker processes of
+    the process that ran it."""
+    return estimate_risk(p, spec, cfg), [worker.pid for worker in simulate._pool]
 
 
 # The cases of the contract replays, the stderr, law and family tests, and the 81-row-block share test
@@ -1110,17 +1115,51 @@ class TestEngineLimits:
                 simulate.estimate_risk(p, spec, simulate.MCConfig(replications=5000, seed=seed))
             print(*(worker.pid for worker in simulate._pool))
         """
-        src = os.path.dirname(os.path.dirname(simulate.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
-        pids = [int(pid) for pid in result.stdout.split()]
+        pids = [int(pid) for pid in fresh_python(code).split()]
         assert len(pids) == 1
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_split_run_in_a_daemonic_pool_worker(self, no_pooled_workers):
+        """A split run inside a job of a fork-context multiprocessing pool
+        gets the bits of the run in one process: the pool's worker is
+        daemonic, and multiprocessing lets no daemonic process start
+        children of its own, but os.fork does."""
+        p = _plus_instance()
+        spec = _plus_spec(p)
+        cfg = MCConfig(replications=3000, seed=10)
+        with _workers(1):
+            want = estimate_risk(p, spec, cfg)
+        with _workers(2), multiprocessing.get_context("fork").Pool(1) as pool:
+            got, workers = pool.apply(_run_and_list_workers, (p, spec, cfg))
+        assert got == want
+        assert len(workers) == 1
+
+    def test_forked_child_exit_leaves_the_workers(self, no_pooled_workers):
+        """A child forked from a process with a worker and exiting normally
+        runs its exit handlers without touching its parent's worker, which
+        the parent's next split run reuses: the same pid, still running.
+        Run in a fresh interpreter, whose exit handlers are its own."""
+        code = """if True:
+            import os
+            from hamsel import simulate
+            from hamsel.model import ProblemInstance, LowerBound
+            from hamsel.selectors import spec_for_kind
+            simulate._usable_cpus = lambda: 2
+            p = ProblemInstance(200, 10, LowerBound(3.0))
+            spec = spec_for_kind("plus", p)
+            cfg = simulate.MCConfig(replications=5000, seed=1)
+            want = simulate.estimate_risk(p, spec, cfg)
+            (worker,) = simulate._pool
+            child = os.fork()
+            if child == 0:
+                raise SystemExit(0)
+            status = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])
+            same = simulate.estimate_risk(p, spec, cfg) == want
+            print(status, same, not worker.exited(), *(w.pid == worker.pid for w in simulate._pool))
+        """
+        assert fresh_python(code).split() == ["0", "True", "True", "True"]
 
     def test_oversized_d_rejected_before_allocating(self, monkeypatch):
         """Checking a selector spec makes none of its buffers: top-s's
@@ -1192,13 +1231,7 @@ class TestEngineLimits:
             simulate.estimate_risk(p, spec, cfg)
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """
-        src = os.path.dirname(os.path.dirname(simulate.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert int(result.stdout) < 8 * 200
+        assert int(fresh_python(code)) < 8 * 200
 
     @pytest.mark.parametrize(
         "name", ["gaussian-lower-plus", "gaussian-two-cosh", "poisson-llr"], ids=["plus", "cosh", "poisson"]
@@ -1259,8 +1292,8 @@ def _engine_runs(draw):
     budget up to d/4; Bernoulli rates (0.2, 0.7) or, at d >= 2s, rates whose
     llr cut is in (0, 1), always where (0.2, 0.7)'s is not; Poisson rates (1,
     1 + a)) and rejected where check_engine_case refuses it.  Half the runs
-    span two or three blocks (at most 79 rows each at d >= 1,024), the rest
-    one, reps <= 40."""
+    span two or three blocks (at most 79 rows each at d >= 1,024), the last
+    full in about half of them, the rest one, reps <= 40."""
     several = draw(st.booleans())
     d = draw(st.integers(1024 if several else 2, 3000))
     s = draw(st.integers(1, min(d - 1, 40)))
@@ -1293,7 +1326,10 @@ def _engine_runs(draw):
     loss_kind = draw(st.sampled_from(list(LossKind)))
     seed = draw(st.integers(0, 2**64 - 1))
     rows = _block_layout(d, 10**6)
-    reps = draw(st.integers(rows + 1, 3 * rows) if several else st.integers(1, min(rows, 40)))
+    if several:
+        reps = draw(st.integers(1, 2)) * rows + draw(st.integers(1, rows) | st.just(rows))
+    else:
+        reps = draw(st.integers(1, min(rows, 40)))
     offset = draw(st.integers(0, 2**64 - reps))
     return case._replace(spec=spec), rho, loss_kind, seed, offset, reps
 
@@ -1313,6 +1349,18 @@ class TestBlockEngineProperty:
     @example(  # two full blocks and one row
         run=(_case(400, 10, "poisson-llr"), 0.0, LossKind.NORMALIZED_HAMMING, 5, 0,
              2 * _block_layout(400, 10**6) + 1)
+    )
+    @example(  # two full blocks
+        run=(_case(300, 10, "gaussian-lower-plus"), 0.0, LossKind.HAMMING, 13, 7 << 40,
+             2 * _block_layout(300, 10**6))
+    )
+    @example(  # two full blocks
+        run=(_case(1024, 20, "poisson-llr"), 0.0, LossKind.WRONG_RECOVERY, 17, 2**63,
+             2 * _block_layout(1024, 10**6))
+    )
+    @example(  # a Bernoulli cut in (0, 1), which selects the 1s
+        run=(_case(1024, 10, "bernoulli-plus")._replace(spec=Threshold(0.5)), 0.0, LossKind.HAMMING,
+             19, 0, 100)
     )
     def test_engine_equals_public_replay(self, run):
         case, rho, loss_kind, seed, offset, reps = run

@@ -16,14 +16,13 @@ leaves behind.
 
 import ast
 import importlib
-import os
 import re
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from checkout import fresh_python
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hamsel"
@@ -274,15 +273,6 @@ def test_package_import_graph_is_acyclic():
         visit(module, [])
 
 
-def _fresh_python(code: str) -> str:
-    """The stdout of code run in a fresh interpreter that imports hamsel from src/."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    ).stdout
-
-
 def test_numkit_imports_without_numpy():
     """The scalar kernels load no numpy: ``import hamsel.numkit`` in a fresh
     interpreter leaves numpy out of sys.modules, so the package namespace
@@ -291,7 +281,7 @@ def test_numkit_imports_without_numpy():
         "import sys, hamsel.numkit; "
         "print(*(m for m in sys.modules if m.split('.')[0] in ('numpy', 'hamsel')))"
     )
-    assert sorted(_fresh_python(code).split()) == ["hamsel", "hamsel.numkit"]
+    assert sorted(fresh_python(code).split()) == ["hamsel", "hamsel.numkit"]
 
 
 def test_worker_machinery_is_imported_lazily():
@@ -304,7 +294,7 @@ def test_worker_machinery_is_imported_lazily():
             f"import sys, {module}; "
             "print(*(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
         )
-        assert _fresh_python(code).split() == [], module
+        assert fresh_python(code).split() == [], module
 
 
 def test_numpy_random_is_imported_lazily(tmp_path):
@@ -330,7 +320,7 @@ def test_numpy_random_is_imported_lazily(tmp_path):
         "        code = main(argv)\n"
         "    print(argv[0], code, *loaded())\n"
     )
-    assert _fresh_python(code).splitlines() == ["import"] + ["risk 0"] * 2 + ["select 0"] * 3
+    assert fresh_python(code).splitlines() == ["import"] + ["risk 0"] * 2 + ["select 0"] * 3
 
 
 def test_cli_imports_no_numpy():
