@@ -120,7 +120,8 @@ def psi_general(
     family = _check_family(family)
     if family is Family.GAUSSIAN:
         _check_interval(family, a0, a1)
-        return psi_plus(d, s, a1 - a0, sigma)
+        # psi_plus at a = a1 - a0, the separation checked under its own name
+        return _psi_cut(_check_d_s(d, s), _check_snr(a1 - a0, sigma, name="a1 - a0"))[0]
     ratio = _check_d_s(d, s)
     t = _llr_cut(family, ratio, a0, a1, sigma)
     if family is Family.BERNOULLI:

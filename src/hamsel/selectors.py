@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,6 +122,9 @@ def llr_threshold(
         Bernoulli: t = (log((d-s)/s) - log((1-a1)/(1-a0)))
                        / log((a1/(1-a1)) ((1-a0)/a0))
         Poisson:  t = (log((d-s)/s) + a1 - a0) / log(a1/a0)
+
+    Where a quotient of the rates overflows or underflows (a rate near 0 or
+    1), its log is taken as the difference of the logs.
     """
     return _llr_cut(family, _check_d_s(d, s), a0, a1, sigma)
 
@@ -133,12 +137,33 @@ def _llr_cut(family: Family, ratio: float, a0: float, a1: float, sigma: float) -
         r = _check_snr(a1 - a0, sigma, name="a1 - a0")
         return _check_finite((a1 + a0) / 2.0 + sigma * ((1.0 / r) * log_ratio), "llr threshold")
     if family is Family.BERNOULLI:
-        slope = math.log((a1 / (1.0 - a1)) * ((1.0 - a0) / a0))
+        slope, intercept = _bernoulli_llr(a0, a1)
         if not slope > 0.0:
             raise ValueError(f"rates a0={a0} and a1={a1} are too close to tell apart")
-        intercept = math.log((1.0 - a1) / (1.0 - a0))
         return (log_ratio - intercept) / slope
-    return (log_ratio + a1 - a0) / math.log(a1 / a0)
+    q = a1 / a0
+    slope = math.log(q) if _is_normal(q) else math.log(a1) - math.log(a0)
+    return (log_ratio + a1 - a0) / slope
+
+
+def _is_normal(q: float) -> bool:
+    """Whether q is a positive normal float, so that log q keeps its digits:
+    a quotient that overflowed to inf or underflowed to 0 or a subnormal is not."""
+    return sys.float_info.min <= q < math.inf
+
+
+def _bernoulli_llr(a0: float, a1: float) -> tuple[float, float]:
+    """(slope, intercept) of the Bernoulli log-likelihood ratio x slope +
+    intercept of rate a1 against a0: slope = log((a1/(1-a1)) ((1-a0)/a0)),
+    intercept = log((1-a1)/(1-a0)).  The odds product overflows or
+    underflows at a rate near 0 or 1; there the slope is the difference of
+    the four logs."""
+    odds = (a1 / (1.0 - a1)) * ((1.0 - a0) / a0)
+    if _is_normal(odds):
+        slope = math.log(odds)
+    else:
+        slope = math.log(a1) - math.log(1.0 - a1) + math.log(1.0 - a0) - math.log(a0)
+    return slope, math.log((1.0 - a1) / (1.0 - a0))
 
 
 def check_observations(x, d: int, family: Family = Family.GAUSSIAN) -> np.ndarray:
@@ -164,15 +189,16 @@ def check_observations(x, d: int, family: Family = Family.GAUSSIAN) -> np.ndarra
 def crowd_weights(rates) -> tuple[list[float], float]:
     """Per-worker log-likelihood weights and the shared intercept.
 
-    Item j's log-likelihood ratio is sum_i votes[i,j] * w_i + b with
-    w_i = log((a_i1/(1-a_i1)) ((1-a_i0)/a_i0)) and
-    b = sum_i log((1-a_i1)/(1-a_i0)), summed in worker order as _crowd_llr
+    Item j's log-likelihood ratio is sum_i votes[i,j] * w_i + b with each
+    worker's Bernoulli slope w_i and intercept b_i from _bernoulli_llr, the
+    llr cut's own, and b = sum_i b_i, summed in worker order as _crowd_llr
     adds.  math.log, not numpy's log, whose kernel numpy picks by CPU.
     """
     weights, intercept = [], 0.0
     for a0, a1 in rates:
-        weights.append(math.log((a1 / (1.0 - a1)) * ((1.0 - a0) / a0)))
-        intercept += math.log((1.0 - a1) / (1.0 - a0))
+        slope, b = _bernoulli_llr(a0, a1)
+        weights.append(slope)
+        intercept += b
     return weights, intercept
 
 

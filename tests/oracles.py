@@ -2,10 +2,11 @@
 them every threshold rule's error rates read from its selection event,
 Monte Carlo evaluations of the printed forms, an elementary Gaussian tail
 bracket, quadrature values of the top-s risk and of a threshold rule's loss
-moments and law, the reduction of replayed MC error counts, and the one
-table of engine test cases, each checked to exercise its rule.  None of them
-is library code; each checks a closed form or an estimate of :mod:`hamsel`
-by another route.
+moments and law, the reduction of replayed MC error counts, the discrete
+llr cuts from the logs of the rates, each selection rule read as written,
+and the tables of engine and of selection test cases, each case checked to
+exercise its rule.  None of them is library code; each checks a closed form
+or an estimate of :mod:`hamsel` by another route.
 """
 
 import math
@@ -32,13 +33,17 @@ def poisson_tail_exact(k: int, lam: float, upper: bool) -> mp.mpf:
     regularized upper incomplete gamma Q: P(X <= k) = Q(k + 1, lam) and
     P(X >= k) = 1 - Q(k, lam), the difference taken with enough digits
     that at least 30 survive its cancellation; an upper tail below 1e-330,
-    out of reach of a double, is returned as 0."""
+    out of reach of a double, is returned as 0, at once where its bound
+    e^-lam lam^k / k! / (1 - lam/(k + 1)) for k + 1 > lam is below it."""
     lam = mp.mpf(lam)
     if not upper:
         with mp.workdps(60):
             return +mp.gammainc(k + 1, a=lam, regularized=True)
     if k <= 0:
         return mp.mpf(1)
+    with mp.workdps(60):
+        if k + 1 > lam and k * mp.log(lam) - lam - mp.loggamma(k + 1) - mp.log(1 - lam / (k + 1)) < -760:
+            return mp.mpf(0)  # log(1e-330) = -759.8
     for dps in (60, 360):
         with mp.workdps(dps):
             p = 1 - mp.gammainc(k, a=lam, regularized=True)
@@ -52,8 +57,9 @@ def threshold_rates_exact(p, rule) -> tuple[mp.mpf, mp.mpf]:
     instance p: the chances that a support coordinate (at a, +-a with equal
     weight, or a1) is not selected and that a null one (at 0, or a0) is.
 
-    rule is a Threshold spec, its cut t as given, or a kind whose Gaussian
-    cut is formed here from a0 (0 off an Interval), a1 (a) and sigma: plus
+    rule is a Threshold spec, its cut t as given, or a kind whose cut is
+    formed here: a Bernoulli or Poisson llr cut by llr_cut_exact, and a
+    Gaussian one from a0 (0 off an Interval), a1 (a) and sigma: plus
     and llr x >= c, two-sided |x| >= max(c, 0), c = (a0 + a1)/2 + sigma^2
     log((d-s)/s)/(a1 - a0); universal |x| >= sigma sqrt(2 log d); cosh |x|
     >= (sigma^2/a) arccosh(max(u, 1)), u = e^{a^2/(2 sigma^2)} (d-s)/s.  The
@@ -67,6 +73,8 @@ def threshold_rates_exact(p, rule) -> tuple[mp.mpf, mp.mpf]:
     with mp.workdps(60):
         if isinstance(rule, Threshold):
             t, two_sided = mp.mpf(rule.t), rule.two_sided
+        elif rule == "llr" and p.family is not Family.GAUSSIAN:
+            t, two_sided = llr_cut_exact(p), False
         else:
             sigma, a, ratio = mp.mpf(p.sigma), mp.mpf(a1) - a0, mp.mpf(p.d - p.s) / p.s
             c = (mp.mpf(a0) + a1) / 2 + sigma**2 * mp.log(ratio) / a
@@ -90,6 +98,25 @@ def threshold_rates_exact(p, rule) -> tuple[mp.mpf, mp.mpf]:
 
         levels = (a1, -a1) if isinstance(sig, TwoSided) else (a1,)
         return mp.fsum(rates(m)[0] for m in levels) / len(levels), rates(a0)[1]
+
+
+def llr_cut_exact(p) -> mp.mpf:
+    """The llr cut t of a Bernoulli or Poisson Interval(a0, a1) instance p
+    at 60 digits, formed in log space from the likelihood ratio as written:
+    x slope + intercept >= log((d-s)/s) iff x >= t, with slope
+    log a1 - log(1-a1) + log(1-a0) - log a0 and intercept
+    log(1-a1) - log(1-a0) for a Bernoulli, log a1 - log a0 and a0 - a1 for
+    a Poisson observation.  No quotient of the rates is formed, so no
+    overflow or underflow of one can move the cut."""
+    with mp.workdps(60):
+        a0, a1 = mp.mpf(p.signal.a0), mp.mpf(p.signal.a1)
+        log_ratio = mp.log(mp.mpf(p.d - p.s) / p.s)
+        if p.family is Family.BERNOULLI:
+            intercept = mp.log(1 - a1) - mp.log(1 - a0)
+            slope = mp.log(a1) - mp.log(a0) - intercept
+        else:
+            slope, intercept = mp.log(a1) - mp.log(a0), a0 - a1
+        return (log_ratio - intercept) / slope
 
 
 def gaussian_tail_bounds(y: float) -> tuple[float, float]:
@@ -423,3 +450,115 @@ def engine_cases(
                 side = "|x|" if kind in ("two-sided", "cosh", "tops-abs", "universal", "adaptive") else "x"
                 table[name] = EngineCase(name, p.family.value, cls, kind, side, p, spec, rhos)
     return table
+
+
+def selection_rule(spec, row, sigma: float = 1.0) -> tuple[list, dict]:
+    """The selection of spec on one row of observations, read as written,
+    and the diagnostics select_row gives with it: (bits, diagnostics).
+
+    Threshold: x >= t, or |x| >= t when two-sided.  TopS: the first s
+    entries of a stable argsort of -key, key x or |x|.  Adaptive(s_star) at
+    d = len(row): grid g_k = 2^(k-1) up to s_star, k = 1..M, cuts
+    w(g) = sigma sqrt(2 log((d-g)/g)), tau = log((d-s_star)/s_star)^(-1/7),
+    band counts N_k = #{w(g_k) <= |x| < w(g_{k-1})} for k = 2..M, m_hat =
+    min{m : N_k <= tau g_k for every k in m..M} or M when no m qualifies,
+    and the selection |x| >= w(g_m_hat).
+    """
+    x = [float(v) for v in row]
+    if isinstance(spec, Threshold):
+        key = [abs(v) for v in x] if spec.two_sided else x
+        return [v >= spec.t for v in key], {"threshold_used": spec.t}
+    if isinstance(spec, TopS):
+        bits = np.zeros(len(x), dtype=bool)
+        bits[np.argsort(-(np.array(x) if spec.one_sided else np.abs(x)), kind="stable")[: spec.s]] = True
+        return bits.tolist(), {"threshold_used": None}
+    d, s_star, grid = len(x), spec.s_star, [1]
+    while 2 * grid[-1] <= s_star:
+        grid.append(2 * grid[-1])
+    m_cap, absx = len(grid), [abs(v) for v in x]
+    w = [sigma * math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]
+    tau = math.log((d - s_star) / s_star) ** (-1.0 / 7.0)
+    counts = {k: sum(w[k - 1] <= v < w[k - 2] for v in absx) for k in range(2, m_cap + 1)}
+    m_hat = min([m for m in range(2, m_cap + 1)
+                 if all(counts[k] <= tau * grid[k - 1] for k in range(m, m_cap + 1))], default=m_cap)
+    diagnostics = {"chosen_m": m_hat, "grid": grid, "thresholds": w, "tau": tau,
+                   "block_counts": counts, "threshold_used": w[m_hat - 1]}
+    return [v >= w[m_hat - 1] for v in absx], diagnostics
+
+
+# A named selection case: a spec, the family and sigma it runs at, and a (rows, d) block of observations
+SelectionCase = namedtuple("SelectionCase", "name spec family sigma rows")
+
+
+def check_selection_case(case) -> None:
+    """Refuse, naming why, a case whose rows cannot tell its rule from a
+    near miss: a threshold needs a key (x, or |x| when two-sided) exactly on
+    its cut; top-s a row with more than s keys at or above its s-th key, so
+    the tie fill decides; adaptive a row whose selection_rule picks m_hat < M
+    and an entry on a band cut."""
+    spec, rows = case.spec, case.rows
+    if isinstance(spec, Threshold):
+        if not ((np.abs(rows) if spec.two_sided else rows) == spec.t).any():
+            raise ValueError(f"{case.name}: no key lies on the cut {spec.t}")
+    elif isinstance(spec, TopS):
+        keys = rows if spec.one_sided else np.abs(rows)
+        if not ((keys >= -np.sort(-keys)[:, spec.s - 1, None]).sum(axis=1) > spec.s).any():
+            raise ValueError(f"{case.name}: no row ties at its top-{spec.s} key")
+    else:
+        picks = [selection_rule(spec, row, case.sigma)[1] for row in rows]
+        if not any(diag["chosen_m"] < len(diag["grid"]) for diag in picks):
+            raise ValueError(f"{case.name}: no row picks m_hat < M")
+        if not np.isin(np.abs(rows), picks[0]["thresholds"]).any():
+            raise ValueError(f"{case.name}: no entry lies on a band cut")
+
+
+def selection_cases() -> dict:
+    """The selection cases by name, each checked as it is made
+    (check_selection_case): "cut-<t>" and "cut-abs-<t>", Gaussian rows of
+    t, -t, each one ulp either side, +-0 and spread values; cuts on the
+    atoms of 0/1 and count data; "tops-12-s<s>" and "tops-abs-12-s<s>" at
+    every s < 12 on a block of ties (a constant row, ties at the s-th key,
+    +-0, rounded normals), and a few s on 0/1 and count data;
+    "adaptive-<d>-s<s_star>", Gaussian rows with hot coordinates, a row
+    with three entries on each band cut and a row that overfills band M."""
+    rng, cases = rng_stream(60, 0), []
+    for t in (1.0, 1.5, 0.0, -0.0, 5e-324, -1.5, -1e308, 1e308):
+        up, down = math.nextafter(t, math.inf), math.nextafter(t, -math.inf)
+        row = [t, up, down, -t, -up, -down, 0.0, -0.0, 5e-324, -5e-324, 0.1, 2.3, -1.0, -5.0]
+        rows = np.array([row, [-v for v in row[::-1]], t + rng.normal(0.0, 1.0, len(row))])
+        cases.append(SelectionCase(f"cut-{t!r}", Threshold(t), Family.GAUSSIAN, 1.0, rows))
+        if t >= 0.0:
+            cases.append(SelectionCase(f"cut-abs-{t!r}", Threshold(t, True), Family.GAUSSIAN, 1.0, rows))
+    bits = (rng.random((3, 50)) < 0.3).astype(float)
+    counts = rng.poisson(1.5, size=(3, 80)).astype(float)
+    mixed = rng.poisson(np.where(rng.random((3, 200)) < 0.05, 6.0, 1.0)).astype(float)
+    for family, rows, cuts in ((Family.BERNOULLI, bits, (0.0, 1.0)),
+                               (Family.POISSON, counts, (0.0, 2.0, 3.0))):
+        cases += [SelectionCase(f"{family.value}-cut-{t!r}", Threshold(t), family, 1.0, rows) for t in cuts]
+    ties = np.array(
+        [np.ones(12), [3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.0, 1.0, 2.0, 1.0, -1.0, 1.0],
+         [2.0, 1.0, 1.0, 1.0, 0.0, 1.0] * 2, [0.0, -0.0] * 6,
+         [-2.0, 2.0, 0.0, -0.0, 2.0, -2.0, 1.0, -1.0, 0.0, 2.0, -0.0, 1.0],
+         [-3.0, 3.0, -3.0, 1.0, 3.0, 0.5, 2.0, -1.0, 1.0, 1.0, 0.0, 0.0], rng.normal(0.0, 1.0, 12)]
+        + [np.round(rng.normal(0.0, 1.0, 12)) for _ in range(8)]
+    )
+    for s in range(1, 12):
+        cases.append(SelectionCase(f"tops-12-s{s}", TopS(s), Family.GAUSSIAN, 1.0, ties))
+        cases.append(SelectionCase(f"tops-abs-12-s{s}", TopS(s, False), Family.GAUSSIAN, 1.0, ties))
+    for family, rows, sizes in ((Family.BERNOULLI, bits, (1, 5, 25, 49)),
+                                (Family.POISSON, counts, (1, 5, 40, 79)),
+                                (Family.POISSON, mixed, (1, 10, 100, 199))):
+        cases += [SelectionCase(f"tops-{rows.shape[1]}-s{s}", TopS(s), family, 1.0, rows) for s in sizes]
+    for d, s_star, sigma in ((256, 16, 1.0), (256, 8, 1.0), (64, 8, 2.5)):
+        w = adaptive_plan(d, s_star, sigma).thresholds
+        x = rng.normal(0.0, 1.5 * sigma, size=(12, d))
+        hot = rng.integers(0, d, size=(12, 6))
+        x[np.arange(12)[:, None], hot] += rng.normal(0.0, 4.0 * sigma, size=hot.shape)
+        edges, full = np.zeros(d), np.zeros(d)
+        edges[: 3 * len(w)] = np.repeat(w, 3) * np.tile([1.0, -1.0, 1.0], len(w))
+        full[:s_star] = -(w[-1] + w[-2]) / 2.0  # g_M entries mid band M: tau < 1 fails it
+        rows = np.vstack([x, edges, full])
+        cases.append(SelectionCase(f"adaptive-{d}-s{s_star}", Adaptive(s_star), Family.GAUSSIAN, sigma, rows))
+    for case in cases:
+        check_selection_case(case)
+    return {case.name: case for case in cases}

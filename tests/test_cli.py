@@ -29,6 +29,7 @@ from hamsel import cli, selectors, simulate
 from hamsel.model import (
     Adaptive,
     Family,
+    Interval,
     LowerBound,
     ProblemInstance,
     Threshold,
@@ -60,6 +61,7 @@ from hamsel.selectors import (
 from hamsel.simulate import MCConfig, apply_selector, estimate_risk
 
 from checkout import checkout_env
+from oracles import llr_cut_exact
 
 
 def run_cli(capsys, *args):
@@ -105,6 +107,19 @@ class TestRiskCommand:
             payload["psi"], psi_general(Family.POISSON, 4, 2, 1.0, math.e), rtol=1e-15
         )
         assert_allclose(payload["t"], math.e - 1.0, rtol=1e-15)
+
+    def test_llr_cut_survives_an_overflowing_rate_quotient(self, capsys):
+        """a1/a0 (Poisson) and the odds product (Bernoulli) overflow here; the
+        cut is the difference of the logs, not a 0 that selects everything."""
+        code, out, _ = run_cli(capsys, "risk", "--class", "poisson", "--d", "10", "--s", "1",
+                               "--a0", "1e-305", "--a1", "10000")
+        payload = json.loads(out)
+        exact = llr_cut_exact(ProblemInstance(10, 1, Interval(1e-305, 1e4), Family.POISSON))
+        assert (code, payload["psi"]) == (0, 0.0)
+        assert_allclose(payload["t"], float(exact), rtol=1e-12)
+        code, out, _ = run_cli(capsys, "risk", "--class", "bernoulli", "--d", "10", "--s", "1",
+                               "--a0", "5e-324", "--a1", "0.9")
+        assert (code, json.loads(out)["psi"]) == (0, (1.0 - 0.9) + 5e-324 * 9.0)
 
     def test_interval_uses_gaussian_family(self, capsys):
         code, out, _ = run_cli(
@@ -404,6 +419,18 @@ class TestSelectCommand:
         assert payload["selected"] == want.indices()
         assert payload["threshold_used"] == math.log(3.0)
         assert len(payload["diagnostics"]["weights"]) == 3
+
+    @pytest.mark.parametrize("rates, bits", [("5e-324,0.9", "10100"), ("0.9999999999999999,5e-324", "01011")])
+    def test_crowd_weights_stay_finite_at_extreme_rates(self, capsys, tmp_path, rates, bits):
+        """The worker's odds product overflows (an informative worker) or
+        underflows (an anti-informative one): its weight is still finite."""
+        (tmp_path / "v.csv").write_text("1,0,1,0,0\n")
+        (tmp_path / "r.csv").write_text(rates + "\n")
+        code, out, err = run_cli(capsys, "select", "--votes", str(tmp_path / "v.csv"),
+                                 "--rates", str(tmp_path / "r.csv"), "--s", "1")
+        payload = json.loads(out)
+        assert (code, err, payload["bits"]) == (0, "", bits)
+        assert all(math.isfinite(w) for w in payload["diagnostics"]["weights"])
 
     @pytest.mark.parametrize(
         "route, spec",
@@ -1258,6 +1285,12 @@ class TestUsageErrors:
         assert out == '{"psi": 0.50543633498867391}\n'
         assert json.loads(out)["psi"] == psi_two_sided(200, 10, 1.0)
         assert psi_plus(200, 10, 1.0) > 0.99
+
+    def test_risk_and_mc_name_an_overflowing_separation_alike(self, capsys):
+        levels = ["--class", "interval", "--d", "10", "--s", "1", "--a0", "-1e308", "--a1", "1e308"]
+        risk = run_cli(capsys, "risk", *levels)
+        mc = run_cli(capsys, "mc", *levels, "--selector", "llr", "--reps", "10", "--seed", "1")
+        assert risk == mc == (2, "", "error: need a1 - a0 > 0, got inf\n")
 
     @pytest.mark.parametrize(
         "argv, named",

@@ -65,7 +65,7 @@ from hamsel.selectors import (
     universal_threshold,
 )
 from hamsel.simulate import MCConfig, phase_sweep
-from oracles import psi_crowd_mc, threshold_rates_exact
+from oracles import llr_cut_exact, psi_crowd_mc, threshold_rates_exact
 
 mp.mp.dps = 60
 
@@ -316,12 +316,6 @@ class TestPsiGeneralGaussian:
             psi_general(Family.GAUSSIAN, 10, 2, 2.0, 1.0)
 
 
-def _llr(family, d, s, a0, a1):
-    """The Interval(a0, a1) instance and the library's llr cut on it."""
-    p = ProblemInstance(d, s, Interval(a0, a1), family)
-    return p, spec_for_kind("llr", p)
-
-
 class TestPsiGeneralBernoulli:
     def test_symmetric_example_is_one(self):
         # rates (0.1, 0.9) at ratio 9 put the cut exactly on x = 1
@@ -356,7 +350,8 @@ class TestPsiGeneralBernoulli:
             if t == 1.0:
                 continue
             hits.discard(branch)
-            miss, select = map(float, threshold_rates_exact(*_llr(Family.BERNOULLI, d, s, a0, a1)))
+            p = ProblemInstance(d, s, Interval(a0, a1), Family.BERNOULLI)
+            miss, select = map(float, threshold_rates_exact(p, "llr"))
             assert psi_general(Family.BERNOULLI, d, s, a0, a1) == miss + (d - s) / s * select
 
 
@@ -364,7 +359,8 @@ class TestPsiGeneralPoisson:
     def test_unit_slope_example(self):
         # a0=1, a1=e, d=2s: cut at e-1, so the selector keeps x >= 2
         val = psi_general(Family.POISSON, 4, 2, 1.0, math.e)
-        assert_allclose(val, _psi_exact(*_llr(Family.POISSON, 4, 2, 1.0, math.e)), rtol=1e-13)
+        p = ProblemInstance(4, 2, Interval(1.0, math.e), Family.POISSON)
+        assert_allclose(val, _psi_exact(p, "llr"), rtol=1e-13)
 
     def test_against_count_enumeration(self):
         rng = np.random.default_rng(11)
@@ -375,7 +371,7 @@ class TestPsiGeneralPoisson:
             d = int(rng.integers(3, 60))
             s = int(rng.integers(1, d))
             saw_select_all |= llr_threshold(Family.POISSON, d, s, a0, a1) <= 0.0
-            want = _psi_exact(*_llr(Family.POISSON, d, s, a0, a1))
+            want = _psi_exact(ProblemInstance(d, s, Interval(a0, a1), Family.POISSON), "llr")
             assert_allclose(psi_general(Family.POISSON, d, s, a0, a1), want, rtol=1e-12)
         assert saw_select_all  # the dense draws must exercise the ratio branch
 
@@ -408,9 +404,64 @@ class TestPsiGeneralPoisson:
         """(d-s)/s P_{a0}(X >= k) keeps its digits however large (d-s)/s is:
         within 1e-12 of mpmath up to (d-s)/s = 1e15 and the largest rate."""
         assert llr_threshold(Family.POISSON, d, s, a0, a1) > 0.0
-        exact = _psi_exact(*_llr(Family.POISSON, d, s, a0, a1))
+        exact = _psi_exact(ProblemInstance(d, s, Interval(a0, a1), Family.POISSON), "llr")
         got = psi_general(Family.POISSON, d, s, a0, a1)
         assert abs(got - exact) <= 1e-12 * exact, (got, exact)
+
+
+def _log_uniform(lo: float, hi: float):
+    """Floats in [lo, hi], uniform in log."""
+    return st.floats(math.log(lo), math.log(hi)).map(lambda u: min(max(math.exp(u), lo), hi))
+
+
+@st.composite
+def _discrete_llr_instances(draw):
+    """A Bernoulli or Poisson Interval instance at (d, s), s < d <= 10^9,
+    its rates drawn log-uniformly: each Bernoulli rate, or its distance
+    from 1, down to 5e-324; Poisson rates over [1e-320, 1e7]."""
+    d = draw(st.integers(2, 10**9))
+    s = draw(st.integers(1, d - 1))
+    if draw(st.booleans()):
+        family = Family.BERNOULLI
+        rate = st.builds(lambda a, near_one: min(1.0 - a, 1.0 - 2.0**-53) if near_one else a,
+                         _log_uniform(5e-324, 0.5), st.booleans())
+    else:
+        family, rate = Family.POISSON, _log_uniform(1e-320, POISSON_RATE_MAX)
+    a0, a1 = sorted(draw(st.lists(rate, min_size=2, max_size=2, unique=True)))
+    return ProblemInstance(d, s, Interval(a0, a1), family)
+
+
+class TestDiscreteLlrCut:
+    @settings(max_examples=200)
+    @given(p=_discrete_llr_instances())
+    @example(p=ProblemInstance(10, 1, Interval(1e-305, 1e4), Family.POISSON))
+    @example(p=ProblemInstance(10**9, 1, Interval(1e-320, POISSON_RATE_MAX), Family.POISSON))
+    @example(p=ProblemInstance(2, 1, Interval(5e-324, 1.0 - 2.0**-53), Family.BERNOULLI))
+    @example(p=ProblemInstance(10, 1, Interval(5e-324, 0.9), Family.BERNOULLI))
+    def test_cut_and_risk_match_the_log_space_cut(self, p):
+        """llr_threshold against oracles.llr_cut_exact, formed from logs of
+        the rates, within 1e-12 of the cut's terms over the slope: log((d-s)/s),
+        the intercept and 1, since a log of a quotient near 1 (the Bernoulli
+        intercept's) keeps only absolute digits.  psi_general against the
+        rates of the exact cut within 1e-12, plus the few smallest subnormals
+        a tail below the normal range carries, scaled by (d-s)/s."""
+        (d, s), (a0, a1) = (p.d, p.s), (p.signal.a0, p.signal.a1)
+        exact = llr_cut_exact(p)
+        with mp.workdps(60):
+            m0, m1, log_ratio = mp.mpf(a0), mp.mpf(a1), mp.log(mp.mpf(d - s) / s)
+            slope = (mp.log(m1 / m0) if p.family is Family.POISSON
+                     else mp.log(m1 / (1 - m1)) - mp.log(m0 / (1 - m0)))
+            scale = (abs(log_ratio) + abs(exact * slope - log_ratio) + 1) / slope
+        assume(slope >= 1e-3)  # closer rates leave the double cut fewer digits
+        t = llr_threshold(p.family, d, s, a0, a1)
+        assert abs(t - exact) <= 1e-12 * (abs(exact) + scale), (t, exact)
+        if p.family is Family.BERNOULLI:
+            same_atoms = (t <= 0.0, t < 1.0) == (exact <= 0, exact < 1)
+        else:
+            same_atoms = max(math.ceil(t), 0) == max(int(mp.ceil(exact)), 0)
+        assume(same_atoms)  # a cut within rounding of an atom may fall either side
+        want = _psi_exact(p, "llr")
+        assert abs(psi_general(p.family, d, s, a0, a1) - want) <= 1e-12 * want + 2e-323 * (d - s) / s
 
 
 # (d, s, a, sigma): sparse, dense (s > d/2), and dense with the two-sided

@@ -39,11 +39,13 @@ from hamsel.selectors import (
     minimax_threshold,
     resolve_selector,
     row_counts,
+    select_row,
     spec_for_kind,
     top_s_into,
     universal_threshold,
 )
 from hamsel.simulate import apply_selector
+from oracles import selection_cases, selection_rule
 
 
 def _select(spec, x) -> SupportVector:
@@ -72,34 +74,6 @@ def _log_cosh(z: float) -> float:
 
 
 class TestThresholdSelectors:
-    def test_one_sided_basic(self):
-        sv = _select(Threshold(1.0), [0.1, 2.3, -1.0])
-        assert sv.bitstring() == "010"
-
-    def test_boundary_is_selected(self):
-        assert _select(Threshold(1.0), [1.0, 0.999999]).bitstring() == "10"
-
-    def test_negative_threshold_selects_everything(self):
-        assert _select(Threshold(-1e308), [-5.0, 0.0, 5.0]).weight == 3
-
-    def test_two_sided_basic(self):
-        sv = _select(Threshold(1.0, two_sided=True), [0.1, 2.3, -1.5])
-        assert sv.bitstring() == "011"
-
-    def test_two_sided_boundary_both_signs(self):
-        assert _select(Threshold(1.0, two_sided=True), [1.0, -1.0, 0.5]).bitstring() == "110"
-
-    def test_two_sided_zero_threshold_selects_everything(self):
-        assert _select(Threshold(0.0, two_sided=True), [0.0, -3.0, 2.0]).weight == 3
-
-    def test_two_sided_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            Threshold(-0.5, two_sided=True)
-
-    def test_nan_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            Threshold(float("nan"))
-
     def test_observation_validation(self):
         p = ProblemInstance(2, 1, LowerBound(1.0))
         with pytest.raises(ValueError):
@@ -325,29 +299,9 @@ class TestCrowdSelector:
 
 
 class TestTopS:
-    def test_basic_one_sided(self):
-        assert _select(TopS(1), [0.5, 2.0, -1.0]).bitstring() == "010"
-
-    def test_two_sided_uses_magnitude(self):
-        assert _select(TopS(1, one_sided=False), [0.5, -2.0, 1.0]).bitstring() == "010"
-        assert _select(TopS(1, one_sided=True), [0.5, -2.0, 1.0]).bitstring() == "001"
-
-    def test_tie_goes_to_lowest_index(self):
-        assert _select(TopS(1), [1.0, 1.0, 0.0]).bitstring() == "100"
-        assert _select(TopS(1), [0.0, 1.0, 1.0]).bitstring() == "010"
-        assert _select(TopS(2), [2.0, 1.0, 1.0, 1.0]).bitstring() == "1100"
-
-    def test_weight_is_exactly_s(self):
-        rng = rng_stream(49, 0)
-        for _ in range(25):
-            x = rng.normal(size=17)
-            s = int(rng.integers(1, 18))
-            assert _select(TopS(s), x).weight == s
-
-    def test_full_selection(self):
-        assert _select(TopS(2), [3.0, -1.0]).weight == 2
-
     def test_validation(self):
+        """s runs from 1 to d: s = d keeps every coordinate."""
+        assert _select(TopS(2), [3.0, -1.0]).weight == 2
         with pytest.raises(ValueError):
             _select(TopS(0), [1.0, 2.0])
         with pytest.raises(ValueError):
@@ -393,52 +347,15 @@ class TestAdaptive:
         assert res.diagnostics["threshold_used"] == w2
 
     def test_saturated_bands_fall_back_to_largest_block(self):
+        """g_k entries in the middle of each band k overfill it, since tau < 1."""
         d, s_star = 64, 16
-        grid = adaptive_plan(d, s_star).grid
-        m_cap = len(grid)
-        w = [math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]
-        tau = math.log((d - s_star) / s_star) ** (-1.0 / 7.0)
-        values = []
-        for k in range(2, m_cap + 1):
-            mid = 0.5 * (w[k - 1] + w[k - 2])
-            values.extend([mid] * (int(tau * grid[k - 1]) + 1))
+        grid, w, tau = adaptive_plan(d, s_star)
+        assert tau < 1.0
         x = np.zeros(d)
-        x[: len(values)] = values
+        x[: sum(grid[1:])] = np.repeat([(w[k] + w[k - 1]) / 2.0 for k in range(1, len(w))], grid[1:])
         res = adaptive_selector(x, s_star)
-        assert res.diagnostics["chosen_m"] == m_cap
-
-    def test_random_data_against_direct_rescan(self):
-        """Recount the bands with searchsorted and rescan the quantifier."""
-        rng = rng_stream(52, 0)
-        for trial in range(30):
-            d, s_star = 256, 8
-            x = rng.normal(0.0, 1.0, size=d)
-            hot = rng.integers(0, d, size=6)
-            x[hot] += rng.normal(0.0, 4.0, size=hot.size)
-            res = adaptive_selector(x, s_star)
-
-            grid = adaptive_plan(d, s_star).grid
-            m_cap = len(grid)
-            w = [math.sqrt(2.0 * math.log((d - g) / g)) for g in grid]
-            tau = math.log((d - s_star) / s_star) ** (-1.0 / 7.0)
-            sorted_abs = np.sort(np.abs(x))
-            counts = {}
-            for k in range(2, m_cap + 1):
-                lo = np.searchsorted(sorted_abs, w[k - 1], side="left")
-                hi = np.searchsorted(sorted_abs, w[k - 2], side="left")
-                counts[k] = int(hi - lo)
-            assert counts == res.diagnostics["block_counts"]
-
-            # scan from the top: the answer is one past the last failing block
-            m_hat = 2
-            for k in range(m_cap, 1, -1):
-                if counts[k] > tau * grid[k - 1]:
-                    m_hat = m_cap if k == m_cap else k + 1
-                    break
-            assert res.diagnostics["chosen_m"] == m_hat
-
-            want = _select(Threshold(w[res.diagnostics["chosen_m"] - 1], two_sided=True), x)
-            assert res.support == want
+        assert res.diagnostics["chosen_m"] == len(grid)
+        assert list(res.diagnostics["block_counts"].values()) == grid[1:]
 
     def test_threshold_always_on_grid(self):
         rng = rng_stream(53, 0)
@@ -609,19 +526,10 @@ class TestThresholdProperty:
 
     @settings(max_examples=200)
     @given(case=_threshold_cases())
-    @example(case=(Threshold(0.0, two_sided=True), [-0.0, 0.0, -5e-324]))
-    @example(case=(Threshold(-0.0), [-0.0, 0.0, -5e-324]))
-    @example(case=(Threshold(1.5), [1.5, math.nextafter(1.5, 0.0), -1.5]))
-    @example(case=(Threshold(1.5, two_sided=True), [-1.5, math.nextafter(-1.5, 0.0), 1.5]))
     def test_selects_exactly_the_literal_event(self, case):
         spec, x = case
         p = ProblemInstance(len(x), 1, LowerBound(1.0))
-        got = apply_selector(spec, x, p).bits.tolist()
-        if spec.two_sided:
-            want = [math.fabs(v) >= spec.t for v in x]
-        else:
-            want = [v >= spec.t for v in x]
-        assert got == want
+        assert apply_selector(spec, x, p).bits.tolist() == selection_rule(spec, x)[0]
 
     def test_cut_must_be_finite_and_two_sided_nonnegative(self):
         for bad in (math.inf, -math.inf, math.nan):
@@ -635,64 +543,34 @@ class TestThresholdProperty:
         assert Threshold(-0.0, two_sided=True).t == 0.0
 
 
+@pytest.mark.parametrize("case", selection_cases().values(), ids=lambda case: case.name)
+def test_every_case_selects_as_its_rule_reads(case):
+    """Each checked case of oracles.selection_cases, row by row through
+    select_row (diagnostics included), and as a block through
+    resolve_selector, whole and in the engine's strided z[:, 1:] layout,
+    against selection_rule."""
+    spec, family, sigma, rows = case.spec, case.family, case.sigma, case.rows
+    d = rows.shape[1]
+    want = [selection_rule(spec, row, sigma) for row in rows]
+    for row, (bits, diagnostics) in zip(rows, want):
+        got = select_row(spec, row, d, family, sigma)
+        assert (got.support.bits.tolist(), got.diagnostics) == (bits, diagnostics)
+    z = np.zeros((len(rows), d + 1))
+    z[:, 1:] = rows
+    for block in (rows.copy(), z[:, 1:]):
+        out = np.empty(block.shape, dtype=bool)
+        handed = resolve_selector(spec, d, family, sigma)(len(block))(block, out)
+        assert out.tolist() == [bits for bits, _ in want]
+        if isinstance(spec, Adaptive):
+            _, chosen, counts = handed
+            assert chosen.tolist() == [diagnostics["chosen_m"] for _, diagnostics in want]
+            assert [dict(enumerate(c, start=2)) for c in counts.tolist()] == [
+                diagnostics["block_counts"] for _, diagnostics in want
+            ]
+
+
 class TestSelectionCores:
-    """The O(d) cores against the literal rules they replace."""
-
-    @staticmethod
-    def _tie_cases():
-        rng = rng_stream(55, 0)
-        cases = [
-            np.array([1.0, 1.0, 1.0, 1.0]),
-            np.array([2.0, 1.0, 1.0, 1.0, 0.0, 1.0]),
-            np.array([0.0, -0.0, 0.0, 1.0, -0.0]),
-            np.array([-3.0, 3.0, -3.0, 1.0, 3.0]),
-            np.round(rng.normal(0.0, 1.0, size=60), 1),
-            (rng.random(50) < 0.3).astype(float),
-            rng.poisson(1.5, size=80).astype(float),
-            rng.poisson(np.where(rng.random(200) < 0.05, 6.0, 1.0)).astype(float),
-            rng.normal(0.0, 1.0, size=33),
-        ]
-        return cases
-
-    def test_top_s_matches_stable_argsort(self):
-        for x in self._tie_cases():
-            for one_sided in (True, False):
-                key = x if one_sided else np.abs(x)
-                order = np.argsort(-key, kind="stable")
-                for s in range(1, x.size + 1):
-                    want = np.zeros(x.size, dtype=bool)
-                    want[order[:s]] = True
-                    assert_array_equal(_top_s(key[None], s)[0], want)
-                    assert _select(TopS(s, one_sided), x) == SupportVector(want)
-
-    def test_top_s_block_rows_match_stable_argsort(self):
-        """On a (rows, d) block the core applies the rule to each row."""
-        rng = rng_stream(57, 0)
-        d = 12
-        special = [
-            np.ones(d),
-            np.array([3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.0, 1.0, 2.0, 1.0, -1.0, 1.0]),
-            np.array([0.0, -0.0] * 6),
-            np.array([-2.0, 2.0, 0.0, -0.0, 2.0, -2.0, 1.0, -1.0, 0.0, 2.0, -0.0, 1.0]),
-            (rng.random(d) < 0.4).astype(float),
-            rng.poisson(1.0, size=d).astype(float),
-            rng.poisson(np.where(rng.random(d) < 0.2, 6.0, 1.0)).astype(float),
-            rng.normal(0.0, 1.0, size=d),
-        ]
-        rounded = [np.round(rng.normal(0.0, 1.0, size=d)) for _ in range(8)]
-        # blocks of 3 and of 16 rows; the engine's blocks are views with a
-        # leading column dropped
-        full = np.array(special + rounded)
-        blocks = [full[:3], full, np.hstack([np.zeros((len(full), 1)), full])[:, 1:]]
-        for block in blocks:
-            for one_sided in (True, False):
-                keys = block if one_sided else np.abs(block)
-                for s in range(1, d + 1):
-                    got = _top_s(keys, s)
-                    for bits, key in zip(got, keys):
-                        want = np.zeros(d, dtype=bool)
-                        want[np.argsort(-key, kind="stable")[:s]] = True
-                        assert_array_equal(bits, want)
+    """The O(d) cores on what the selection table does not cover."""
 
     def test_observations_are_never_written(self):
         """The selectors take |x| in place only on a block the engine owns:
@@ -739,62 +617,6 @@ class TestSelectionCores:
             assert got.dtype == np.intp
             assert_array_equal(got, [np.count_nonzero(b) for b in bits])
 
-    def test_adaptive_counts_match_per_band_scan(self):
-        rng = rng_stream(56, 0)
-        d, s_star = 256, 16
-        plan = adaptive_plan(d, s_star)
-        w = plan.thresholds
-        samples = [rng.normal(0.0, 1.5, size=d) for _ in range(20)]
-        # values exactly on the band edges test the half-open convention
-        edges = np.zeros(d)
-        edges[: 3 * len(w)] = np.repeat(w, 3) * np.tile([1.0, -1.0, 1.0], len(w))
-        samples.append(edges)
-        full = np.array(samples)
-        # blocks of one row and of 21; the engine's blocks are views with a
-        # leading column dropped
-        blocks = [full[:1], full, np.hstack([np.zeros((len(full), 1)), full])[:, 1:]]
-        for block in blocks:
-            bits = np.empty(block.shape, dtype=bool)
-            got_m, got_counts = adaptive_into(np.abs(block), plan, bits)
-            assert bits.shape == block.shape
-            assert got_m.shape == (len(block),)
-            assert got_counts.shape == (len(block), len(w) - 1)
-            for x, row_bits, row_m, row_counts_ in zip(block, bits, got_m, got_counts):
-                absx = np.abs(x)
-                counts = {
-                    k: int(np.count_nonzero((absx >= w[k - 1]) & (absx < w[k - 2])))
-                    for k in range(2, len(w) + 1)
-                }
-                chosen = len(w)
-                for m in range(2, len(w) + 1):
-                    if all(counts[k] <= plan.tau * plan.grid[k - 1] for k in range(m, len(w) + 1)):
-                        chosen = m
-                        break
-                assert dict(enumerate(row_counts_.tolist(), start=2)) == counts
-                assert row_m == chosen
-                assert_array_equal(row_bits, absx >= w[chosen - 1])
-                res = adaptive_selector(x, s_star)
-                assert res.diagnostics["block_counts"] == counts
-                assert res.diagnostics["threshold_used"] == w[chosen - 1]
-
-
-def _adaptive_rule(row, plan):
-    """The adaptive rule for one row, as written: band counts
-    N_k = #{w(g_k) <= |x| < w(g_{k-1})} for k = 2..M, then
-    m_hat = min{m : N_k <= tau g_k for every k in m..M}, or M when no m
-    qualifies, and the selection |x| >= w(g_m_hat)."""
-    grid, w, tau = plan
-    m_cap = len(grid)
-    absx = [abs(float(v)) for v in row]
-    counts = {k: sum(w[k - 1] <= v < w[k - 2] for v in absx) for k in range(2, m_cap + 1)}
-    qualifying = [
-        m
-        for m in range(2, m_cap + 1)
-        if all(counts[k] <= tau * grid[k - 1] for k in range(m, m_cap + 1))
-    ]
-    m_hat = min(qualifying) if qualifying else m_cap
-    return [v >= w[m_hat - 1] for v in absx], m_hat, counts
-
 
 @st.composite
 def _adaptive_blocks(draw):
@@ -820,16 +642,14 @@ class TestAdaptiveBlockProperty:
 
     @settings(max_examples=200)
     @given(case=_adaptive_blocks())
-    @example(case=(np.zeros((1, 8)), 2))
-    # 20 coordinates on w(g_M) = w(16) at d = 64 overfill band M (tau g_M = 15.8)
-    @example(case=(np.array([[math.sqrt(2.0 * math.log(3.0))] * 20 + [0.0] * 44]), 16))
+    @example(case=(np.zeros((1, 8)), 2))  # M = 2, which no table case can pick below
     def test_block_core_matches_the_rule(self, case):
         block, s_star = case
         plan = adaptive_plan(block.shape[1], s_star)
         bits = np.empty(block.shape, dtype=bool)
         chosen, counts = adaptive_into(np.abs(block), plan, bits)
         for r, row in enumerate(block):
-            want_bits, want_m, want_counts = _adaptive_rule(row, plan)
+            want_bits, diagnostics = selection_rule(Adaptive(s_star), row)
             assert bits[r].tolist() == want_bits
-            assert chosen[r] == want_m
-            assert dict(enumerate(counts[r].tolist(), start=2)) == want_counts
+            assert chosen[r] == diagnostics["chosen_m"]
+            assert dict(enumerate(counts[r].tolist(), start=2)) == diagnostics["block_counts"]

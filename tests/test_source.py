@@ -8,7 +8,8 @@ package's modules, no numpy in the command-line layer or under
 and select commands, no scipy anywhere in the package, no BLAS product,
 no numpy transcendental function, the ratio (d - s)/s formed in one function only, and every library name
 the benchmark in bench/ reads still defined, the engine tests' cases
-taken from one table, and every test reference in tests/oracles.py.
+and the selection tests' cases and rules taken from one table each, and
+every test reference in tests/oracles.py.
 
 The package has no linter; these checks catch what a refactor most often
 leaves behind.
@@ -507,3 +508,34 @@ def test_references_live_in_oracles():
              for f in ast.walk(_tree(path))
              if isinstance(f, ast.FunctionDef) and "oracle" in f.name and not f.name.startswith("test_")]
     assert not found, f"references outside tests/oracles.py: {found}"
+
+
+def _own_selection_scans(tree: ast.Module) -> list[int]:
+    """Lines that sort keys with a stable argsort (top-s's reference), recount
+    bands with searchsorted or test a band against tau (the adaptive rule's)."""
+    lines = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "attr", getattr(n.func, "id", None))
+            stable = any(k.arg == "kind" and ast.unparse(k.value) == "'stable'" for k in n.keywords)
+            if name == "searchsorted" or (name == "argsort" and stable):
+                lines.append(n.lineno)
+        elif isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) and re.search(r"\btau\b", ast.unparse(n)):
+            lines.append(n.lineno)
+    return sorted(set(lines))
+
+
+def test_selection_cases_come_from_the_table():
+    """Selection references and cases live in tests/oracles.py
+    (selection_rule, selection_cases): no test module sorts, recounts or
+    scans bands for itself, and test_selectors.py makes no case list but a
+    Hypothesis strategy."""
+    assert _own_selection_scans(_tree(ROOT / "tests" / "oracles.py"))  # the walk sees the references
+    found = [f"{path.name}:{line}" for path in sorted((ROOT / "tests").glob("test_*.py"))
+             for line in _own_selection_scans(_tree(path))]
+    assert not found, f"selection references outside tests/oracles.py: {found}"
+    tree = _tree(ROOT / "tests" / "test_selectors.py")
+    lists = [f.name for f in ast.walk(tree)
+             if isinstance(f, ast.FunctionDef) and f.name.endswith(("_cases", "_cells"))
+             and "composite" not in " ".join(map(ast.unparse, f.decorator_list))]
+    assert not lists, f"test_selectors.py makes its own case lists: {lists}"
