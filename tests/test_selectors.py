@@ -74,6 +74,28 @@ def _log_cosh(z: float) -> float:
 
 
 class TestThresholdSelectors:
+    def test_one_sided_basic(self):
+        sv = _select(Threshold(1.0), [0.1, 2.3, -1.0])
+        assert sv.bitstring() == "010"
+
+    def test_boundary_is_selected(self):
+        assert _select(Threshold(1.0), [1.0, 0.999999]).bitstring() == "10"
+
+    def test_two_sided_basic(self):
+        sv = _select(Threshold(1.0, two_sided=True), [0.1, 2.3, -1.5])
+        assert sv.bitstring() == "011"
+
+    def test_two_sided_boundary_both_signs(self):
+        assert _select(Threshold(1.0, two_sided=True), [1.0, -1.0, 0.5]).bitstring() == "110"
+
+    def test_two_sided_negative_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            Threshold(-0.5, two_sided=True)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            Threshold(float("nan"))
+
     def test_observation_validation(self):
         p = ProblemInstance(2, 1, LowerBound(1.0))
         with pytest.raises(ValueError):
@@ -299,9 +321,10 @@ class TestCrowdSelector:
 
 
 class TestTopS:
-    def test_validation(self):
-        """s runs from 1 to d: s = d keeps every coordinate."""
+    def test_full_selection(self):
         assert _select(TopS(2), [3.0, -1.0]).weight == 2
+
+    def test_validation(self):
         with pytest.raises(ValueError):
             _select(TopS(0), [1.0, 2.0])
         with pytest.raises(ValueError):
