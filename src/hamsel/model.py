@@ -229,10 +229,6 @@ class SupportVector:
     def d(self) -> int:
         return int(self.bits.size)
 
-    @property
-    def weight(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
     def indices(self) -> list[int]:
         """Selected positions, 1-based, ascending (the I/O convention)."""
         return [int(j) + 1 for j in np.flatnonzero(self.bits)]

@@ -14,8 +14,11 @@ uniforms, global sign (TwoSided only; the s uniforms and the sign come
 from one call of s + 1 uniforms), then the row's noise as
 generate_gaussian or generate_family draws it.  The Gaussian factor Z0 is
 always consumed, even at rho = 0, so runs at different rho share all
-other draws.  The support is the s-subset Floyd's algorithm picks from
-those uniforms (model.uniform_supports), O(s) whatever d.
+other draws.  A Bernoulli or Poisson row is d uniforms, one a coordinate,
+compared with a rate or inverted through a Poisson CDF table
+(_poisson_table): the table fixes the counts, whatever searches it.  The
+support is the s-subset Floyd's algorithm picks from those uniforms
+(model.uniform_supports), O(s) whatever d.
 
 Replications run in blocks of B rows, as many as a DRAW_BYTES draw
 buffer holds (see _block_layout).  One row loop serves every family: it
@@ -46,6 +49,8 @@ worker count.
 from __future__ import annotations
 
 import atexit
+import functools
+import itertools
 import math
 import operator
 import os
@@ -153,22 +158,68 @@ def generate_family(
     a1: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Coordinate j drawn from P1 if eta_j = 1 else P0 (Bernoulli/Poisson).
-
-    Bernoulli: d uniforms, each below a1 on the support and a0 off it.
-    Poisson: d Poisson(a0) counts, then s = |eta| Poisson(a1 - a0) counts
-    added to the support coordinates in ascending order; a sum of
-    independent Poissons is Poisson, so a support count is Poisson(a1)
-    (to the rounding of a1 - a0).
-    """
+    """Coordinate j drawn from P1 if eta_j = 1 else P0 (Bernoulli/Poisson):
+    d uniforms, one a coordinate, which _observe turns into counts."""
     family = _check_interval(family, a0, a1)
     if family is Family.GAUSSIAN:
         raise ValueError("generate_family covers the Bernoulli and Poisson families")
-    if family is Family.BERNOULLI:
-        return (rng.random(eta.d) < np.where(eta.bits, a1, a0)).astype(float)
-    x = rng.poisson(a0, eta.d).astype(float)
-    x[eta.bits] += rng.poisson(a1 - a0, eta.weight)
+    x = rng.random(eta.d)
+    _observe(x, eta.bits, family, a0, a1)
     return x
+
+
+@functools.lru_cache(maxsize=16)
+def _poisson_table(lam: float) -> tuple[int, np.ndarray]:
+    """(k0, F), F[i] = P(X <= k0 + i) for X ~ Poisson(lam), read-only, for
+    inversion (Devroye, "Non-Uniform Random Variate Generation", 1986,
+    III.2): 22 entries at lam = 1, 60,697 at POISSON_RATE_MAX.
+
+    The pmf's weights relative to the mode's come from its recurrence,
+    outward while at least 1e-20, so under 1e-15 of the mass is left off
+    either end.  They are normalised by their fsum, each tail summed from
+    its own end, and the last entry is 1, so every u in [0, 1) maps in.
+    """
+    mode = math.floor(lam)
+    below, w = [], 1.0
+    for k in range(mode, 0, -1):  # the weight of k - 1
+        w *= k / lam
+        if w < 1e-20:
+            break
+        below.append(w)
+    above, w, k = [], lam / (mode + 1), mode + 1
+    while w >= 1e-20:
+        above.append(w)
+        k += 1
+        w *= lam / k
+    below.reverse()
+    total = math.fsum(below + [1.0] + above)
+    # F summed from k0 up to the mode; past it, 1 less the weight above k,
+    # summed from the top, which leaves exactly 1 last (or 1 / 1 at lam < 1e-20)
+    top = [0.0, *itertools.accumulate(reversed(above))][: len(above)]
+    table = [c / total for c in itertools.accumulate(below + [1.0])]
+    table += [1.0 - t / total for t in reversed(top)]
+    f = np.array(table)
+    f.setflags(write=False)
+    return mode - len(below), f
+
+
+def _observe(x: np.ndarray, on, family: Family, a0: float, a1: float) -> None:
+    """In place: contiguous uniforms x become a Bernoulli or Poisson
+    family's counts, from P1 at the entries x[on] (the support) and from P0
+    elsewhere: 1 for a uniform below the rate, or the Poisson count
+    k0 + #{i : F[i] <= u} of the rate's table (_poisson_table)."""
+    if family is Family.BERNOULLI:
+        hits = x[on] < a1
+        x[...] = x < a0
+    else:
+        hits = x[on]
+        for lam, u in ((a1, hits), (a0, x)):
+            k0, f = _poisson_table(lam)
+            flat = u.reshape(-1)
+            for lo in range(0, flat.size, 4096):  # so no temporary the size of u appears
+                part = flat[lo : lo + 4096]
+                np.add(np.searchsorted(f, part, side="right"), k0, out=part)
+    x[on] = hits
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +248,11 @@ def apply_selector(spec: SelectorSpec, x, p: ProblemInstance) -> SupportVector:
 # 13-row blocks at d = 10^4 held more memory.
 DRAW_BYTES = 640 * 1024
 
-# Bytes of one replication's d-length rows that estimate_risk accepts: its
-# draw row, d + 1 floats (d + s for a Poisson row's support counts), in
-# which the selector takes |x|, and top-s's partition row of d floats, so d
-# up to about 4.2 million.  The support and selection rows are smaller.
+# Bytes of one replication's d-length rows that estimate_risk accepts, the
+# same for every family: its draw row, d + 1 floats (d for a Bernoulli or
+# Poisson row), in which the selector takes |x|, and top-s's partition row of
+# d floats, so d up to about 4.2 million.  The support and selection rows
+# are smaller.
 ROW_BYTES_LIMIT = 64 * 1024 * 1024
 
 def _block_layout(d: int, n: int) -> int:
@@ -238,7 +290,7 @@ def _check_run(p: ProblemInstance, spec: SelectorSpec, cfg: MCConfig, stream_off
     n = cfg.replications
     if not (0 <= offset and offset + n <= 2**64):
         raise ValueError(f"stream indices {offset}..{offset + n - 1} out of range")
-    row_bytes = 8 * (2 * p.d + (p.s if p.family is Family.POISSON else 1))  # ROW_BYTES_LIMIT
+    row_bytes = 8 * (2 * p.d + 1)  # ROW_BYTES_LIMIT
     if row_bytes > ROW_BYTES_LIMIT:
         raise ValueError(
             f"d={p.d} needs {row_bytes} bytes of buffers per replication, "
@@ -257,11 +309,10 @@ def _share(p: ProblemInstance, spec: SelectorSpec, rho: float, seed: int, start:
     up to B rows (_block_layout).  Row i of the block at lo re-keys the
     generator to (seed, start + lo + i), draws the support's s uniforms
     (s + 1 with a TwoSided sign) into a row of u, then the family's row
-    fill: Z0 and the noise into a row of z, which x views; d uniforms into
-    a row of x; or, through an (x row, counts row) pair, d Poisson(a0)
-    counts into the first and s Poisson(a1 - a0) ones into the second.
-    The supports, the signal's placement, the selection and the loss draw
-    nothing and run once per block.
+    fill: Z0 and the noise into a row of z, which x views, or, for a
+    Bernoulli or Poisson row, d uniforms into a row of x.  The supports,
+    the signal's placement or the uniforms' conversion (_observe), the
+    selection and the loss draw nothing and run once per block.
     """
     d, s, sig, family = p.d, p.s, p.signal, p.family
     rows = _block_layout(d, n)
@@ -272,27 +323,15 @@ def _share(p: ProblemInstance, spec: SelectorSpec, rho: float, seed: int, start:
     row_index = np.arange(rows)[:, None]
     selected = np.empty((rows, d), dtype=bool)
 
-    if family is Family.BERNOULLI:
-        x = np.empty((rows, d))
-        fill, out_rows = rng.random, list(x)
-    elif family is Family.POISSON:
-        # the support counts get their own buffer, so that x is contiguous
-        x = np.empty((rows, d))
-        counts = np.empty((rows, s))
-        a0, rate, poisson = sig.a0, sig.a1 - sig.a0, rng.poisson
-
-        def fill(out):
-            x_row, counts_row = out
-            x_row[...] = poisson(a0, d)
-            counts_row[...] = poisson(rate, s)
-
-        out_rows = list(zip(x, counts))
-    else:
+    if family is Family.GAUSSIAN:
         sigma, common, own = p.sigma, math.sqrt(rho), math.sqrt(1.0 - rho)
         base, level = (sig.a0, sig.a1) if isinstance(sig, Interval) else (0.0, sig.a)
         z = np.empty((rows, d + 1))
         x = z[:, 1:]
         fill, out_rows = rng.standard_normal, list(z)
+    else:
+        x = np.empty((rows, d))
+        fill, out_rows = rng.random, list(x)
     u_rows = list(u)  # row views made once, not once per row per block
 
     for lo in range(0, n, rows):
@@ -303,20 +342,15 @@ def _share(p: ProblemInstance, spec: SelectorSpec, rho: float, seed: int, start:
             fill(out=out)
         idx = uniform_supports(u[:m, :s], d)
         on, xm = (row_index[:m], idx), x[:m]
-        if family is Family.BERNOULLI:
-            hits = xm[on] < sig.a1
-            xm[...] = xm < sig.a0
-            xm[on] = hits
-        elif family is Family.POISSON:
-            idx.sort(axis=1)  # in place (on too), as generate_family adds counts in index order
-            xm[on] += counts[:m]
-        else:
+        if family is Family.GAUSSIAN:
             # x = theta + noise with theta = base off the support and a row's level on it
             _scale_noise(z[:m], sigma, common, own)
             hits = xm[on] + (np.where(u[:m, s:] < 0.5, -level, level) if signs else level)
             if base:
                 xm += base
             xm[on] = hits
+        else:
+            _observe(xm, on, family, sig.a0, sig.a1)
         sel = selected[:m]
         select(xm, sel)  # may overwrite x, the block's own draws
         # Hamming loss |sel| + s - 2 |sel on the support|: on holds s distinct indices a row

@@ -1,12 +1,13 @@
 """Independent references shared by the test modules: mpmath values, among
-them every threshold rule's error rates read from its selection event,
-Monte Carlo evaluations of the printed forms, an elementary Gaussian tail
-bracket, quadrature values of the top-s risk and of a threshold rule's loss
-moments and law, the reduction of replayed MC error counts, the discrete
-llr cuts from the logs of the rates, each selection rule read as written,
-and the tables of engine and of selection test cases, each case checked to
-exercise its rule.  None of them is library code; each checks a closed form
-or an estimate of :mod:`hamsel` by another route.
+them every threshold rule's error rates read from its selection event and
+the Poisson CDF over a run of counts, Monte Carlo evaluations of the
+printed forms, an elementary Gaussian tail bracket, quadrature values of
+the top-s risk and of a threshold rule's loss moments and law, the
+reduction of replayed MC error counts, the discrete llr cuts from the logs
+of the rates, each selection rule read as written, and the tables of engine
+and of selection test cases, each case checked to exercise its rule.  None
+of them is library code; each checks a closed form or an estimate of
+:mod:`hamsel` by another route.
 """
 
 import math
@@ -50,6 +51,22 @@ def poisson_tail_exact(k: int, lam: float, upper: bool) -> mp.mpf:
             if p > mp.mpf(10) ** (30 - dps):
                 return +p
     return mp.mpf(0)
+
+
+def poisson_cdf_exact(k0: int, n: int, lam: float) -> list:
+    """[P(X <= k) for k in k0 .. k0 + n - 1], X ~ Poisson(lam), at 50
+    digits: poisson_tail_exact at k0, then the pmf summed up from
+    e^-lam lam^k0 / k0! by its recurrence, the last sum checked against
+    poisson_tail_exact at k0 + n - 1."""
+    with mp.workdps(50):
+        rate = mp.mpf(lam)
+        cdf = [poisson_tail_exact(k0, lam, upper=False)]
+        pmf = mp.exp(k0 * mp.log(rate) - rate - mp.loggamma(k0 + 1))
+        for k in range(k0 + 1, k0 + n):
+            pmf = pmf * rate / k
+            cdf.append(cdf[-1] + pmf)
+        assert abs(cdf[-1] - poisson_tail_exact(k0 + n - 1, lam, upper=False)) < mp.mpf("1e-30")
+    return cdf
 
 
 def threshold_rates_exact(p, rule) -> tuple[mp.mpf, mp.mpf]:

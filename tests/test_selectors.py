@@ -171,7 +171,7 @@ class TestCoshSelector:
     def test_select_all_regime(self):
         # d=3, s=2, a=0.5: u = e^{a^2/2} (d-s)/s < 1, so every x qualifies
         assert cosh_threshold(3, 2, 0.5) == 0.0
-        assert cosh_selector([0.0, -0.2, 10.0], 3, 2, 0.5).weight == 3
+        assert len(cosh_selector([0.0, -0.2, 10.0], 3, 2, 0.5).indices()) == 3
 
     def test_frozen_threshold(self):
         assert_allclose(cosh_threshold(200, 10, 3.0), 2.7125286914208404, rtol=1e-15)
@@ -322,7 +322,7 @@ class TestCrowdSelector:
 
 class TestTopS:
     def test_full_selection(self):
-        assert _select(TopS(2), [3.0, -1.0]).weight == 2
+        assert len(_select(TopS(2), [3.0, -1.0]).indices()) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -348,7 +348,7 @@ class TestUniversal:
         # the universal level is chosen so pure noise rarely crosses it
         x = rng_stream(51, 0).standard_normal(1000)
         p = ProblemInstance(1000, 1, TwoSided(1.0))
-        assert apply_selector(spec_for_kind("universal", p), x, p).weight <= 2
+        assert len(apply_selector(spec_for_kind("universal", p), x, p).indices()) <= 2
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -365,7 +365,7 @@ class TestAdaptive:
     def test_quiet_data_picks_smallest_block(self):
         res = adaptive_selector(np.zeros(64), 16)
         assert res.diagnostics["chosen_m"] == 2
-        assert res.support.weight == 0
+        assert len(res.support.indices()) == 0
         w2 = math.sqrt(2.0 * math.log((64 - 2) / 2))
         assert res.diagnostics["threshold_used"] == w2
 

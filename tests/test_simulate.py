@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -62,6 +63,8 @@ from checkout import fresh_python
 from oracles import (
     check_engine_case,
     engine_cases,
+    poisson_cdf_exact,
+    poisson_tail_exact,
     psi_bar_printed_mc,
     replay_reduction,
     threshold_loss_moments,
@@ -264,8 +267,9 @@ class TestGenerateFamily:
         assert abs(x[1000:].mean() - 1.0) < 3.0 * math.sqrt(1.0 / 1000)
 
     def test_poisson_counts_have_poisson_variance(self):
-        """On the support a count is Poisson(a0) plus Poisson(a1 - a0):
-        variance a1, as for a Poisson(a1) draw, not a1 - a0 or a0."""
+        """A support count is one uniform inverted through the Poisson(a1)
+        table, an off-support count through the Poisson(a0) one: variance
+        a1 and a0, as for Poisson draws, not a1 - a0."""
         n = 20_000
         eta = SupportVector([1] * n + [0] * n)
         x = generate_family(eta, Family.POISSON, 1.0, 6.0, rng_stream(20261018, 5))
@@ -277,6 +281,51 @@ class TestGenerateFamily:
     def test_gaussian_rejected(self):
         with pytest.raises(ValueError):
             generate_family(SupportVector([1, 0]), Family.GAUSSIAN, 0.0, 1.0, rng_stream(1, 0))
+
+    def test_poisson_counts_follow_the_pmf(self):
+        """Chi-square test of 20,000 counts on the support at a1 = 100, where
+        the table starts at k0 = 21, and 20,000 off it at a0 = 1, where it
+        starts at 0, against the Poisson pmf, one bin per count between the
+        0.001 and 0.999 quantiles, the tails merged into the end bins (at
+        least 8 expected counts a bin)."""
+        n = 20_000
+        eta = SupportVector([1] * n + [0] * n)
+        x = generate_family(eta, Family.POISSON, 1.0, 100.0, rng_stream(20261022, 6))
+        assert simulate._poisson_table(100.0)[0] > 0
+        assert simulate._poisson_table(1.0)[0] == 0
+        for part, lam in ((x[:n], 100.0), (x[n:], 1.0)):
+            law = scipy.stats.poisson(lam)
+            lo, hi = (int(k) for k in law.ppf([1e-3, 1.0 - 1e-3]))
+            seen = np.bincount(np.clip(part, lo, hi).astype(int) - lo, minlength=hi - lo + 1)
+            probs = law.pmf(np.arange(lo, hi + 1))
+            probs[0], probs[-1] = law.cdf(lo), law.sf(hi - 1)
+            assert scipy.stats.chisquare(seen, n * probs / probs.sum()).pvalue > 1e-3
+
+
+class TestPoissonTable:
+    @pytest.mark.parametrize("lam", [1e-30, 1e-3, 0.5, 1.0, 3.0, 31.0, 33.0, 100.0, 1e4, 1e7])
+    def test_entries_match_the_exact_cdf(self, lam):
+        """Entry i of the table at lam is P(X <= k0 + i) within 1e-13, the
+        last is 1.0, and under 1e-15 of the mass lies below k0 or above the
+        table; at 1e-30 the table is the one entry [1.0]."""
+        k0, table = simulate._poisson_table(lam)
+        exact = poisson_cdf_exact(k0, len(table), lam)
+        assert np.abs(table - np.array(exact, dtype=float)).max() <= 1e-13
+        assert table[-1] == 1.0
+        assert k0 == 0 or poisson_tail_exact(k0 - 1, lam, upper=False) < 1e-15
+        assert poisson_tail_exact(k0 + len(table), lam, upper=True) < 1e-15
+        assert not table.flags.writeable
+
+    def test_table_at_the_rate_limit_builds_in_50_ms(self):
+        """The largest table, at POISSON_RATE_MAX, about 60,000 entries,
+        builds in at most 50 ms (the fastest of three builds, uncached)."""
+        build = simulate._poisson_table.__wrapped__
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            build(POISSON_RATE_MAX)
+            times.append(time.perf_counter() - start)
+        assert min(times) <= 0.05
 
 
 class TestEstimateRisk:
@@ -426,6 +475,14 @@ class TestEstimateRiskFamilies:
     def test_poisson_path(self):
         p = ProblemInstance(d=4, s=2, signal=Interval(1.0, math.e), family=Family.POISSON)
         _within_3_stderr(p, "llr", 19, 2.0 * psi_general(Family.POISSON, 4, 2, 1.0, math.e))
+
+    def test_poisson_tables_above_zero_match_threshold_risk(self):
+        """At rates 100 and 130, where both tables start above 0, the llr
+        rule's Hamming risk over 20,000 replications at (200, 10) is within
+        4 stderr of threshold_risk."""
+        p = ProblemInstance(200, 10, Interval(100.0, 130.0), Family.POISSON)
+        r = estimate_risk(p, spec_for_kind("llr", p), MCConfig(replications=20_000, seed=2040))
+        assert abs(r.mc_estimate - threshold_risk(p, "llr")) <= 4.0 * r.mc_stderr
 
     def test_cosh_matches_symmetric_bayes_risk(self):
         p = ProblemInstance(d=100, s=10, signal=TwoSided(2.0))
@@ -1179,16 +1236,19 @@ class TestEngineLimits:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_row_limit_counts_poisson_support_counts(self):
-        """A Poisson draw row holds d + s counts, a Gaussian one d + 1
-        floats, so at the same (d, s) near the limit only the Poisson run
-        is refused."""
-        d, s, cfg = 4_194_000, 1000, MCConfig(replications=10, seed=1)
-        gauss = ProblemInstance(d, s, Interval(1.0, 3.0))
-        simulate._check_run(gauss, spec_for_kind("llr", gauss), cfg, 0)
-        poisson = ProblemInstance(d, s, Interval(1.0, 3.0), family=Family.POISSON)
-        with pytest.raises(ValueError, match=f"d={d} needs {8 * (2 * d + s)} bytes"):
-            simulate._check_run(poisson, spec_for_kind("llr", poisson), cfg, 0)
+    def test_row_limit_is_the_same_for_every_family(self):
+        """A draw row holds d + 1 floats for a Gaussian run and d uniforms
+        for a Bernoulli or Poisson one, whatever s, so every family is
+        accepted at the largest d under ROW_BYTES_LIMIT and refused at the
+        next one, naming 8 (2 d + 1) bytes."""
+        d = (simulate.ROW_BYTES_LIMIT // 8 - 1) // 2
+        s, cfg = 1000, MCConfig(replications=10, seed=1)
+        for family, rates in ((Family.GAUSSIAN, (1.0, 3.0)), (Family.BERNOULLI, (0.2, 0.7)),
+                              (Family.POISSON, (1.0, 3.0))):
+            at, above = (ProblemInstance(n, s, Interval(*rates), family) for n in (d, d + 1))
+            simulate._check_run(at, spec_for_kind("llr", at), cfg, 0)
+            with pytest.raises(ValueError, match=f"d={d + 1} needs {8 * (2 * d + 3)} bytes"):
+                simulate._check_run(above, spec_for_kind("llr", above), cfg, 0)
 
     @pytest.mark.parametrize(
         "name", ["gaussian-two-tops-abs", "gaussian-two-adaptive", "gaussian-two-universal", "poisson-llr"],
@@ -1272,8 +1332,9 @@ class TestEngineLimits:
         assert peak < 1 << 20
 
     def test_poisson_rates_up_to_the_limit_run(self):
-        """estimate_risk runs with a1 at POISSON_RATE_MAX, which numpy's
-        sampler takes; ProblemInstance refuses the next float, naming it."""
+        """estimate_risk runs with a1 at POISSON_RATE_MAX, whose CDF table
+        holds about 60,000 entries; ProblemInstance refuses the next float,
+        naming it."""
         limit = POISSON_RATE_MAX
         cfg = MCConfig(replications=2, seed=1)
         at = ProblemInstance(20, 2, Interval(limit / 2.0, limit), Family.POISSON)

@@ -6,7 +6,8 @@ package's modules, no numpy in the command-line layer or under
 ``import hamsel.numkit``, no multiprocessing under ``import hamsel.cli`` or
 ``import hamsel.simulate``, no numpy.random under those imports or the risk
 and select commands, no scipy anywhere in the package, no BLAS product,
-no numpy transcendental function, the ratio (d - s)/s formed in one function only, and every library name
+no numpy transcendental function, no numpy sampler but ``random`` and
+``standard_normal``, the ratio (d - s)/s formed in one function only, and every library name
 the benchmark in bench/ reads still defined, the engine tests' cases
 and the selection tests' cases and rules taken from one table each, and
 every test reference in tests/oracles.py.
@@ -21,6 +22,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from checkout import fresh_python
@@ -451,6 +453,23 @@ def test_no_numpy_transcendental_functions():
         for line, name in _numpy_transcendental_sites(_tree(path))
     ]
     assert not sites, f"numpy transcendental functions in src/hamsel: {sites}"
+
+
+def test_draws_use_only_random_and_standard_normal():
+    """src/hamsel names no numpy sampler (a Generator method, called or
+    not, as ``rng.poisson`` or ``np.random.poisson``) but ``random`` and
+    ``standard_normal``: every draw rests on the kernels README.md names,
+    and a Bernoulli or Poisson count is a uniform turned into a count by
+    the package, not by a numpy sampler whose method could change."""
+    samplers = {n for n in dir(np.random.Generator) if not n.startswith("_")} - {"bit_generator", "spawn"}
+    named = {
+        (path.name, node.lineno, node.attr)
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr in samplers
+    }
+    assert {"poisson", "random", "standard_normal"} <= samplers
+    assert {attr for _, _, attr in named} == {"random", "standard_normal"}, sorted(named)
 
 
 def _call_sites(name: str) -> set[tuple[str, str | None]]:
